@@ -9,7 +9,7 @@ its block structure, entirely in exact arithmetic (rational, or modular for
 the large rank computations).
 """
 
-from .scalars import GaussRational, ModScalar, DEFAULT_PRIMES, gauss, mod_project
+from .scalars import GaussRational, DEFAULT_PRIMES, gauss, balanced_residue
 from .forms import (
     Form,
     monomial,

@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from . import suites
-from . import closure as cl
+from .scalars import validate_prime
 
 _BLOCK_CHOICES = {"hw0": (0,), "hw1": (1,), "hw2": (2,), "hw3": (3,), "all": (0, 1, 2, 3)}
 
@@ -30,9 +30,8 @@ def _add_common(p: argparse.ArgumentParser):
         "--prime",
         type=int,
         action="append",
-        help="modular prime = 1 (mod 4); repeatable (default: built-in pair)",
+        help="modular prime p = 1 (mod 4), p <= 2065121; repeatable (default: built-in pair)",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker thread budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,15 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="run every suite and emit the full report")
     _add_common(pr)
     return parser
-
-
-def _validate_primes(primes):
-    if not primes:
-        return None
-    for p in primes:
-        if p % 4 != 1:
-            raise SystemExit(2)
-    return tuple(primes)
 
 
 def _emit(text: str, out: str | None):
@@ -122,8 +112,11 @@ def _format_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    primes = _validate_primes(args.prime)
-    config = {"primes": primes, "threads": args.threads}
+    try:
+        primes = tuple(map(validate_prime, args.prime or suites.default_primes_from_env()))
+    except ValueError as exc:
+        parser.error(str(exc))
+    config = {"primes": primes}
 
     if args.command == "verify":
         report = suites.run_suites(args.suite, config)
@@ -138,7 +131,7 @@ def main(argv=None) -> int:
             "schema": "wsdalg-report/1",
             "results": {"closure": res},
             "meta": {
-                "primes": list(primes or suites.default_primes_from_env()),
+                "primes": list(primes),
                 "suites": {"closure": extra},
             },
         }

@@ -12,8 +12,9 @@ bracketed with the twelve generators only.
 
 Two engines compute the same closure:
 
-* exact: sparse Fraction coordinates, used for the smallest block and for
-  the even subalgebra, where the answer is 15-dimensional;
+* exact: sparse Fraction coordinates in a ``linalg.SparseEchelon``, used
+  for the smallest block and for the even subalgebra, where the answer is
+  15-dimensional;
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every matrix product runs on BLAS while staying
   exact (the default primes are sized so no dot product can reach 2^53).
@@ -41,10 +42,11 @@ import numpy as np
 from .scalars import (
     DEFAULT_PRIMES,
     GaussRational,
-    PrimeCollision,
     ZERO,
+    balanced_residue,
     root_of_minus_one,
 )
+from .linalg import SparseEchelon
 from .operators import (
     GENERATOR_NAMES,
     Operator,
@@ -203,31 +205,23 @@ class FlatLayout:
 
     # -- modular flattening --------------------------------------------------
 
-    def _lift(self, x: Fraction, p: int) -> int:
-        if x.denominator % p == 0:
-            raise PrimeCollision(f"denominator divisible by {p}")
-        v = x.numerator * pow(x.denominator, -1, p) % p
-        return v - p if v > p // 2 else v
-
     def generator_arrays(self, rop: RestrictedOperator, p: int, root_i: int):
         """Balanced-residue block matrices: (re, im) pairs in real mode,
         single arrays in complex mode."""
         out = {}
-        ri = root_i if root_i <= p // 2 else root_i - p
         for k in self.blocks:
             s = BLOCK_SIZES[k]
             if self.complexified:
                 m = np.zeros((s, s))
                 for (r, c), v in rop.block(k).items():
-                    val = (self._lift(v.re, p) + self._lift(v.im, p) * ri) % p
-                    m[r, c] = val - p if val > p // 2 else val
+                    m[r, c] = balanced_residue(v, p, root_i)
                 out[k] = m
             else:
                 mr = np.zeros((s, s))
                 mi = np.zeros((s, s))
                 for (r, c), v in rop.block(k).items():
-                    mr[r, c] = self._lift(v.re, p)
-                    mi[r, c] = self._lift(v.im, p)
+                    mr[r, c] = balanced_residue(v.re, p, root_i)
+                    mi[r, c] = balanced_residue(v.im, p, root_i)
                 out[k] = (mr, mi)
         return out
 
@@ -287,31 +281,19 @@ def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> Restri
 
 def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
     """FIFO left-normed closure with sparse rational echelon reduction."""
-    rows: dict[int, dict[int, Fraction]] = {}
+    echelon = SparseEchelon()
     pivots: list[int] = []
     parities: list[int] = []
     frontier: deque[RestrictedOperator] = deque()
     brackets = 0
 
     def reduce_insert(rop: RestrictedOperator) -> bool:
-        vec = layout.flatten_exact(rop)
-        while vec:
-            lead = min(vec)
-            row = rows.get(lead)
-            if row is None:
-                inv = Fraction(1) / vec[lead]
-                rows[lead] = {i: inv * v for i, v in vec.items()}
-                pivots.append(lead)
-                parities.append(rop.parity)
-                return True
-            c = vec[lead]
-            for i, v in row.items():
-                s = vec.get(i, Fraction(0)) - c * v
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        return False
+        lead = echelon.insert(layout.flatten_exact(rop))
+        if lead is None:
+            return False
+        pivots.append(lead)
+        parities.append(rop.parity)
+        return True
 
     for g in gens:
         if reduce_insert(g):
@@ -323,7 +305,7 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
             cand = _rop_bracket(g, x, layout.blocks)
             if reduce_insert(cand):
                 frontier.append(cand)
-    return rows, pivots, parities, brackets
+    return echelon, pivots, parities, brackets
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +599,7 @@ class ClosureState:
     parities: list[int]
     brackets: int
     wall_s: float
-    _engine: object = None
-    _exact_rows: dict | None = None
+    _engine: object = None  # SparseEchelon (exact) or _ModularEngine
 
     def block_dims(self) -> dict[int, int]:
         out = {}
@@ -637,21 +618,8 @@ class ClosureState:
         return h.hexdigest()[:16]
 
     def contains_exact(self, vec: dict[int, Fraction]) -> bool:
-        assert self._exact_rows is not None
-        work = dict(vec)
-        while work:
-            lead = min(work)
-            row = self._exact_rows.get(lead)
-            if row is None:
-                return False
-            c = work[lead]
-            for i, v in row.items():
-                s = work.get(i, Fraction(0)) - c * v
-                if s:
-                    work[i] = s
-                else:
-                    work.pop(i, None)
-        return True
+        assert isinstance(self._engine, SparseEchelon)
+        return self._engine.contains(vec)
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
@@ -758,10 +726,10 @@ def lie_closure(
     t0 = time.time()
     if field == "exact":
         layout = FlatLayout(blocks, complexified=False)
-        rows, pivots, parities, brackets = _exact_closure(gens, layout)
+        echelon, pivots, parities, brackets = _exact_closure(gens, layout)
         return ClosureState(
             "exact", None, blocks, layout, len(pivots), pivots, parities,
-            brackets, time.time() - t0, _exact_rows=rows,
+            brackets, time.time() - t0, _engine=echelon,
         )
     if field in ("modular", "modular-complex"):
         p = prime if prime is not None else DEFAULT_PRIMES[0]

@@ -3,8 +3,10 @@
 Everything here is deterministic: pivots are always the smallest key
 (sparse) or the leftmost column (dense), rows are normalized to a leading
 one, and kernels are parameterized by free columns in increasing order.
-Sizes in this package stay below a few hundred, so exact arithmetic is
-cheap.
+The sparse routines keep the type of their entries, so ``SparseEchelon``
+also serves rational (Fraction) coordinates, as in the exact closure
+engine.  Sizes in this package stay below a few hundred, so exact
+arithmetic is cheap.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from .scalars import GaussRational, ONE, ZERO
 __all__ = ["SparseEchelon", "CoordinateSolver", "rref_dense", "kernel_basis", "rank_dense"]
 
 
-def _sub_scaled(vec: dict, other: dict, coeff: GaussRational) -> None:
-    """vec -= coeff * other, in place, dropping zeros."""
+def _sub_scaled(vec: dict, other: dict, coeff) -> None:
+    """vec -= coeff * other, in place, dropping zeros; entries keep their
+    type (Fraction or GaussRational)."""
     for k, v in other.items():
-        s = vec.get(k, ZERO) - coeff * v
+        s = vec[k] - coeff * v if k in vec else -(coeff * v)
         if s:
             vec[k] = s
         else:
@@ -48,7 +51,7 @@ class SparseEchelon:
         if not vec:
             return None
         lead = min(vec)
-        inv = ONE / vec[lead]
+        inv = 1 / vec[lead]
         self.rows[lead] = {k: inv * v for k, v in vec.items()}
         return lead
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals and prime fields containing i.
+"""Exact scalar arithmetic: Gaussian rationals and their projection to F_p.
 
 Every certified computation in this package runs either over Q(i), with
 numerators and denominators as arbitrary-precision integers, or over a prime
@@ -7,8 +7,10 @@ field F_p with p = 1 (mod 4), where -1 has a square root and
     Q(i) -> F_p,   i |-> root_i,
 
 is a ring homomorphism on every Gaussian rational whose denominators are
-prime to p.  Floating point never enters a certified value; the closure
-engine stores F_p residues in float64 words purely as exact small integers.
+prime to p.  ``balanced_residue`` is that projection and ``validate_prime``
+the single check a modular prime must pass.  Floating point never enters a
+certified value; the closure engine stores F_p residues in float64 words
+purely as exact small integers.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from fractions import Fraction
 
 __all__ = [
     "GaussRational",
-    "ModScalar",
     "PrimeCollision",
     "DEFAULT_PRIMES",
     "ZERO",
     "ONE",
     "I",
     "gauss",
-    "mod_project",
+    "balanced_residue",
+    "validate_prime",
     "root_of_minus_one",
     "is_prime",
 ]
@@ -61,15 +63,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Longest dot product the modular engine forms: no echelon holds more rows
+# than a parity half of the real layout has coordinates (8448).
+_DOT_LENGTH = 8448
+
+
+def validate_prime(p: int) -> int:
+    """Return p if it can serve as a modular prime, else raise ValueError.
+
+    p must be prime, = 1 (mod 4) so that -1 has a square root mod p, and
+    small enough that a balanced-residue dot product of length 8448 stays
+    below 2^53, so float64 matrix products are exact:
+        8448 * ((p-1)/2)^2 + p < 2^53,
+    which holds up to p = 2065121.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p % 4 != 1:
+        raise ValueError(f"prime {p} is not 1 (mod 4)")
+    if _DOT_LENGTH * ((p - 1) // 2) ** 2 + p >= 2**53:
+        raise ValueError(
+            f"prime {p} is too large for exact float64 products (largest valid prime: 2065121)"
+        )
+    return p
+
+
 def root_of_minus_one(p: int) -> int:
-    """Smallest positive square root of -1 mod p, for prime p = 1 (mod 4).
+    """Smallest positive square root of -1 mod p, for a prime p accepted by
+    ``validate_prime``.
 
     Found by exponentiation: g^((p-1)/4) is a root of -1 for any
     quadratic non-residue g; scanning g upward and folding r -> min(r, p-r)
     makes the choice deterministic.
     """
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"p must be a prime = 1 (mod 4), got {p}")
+    validate_prime(p)
     for g in range(2, p):
         r = pow(g, (p - 1) // 4, p)
         if r * r % p == p - 1:
@@ -77,10 +104,8 @@ def root_of_minus_one(p: int) -> int:
     raise ArithmeticError(f"no root of -1 mod {p}")  # unreachable for valid p
 
 
-# Default primes for the modular rank engine.  Both are = 1 (mod 4) and are
-# the two largest primes for which a balanced residue dot product of length
-# 8448 stays below 2^53, so float64 matrix products are exact:
-#     8448 * ((p-1)/2)^2 + p < 2^53.
+# Default primes for the modular rank engine: the two largest primes that
+# ``validate_prime`` accepts.
 DEFAULT_PRIMES = (2065121, 2065117)
 
 
@@ -151,10 +176,6 @@ class GaussRational:
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
-        """z * conj(z); always a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- predicates & hashing --------------------------------------------
 
     def __bool__(self) -> bool:
@@ -162,9 +183,6 @@ class GaussRational:
 
     def is_zero(self) -> bool:
         return not self
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussRational):
@@ -206,92 +224,24 @@ ONE = GaussRational(1, 0)
 I = GaussRational(0, 1)
 
 
-class ModScalar:
-    """An element of F_p with the chosen square root of -1 attached.
-
-    p must be = 1 (mod 4); root_i satisfies root_i^2 + 1 = 0 (mod p).
-    Instances are immutable; mixing scalars from different primes raises.
-    """
-
-    __slots__ = ("residue", "p", "root_i")
-
-    def __init__(self, residue: int, p: int, root_i: int | None = None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "residue", residue % p)
-        object.__setattr__(
-            self, "root_i", root_of_minus_one(p) if root_i is None else root_i
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModScalar is immutable")
-
-    def _coerce(self, other) -> "ModScalar":
-        if isinstance(other, ModScalar):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return ModScalar(other, self.p, self.root_i)
-        raise TypeError(f"cannot coerce {type(other).__name__} to ModScalar")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ModScalar(self.residue + other.residue, self.p, self.root_i)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModScalar(-self.residue, self.p, self.root_i)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ModScalar(self.residue - other.residue, self.p, self.root_i)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ModScalar(self.residue * other.residue, self.p, self.root_i)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ModScalar":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return ModScalar(pow(self.residue, -1, self.p), self.p, self.root_i)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ModScalar):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __repr__(self):
-        return f"ModScalar({self.residue}, {self.p})"
-
-
-def mod_project(z: GaussRational | int | Fraction, p: int, root_i: int | None = None) -> ModScalar:
-    """Project a Gaussian rational to F_p, sending i to root_i.
+def balanced_residue(z: GaussRational | int | Fraction, p: int, root_i: int) -> int:
+    """Project a Gaussian rational to F_p, sending i to root_i; the result
+    is the balanced representative in [-(p-1)/2, (p-1)/2].
 
     Raises PrimeCollision when a denominator is divisible by p, in which
     case the caller retries with a different prime.
     """
-    z = gauss(z)
-    if root_i is None:
-        root_i = root_of_minus_one(p)
-    if z.re.denominator % p == 0 or z.im.denominator % p == 0:
+    # ints and Fractions are projected directly: coercing them to
+    # GaussRational would triple the cost of flattening an operator
+    if isinstance(z, GaussRational):
+        v = _residue(z.re, p) + _residue(z.im, p) * root_i
+    else:
+        v = _residue(z, p)
+    v %= p
+    return v - p if v > p // 2 else v
+
+
+def _residue(x: int | Fraction, p: int) -> int:
+    if x.denominator % p == 0:
         raise PrimeCollision(f"denominator divisible by {p}")
-    re = z.re.numerator * pow(z.re.denominator, -1, p)
-    im = z.im.numerator * pow(z.im.denominator, -1, p)
-    return ModScalar(re + im * root_i, p, root_i)
+    return x.numerator * pow(x.denominator, -1, p)

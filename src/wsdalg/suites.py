@@ -13,7 +13,7 @@ import os
 import time
 from typing import Callable
 
-from .scalars import DEFAULT_PRIMES
+from .scalars import DEFAULT_PRIMES, validate_prime
 from . import operators as ops
 from .reptheory import isotypical_table, HW_DIMS, HW_HALF_DIMS
 from . import hwbases
@@ -23,14 +23,17 @@ __all__ = ["SUITE_ORDER", "run_suites", "report_json", "default_primes_from_env"
 
 
 def default_primes_from_env() -> tuple[int, ...]:
-    """Default modular primes, overridable via WSDALG_PRIMES="p1,p2"."""
+    """Default modular primes, overridable via WSDALG_PRIMES="p1,p2"; raises
+    ValueError unless every token is a prime accepted by ``validate_prime``."""
     raw = os.environ.get("WSDALG_PRIMES")
     if not raw:
         return DEFAULT_PRIMES
-    primes = tuple(int(tok) for tok in raw.replace(",", " ").split())
-    for p in primes:
-        if p % 4 != 1:
-            raise ValueError(f"prime {p} is not 1 mod 4")
+    try:
+        primes = tuple(validate_prime(int(tok)) for tok in raw.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValueError(f"WSDALG_PRIMES={raw!r}: {exc}") from None
+    if not primes:
+        raise ValueError(f"WSDALG_PRIMES={raw!r} names no prime")
     return primes
 
 
@@ -134,7 +137,7 @@ def _suite_closure(config) -> dict:
         )
         complex_report = complex_state.report()
         walls[f"complex-{primes[0]}"] = round(complex_state.wall_s, 3)
-    expected_full = blocks == (0, 1, 2, 3) or tuple(blocks) == (0, 1, 2, 3)
+    expected_full = tuple(blocks) == (0, 1, 2, 3)
     result = {
         "runs": runs,
         "complexified": complex_report if field != "exact" else None,

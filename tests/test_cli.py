@@ -77,10 +77,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_bad_prime_rejected():
+def _assert_usage_error(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "relations", "--prime", "7"])  # 7 is 3 mod 4
+        cli.main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+
+
+# 7 and 3 are 3 (mod 4), 21 is not prime, and 1000000009 is a prime
+# 1 (mod 4) too large for exact float64 products
+@pytest.mark.parametrize("prime", ["7", "3", "21", "1000000009"])
+def test_bad_prime_rejected(capsys, prime):
+    _assert_usage_error(capsys, ["closure", "--block", "hw3", "--prime", prime], prime)
+
+
+@pytest.mark.parametrize("value", ["21", "13,abc", ","])
+def test_bad_primes_env_rejected(monkeypatch, capsys, value):
+    monkeypatch.setenv("WSDALG_PRIMES", value)
+    _assert_usage_error(capsys, ["closure", "--block", "hw3"], "WSDALG_PRIMES")
 
 
 def test_corrupted_operator_fails_relations(monkeypatch, capsys):

@@ -9,13 +9,13 @@ from wsdalg.scalars import (
     DEFAULT_PRIMES,
     GaussRational,
     I,
-    ModScalar,
     ONE,
     PrimeCollision,
+    balanced_residue,
     gauss,
     is_prime,
-    mod_project,
     root_of_minus_one,
+    validate_prime,
 )
 
 
@@ -90,16 +90,46 @@ def test_default_primes():
         assert 8448 * ((p - 1) // 2) ** 2 + p < 2**53
 
 
+def test_validate_prime():
+    with pytest.raises(ValueError, match="21 is not prime"):
+        validate_prime(21)
+    with pytest.raises(ValueError, match="not prime"):
+        validate_prime(1)
+    with pytest.raises(ValueError, match="7 is not 1 \\(mod 4\\)"):
+        validate_prime(7)
+    with pytest.raises(ValueError, match="1000000009 is too large"):
+        validate_prime(1000000009)
+    for p in (5, 13) + DEFAULT_PRIMES:
+        assert validate_prime(p) == p
+    # 2065121 is the largest prime the float64 bound admits: the next
+    # prime = 1 (mod 4) is prime and = 1 (mod 4) but fails the bound
+    q = 2065121 + 4
+    while not is_prime(q):
+        q += 4
+    with pytest.raises(ValueError, match=f"{q} is too large"):
+        validate_prime(q)
+    # root_of_minus_one applies the same check
+    with pytest.raises(ValueError, match="1000000009 is too large"):
+        root_of_minus_one(1000000009)
+
+
 def test_mod_project_examples():
-    z = mod_project(I, 5)
-    assert z.residue == 2 and z.root_i == 2
-    assert mod_project(GaussRational(Fraction(1, 2)), 5).residue == 3
-    assert mod_project(GaussRational(0), 5).residue == 0
+    root = root_of_minus_one(5)
+    assert root == 2
+    assert balanced_residue(I, 5, root) == 2
+    assert balanced_residue(GaussRational(Fraction(1, 2)), 5, root) == -2  # 3 = -2 mod 5
+    assert balanced_residue(Fraction(1, 2), 5, root) == -2
+    assert balanced_residue(GaussRational(0), 5, root) == 0
+    assert balanced_residue(GaussRational(1, 1), 5, root) == -2  # 1 + 2 = 3
+    # balanced representatives cover [-(p-1)/2, (p-1)/2]
+    assert sorted(balanced_residue(n, 13, 5) for n in range(13)) == list(range(-6, 7))
 
 
 def test_mod_project_prime_collision():
     with pytest.raises(PrimeCollision):
-        mod_project(GaussRational(Fraction(1, 5)), 5)
+        balanced_residue(GaussRational(Fraction(1, 5)), 5, 2)
+    with pytest.raises(PrimeCollision):
+        balanced_residue(GaussRational(1, Fraction(2, 5)), 5, 2)
 
 
 @pytest.mark.parametrize("p", [5, 13, DEFAULT_PRIMES[0]])
@@ -121,20 +151,10 @@ def test_mod_project_homomorphism(p):
     # denominators, so every projection below is defined
     for _ in range(3334):  # 3 primes x 3334 > 10000 pairs overall
         a, b = sample(), sample()
-        fa, fb = mod_project(a, p, root), mod_project(b, p, root)
-        assert mod_project(a * b, p, root) == fa * fb
-        assert mod_project(a + b, p, root) == fa + fb
-
-
-def test_mod_scalar_field_ops():
-    p = 13
-    r = root_of_minus_one(p)
-    x = ModScalar(7, p, r)
-    assert (x * x.inverse()).residue == 1
-    assert (x - x).residue == 0
-    assert ModScalar(r, p, r) * ModScalar(r, p, r) == ModScalar(-1, p, r)
-    with pytest.raises(ValueError):
-        x + ModScalar(1, 17)
+        fa, fb = balanced_residue(a, p, root), balanced_residue(b, p, root)
+        assert abs(fa) <= p // 2 and abs(fb) <= p // 2
+        assert (balanced_residue(a * b, p, root) - fa * fb) % p == 0
+        assert (balanced_residue(a + b, p, root) - fa - fb) % p == 0
 
 
 def test_coercion_and_power():
