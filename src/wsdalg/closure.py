@@ -19,6 +19,20 @@ Two engines compute the same closure:
   integers in float64, so every matrix product runs on BLAS while staying
   exact (the default primes are sized so no dot product can reach 2^53).
 
+The modular engine is graded.  Every labeled basis vector has a definite
+multidegree (a, b, c), so a flat coordinate (k, r, c) carries the shift
+md(basis_r) - md(basis_c), and every generator has a definite shift: iL_j
+adds 1 on the two other blocks, iLambda_j subtracts 1 there, iV_j adds 3 on
+block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
+elements is homogeneous with shift(x) + shift(g), so the closure is the
+direct sum of its shift classes (the root-space grading of a Lie
+superalgebra).  The engine keeps one echelon per class (319 classes of at
+most 448 coordinates on the full real layout), brackets a class-local row
+with one precomputed matrix of ad_g per class, and tests membership class
+by class.  The pivot set of a reduced echelon basis is an invariant of the
+span, and class-local coordinates keep the global order, so the pivots are
+those of an ungraded computation.
+
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
 exact upper bound of 8444 brackets the answer.
@@ -31,7 +45,10 @@ scalars, so its rank is the complex dimension of the complexified algebra.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 import time
+import zipfile
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +62,7 @@ from .scalars import (
     ZERO,
     balanced_residue,
     root_of_minus_one,
+    validate_prime,
 )
 from .linalg import SparseEchelon
 from .operators import (
@@ -55,7 +73,7 @@ from .operators import (
     standard_generators,
     super_adjoint,
 )
-from .reptheory import SpanSolver, restrict_operator, HW_HALF_DIMS
+from .reptheory import SpanSolver, _require_homogeneous, restrict_operator, HW_HALF_DIMS
 from .hwbases import LabeledBasis, all_bases
 
 __all__ = [
@@ -95,12 +113,13 @@ class RestrictedOperator:
 
 
 class RestrictedAlgebra:
-    """Restriction context: the labeled bases, their solvers, and cached
-    restricted generators."""
+    """Restriction context: the labeled bases, their solvers, and the
+    generators, built once and restricted lazily one name at a time."""
 
     def __init__(self):
         self.bases: tuple[LabeledBasis, ...] = all_bases()
         self.solvers = [SpanSolver(b.vectors()) for b in self.bases]
+        self._ops: dict[str, Operator] | None = None
         self._gens: dict[str, RestrictedOperator] = {}
 
     def restrict(self, op: Operator, blocks=(0, 1, 2, 3)) -> RestrictedOperator:
@@ -120,10 +139,15 @@ class RestrictedAlgebra:
             out[k] = entries
         return RestrictedOperator(out, 0 if par is None else par)
 
+    def operators(self) -> dict[str, Operator]:
+        """The twelve generators on the full algebra, built once."""
+        if self._ops is None:
+            self._ops = standard_generators()
+        return self._ops
+
     def generator(self, name: str) -> RestrictedOperator:
         if name not in self._gens:
-            op = standard_generators()[name]
-            self._gens[name] = self.restrict(op)
+            self._gens[name] = self.restrict(self.operators()[name])
         return self._gens[name]
 
     def generators(self, names=GENERATOR_NAMES) -> list[RestrictedOperator]:
@@ -135,15 +159,31 @@ def default_algebra() -> RestrictedAlgebra:
     return RestrictedAlgebra()
 
 
+@lru_cache(maxsize=1)
+def _basis_multidegrees() -> tuple[np.ndarray, ...]:
+    """Per block, the (a, b, c) multidegree of each labeled basis vector,
+    as an (s, 3) array in flattening order."""
+    return tuple(
+        np.array([_require_homogeneous(v, i) for i, v in enumerate(b.vectors())])
+        for b in all_bases()
+    )
+
+
 class FlatLayout:
     """Coordinate layout of flattened restricted operators.
 
     real mode: per included block, the real parts of the row-major entries
     followed by the imaginary parts (2 s^2 coordinates per block).
     complex mode: one coordinate per entry (s^2 per block).
-    Each coordinate has a parity class: diagonal (even-even / odd-odd)
-    sub-blocks are even, the off-diagonal ones odd; operators of definite
-    parity are supported on a single class.
+
+    Every labeled basis vector is multidegree-homogeneous, so coordinate
+    (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
+    imaginary parts and all blocks share one class per shift.  Class ids
+    number the distinct shifts in lexicographic order, ``class_indices[t]``
+    lists class t's coordinates in increasing global order, and a class's
+    parity is the parity of a + b + c (odd exactly on the off-diagonal
+    even/odd sub-blocks).  An operator of definite shift is supported on a
+    single class.
     """
 
     def __init__(self, blocks=(0, 1, 2, 3), complexified: bool = False):
@@ -156,24 +196,39 @@ class FlatLayout:
             self.offsets[k] = off
             off += (s * s) if complexified else (2 * s * s)
         self.length = off
-        par = np.zeros(self.length, dtype=np.uint8)
+        mds = _basis_multidegrees()
+        shifts = np.zeros((self.length, 3), dtype=np.int64)
         for k in self.blocks:
-            s, h = BLOCK_SIZES[k], HW_HALF_DIMS[k]
-            rr, cc = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-            odd = ((rr < h) != (cc < h)).astype(np.uint8).ravel()
-            o = self.offsets[k]
-            if complexified:
-                par[o : o + s * s] = odd
-            else:
-                par[o : o + s * s] = odd
-                par[o + s * s : o + 2 * s * s] = odd
-        self.coord_parity = par
-        # operators of definite parity live entirely on one coordinate
-        # class, so the echelon splits into two independent halves
-        self.parity_indices = (
-            np.nonzero(par == 0)[0],
-            np.nonzero(par == 1)[0],
-        )
+            s, o = BLOCK_SIZES[k], self.offsets[k]
+            d = (mds[k][:, None, :] - mds[k][None, :, :]).reshape(s * s, 3)
+            shifts[o : o + s * s] = d
+            if not complexified:
+                shifts[o + s * s : o + 2 * s * s] = d
+        uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
+        self.coord_class = inverse.ravel()
+        self.class_shifts = [tuple(int(x) for x in u) for u in uniq]
+        self.class_of_shift = {sh: t for t, sh in enumerate(self.class_shifts)}
+        self.class_parity = uniq.sum(axis=1) & 1
+        counts = np.bincount(self.coord_class, minlength=len(uniq))
+        order = np.argsort(self.coord_class, kind="stable")
+        self.class_indices = np.split(order, np.cumsum(counts)[:-1])
+        self.coord_local = np.empty(self.length, dtype=np.int64)
+        for idx in self.class_indices:
+            self.coord_local[idx] = np.arange(len(idx))
+
+    def operator_class(self, rop: RestrictedOperator) -> int | None:
+        """Class of an operator's support on this layout (None when it
+        vanishes here); raises ValueError for an inhomogeneous operator."""
+        mds = _basis_multidegrees()
+        shifts = {
+            tuple(int(x) for x in mds[k][r] - mds[k][c])
+            for k in self.blocks
+            for (r, c), v in rop.block(k).items()
+            if v
+        }
+        if len(shifts) > 1:
+            raise ValueError("operator is not homogeneous in the multidegree-shift grading")
+        return self.class_of_shift[shifts.pop()] if shifts else None
 
     def index(self, k: int, r: int, c: int, imag: bool = False) -> int:
         s = BLOCK_SIZES[k]
@@ -314,14 +369,14 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
 
 
 class _HalfEngine:
-    """Echelon accumulator for one parity class, on that class's coordinate
-    slice.  Two tiers: a large fully-reduced tier and a pending tier merged
-    once it grows past a threshold, so batch reduction is one BLAS product
-    per tier.  Every array holds balanced residues (|x| <= (p-1)/2), and
-    the primes are sized so no product here can leave the exact float64
-    integer range."""
+    """Echelon accumulator for one multidegree-shift class, on that class's
+    coordinate slice.  Two tiers: a large fully-reduced tier and a pending
+    tier merged once it grows past a threshold, so batch reduction is one
+    BLAS product per tier.  Every array holds balanced residues
+    (|x| <= (p-1)/2), and the primes are sized so no product here can leave
+    the exact float64 integer range."""
 
-    MERGE_AT = 512
+    MERGE_AT = 128  # classes hold at most 448 rows
 
     def __init__(self, p: int, length: int, capacity: int):
         self.p = p
@@ -367,9 +422,10 @@ class _HalfEngine:
 
     def insert_batch(self, C: np.ndarray) -> list[tuple[int, int]]:
         """Sequentially insert reduced candidate rows; returns (candidate
-        index, pivot) pairs for the rows that extended the basis."""
+        index, pivot) pairs for the rows that extended the basis.  Rows
+        that reduced to zero stay zero, so only the others are visited."""
         survivors: list[tuple[int, int]] = []  # (pivot, row index in C)
-        for i in range(C.shape[0]):
+        for i in np.flatnonzero(C.any(axis=1)):
             row = C[i]
             for pv, j in survivors:
                 c = row[pv]
@@ -385,7 +441,7 @@ class _HalfEngine:
                 inv -= self.p
             row *= float(inv)
             self._balance(row)
-            survivors.append((pv, i))
+            survivors.append((pv, int(i)))
         if not survivors:
             return []
         # back-pass: clear later pivots from earlier surviving rows, so the
@@ -427,74 +483,120 @@ class _HalfEngine:
 
 
 class _ModularEngine:
-    """Pair of parity-class engines presenting one echelon basis.
+    """One ``_HalfEngine`` per multidegree-shift class, presenting one
+    echelon basis.
 
-    Rows are addressed as (parity, local row); pivots are reported in the
-    global coordinate numbering.  Insertion order follows candidate order,
-    and the two halves never interact (their coordinate supports are
-    disjoint), so the result equals the unsplit computation."""
+    Rows are addressed as (class, local row); pivots are reported in the
+    global coordinate numbering.  Every row is homogeneous, so the span is
+    the direct sum of its class parts and the classes never interact.
+    Class-local coordinates are in increasing global order, so a local
+    pivot is the row's global leading coordinate and the pivot set is that
+    of the unsplit computation."""
 
     def __init__(self, layout: FlatLayout, p: int, capacity: int):
         self.layout = layout
-        self.p = p
-        self.halves = tuple(
-            _HalfEngine(p, len(layout.parity_indices[t]), min(capacity, len(layout.parity_indices[t])))
-            for t in (0, 1)
-        )
-        self.row_order: list[tuple[int, int]] = []  # (parity, local row) in insertion order
+        self.root_i = root_of_minus_one(p)
+        self.echelons = [
+            _HalfEngine(p, len(idx), min(capacity, len(idx))) for idx in layout.class_indices
+        ]
+        self.row_order: list[tuple[int, int]] = []  # (class, local row) in insertion order
 
     @property
     def nrows(self) -> int:
         return len(self.row_order)
 
     def global_pivots(self) -> list[int]:
-        out = []
-        for par, local in self.row_order:
-            lp = self.halves[par].pivots[local]
-            out.append(int(self.layout.parity_indices[par][lp]))
-        return out
+        return [
+            int(self.layout.class_indices[t][self.echelons[t].pivots[local]])
+            for t, local in self.row_order
+        ]
 
     def parities(self) -> list[int]:
-        return [par for par, _ in self.row_order]
+        return [int(self.layout.class_parity[t]) for t, _ in self.row_order]
 
-    def process_batch(self, C: np.ndarray, cand_parities: np.ndarray) -> list[tuple[int, int, int]]:
-        """Reduce and insert a candidate batch (rows in candidate order).
-        Returns (candidate index, parity, local row) for each new basis row,
+    def process_batch(self, parts: dict[int, list]) -> list[tuple[int, int, int]]:
+        """Reduce and insert candidates grouped by target class: ``parts``
+        maps a class to (candidate indices, class-local rows) pieces.
+        Returns (candidate index, class, local row) for each new basis row,
         in candidate order."""
         added: list[tuple[int, int, int]] = []
-        for par in (0, 1):
-            rows = np.nonzero(cand_parities == par)[0]
-            if rows.size == 0:
-                continue
-            idx = self.layout.parity_indices[par]
-            sub = C[np.ix_(rows, idx)]
-            half = self.halves[par]
-            half.reduce_rows(sub)
-            kept = half.insert_batch(sub)
-            base = half.nrows - len(kept)
-            for t, (i, _pv) in enumerate(kept):
-                added.append((int(rows[i]), par, base + t))
-        added.sort(key=lambda x: x[0])
-        for cand_i, par, local in added:
-            self.row_order.append((par, local))
+        for t in sorted(parts):
+            cand = np.concatenate([c for c, _ in parts[t]])
+            sub = np.concatenate([rows for _, rows in parts[t]])
+            order = np.argsort(cand, kind="stable")
+            cand, sub = cand[order], sub[order]
+            ech = self.echelons[t]
+            ech.reduce_rows(sub)
+            kept = ech.insert_batch(sub)
+            base = ech.nrows - len(kept)
+            for n, (i, _pv) in enumerate(kept):
+                added.append((int(cand[i]), t, base + n))
+        added.sort()
+        self.row_order.extend((t, local) for _, t, local in added)
         return added
 
-    def rows_full(self, refs: list[tuple[int, int]]) -> np.ndarray:
-        """Materialize full-length vectors for (parity, local row) refs."""
-        X = np.zeros((len(refs), self.layout.length))
-        for t, (par, local) in enumerate(refs):
-            X[t, self.layout.parity_indices[par]] = self.halves[par].B[local]
-        return X
-
     def contains(self, vec: np.ndarray) -> bool:
-        return all(
-            self.halves[par].contains(vec[self.layout.parity_indices[par]])
-            for par in (0, 1)
-        )
+        """Membership of a flattened vector: the span is graded, so vec is
+        a member iff each class component reduces to zero in its class."""
+        for t in np.unique(self.layout.coord_class[np.flatnonzero(vec)]):
+            ech = self.echelons[t]
+            if not ech.nrows or not ech.contains(vec[self.layout.class_indices[t]]):
+                return False
+        return True
 
-    def _balance(self, a: np.ndarray) -> np.ndarray:
-        a -= np.rint(a * (1.0 / self.p)) * float(self.p)
-        return a
+    def merge(self):
+        for ech in self.echelons:
+            ech.merge()
+
+
+def _adjoint_blocks(layout: FlatLayout, gblocks, gparity: int, p: int) -> dict:
+    """ad_g = [g, .] on the layout, one dense matrix per source class.
+
+    Returns {d: (t, M)}: a stack X of class-local rows of class d brackets
+    to the class-local rows X @ M of class t.  Classes whose bracket
+    vanishes are absent.  Raises AssertionError if some bracket leaves the
+    class its multidegree shift predicts."""
+    src, tgt, coef, right = [], [], [], []
+    for k in layout.blocks:
+        s, o = BLOCK_SIZES[k], layout.offsets[k]
+        mats = [gblocks[k]] if layout.complexified else list(gblocks[k])
+        rows, cols = np.nonzero(np.any([m != 0 for m in mats], axis=0))
+        vals = [m[rows, cols][:, None] for m in mats]
+        a = np.arange(s)[None, :]
+        # (src part, tgt part, coefficient): re/im mixing of a complex entry
+        terms = ([(0, 0, vals[0])] if layout.complexified else
+                 [(0, 0, vals[0]), (1, 0, -vals[1]), (0, 1, vals[1]), (1, 1, vals[0])])
+        # g x: x[j, c] -> (g x)[r, c] for G[r, j];  x g: x[r, j] -> (x g)[r, c] for G[j, c]
+        for is_right, s_rc, t_rc in (
+            (False, cols[:, None] * s + a, rows[:, None] * s + a),
+            (True, a * s + rows[:, None], a * s + cols[:, None]),
+        ):
+            for sp, tp, v in terms:
+                src.append((o + sp * s * s + s_rc).ravel())
+                tgt.append((o + tp * s * s + t_rc).ravel())
+                coef.append(np.broadcast_to(v, s_rc.shape).ravel())
+                right.append(np.full(s_rc.size, is_right))
+    src, tgt, coef, right = (np.concatenate(x) for x in (src, tgt, coef, right))
+    live = coef != 0
+    if not live.any():
+        return {}
+    src, tgt, coef, right = src[live], tgt[live], coef[live], right[live]
+    d, t = layout.coord_class[src], layout.coord_class[tgt]
+    # [g, x] = g x - (-1)^{|g||x|} x g
+    coef = np.where(right & ~(gparity & layout.class_parity[d]).astype(bool), -coef, coef)
+    shifts = np.asarray(layout.class_shifts)
+    moved = shifts[t] - shifts[d]
+    if np.any(moved != moved[0]):
+        raise AssertionError("a bracket leaves the class its multidegree shift predicts")
+    out = {}
+    order = np.argsort(d, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(d[order])) + 1):
+        dc, tc = int(d[run[0]]), int(t[run[0]])
+        M = np.zeros((len(layout.class_indices[dc]), len(layout.class_indices[tc])))
+        np.add.at(M, (layout.coord_local[src[run]], layout.coord_local[tgt[run]]), coef[run])
+        M -= np.rint(M / p) * p
+        out[dc] = (tc, M)
+    return out
 
 
 def _modular_closure(
@@ -503,81 +605,63 @@ def _modular_closure(
     p: int,
     progress=None,
 ):
-    root_i = root_of_minus_one(p)
-    garrs = [layout.generator_arrays(g, p, root_i) for g in gens]
-    gpar = np.array([g.parity for g in gens])
     cap = DIMENSION_BOUND + len(gens) + 4
     eng = _ModularEngine(layout, p, cap)
-
-    for g in gens:
-        vec = layout.flatten_modular(g, p, root_i)
-        par = int(layout.coord_parity[np.nonzero(vec)[0][0]]) if np.any(vec) else g.parity
-        if par != g.parity:
-            raise AssertionError("generator support disagrees with its parity")
-    seeds = np.stack([layout.flatten_modular(g, p, root_i) for g in gens])
-    added = eng.process_batch(seeds, np.array([g.parity for g in gens]))
-    frontier: deque[tuple[int, int]] = deque((par, local) for _, par, local in added)
-
     ngen = len(gens)
+    gcls = [layout.operator_class(g) for g in gens]
+    for g, t in zip(gens, gcls):
+        if t is not None and layout.class_parity[t] != g.parity:
+            raise AssertionError("generator support disagrees with its parity")
+    ads = [
+        _adjoint_blocks(layout, layout.generator_arrays(g, p, eng.root_i), g.parity, p)
+        for g in gens
+    ]
+
+    seeds: dict[int, list] = {}
+    for gi, (g, t) in enumerate(zip(gens, gcls)):
+        if t is not None:
+            vec = layout.flatten_modular(g, p, eng.root_i)
+            seeds.setdefault(t, []).append((np.array([gi]), vec[layout.class_indices[t]][None]))
+    added = eng.process_batch(seeds)
+    frontier: deque[tuple[int, int]] = deque((t, local) for _, t, local in added)
+
     brackets = 0
     chunk = 4
     while frontier:
         take = min(chunk, len(frontier))
         refs = [frontier.popleft() for _ in range(take)]
-        X = eng.rows_full(refs)  # current row values; any row of the span works
-        xpar = np.array([par for par, _ in refs])
-        m = len(refs)
-        C = np.empty((m * ngen, layout.length))
-        cpar = np.empty(m * ngen, dtype=np.int64)
-        for gi in range(ngen):
-            cand = _bracket_rows(X, xpar, garrs[gi], int(gpar[gi]), layout, eng)
-            C[gi::ngen] = cand
-            cpar[gi::ngen] = (xpar + gpar[gi]) & 1
-        brackets += m * ngen
-        added = eng.process_batch(C, cpar)
-        for _, par, local in added:
-            frontier.append((par, local))
+        by_class: dict[int, list[int]] = {}
+        for n, (d, _) in enumerate(refs):
+            by_class.setdefault(d, []).append(n)
+        parts: dict[int, list] = {}
+        for d, pos in by_class.items():
+            # current row values; any row of the span works
+            X = eng.echelons[d].B[[refs[n][1] for n in pos]]
+            pos = np.asarray(pos)
+            for gi in range(ngen):
+                hit = ads[gi].get(d)
+                if hit is not None:  # otherwise [g, x] = 0
+                    t, M = hit
+                    parts.setdefault(t, []).append((pos * ngen + gi, _bracket_rows(X, M, p)))
+        brackets += len(refs) * ngen
+        added = eng.process_batch(parts)
+        frontier.extend((t, local) for _, t, local in added)
         if eng.nrows > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
         chunk = min(chunk * 2, 160) if not added else max(4, chunk // 2)
         if progress:
             progress(eng.nrows, brackets, len(frontier))
-    for half in eng.halves:
-        half.merge()
+    eng.merge()
     return eng, brackets
 
 
-def _bracket_rows(X, xpar, gblocks, gparity, layout: FlatLayout, eng: _ModularEngine):
-    """[g, x] for a stack of flattened rows; x-major candidate order is
-    arranged by the caller."""
-    m = X.shape[0]
-    out = np.empty((m, layout.length))
-    # sign: gx - (-1)^{|g||x|} xg
-    sgn = np.where((xpar & gparity) == 1, -1.0, 1.0).reshape(m, 1, 1)
-    for k in layout.blocks:
-        s = BLOCK_SIZES[k]
-        o = layout.offsets[k]
-        if layout.complexified:
-            Xb = X[:, o : o + s * s].reshape(m, s, s)
-            G = gblocks[k]
-            R = G @ Xb - sgn * (Xb @ G)
-            eng._balance(R)
-            out[:, o : o + s * s] = R.reshape(m, s * s)
-        else:
-            Xr = X[:, o : o + s * s].reshape(m, s, s)
-            Xi = X[:, o + s * s : o + 2 * s * s].reshape(m, s, s)
-            Gr, Gi = gblocks[k]
-            gx_r = Gr @ Xr - Gi @ Xi
-            gx_i = Gr @ Xi + Gi @ Xr
-            xg_r = Xr @ Gr - Xi @ Gi
-            xg_i = Xr @ Gi + Xi @ Gr
-            Rr = gx_r - sgn * xg_r
-            Ri = gx_i - sgn * xg_i
-            eng._balance(Rr)
-            eng._balance(Ri)
-            out[:, o : o + s * s] = Rr.reshape(m, s * s)
-            out[:, o + s * s : o + 2 * s * s] = Ri.reshape(m, s * s)
-    return out
+def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
+    """[g, x] for a stack of class-local rows x of one class, as balanced
+    residues mod p; ``ad`` is the class's block from ``_adjoint_blocks``.
+    x-major candidate order is arranged by the caller."""
+    R = X @ ad
+    R -= np.rint(R * (1.0 / p)) * float(p)
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +707,7 @@ class ClosureState:
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
-        root_i = root_of_minus_one(self.prime)
-        vec = self.layout.flatten_modular(rop, self.prime, root_i)
+        vec = self.layout.flatten_modular(rop, self.prime, self._engine.root_i)
         return self._engine.contains(vec)
 
     def supertrace_residues(self) -> float:
@@ -634,13 +717,13 @@ class ClosureState:
         vals = [0.0]
         for full in (_supertrace_vector(self.layout, imag=False),
                      _supertrace_vector(self.layout, imag=True)):
-            for par in (0, 1):
-                half = eng.halves[par]
-                if not half.nrows:
+            for ech, idx in zip(eng.echelons, self.layout.class_indices):
+                w = full[idx]
+                if not ech.nrows or not w.any():
                     continue
-                r = half.B[: half.nrows] @ full[self.layout.parity_indices[par]]
-                half._balance(r)
-                vals.append(float(np.abs(r).max()) if r.size else 0.0)
+                r = ech.B[: ech.nrows] @ w
+                ech._balance(r)
+                vals.append(float(np.abs(r).max()))
         return max(vals)
 
     def report(self, include_wall: bool = False) -> dict:
@@ -659,26 +742,46 @@ class ClosureState:
         return out
 
     def save(self, path: str) -> None:
-        """Binary dump of the echelon basis (modular states only), enough
-        to resume membership checks without recomputing the closure."""
+        """Compressed dump of the echelon basis (modular states only),
+        enough to resume membership checks without recomputing the closure.
+
+        Basis rows are stored in insertion order: ``row_class`` holds each
+        row's class id, ``row_pivot`` its class-local pivot, and ``rows``
+        the concatenation of the rows' class-local residues.  Like
+        ``np.savez``, a ".npz" suffix is appended when missing.  The file
+        is written to a temporary name and then renamed into place."""
         if not isinstance(self._engine, _ModularEngine):
             raise ValueError("only modular closure states can be dumped")
         eng = self._engine
-        for half in eng.halves:
-            half.merge()
-        np.savez_compressed(
-            path,
-            field=self.field,
-            prime=self.prime,
-            blocks=np.asarray(self.blocks),
-            complexified=np.asarray(self.layout.complexified),
-            row_order=np.asarray(eng.row_order, dtype=np.int32).reshape(-1, 2),
-            basis_even=eng.halves[0].B[: eng.halves[0].nrows].astype(np.int32),
-            basis_odd=eng.halves[1].B[: eng.halves[1].nrows].astype(np.int32),
-            pivots_even=np.asarray(eng.halves[0].pivots, dtype=np.int32),
-            pivots_odd=np.asarray(eng.halves[1].pivots, dtype=np.int32),
-            brackets=self.brackets,
-        )
+        eng.merge()
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".wsdalg-", suffix=".npz")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    field=self.field,
+                    prime=self.prime,
+                    blocks=np.asarray(self.blocks),
+                    complexified=np.asarray(self.layout.complexified),
+                    row_class=np.asarray([t for t, _ in eng.row_order], dtype=np.int32),
+                    row_pivot=np.asarray(
+                        [eng.echelons[t].pivots[local] for t, local in eng.row_order],
+                        dtype=np.int32,
+                    ),
+                    rows=np.concatenate(
+                        [eng.echelons[t].B[local] for t, local in eng.row_order]
+                        or [np.zeros(0)]
+                    ).astype(np.int32),
+                    brackets=self.brackets,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _supertrace_vector(layout: FlatLayout, imag: bool) -> np.ndarray:
@@ -742,25 +845,80 @@ def lie_closure(
     raise ValueError(f"unknown field {field!r}")
 
 
+_STATE_KEYS = ("field", "prime", "blocks", "complexified", "row_class", "row_pivot",
+               "rows", "brackets")
+
+
 def load_state(path: str) -> ClosureState:
-    """Rebuild a membership-capable closure state from ``ClosureState.save``."""
-    data = np.load(path)
-    field = str(data["field"])
-    prime = int(data["prime"])
-    blocks = tuple(int(b) for b in data["blocks"])
-    layout = FlatLayout(blocks, complexified=bool(data["complexified"]))
-    eng = _ModularEngine(layout, prime, capacity=4)
-    for par, key_b, key_p in ((0, "basis_even", "pivots_even"), (1, "basis_odd", "pivots_odd")):
-        half = eng.halves[par]
-        B = data[key_b].astype(np.float64)
-        half.B = B
-        half.nrows = half.nmerged = B.shape[0]
-        half.pivots = [int(x) for x in data[key_p]]
-    eng.row_order = [(int(p), int(r)) for p, r in data["row_order"]]
-    pivots = eng.global_pivots()
+    """Rebuild a membership-capable closure state from ``ClosureState.save``.
+
+    The file is checked against the layout it names before use; any
+    inconsistency raises ValueError naming the problem."""
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"closure state {path}: {why}")
+
+    try:
+        data = np.load(path)
+    except zipfile.BadZipFile as e:
+        raise bad(f"not a readable archive ({e})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise bad("not an archive of named arrays")
+    with data:
+        missing = [k for k in _STATE_KEYS if k not in data.files]
+        if missing:
+            raise bad(f"missing entries {', '.join(missing)}")
+        d = {k: data[k] for k in _STATE_KEYS}
+    field = str(d["field"])
+    complexified = bool(d["complexified"])
+    if field not in ("modular", "modular-complex") or complexified != (field == "modular-complex"):
+        raise bad(f"field {field!r} with complexified={complexified} is not a modular state")
+    prime = int(d["prime"])
+    try:
+        validate_prime(prime)
+    except ValueError as e:
+        raise bad(f"invalid prime: {e}") from None
+    blocks = tuple(int(b) for b in d["blocks"])
+    if not blocks or len(set(blocks)) != len(blocks) or not set(blocks) <= {0, 1, 2, 3}:
+        raise bad(f"blocks {blocks} are not distinct values among 0..3")
+    layout = FlatLayout(blocks, complexified)
+    for key in ("row_class", "row_pivot", "rows"):
+        if d[key].dtype.kind not in "iu":
+            raise bad(f"{key} does not hold integers")
+    row_class = d["row_class"].astype(np.int64).ravel()
+    row_pivot = d["row_pivot"].astype(np.int64).ravel()
+    rows = d["rows"].astype(np.float64).ravel()
+    if row_pivot.size != row_class.size:
+        raise bad(f"{row_pivot.size} pivots for {row_class.size} rows")
+    nclasses = len(layout.class_indices)
+    if row_class.size and (row_class.min() < 0 or row_class.max() >= nclasses):
+        raise bad(f"class ids outside 0..{nclasses - 1} of the layout")
+    lengths = np.array([len(idx) for idx in layout.class_indices])[row_class]
+    if rows.size != lengths.sum():
+        raise bad(f"{rows.size} residues where the rows' classes have {lengths.sum()} coordinates")
+    if rows.size and np.abs(rows).max() > (prime - 1) // 2:
+        raise bad(f"residues outside the balanced range mod {prime}")
+    eng = _ModularEngine(layout, prime, capacity=0)
+    per_class: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for t, pv, row in zip(row_class, row_pivot, np.split(rows, np.cumsum(lengths)[:-1])):
+        per_class.setdefault(int(t), []).append((int(pv), row))
+        eng.row_order.append((int(t), len(per_class[int(t)]) - 1))
+    for t, entries in per_class.items():
+        ech = eng.echelons[t]
+        piv = np.array([pv for pv, _ in entries])
+        B = np.stack([row for _, row in entries])
+        if piv.min() < 0 or piv.max() >= ech.length:
+            raise bad(f"pivots outside class {t}")
+        if not np.array_equal(B[:, piv], np.eye(len(piv))):
+            raise bad(f"class {t} rows are not reduced at their pivots")
+        if not np.array_equal(np.argmax(B != 0, axis=1), piv):
+            raise bad(f"class {t} rows do not lead at their pivots")
+        ech.B = B
+        ech.nrows = ech.nmerged = len(piv)
+        ech.pivots = piv.tolist()
     return ClosureState(
-        field, prime, blocks, layout, eng.nrows, pivots, eng.parities(),
-        int(data["brackets"]), 0.0, _engine=eng,
+        field, prime, blocks, layout, eng.nrows, eng.global_pivots(), eng.parities(),
+        int(d["brackets"]), 0.0, _engine=eng,
     )
 
 
@@ -865,7 +1023,7 @@ def verify_structure(
     * the gap to the invariant-superalgebra dimension bound.
     """
     ralg = ralg or default_algebra()
-    gens = standard_generators()
+    gens = ralg.operators()
     failures: list[str] = []
 
     pairing_ok = True

@@ -63,8 +63,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Longest dot product the modular engine forms: no echelon holds more rows
-# than a parity half of the real layout has coordinates (8448).
+# Dot-product length the modular primes are sized for: a parity half of the
+# real layout (8448 coordinates).  The graded engine's longest dot product
+# is 448, the size of its largest shift class, so the bound has slack.
 _DOT_LENGTH = 8448
 
 

@@ -178,21 +178,270 @@ def test_state_save_load_roundtrip(tmp_path, ralg):
 
 def test_bracket_engines_agree(ralg):
     """One bracket computed by the exact block path and by the modular
-    engine must agree after projection."""
+    engine must agree after projection, coordinate for coordinate, in the
+    real and in the complexified layout."""
     from wsdalg.closure import _rop_bracket
+    from wsdalg.scalars import root_of_minus_one
 
     x = ralg.generator("iV0")
     g = ralg.generator("A1")
     exact = _rop_bracket(g, x, (0, 1, 2, 3))
-    layout = FlatLayout()
     p = DEFAULT_PRIMES[0]
-    from wsdalg.scalars import root_of_minus_one
-
     root = root_of_minus_one(p)
-    vec_exact = layout.flatten_modular(exact, p, root)
+    for complexified in (False, True):
+        layout = FlatLayout(complexified=complexified)
+        vec_exact = layout.flatten_modular(exact, p, root)
 
-    eng = cl._ModularEngine(layout, p, 4)
-    garr = layout.generator_arrays(g, p, root)
-    X = layout.flatten_modular(x, p, root).reshape(1, -1)
-    got = cl._bracket_rows(X, np.array([x.parity]), garr, g.parity, layout, eng)
-    assert np.array_equal(got[0], vec_exact)
+        ad = cl._adjoint_blocks(layout, layout.generator_arrays(g, p, root), g.parity, p)
+        d = layout.operator_class(x)
+        t, M = ad[d]
+        X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
+        got = np.zeros(layout.length)
+        got[layout.class_indices[t]] = cl._bracket_rows(X, M, p)[0]
+        assert np.array_equal(got, vec_exact)
+
+
+# ---------------------------------------------------------------------------
+# graded modular engine: multidegree-shift classes
+# ---------------------------------------------------------------------------
+
+
+def _parity_split(layout):
+    """Parity of each coordinate from the even/odd halves of the bases:
+    odd exactly on the off-diagonal sub-blocks."""
+    from wsdalg.reptheory import HW_HALF_DIMS
+
+    par = np.zeros(layout.length, dtype=np.int64)
+    for k in layout.blocks:
+        s, h = cl.BLOCK_SIZES[k], HW_HALF_DIMS[k]
+        rr, cc = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
+        odd = ((rr < h) != (cc < h)).ravel()
+        lo, hi = layout.block_range(k)
+        par[lo:hi] = np.tile(odd, (hi - lo) // (s * s))
+    return par
+
+
+@pytest.mark.parametrize("blocks,complexified,count,largest,squares", [
+    ((0,), False, 271, 80, 72800),
+    ((0,), True, 271, 40, 18200),
+    ((0, 1, 2, 3), False, 319, 448, 2551552),
+])
+def test_layout_classes(blocks, complexified, count, largest, squares):
+    layout = FlatLayout(blocks, complexified)
+    sizes = [len(idx) for idx in layout.class_indices]
+    assert (len(sizes), max(sizes), sum(n * n for n in sizes)) == (count, largest, squares)
+    # the classes partition the coordinates, each in increasing global order
+    assert np.array_equal(np.sort(np.concatenate(layout.class_indices)), np.arange(layout.length))
+    for t, idx in enumerate(layout.class_indices):
+        assert np.all(np.diff(idx) > 0)
+        assert np.all(layout.coord_class[idx] == t)
+        assert np.array_equal(layout.coord_local[idx], np.arange(len(idx)))
+    # class parity (a + b + c mod 2) is the even/odd parity split
+    assert np.array_equal(layout.class_parity[layout.coord_class], _parity_split(layout))
+
+
+def test_generator_shifts(ralg):
+    """iL_j: +1 on the two other blocks; iLambda_j: -1 there; iV_j: +3 on
+    block j; A_j: -3 on block j.  Every bracket of two generators lies in
+    the class of the summed shifts."""
+    layout = FlatLayout()
+    want = {}
+    for j in range(3):
+        others = tuple(0 if i == j else 1 for i in range(3))
+        own = tuple(3 if i == j else 0 for i in range(3))
+        want[f"iL{j}"] = others
+        want[f"iLambda{j}"] = tuple(-x for x in others)
+        want[f"iV{j}"] = own
+        want[f"A{j}"] = tuple(-x for x in own)
+    got = {n: layout.class_shifts[layout.operator_class(ralg.generator(n))] for n in want}
+    assert got == want
+    for a in ops.GENERATOR_NAMES:
+        for b in ops.GENERATOR_NAMES:
+            br = cl._rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
+            t = layout.operator_class(br)
+            if t is not None:
+                assert layout.class_shifts[t] == tuple(x + y for x, y in zip(want[a], want[b]))
+
+
+def test_inhomogeneous_generator_rejected(ralg):
+    layout = FlatLayout()
+    a, b = ralg.generator("iL0"), ralg.generator("iL1")
+    mixed = cl.RestrictedOperator({k: {**a.block(k), **b.block(k)} for k in range(4)}, 0)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        layout.operator_class(mixed)
+
+
+HW0_HASHES = {"modular": "9db1b3b25abc0c18", "modular-complex": "b3440c22516b072b"}
+
+
+@pytest.fixture(scope="module", params=[
+    (p, field) for p in DEFAULT_PRIMES for field in ("modular", "modular-complex")
+], ids=lambda x: f"{x[1]}-{x[0]}")
+def hw0_state(request, ralg):
+    p, field = request.param
+    return lie_closure(blocks=(0,), field=field, prime=p, ralg=ralg)
+
+
+def _hw0_queries(ralg, field):
+    """Members mixing several shifts and parities (generators and the
+    twisted adjoints of generators, which verify_structure shows to be
+    members), each also with one diagonal entry bumped, which breaks the
+    vanishing supertrace."""
+    coefs = [GaussRational(2), GaussRational(-3, 0), GaussRational(1, 0)]
+    if field == "modular-complex":
+        coefs = [GaussRational(2, 1), GaussRational(0, -3), GaussRational(1, 5)]
+    dag = ralg.restrict(ops.dagger(ops.standard_generators()["iV1"]), (0,))
+    terms = [ralg.generator("iL0").block(0), ralg.generator("A2").block(0), dag.block(0)]
+    acc = {}
+    for c, blk in zip(coefs, terms):
+        for key, v in blk.items():
+            acc[key] = acc.get(key, GaussRational(0)) + c * v
+    member = {key: v for key, v in acc.items() if v}
+    out = [(member, True)]
+    for r in (0, 7, 33):
+        bumped = dict(member)
+        bumped[(r, r)] = bumped.get((r, r), GaussRational(0)) + 1
+        out.append((bumped, False))
+    return [(cl.RestrictedOperator({0: m}, 0), want) for m, want in out]
+
+
+def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
+    st = hw0_state
+    assert st.pivot_hash() == HW0_HASHES[st.field]
+    assert st.dim == 1599
+    assert st.parity_dims() == (799, 800)
+    assert st.brackets == 12 * st.dim
+    layout, eng = st.layout, st._engine
+    # every basis row lies in exactly one class, and its parity is that class's
+    seen = 0
+    for t, ech in enumerate(eng.echelons):
+        full = np.zeros((ech.nrows, layout.length))
+        full[:, layout.class_indices[t]] = ech.B[: ech.nrows]
+        for row in full:
+            assert np.unique(layout.coord_class[np.flatnonzero(row)]).tolist() == [t]
+        seen += ech.nrows
+    assert seen == st.dim
+    assert st.parities == [int(layout.class_parity[t]) for t, _ in eng.row_order]
+    path = tmp_path / "hw0.npz"
+    st.save(str(path))
+    loaded = cl.load_state(str(path))
+    assert loaded.report() == st.report()
+    assert loaded.pivots == st.pivots and loaded.parities == st.parities
+    assert loaded.supertrace_residues() == 0.0
+    for rop, want in _hw0_queries(ralg, st.field):
+        assert st.contains_modular(rop) is want
+        assert loaded.contains_modular(rop) is want
+
+
+def test_empty_class_component_rejected(ralg):
+    """The odd generators vanish on the smallest block, so its odd classes
+    hold no rows: a component there is never a member."""
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    odd = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
+    t = st.layout.operator_class(odd)
+    assert st._engine.echelons[t].nrows == 0
+    assert not st.contains_modular(odd)
+    rop = ralg.generator("iL1")
+    member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
+    assert not st.contains_modular(member)
+
+
+def test_save_is_atomic(tmp_path, ralg):
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    path = tmp_path / "state.npz"
+    path.write_bytes(b"old")
+    st.save(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.npz"]
+    assert cl.load_state(str(path)).pivots == st.pivots
+    st.save(str(tmp_path / "bare"))  # np.savez's suffix rule is kept
+    assert (tmp_path / "bare.npz").exists()
+
+
+def _tamper(entries, key):
+    e = dict(entries)
+    if key == "prime":
+        e["prime"] = np.asarray(21)
+    elif key == "prime-small":
+        e["prime"] = np.asarray(13)  # valid prime, but the residues exceed it
+    elif key == "class":
+        e["row_class"] = e["row_class"].copy()
+        e["row_class"][0] = 10**6
+    elif key == "wrong-class":
+        e["row_class"] = e["row_class"].copy()
+        e["row_class"][0] = e["row_class"][-1] + 1
+    elif key == "length":
+        e["rows"] = e["rows"][:-1]
+    elif key == "pivots":
+        e["row_pivot"] = e["row_pivot"][:-1]
+    elif key == "pivot-value":
+        e["row_pivot"] = e["row_pivot"].copy()
+        e["row_pivot"][0] += 1
+    elif key == "residue":
+        e["rows"] = e["rows"].copy()
+        e["rows"][np.flatnonzero(e["rows"] == 0)[0]] = DEFAULT_PRIMES[0]
+    elif key == "float-rows":
+        e["rows"] = e["rows"] + 0.5
+    elif key == "field":
+        e["complexified"] = np.asarray(True)
+    elif key == "missing":
+        del e["brackets"]
+    return e
+
+
+@pytest.mark.parametrize("key,message", [
+    ("prime", "invalid prime: 21 is not prime"),
+    ("prime-small", "outside the balanced range mod 13"),
+    ("class", "class ids outside"),
+    ("wrong-class", "residues where the rows' classes have"),
+    ("length", "residues where the rows' classes have"),
+    ("pivots", "pivots for"),
+    ("pivot-value", "not reduced at their pivots"),
+    ("residue", "outside the balanced range mod 2065121"),
+    ("float-rows", "rows does not hold integers"),
+    ("field", "is not a modular state"),
+    ("missing", "missing entries brackets"),
+])
+def test_load_state_rejects_bad_files(tmp_path, ralg, key, message):
+    st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    good = tmp_path / "good.npz"
+    st.save(str(good))
+    with np.load(good) as data:
+        entries = {k: data[k] for k in data.files}
+    bad = tmp_path / "bad.npz"
+    np.savez_compressed(bad, **_tamper(entries, key))
+    with pytest.raises(ValueError, match=message):
+        cl.load_state(str(bad))
+
+
+def test_load_state_rejects_unreadable_files(tmp_path, ralg):
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    good = tmp_path / "good.npz"
+    st.save(str(good))
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(good.read_bytes()[:200])
+    with pytest.raises(ValueError, match="not a readable archive"):
+        cl.load_state(str(truncated))
+    single = tmp_path / "single.npy"
+    np.save(single, np.zeros(3))
+    with pytest.raises(ValueError, match="not an archive of named arrays"):
+        cl.load_state(str(single))
+
+
+def test_generators_built_once(monkeypatch):
+    calls = []
+    real = cl.standard_generators
+    monkeypatch.setattr(cl, "standard_generators", lambda: calls.append(1) or real())
+    fresh = RestrictedAlgebra()
+    for name in ("iL0", "iV2", "A1"):
+        fresh.generator(name)
+    assert len(calls) == 1
+
+
+def test_root_of_minus_one_once_per_state(monkeypatch, ralg):
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    calls = []
+    monkeypatch.setattr(cl, "root_of_minus_one", lambda p: calls.append(p) or 1)
+    rop = ralg.generator("iL1")
+    for _ in range(3):
+        assert st.contains_modular(cl.RestrictedOperator({3: rop.block(3)}, rop.parity))
+    assert calls == []
