@@ -196,13 +196,28 @@ class FlatLayout:
             self.offsets[k] = off
             off += (s * s) if complexified else (2 * s * s)
         self.length = off
+
+    # The shift-class tables serve only the modular engine, so they are
+    # built on the first read of any of them: an exact closure never pays.
+    _CLASS_TABLES = frozenset(
+        ("coord_class", "class_shifts", "class_of_shift", "class_parity", "class_indices",
+         "coord_local")
+    )
+
+    def __getattr__(self, name):
+        if name not in FlatLayout._CLASS_TABLES:
+            raise AttributeError(f"'FlatLayout' object has no attribute {name!r}")
+        self._build_class_tables()
+        return self.__dict__[name]
+
+    def _build_class_tables(self) -> None:
         mds = _basis_multidegrees()
         shifts = np.zeros((self.length, 3), dtype=np.int64)
         for k in self.blocks:
             s, o = BLOCK_SIZES[k], self.offsets[k]
             d = (mds[k][:, None, :] - mds[k][None, :, :]).reshape(s * s, 3)
             shifts[o : o + s * s] = d
-            if not complexified:
+            if not self.complexified:
                 shifts[o + s * s : o + 2 * s * s] = d
         uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
         self.coord_class = inverse.ravel()

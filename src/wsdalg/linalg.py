@@ -3,13 +3,17 @@
 Everything here is deterministic: pivots are always the smallest key
 (sparse) or the leftmost column (dense), rows are normalized to a leading
 one, and kernels are parameterized by free columns in increasing order.
-The sparse routines keep the type of their entries, so ``SparseEchelon``
-also serves rational (Fraction) coordinates, as in the exact closure
-engine.  Sizes in this package stay below a few hundred, so exact
-arithmetic is cheap.
+The sparse routines accept entries of any exact type, so ``SparseEchelon``
+also serves rational coordinates (ints and Fractions, as the exact closure
+engine flattens a ``GaussRational``'s int-or-Fraction components).
+Normalization divides ``Fraction(1)`` by the leading entry, never the
+int 1, so an int row never turns into floats.  Sizes in this package
+stay below a few hundred, so exact arithmetic is cheap.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .scalars import GaussRational, ONE, ZERO
 
@@ -17,8 +21,8 @@ __all__ = ["SparseEchelon", "CoordinateSolver", "rref_dense", "kernel_basis", "r
 
 
 def _sub_scaled(vec: dict, other: dict, coeff) -> None:
-    """vec -= coeff * other, in place, dropping zeros; entries keep their
-    type (Fraction or GaussRational)."""
+    """vec -= coeff * other, in place, dropping zeros; rational entries
+    stay rational and GaussRational entries stay GaussRational."""
     for k, v in other.items():
         s = vec[k] - coeff * v if k in vec else -(coeff * v)
         if s:
@@ -51,7 +55,7 @@ class SparseEchelon:
         if not vec:
             return None
         lead = min(vec)
-        inv = 1 / vec[lead]
+        inv = Fraction(1) / vec[lead]
         self.rows[lead] = {k: inv * v for k, v in vec.items()}
         return lead
 
@@ -145,7 +149,7 @@ def rref_dense(rows: list[list[GaussRational]], ncols: int):
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):

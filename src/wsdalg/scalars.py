@@ -11,6 +11,13 @@ prime to p.  ``balanced_residue`` is that projection and ``validate_prime``
 the single check a modular prime must pass.  Floating point never enters a
 certified value; the closure engine stores F_p residues in float64 words
 purely as exact small integers.
+
+A ``GaussRational`` keeps each component as a Python ``int`` when it is
+integral and as a reduced ``Fraction`` only otherwise.  Almost every value
+in the package (operator entries, Gram matrices, the kernels of the
+isotypical decomposition) is a Gaussian integer, so arithmetic mostly runs
+on machine-speed small ints; the canonical form keeps equality, hashing
+and printing independent of how a value was computed.
 """
 
 from __future__ import annotations
@@ -111,17 +118,26 @@ DEFAULT_PRIMES = (2065121, 2065117)
 
 
 class GaussRational:
-    """An exact Gaussian rational re + im*i with Fraction components.
+    """An exact Gaussian rational re + im*i.
 
-    Values are immutable and hashable; arithmetic always returns canonical
-    reduced form (Fraction keeps gcd(|num|, den) = 1 and den >= 1).
+    Each component is an ``int`` when it is integral and a reduced
+    ``Fraction`` (gcd(|num|, den) = 1, den >= 2) otherwise.  Every operation
+    returns this canonical form, so the Gaussian integers that make up
+    almost every value in this package never pay for Fraction arithmetic,
+    and equal values always have equal components.  Division goes through
+    ``Fraction`` and never produces a float.
+
+    Values are immutable and hashable; a real value hashes like the int or
+    Fraction it equals.  The constructor accepts ints, Fractions and
+    strings that ``Fraction`` parses; floats and other types raise
+    TypeError, since they would smuggle rounding into exact arithmetic.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        _set_re(self, _coerce(re))
+        _set_im(self, _coerce(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -129,39 +145,43 @@ class GaussRational:
     # -- ring/field operations -------------------------------------------
 
     def __add__(self, other) -> "GaussRational":
-        other = gauss(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = gauss(other)
+        return _make(_canon(self.re + other.re), _canon(self.im + other.im))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other) -> "GaussRational":
-        other = gauss(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRational:
+            other = gauss(other)
+        return _make(_canon(self.re - other.re), _canon(self.im - other.im))
 
     def __rsub__(self, other) -> "GaussRational":
         return gauss(other) - self
 
     def __mul__(self, other) -> "GaussRational":
-        other = gauss(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = gauss(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _make(_canon(a * c), 0)
+        return _make(_canon(a * c - b * d), _canon(a * d + b * c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussRational":
-        other = gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussRational:
+            other = gauss(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero GaussRational")
+            return _make(_quotient(a, c), _quotient(b, c))
+        n = c * c + d * d
+        return _make(_quotient(a * c + b * d, n), _quotient(b * c - a * d, n))
 
     def __rtruediv__(self, other) -> "GaussRational":
         return gauss(other) / self
@@ -175,12 +195,12 @@ class GaussRational:
         return out
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- predicates & hashing --------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.re != 0 or self.im != 0
 
     def is_zero(self) -> bool:
         return not self
@@ -200,7 +220,7 @@ class GaussRational:
     # -- formatting -------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"GaussRational({self.re!r}, {self.im!r})"
+        return f"GaussRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -209,6 +229,45 @@ class GaussRational:
             return f"{self.im}*i"
         sign = "+" if self.im >= 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+_set_re = GaussRational.re.__set__
+_set_im = GaussRational.im.__set__
+_new = object.__new__
+
+
+def _make(re, im) -> GaussRational:
+    """Build a GaussRational from components already in canonical form."""
+    z = _new(GaussRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _canon(x):
+    """The canonical component for an int or Fraction x."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(x, n):
+    """Exact canonical x / n for ints or Fractions, n nonzero: int / int
+    would give a float, so that case goes through Fraction."""
+    if type(x) is int and type(n) is int:
+        q, r = divmod(x, n)
+        return q if not r else Fraction(x, n)
+    return _canon(x / n)
+
+
+def _coerce(x):
+    """Canonical component for constructor input: an int, a Fraction or a
+    string that Fraction parses."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, (Fraction, str)):
+        return _canon(Fraction(x))
+    raise TypeError(f"GaussRational components must be int, Fraction or str, not {type(x).__name__}")
 
 
 def gauss(value) -> GaussRational:
@@ -243,6 +302,8 @@ def balanced_residue(z: GaussRational | int | Fraction, p: int, root_i: int) -> 
 
 
 def _residue(x: int | Fraction, p: int) -> int:
+    if type(x) is int:
+        return x
     if x.denominator % p == 0:
         raise PrimeCollision(f"denominator divisible by {p}")
     return x.numerator * pow(x.denominator, -1, p)

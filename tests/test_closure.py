@@ -4,6 +4,8 @@ The full-size runs (criterion-level, tens of minutes) live in the
 acceptance module; everything here completes in seconds.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,10 @@ def test_even_subalgebra_exact(ralg):
     st = lie_closure(generators=EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
     assert st.dim == 15
     assert st.parity_dims() == (15, 0)
+    # the echelon holds exact rationals only, and the shift-class tables,
+    # which only the modular engine reads, were never built
+    assert all(type(v) in (int, Fraction) for row in st._engine.rows.values() for v in row.values())
+    assert not {"coord_class", "class_indices", "coord_local"} & vars(st.layout).keys()
 
 
 def test_even_subalgebra_modular_matches_exact(ralg):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from wsdalg.linalg import CoordinateSolver, SparseEchelon, rref_dense
 from wsdalg.scalars import (
     DEFAULT_PRIMES,
     GaussRational,
     I,
     ONE,
+    ZERO,
     PrimeCollision,
     balanced_residue,
     gauss,
@@ -19,11 +21,23 @@ from wsdalg.scalars import (
 )
 
 
-def _rand_gauss(rng):
+def _rand_gauss(rng, kind="rational"):
+    """A random Gaussian rational: "rational" components have random
+    denominators, "integer" ones are ints, and "mixed" draws each component
+    from either kind."""
+
     def frac():
+        if kind == "integer" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-50, 50)
         return Fraction(rng.randint(-50, 50), rng.randint(1, 30))
 
     return GaussRational(frac(), frac())
+
+
+def _assert_canonical(z):
+    """Each component is an int exactly when its denominator is 1."""
+    for x in (z.re, z.im):
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), repr(x)
 
 
 # independent oracle: arithmetic on (re, im) Fraction pairs written from the
@@ -51,20 +65,124 @@ def test_examples():
 
 def test_arithmetic_matches_oracle():
     rng = random.Random(20240811)
-    for _ in range(400):
-        a, b = _rand_gauss(rng), _rand_gauss(rng)
-        ta, tb = (a.re, a.im), (b.re, b.im)
+    for a, b in (
+        (_rand_gauss(rng, kind), _rand_gauss(rng, kind))
+        for kind in ("rational", "integer", "mixed")
+        for _ in range(400)
+    ):
+        # the oracle runs on Fraction pairs, whatever type the components have
+        ta, tb = (Fraction(a.re), Fraction(a.im)), (Fraction(b.re), Fraction(b.im))
         s = a + b
         assert (s.re, s.im) == _o_add(ta, tb)
+        d = a - b
+        assert (d.re, d.im) == _o_add(ta, (-tb[0], -tb[1]))
         m = a * b
         assert (m.re, m.im) == _o_mul(ta, tb)
+        results = [s, d, m, -a, a.conjugate(), a**3]
         if b:
             q = a / b
             assert (q.re, q.im) == _o_div(ta, tb)
             assert q * b == a
+            results.append(q)
+        for z in results:
+            _assert_canonical(z)
         assert a.conjugate().conjugate() == a
         n = a * a.conjugate()
         assert n.im == 0 and n.re >= 0
+
+
+def test_canonical_component_types():
+    q = GaussRational(2, 2) / GaussRational(1, 1)
+    assert q == GaussRational(2) and type(q.re) is int and q.re == 2 and type(q.im) is int
+    h = GaussRational(1) / GaussRational(2)
+    assert type(h.re) is Fraction and h.re == Fraction(1, 2) and type(h.im) is int
+    # a Fraction whose denominator cancels comes back as an int
+    s = GaussRational(Fraction(1, 2), Fraction(1, 3)) + GaussRational(Fraction(1, 2), Fraction(2, 3))
+    assert type(s.re) is int and type(s.im) is int and (s.re, s.im) == (1, 1)
+    assert type(GaussRational(Fraction(4, 2)).re) is int
+    assert type((GaussRational(Fraction(1, 2)) * 2).re) is int
+    assert type((GaussRational(0, Fraction(1, 2)) ** 2).re) is Fraction
+    assert type((GaussRational(0, Fraction(1, 2)) * 2).conjugate().im) is int
+    # integer division stays exact: never a float, even when it does not divide
+    for z in (GaussRational(3) / 2, 3 / GaussRational(2), GaussRational(3, 5) / GaussRational(0, 2)):
+        assert all(type(x) in (int, Fraction) for x in (z.re, z.im))
+    assert GaussRational(3) / 2 == GaussRational(Fraction(3, 2))
+
+
+def test_equality_and_hash_independent_of_construction():
+    pairs = [
+        (GaussRational(2), GaussRational(Fraction(2))),
+        (GaussRational(2, -3), GaussRational(Fraction(4, 2), Fraction(-9, 3))),
+        (GaussRational(Fraction(1, 2), 1), GaussRational("1/2", Fraction(1))),
+        (GaussRational(0), GaussRational(Fraction(0), Fraction(0))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert hash(GaussRational(2)) == hash(2) == hash(Fraction(2))
+    assert GaussRational(2) == 2 and GaussRational(2) == Fraction(2)
+    assert hash(GaussRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert GaussRational(6) / GaussRational(3) == GaussRational(2)
+    assert len({GaussRational(2), GaussRational(Fraction(2)), GaussRational(4) / 2}) == 1
+
+
+def test_repr_and_str():
+    assert repr(GaussRational(1, 2)) == "GaussRational(Fraction(1, 1), Fraction(2, 1))"
+    assert repr(GaussRational(Fraction(1, 2), -3)) == "GaussRational(Fraction(1, 2), Fraction(-3, 1))"
+    assert repr(GaussRational()) == "GaussRational(Fraction(0, 1), Fraction(0, 1))"
+    assert str(GaussRational(2)) == "2"
+    assert str(GaussRational(0, -1)) == "-1*i"
+    assert str(GaussRational(Fraction(1, 2), -3)) == "(1/2-3*i)"
+
+
+def test_constructor_accepts_exact_input_only():
+    assert GaussRational("1/2", "3/4") == GaussRational(Fraction(1, 2), Fraction(3, 4))
+    assert GaussRational(True) == GaussRational(1) and type(GaussRational(True).re) is int
+    for bad in (0.1, 1.0, 1j, None, [1]):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            GaussRational(bad)
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            GaussRational(0, bad)
+    with pytest.raises(TypeError, match="float"):
+        gauss(0.5)
+    with pytest.raises(TypeError, match="float"):
+        GaussRational(1) * 0.5
+
+
+def test_sparse_echelon_int_rows_stay_exact():
+    ech = SparseEchelon()
+    assert ech.insert({0: 2, 1: 3}) == 0
+    assert ech.rows[0] == {0: 1, 1: Fraction(3, 2)}
+    assert ech.insert({0: 1, 1: 1, 2: 5}) == 1
+    assert ech.contains({0: 4, 1: 6})
+    assert not ech.contains({2: 1, 3: 1})
+    for row in ech.rows.values():
+        for v in row.values():
+            assert type(v) in (int, Fraction), repr(v)
+    g = SparseEchelon()
+    g.insert({0: GaussRational(0, 2), 3: GaussRational(1)})
+    assert g.rows[0] == {0: ONE, 3: GaussRational(0, Fraction(-1, 2))}
+
+
+def test_rref_dense_matches_oracle():
+    """rref_dense on sparse Gaussian-integer matrices: the result is in
+    reduced echelon form and spans the input rows."""
+    rng = random.Random(7)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [GaussRational(rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.4 else ZERO
+             for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        rref, pivots = rref_dense(rows, nc)
+        assert pivots == sorted(pivots) and len(rref) == len(pivots)
+        for i, pc in enumerate(pivots):
+            assert [rref[j][pc] for j in range(len(rref))] == [ONE if j == i else ZERO for j in range(len(rref))]
+            assert not any(rref[i][:pc])
+        sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+        assert CoordinateSolver(sparse).rank == len(pivots)
+        solver = CoordinateSolver([{c: v for c, v in enumerate(r) if v} for r in rref])
+        assert all(solver.coordinates(r) is not None for r in sparse)
 
 
 def test_division_by_zero():
