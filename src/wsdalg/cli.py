@@ -4,6 +4,8 @@
     wsdalg closure [--block hw0..hw3|all] [--field exact|modular] [options]
     wsdalg report [--out PATH] [options]
 
+``--progress`` writes one line per modular closure level to stderr.
+
 Exit codes: 0 when every selected check passes, 1 on a failed check,
 2 on usage errors.  Reports are written atomically; the ``results``
 object is deterministic for a fixed configuration, volatile fields live
@@ -32,6 +34,11 @@ def _add_common(p: argparse.ArgumentParser):
         action="append",
         help="modular prime p = 1 (mod 4), p <= 2065121; repeatable (default: built-in pair)",
     )
+    p.add_argument(
+        "--progress",
+        action="store_true",
+        help="write one line per modular closure level to stderr",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,6 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="run every suite and emit the full report")
     _add_common(pr)
     return parser
+
+
+def _progress_line(run: str, level: int, dim: int, brackets: int, frontier: int) -> None:
+    print(f"closure {run}: level {level} dim {dim} brackets {brackets} frontier {frontier}",
+          file=sys.stderr, flush=True)
 
 
 def _emit(text: str, out: str | None):
@@ -117,6 +129,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     config = {"primes": primes}
+    if args.progress:
+        config["progress"] = _progress_line
 
     if args.command == "verify":
         report = suites.run_suites(args.suite, config)

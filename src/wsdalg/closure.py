@@ -27,9 +27,11 @@ block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
 elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
 superalgebra).  The engine keeps one echelon per class (319 classes of at
-most 448 coordinates on the full real layout), brackets a class-local row
-with one precomputed matrix of ad_g per class, and tests membership class
-by class.  The pivot set of a reduced echelon basis is an invariant of the
+most 448 coordinates on the full real layout) and runs level by level:
+the frontier rows of one class are bracketed with all twelve generators
+in one product with the class's ad_g matrices side by side, and each
+target class reduces and inserts a level's candidates in one batch.
+Membership is tested class by class.  The pivot set of a reduced echelon basis is an invariant of the
 span, and class-local coordinates keep the global order, so the pivots are
 those of an ungraded computation.
 
@@ -52,7 +54,7 @@ import zipfile
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,13 +116,18 @@ class RestrictedOperator:
 
 class RestrictedAlgebra:
     """Restriction context: the labeled bases, their solvers, and the
-    generators, built once and restricted lazily one name at a time."""
+    generators, built once and restricted lazily one name at a time.  The
+    structural checks that depend only on the algebra (the pairing
+    identity, the restricted supertraces and the restricted daggers) are
+    computed once, the last two once per tuple of blocks."""
 
     def __init__(self):
         self.bases: tuple[LabeledBasis, ...] = all_bases()
         self.solvers = [SpanSolver(b.vectors()) for b in self.bases]
         self._ops: dict[str, Operator] | None = None
         self._gens: dict[str, RestrictedOperator] = {}
+        self._supertraces: dict[tuple[int, ...], dict[str, GaussRational]] = {}
+        self._daggers: dict[tuple[int, ...], list[RestrictedOperator]] = {}
 
     def restrict(self, op: Operator, blocks=(0, 1, 2, 3)) -> RestrictedOperator:
         par = op.parity()
@@ -152,6 +159,38 @@ class RestrictedAlgebra:
 
     def generators(self, names=GENERATOR_NAMES) -> list[RestrictedOperator]:
         return [self.generator(n) for n in names]
+
+    @cached_property
+    def pairing_identity(self) -> dict[str, bool]:
+        """Per generator g, whether super_adjoint(g) = -(star g star) holds
+        exactly on the 512-dimensional algebra."""
+        return {name: super_adjoint(g) == hodge_conjugate(g).scale(-1)
+                for name, g in self.operators().items()}
+
+    def supertraces(self, blocks) -> dict[str, GaussRational]:
+        """Exact supertrace of each restricted generator over ``blocks``."""
+        blocks = tuple(blocks)
+        if blocks not in self._supertraces:
+            out = {}
+            for name in GENERATOR_NAMES:
+                rop, st = self.generator(name), ZERO
+                for k in blocks:
+                    h = HW_HALF_DIMS[k]
+                    for (r, c), v in rop.block(k).items():
+                        if r == c:
+                            st = st + (v if r < h else -v)
+                out[name] = st
+            self._supertraces[blocks] = out
+        return self._supertraces[blocks]
+
+    def daggers(self, blocks) -> list[RestrictedOperator]:
+        """The twisted adjoints of the generators, in ``GENERATOR_NAMES``
+        order, restricted to ``blocks``."""
+        blocks = tuple(blocks)
+        if blocks not in self._daggers:
+            ops = self.operators()
+            self._daggers[blocks] = [self.restrict(dagger(ops[n]), blocks) for n in GENERATOR_NAMES]
+        return self._daggers[blocks]
 
 
 @lru_cache(maxsize=1)
@@ -435,61 +474,61 @@ class _HalfEngine:
         self.nmerged = hi
         self._piv_merged = None
 
-    def insert_batch(self, C: np.ndarray) -> list[tuple[int, int]]:
-        """Sequentially insert reduced candidate rows; returns (candidate
-        index, pivot) pairs for the rows that extended the basis.  Rows
-        that reduced to zero stay zero, so only the others are visited."""
-        survivors: list[tuple[int, int]] = []  # (pivot, row index in C)
-        for i in np.flatnonzero(C.any(axis=1)):
-            row = C[i]
-            for pv, j in survivors:
-                c = row[pv]
-                if c:
-                    row -= c * C[j]
-                    self._balance(row)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            pv = int(nz[0])
-            inv = pow(int(row[pv]) % self.p, -1, self.p)
-            if inv > self.p // 2:
-                inv -= self.p
-            row *= float(inv)
-            self._balance(row)
-            survivors.append((pv, int(i)))
-        if not survivors:
+    def insert_batch(self, C: np.ndarray) -> list[int]:
+        """Insert a batch of candidate rows already reduced against the
+        stored tiers; returns the class-local pivots of the new basis rows,
+        in increasing order, as stored.
+
+        One modular RREF of the batch: each step takes the leftmost column
+        that is nonzero among the free rows, normalises the first free row
+        nonzero there, and clears that column from every other row with one
+        rank-1 update.  The pivots therefore increase, and each pivot row
+        leads at its pivot and is zero at every other pivot of the batch."""
+        width = C.shape[1]
+        nz = C != 0
+        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), width)  # width: zero row
+        taken = np.zeros(len(C), dtype=bool)
+        pivots: list[int] = []
+        rows: list[int] = []
+        for _ in range(len(C)):
+            i = int(lead.argmin())  # first free row at the leftmost live column
+            pv = int(lead[i])
+            if pv == width:
+                break
+            inv = pow(int(C[i, pv]) % self.p, -1, self.p)
+            C[i] *= float(inv - self.p if inv > self.p // 2 else inv)
+            self._balance(C[i])
+            taken[i] = True
+            lead[i] = width
+            hit = np.flatnonzero(C[:, pv])
+            hit = hit[hit != i]
+            if hit.size:
+                # fancy indexing copies, so the balanced rows are written back
+                C[hit] = self._balance(C[hit] - np.outer(C[hit, pv], C[i]))
+                hit = hit[~taken[hit]]
+                nz = C[hit] != 0
+                lead[hit] = np.where(nz.any(axis=1), nz.argmax(axis=1), width)
+            pivots.append(pv)
+            rows.append(i)
+        if not pivots:
             return []
-        # back-pass: clear later pivots from earlier surviving rows, so the
-        # stored batch is reduced within itself
-        for t in range(len(survivors) - 1, 0, -1):
-            pv, it = survivors[t]
-            for s in range(t):
-                _, js = survivors[s]
-                c = C[js][pv]
-                if c:
-                    C[js] -= c * C[it]
-                    self._balance(C[js])
-        if self.nrows + len(survivors) > self.B.shape[0]:
+        if self.nrows + len(pivots) > self.B.shape[0]:
             raise RuntimeError("closure exceeded the basis capacity bound")
+        V = C[rows]
         # keep the whole pending tier reduced at the new pivots, so the
         # single-pass batch reduction against it stays complete
         if self.nrows > self.nmerged:
-            newpivs = np.asarray([pv for pv, _ in survivors])
             pend = self.B[self.nmerged : self.nrows]
-            coef = pend[:, newpivs]
+            coef = pend[:, pivots]
             if np.any(coef):
-                V = C[[i for _, i in survivors]]
                 pend -= coef @ V
                 self._balance(pend)
-        out = []
-        for pv, i in survivors:
-            self.B[self.nrows] = C[i]
-            self.pivots.append(pv)
-            self.nrows += 1
-            out.append((i, pv))
+        self.B[self.nrows : self.nrows + len(pivots)] = V
+        self.pivots.extend(pivots)
+        self.nrows += len(pivots)
         if self.nrows - self.nmerged >= self.MERGE_AT:
             self.merge()
-        return out
+        return pivots
 
     def contains(self, vec: np.ndarray) -> bool:
         self.merge()
@@ -529,25 +568,18 @@ class _ModularEngine:
     def parities(self) -> list[int]:
         return [int(self.layout.class_parity[t]) for t, _ in self.row_order]
 
-    def process_batch(self, parts: dict[int, list]) -> list[tuple[int, int, int]]:
-        """Reduce and insert candidates grouped by target class: ``parts``
-        maps a class to (candidate indices, class-local rows) pieces.
-        Returns (candidate index, class, local row) for each new basis row,
-        in candidate order."""
-        added: list[tuple[int, int, int]] = []
+    def process_batch(self, parts: dict[int, list[np.ndarray]]) -> list[tuple[int, int]]:
+        """Reduce and insert one batch of candidates per target class:
+        ``parts`` maps a class to stacks of class-local rows.  Returns
+        (class, local row) for each new basis row, by class and then by
+        pivot; the rows are appended to ``row_order`` in that order."""
+        added: list[tuple[int, int]] = []
         for t in sorted(parts):
-            cand = np.concatenate([c for c, _ in parts[t]])
-            sub = np.concatenate([rows for _, rows in parts[t]])
-            order = np.argsort(cand, kind="stable")
-            cand, sub = cand[order], sub[order]
             ech = self.echelons[t]
-            ech.reduce_rows(sub)
-            kept = ech.insert_batch(sub)
-            base = ech.nrows - len(kept)
-            for n, (i, _pv) in enumerate(kept):
-                added.append((int(cand[i]), t, base + n))
-        added.sort()
-        self.row_order.extend((t, local) for _, t, local in added)
+            C = ech.reduce_rows(np.concatenate(parts.pop(t)))
+            n = len(ech.insert_batch(C))
+            added.extend((t, local) for local in range(ech.nrows - n, ech.nrows))
+        self.row_order.extend(added)
         return added
 
     def contains(self, vec: np.ndarray) -> bool:
@@ -564,13 +596,12 @@ class _ModularEngine:
             ech.merge()
 
 
-def _adjoint_blocks(layout: FlatLayout, gblocks, gparity: int, p: int) -> dict:
-    """ad_g = [g, .] on the layout, one dense matrix per source class.
-
-    Returns {d: (t, M)}: a stack X of class-local rows of class d brackets
-    to the class-local rows X @ M of class t.  Classes whose bracket
-    vanishes are absent.  Raises AssertionError if some bracket leaves the
-    class its multidegree shift predicts."""
+def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: int):
+    """The nonzero entries of ad_g = [g, .] on the layout, as (source
+    coordinate, target coordinate, coefficient) arrays.  Raises
+    AssertionError if some bracket leaves the class its multidegree shift
+    predicts."""
+    gblocks = layout.generator_arrays(g, p, root_i)
     src, tgt, coef, right = [], [], [], []
     for k in layout.blocks:
         s, o = BLOCK_SIZES[k], layout.offsets[k]
@@ -593,24 +624,45 @@ def _adjoint_blocks(layout: FlatLayout, gblocks, gparity: int, p: int) -> dict:
                 right.append(np.full(s_rc.size, is_right))
     src, tgt, coef, right = (np.concatenate(x) for x in (src, tgt, coef, right))
     live = coef != 0
-    if not live.any():
-        return {}
     src, tgt, coef, right = src[live], tgt[live], coef[live], right[live]
     d, t = layout.coord_class[src], layout.coord_class[tgt]
     # [g, x] = g x - (-1)^{|g||x|} x g
-    coef = np.where(right & ~(gparity & layout.class_parity[d]).astype(bool), -coef, coef)
+    coef = np.where(right & ~(g.parity & layout.class_parity[d]).astype(bool), -coef, coef)
     shifts = np.asarray(layout.class_shifts)
     moved = shifts[t] - shifts[d]
-    if np.any(moved != moved[0]):
+    if np.any(moved != moved[:1]):
         raise AssertionError("a bracket leaves the class its multidegree shift predicts")
+    return src, tgt, coef
+
+
+def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> dict:
+    """ad_g = [g, .] on the layout for every generator g, one dense matrix
+    per source class with the generators' blocks side by side.
+
+    Returns {d: (targets, M, bounds)}: for a stack X of class-local rows of
+    class d, the columns of X @ M split at ``bounds`` are the brackets with
+    the successive generators that do not vanish on class d, as class-local
+    rows of the classes ``targets``.  Classes on which every bracket
+    vanishes are absent."""
+    entries = [_adjoint_entries(layout, g, p, root_i) for g in gens]
+    gen = np.concatenate([np.full(e[0].size, gi) for gi, e in enumerate(entries)])
+    src, tgt, coef = (np.concatenate(x) for x in zip(*entries))
+    if not src.size:
+        return {}
+    d, t = layout.coord_class[src], layout.coord_class[tgt]
+    order = np.lexsort((gen, d))  # by source class, then generator
     out = {}
-    order = np.argsort(d, kind="stable")
     for run in np.split(order, np.flatnonzero(np.diff(d[order])) + 1):
-        dc, tc = int(d[run[0]]), int(t[run[0]])
-        M = np.zeros((len(layout.class_indices[dc]), len(layout.class_indices[tc])))
-        np.add.at(M, (layout.coord_local[src[run]], layout.coord_local[tgt[run]]), coef[run])
-        M -= np.rint(M / p) * p
-        out[dc] = (tc, M)
+        dc = int(d[run[0]])
+        gens_here, first = np.unique(gen[run], return_index=True)
+        targets = [int(t[run[f]]) for f in first]
+        offsets = np.cumsum([0] + [len(layout.class_indices[tc]) for tc in targets])
+        cols = offsets[np.searchsorted(gens_here, gen[run])] + layout.coord_local[tgt[run]]
+        M = np.zeros((len(layout.class_indices[dc]), offsets[-1]))
+        at = (layout.coord_local[src[run]], cols)
+        np.add.at(M, at, coef[run])
+        M[at] -= np.rint(M[at] / p) * p  # only the entries written can leave the range
+        out[dc] = (targets, M, offsets[1:-1])
     return out
 
 
@@ -620,60 +672,62 @@ def _modular_closure(
     p: int,
     progress=None,
 ):
+    """Level-synchronous left-normed closure over F_p.
+
+    The generators are the first frontier.  Each level brackets the whole
+    frontier with every generator: the frontier rows of one source class
+    take one product with that class's stacked ad_g blocks, and every
+    target class's candidates are reduced and inserted in one batch.  The
+    rows added form the next frontier; the run ends when a level adds none.
+    Any row of the span may stand for a frontier element, so the current
+    (further reduced) basis rows are bracketed.  The span, hence the pivot
+    set, does not depend on the order of insertion, and every basis row is
+    bracketed with every generator exactly once, so ``brackets`` is
+    len(gens) * dim.  Returns (engine, brackets, levels)."""
     cap = DIMENSION_BOUND + len(gens) + 4
     eng = _ModularEngine(layout, p, cap)
-    ngen = len(gens)
     gcls = [layout.operator_class(g) for g in gens]
     for g, t in zip(gens, gcls):
         if t is not None and layout.class_parity[t] != g.parity:
             raise AssertionError("generator support disagrees with its parity")
-    ads = [
-        _adjoint_blocks(layout, layout.generator_arrays(g, p, eng.root_i), g.parity, p)
-        for g in gens
-    ]
+    ads = _adjoint_blocks(layout, gens, p, eng.root_i)
 
     seeds: dict[int, list] = {}
-    for gi, (g, t) in enumerate(zip(gens, gcls)):
+    for g, t in zip(gens, gcls):
         if t is not None:
             vec = layout.flatten_modular(g, p, eng.root_i)
-            seeds.setdefault(t, []).append((np.array([gi]), vec[layout.class_indices[t]][None]))
-    added = eng.process_batch(seeds)
-    frontier: deque[tuple[int, int]] = deque((t, local) for _, t, local in added)
+            seeds.setdefault(t, []).append(vec[layout.class_indices[t]][None])
+    frontier = eng.process_batch(seeds)
 
-    brackets = 0
-    chunk = 4
+    brackets = levels = 0
     while frontier:
-        take = min(chunk, len(frontier))
-        refs = [frontier.popleft() for _ in range(take)]
         by_class: dict[int, list[int]] = {}
-        for n, (d, _) in enumerate(refs):
-            by_class.setdefault(d, []).append(n)
+        for d, local in frontier:
+            by_class.setdefault(d, []).append(local)
         parts: dict[int, list] = {}
-        for d, pos in by_class.items():
-            # current row values; any row of the span works
-            X = eng.echelons[d].B[[refs[n][1] for n in pos]]
-            pos = np.asarray(pos)
-            for gi in range(ngen):
-                hit = ads[gi].get(d)
-                if hit is not None:  # otherwise [g, x] = 0
-                    t, M = hit
-                    parts.setdefault(t, []).append((pos * ngen + gi, _bracket_rows(X, M, p)))
-        brackets += len(refs) * ngen
-        added = eng.process_batch(parts)
-        frontier.extend((t, local) for _, t, local in added)
+        for d in sorted(by_class):
+            hit = ads.get(d)
+            if hit is None:  # every generator brackets class d to zero
+                continue
+            targets, M, bounds = hit
+            R = _bracket_rows(eng.echelons[d].B[by_class[d]], M, p)
+            for t, piece in zip(targets, np.split(R, bounds, axis=1)):
+                parts.setdefault(t, []).append(piece)
+        brackets += len(frontier) * len(gens)
+        levels += 1
+        frontier = eng.process_batch(parts)
         if eng.nrows > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
-        chunk = min(chunk * 2, 160) if not added else max(4, chunk // 2)
         if progress:
-            progress(eng.nrows, brackets, len(frontier))
+            progress(levels, eng.nrows, brackets, len(frontier))
     eng.merge()
-    return eng, brackets
+    return eng, brackets, levels
 
 
 def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
     """[g, x] for a stack of class-local rows x of one class, as balanced
-    residues mod p; ``ad`` is the class's block from ``_adjoint_blocks``.
-    x-major candidate order is arranged by the caller."""
+    residues mod p; ``ad`` is the class's stacked block from
+    ``_adjoint_blocks``."""
     R = X @ ad
     R -= np.rint(R * (1.0 / p)) * float(p)
     return R
@@ -698,6 +752,7 @@ class ClosureState:
     parities: list[int]
     brackets: int
     wall_s: float
+    levels: int = 0  # bracketing levels of a modular run (not in the report)
     _engine: object = None  # SparseEchelon (exact) or _ModularEngine
 
     def block_dims(self) -> dict[int, int]:
@@ -837,6 +892,8 @@ def lie_closure(
     field: "exact" (sparse rational), "modular" (real coordinates mod p) or
     "modular-complex" (one residue per matrix entry; the rank is then the
     complex dimension of the complexified algebra).
+    progress: for a modular run, called after each bracketing level with
+    (level, dim, brackets, frontier size); the last call has frontier 0.
     """
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
@@ -852,10 +909,10 @@ def lie_closure(
     if field in ("modular", "modular-complex"):
         p = prime if prime is not None else DEFAULT_PRIMES[0]
         layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
-        eng, brackets = _modular_closure(gens, layout, p, progress)
+        eng, brackets, levels = _modular_closure(gens, layout, p, progress)
         return ClosureState(
             field, p, blocks, layout, eng.nrows, eng.global_pivots(),
-            eng.parities(), brackets, time.time() - t0, _engine=eng,
+            eng.parities(), brackets, time.time() - t0, levels, _engine=eng,
         )
     raise ValueError(f"unknown field {field!r}")
 
@@ -1038,23 +1095,10 @@ def verify_structure(
     * the gap to the invariant-superalgebra dimension bound.
     """
     ralg = ralg or default_algebra()
-    gens = ralg.operators()
-    failures: list[str] = []
-
-    pairing_ok = True
-    for name, g in gens.items():
-        if super_adjoint(g) != hodge_conjugate(g).scale(-1):
-            pairing_ok = False
-            failures.append(f"{name}: pairing preservation identity fails")
-
-    for name in GENERATOR_NAMES:
-        rop = ralg.generator(name)
-        st = GaussRational(0)
-        for k in state.blocks:
-            h = HW_HALF_DIMS[k]
-            for (r, c), v in rop.block(k).items():
-                if r == c:
-                    st = st + (v if r < h else -v)
+    pairing = ralg.pairing_identity
+    failures = [f"{name}: pairing preservation identity fails"
+                for name, ok in pairing.items() if not ok]
+    for name, st in ralg.supertraces(state.blocks).items():
         if st:
             failures.append(f"{name}: restricted supertrace {st} != 0")
 
@@ -1065,9 +1109,7 @@ def verify_structure(
             failures.append("a closure basis element has nonzero supertrace mod p")
 
     dagger_ok = []
-    for name in GENERATOR_NAMES:
-        d = dagger(gens[name])
-        rop = ralg.restrict(d, state.blocks)
+    for name, rop in zip(GENERATOR_NAMES, ralg.daggers(state.blocks)):
         if isinstance(state._engine, _ModularEngine):
             ok = state.contains_modular(rop)
         else:
@@ -1079,7 +1121,7 @@ def verify_structure(
     report = {
         "pass": not failures,
         "failures": failures,
-        "generator_pairing_identity": pairing_ok,
+        "generator_pairing_identity": all(pairing.values()),
         "supertrace_max_residue": max_str_residue,
         "dagger_membership": dict(zip(GENERATOR_NAMES, dagger_ok)),
         "dim": state.dim,

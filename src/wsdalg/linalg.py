@@ -7,8 +7,10 @@ The sparse routines accept entries of any exact type, so ``SparseEchelon``
 also serves rational coordinates (ints and Fractions, as the exact closure
 engine flattens a ``GaussRational``'s int-or-Fraction components).
 Normalization divides ``Fraction(1)`` by the leading entry, never the
-int 1, so an int row never turns into floats.  Sizes in this package
-stay below a few hundred, so exact arithmetic is cheap.
+int 1, so an int row never turns into floats, and stores integral
+rational entries as ints, so reductions against them stay on ints.
+Sizes in this package stay below a few hundred, so exact arithmetic is
+cheap.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ def _sub_scaled(vec: dict, other: dict, coeff) -> None:
             vec[k] = s
         else:
             vec.pop(k, None)
+
+
+def _canonical(x):
+    """An integral Fraction as its int, anything else unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 class SparseEchelon:
@@ -56,7 +63,7 @@ class SparseEchelon:
             return None
         lead = min(vec)
         inv = Fraction(1) / vec[lead]
-        self.rows[lead] = {k: inv * v for k, v in vec.items()}
+        self.rows[lead] = {k: _canonical(inv * v) for k, v in vec.items()}
         return lead
 
     def contains(self, vec: dict) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import time
 from typing import Callable
 
@@ -86,10 +87,10 @@ def _suite_appendix(config) -> dict:
 
 def _suite_structure(config) -> dict:
     """Generator-level structural checks (cheap, exact)."""
-    gens = ops.standard_generators()
+    ralg = cl.default_algebra()
     failures = []
-    for name, g in gens.items():
-        if ops.super_adjoint(g) != ops.hodge_conjugate(g).scale(-1):
+    for name, g in ralg.operators().items():
+        if not ralg.pairing_identity[name]:
             failures.append(f"{name}: pairing preservation fails")
         if ops.supertrace(g):
             failures.append(f"{name}: nonzero supertrace")
@@ -113,30 +114,38 @@ def _suite_closure(config) -> dict:
     primes = config.get("primes") or default_primes_from_env()
     blocks = config.get("blocks", (0, 1, 2, 3))
     field = config.get("field", "modular")
+    progress = config.get("progress")
     ralg = cl.default_algebra()
     runs = []
     failures = []
-    walls = {}
+    meta = {"wall_s": {}, "levels": {}, "survival": {}}
+
+    def run(key: str, **kwargs) -> cl.ClosureState:
+        st = cl.lie_closure(
+            blocks=blocks, ralg=ralg,
+            progress=(lambda *a: progress(key, *a)) if progress else None, **kwargs,
+        )
+        meta["wall_s"][key] = round(st.wall_s, 3)
+        if st.field != "exact":
+            meta["levels"][key] = st.levels
+        meta["survival"][key] = round(st.dim / st.brackets, 4) if st.brackets else None
+        return st
+
     if field == "exact":
-        st = cl.lie_closure(blocks=blocks, field="exact", ralg=ralg)
+        st = run("exact", field="exact")
         runs.append(st.report())
-        walls["exact"] = round(st.wall_s, 3)
         last = st
         complex_report = None
     else:
         last = None
         for p in primes:
-            st = cl.lie_closure(blocks=blocks, field="modular", prime=p, ralg=ralg)
+            st = run(f"modular-{p}", field="modular", prime=p)
             runs.append(st.report())
-            walls[f"modular-{p}"] = round(st.wall_s, 3)
             if last is not None and st.dim != last.dim:
                 failures.append(f"dimension disagrees between primes: {st.dim} vs {last.dim}")
             last = st
-        complex_state = cl.lie_closure(
-            field="modular-complex", blocks=blocks, prime=primes[0], ralg=ralg
-        )
+        complex_state = run(f"complex-{primes[0]}", field="modular-complex", prime=primes[0])
         complex_report = complex_state.report()
-        walls[f"complex-{primes[0]}"] = round(complex_state.wall_s, 3)
     expected_full = tuple(blocks) == (0, 1, 2, 3)
     result = {
         "runs": runs,
@@ -157,7 +166,8 @@ def _suite_closure(config) -> dict:
         result["bound_gap"] = cl.DIMENSION_BOUND - last.dim
     result["pass"] = not failures
     result["failures"] = failures
-    result["_meta"] = {"wall_s": walls}
+    meta["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    result["_meta"] = meta
     return result
 
 

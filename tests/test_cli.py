@@ -1,6 +1,7 @@
 """Command-line interface: suites, formats, exit codes, failure paths."""
 
 import json
+import re
 
 import pytest
 
@@ -137,3 +138,43 @@ def test_suite_registry_complete():
     )
     with pytest.raises(KeyError):
         suites.run_suites(["unknown-suite"])
+
+
+def test_progress_lines(capsys):
+    """--progress adds one stderr line per closure level and changes
+    neither stdout nor the results."""
+    argv = ["closure", "--block", "hw3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--progress"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out and plain.err == ""
+    assert traced.err.splitlines()
+
+    reports = []
+    for extra in ([], ["--progress"]):
+        assert cli.main(argv + ["--format", "json"] + extra) == 0
+        captured = capsys.readouterr()  # the last one carries the progress lines
+        reports.append(json.loads(captured.out))
+    a, b = reports
+    assert json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True)
+
+    runs: dict[str, list] = {}
+    for line in captured.err.splitlines():
+        m = re.fullmatch(r"closure (\S+): level (\d+) dim (\d+) brackets (\d+) frontier (\d+)",
+                         line)
+        assert m, line
+        runs.setdefault(m[1], []).append(tuple(int(x) for x in m.groups()[1:]))
+    meta = b["meta"]["suites"]["closure"]
+    assert {k: len(v) for k, v in runs.items()} == meta["levels"]
+    assert set(runs) == {"modular-2065121", "modular-2065117", "complex-2065121"}
+    for lines in runs.values():
+        assert [lv for lv, *_ in lines] == list(range(1, len(lines) + 1))
+        dims = [dim for _, dim, _, _ in lines]
+        assert dims == sorted(dims)
+        assert lines[-1][3] == 0
+    closure = b["results"]["closure"]
+    by_key = {f"modular-{r['prime']}": r for r in closure["runs"]}
+    by_key[f"complex-{closure['complexified']['prime']}"] = closure["complexified"]
+    assert meta["survival"] == {k: round(r["dim"] / r["brackets"], 4) for k, r in by_key.items()}
+    assert meta["peak_rss_mib"] > 0

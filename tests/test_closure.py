@@ -105,9 +105,11 @@ def test_even_subalgebra_exact(ralg):
     st = lie_closure(generators=EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
     assert st.dim == 15
     assert st.parity_dims() == (15, 0)
-    # the echelon holds exact rationals only, and the shift-class tables,
-    # which only the modular engine reads, were never built
-    assert all(type(v) in (int, Fraction) for row in st._engine.rows.values() for v in row.values())
+    # the echelon holds exact rationals only, integral ones as ints, and the
+    # shift-class tables, which only the modular engine reads, were never built
+    stored = [v for row in st._engine.rows.values() for v in row.values()]
+    assert all(type(v) in (int, Fraction) for v in stored)
+    assert not any(type(v) is Fraction and v.denominator == 1 for v in stored)
     assert not {"coord_class", "class_indices", "coord_local"} & vars(st.layout).keys()
 
 
@@ -198,9 +200,9 @@ def test_bracket_engines_agree(ralg):
         layout = FlatLayout(complexified=complexified)
         vec_exact = layout.flatten_modular(exact, p, root)
 
-        ad = cl._adjoint_blocks(layout, layout.generator_arrays(g, p, root), g.parity, p)
+        ad = cl._adjoint_blocks(layout, [g], p, root)
         d = layout.operator_class(x)
-        t, M = ad[d]
+        (t,), M, _ = ad[d]
         X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
         got = np.zeros(layout.length)
         got[layout.class_indices[t]] = cl._bracket_rows(X, M, p)[0]
@@ -373,8 +375,11 @@ def _tamper(entries, key):
         e["row_class"] = e["row_class"].copy()
         e["row_class"][0] = 10**6
     elif key == "wrong-class":
+        # an existing class whose width differs from that of the row's own
+        widths = [len(idx) for idx in FlatLayout(tuple(e["blocks"])).class_indices]
         e["row_class"] = e["row_class"].copy()
-        e["row_class"][0] = e["row_class"][-1] + 1
+        own = widths[e["row_class"][0]]
+        e["row_class"][0] = next(t for t, w in enumerate(widths) if w != own)
     elif key == "length":
         e["rows"] = e["rows"][:-1]
     elif key == "pivots":
@@ -451,3 +456,98 @@ def test_root_of_minus_one_once_per_state(monkeypatch, ralg):
     for _ in range(3):
         assert st.contains_modular(cl.RestrictedOperator({3: rop.block(3)}, rop.parity))
     assert calls == []
+
+
+def test_structure_checks_computed_once(monkeypatch):
+    """The algebra-only checks of verify_structure (pairing identity,
+    restricted supertraces, restricted daggers) are computed on the first
+    call and read back on later ones."""
+    fresh = RestrictedAlgebra()
+    st = lie_closure(blocks=(3,), field="modular", ralg=fresh)
+    calls = []
+    real_adjoint, real_restrict = cl.super_adjoint, RestrictedAlgebra.restrict
+    monkeypatch.setattr(cl, "super_adjoint", lambda g: calls.append("adjoint") or real_adjoint(g))
+    monkeypatch.setattr(RestrictedAlgebra, "restrict",
+                        lambda self, *a: calls.append("restrict") or real_restrict(self, *a))
+    first = cl.verify_structure(st, fresh)
+    assert first["pass"]
+    assert (calls.count("adjoint"), calls.count("restrict")) == (12, 12)
+    calls.clear()
+    assert cl.verify_structure(st, fresh) == first
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# batch insertion: one modular RREF per batch
+# ---------------------------------------------------------------------------
+
+
+def _rank_mod_p(rows, p) -> int:
+    """Rank of integer rows mod p by plain Gaussian elimination."""
+    rows = [[int(x) % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _random_batch(rng, p, width, stored) -> np.ndarray:
+    """Balanced residues mod p: random rows with a random run of leading
+    zeros, zero rows, duplicates and combinations of earlier rows of the
+    batch, and combinations of the rows already stored."""
+    h = (p - 1) // 2
+    rows = []
+    for _ in range(int(rng.integers(1, 12))):
+        kind = int(rng.integers(5))
+        if kind == 0 or (kind in (2, 3) and not rows) or (kind == 4 and not len(stored)):
+            row = rng.integers(-h, h + 1, width)
+            row[: int(rng.integers(width))] = 0
+        elif kind == 1:
+            row = np.zeros(width, dtype=np.int64)
+        elif kind == 2:
+            row = rows[int(rng.integers(len(rows)))].copy()
+        else:
+            src = np.asarray(rows if kind == 3 else stored, dtype=np.int64)
+            row = rng.integers(-h, h + 1, len(src)) @ src
+        rows.append((row + h) % p - h)
+    return np.asarray(rows, dtype=np.float64)
+
+
+@pytest.mark.parametrize("p", [13, 2065121])
+def test_insert_batch_matches_plain_elimination(p):
+    rng = np.random.default_rng(p)
+    width = 40
+    ech = cl._HalfEngine(p, width, width)
+    ech.MERGE_AT = 7  # exercise the merged and the pending tier
+    inputs: list[np.ndarray] = []
+    for _ in range(12):
+        batch = _random_batch(rng, p, width, ech.B[: ech.nrows])
+        want = _rank_mod_p(inputs + list(batch), p) - _rank_mod_p(inputs, p)
+        before = ech.nrows
+        pivots = ech.insert_batch(ech.reduce_rows(batch.copy()))
+        assert len(pivots) == ech.nrows - before == want
+        assert pivots == sorted(pivots) and ech.pivots[before:] == pivots
+        inputs.extend(batch)
+        B, piv = ech.B[: ech.nrows], np.asarray(ech.pivots, dtype=np.int64)
+        # every stored row leads at its pivot, with a 1 there
+        assert np.array_equal(np.argmax(B != 0, axis=1), piv)
+        # the pending tier is reduced at every pivot, the merged one at its own
+        assert np.array_equal(B[ech.nmerged :][:, piv], np.eye(ech.nrows)[ech.nmerged :])
+        assert np.array_equal(B[: ech.nmerged][:, piv[: ech.nmerged]], np.eye(ech.nmerged))
+        assert np.abs(B).max(initial=0) <= (p - 1) // 2
+    assert 0 < ech.nrows < width  # the batches neither stayed empty nor filled the space
+    ech.merge()
+    B, piv = ech.B[: ech.nrows], np.asarray(ech.pivots, dtype=np.int64)
+    assert np.array_equal(B[:, piv], np.eye(len(piv)))
+    assert ech.nrows == _rank_mod_p(inputs, p)
+    assert all(ech.contains(row) for row in inputs)
