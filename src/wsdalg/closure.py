@@ -26,14 +26,15 @@ adds 1 on the two other blocks, iLambda_j subtracts 1 there, iV_j adds 3 on
 block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
 elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
-superalgebra).  The engine keeps one echelon per class (319 classes of at
-most 448 coordinates on the full real layout) and runs level by level:
-the frontier rows of one class are bracketed with all twelve generators
-in one product with the class's ad_g matrices side by side, and each
-target class reduces and inserts a level's candidates in one batch.
-Membership is tested class by class.  The pivot set of a reduced echelon basis is an invariant of the
-span, and class-local coordinates keep the global order, so the pivots are
-those of an ungraded computation.
+superalgebra).  The engine keeps one fully reduced echelon per class (319
+classes of at most 448 coordinates on the full real layout) and runs level
+by level: the frontier rows of one class are bracketed with all twelve
+generators in one product with the class's ad_g matrices side by side, and
+each target class reduces and inserts a level's candidates in one batch.
+Basis rows are listed, and membership is tested, class by class.  The
+pivot set of a reduced echelon basis is an invariant of the span, and
+class-local coordinates keep the global order, so the pivots are those of
+an ungraded computation.
 
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
@@ -118,8 +119,8 @@ class RestrictedAlgebra:
     """Restriction context: the labeled bases, their solvers, and the
     generators, built once and restricted lazily one name at a time.  The
     structural checks that depend only on the algebra (the pairing
-    identity, the restricted supertraces and the restricted daggers) are
-    computed once, the last two once per tuple of blocks."""
+    identity, the generators' daggers, and the restricted supertraces and
+    daggers) are computed once, the last two once per tuple of blocks."""
 
     def __init__(self):
         self.bases: tuple[LabeledBasis, ...] = all_bases()
@@ -167,6 +168,11 @@ class RestrictedAlgebra:
         return {name: super_adjoint(g) == hodge_conjugate(g).scale(-1)
                 for name, g in self.operators().items()}
 
+    @cached_property
+    def generator_daggers(self) -> dict[str, Operator]:
+        """The twisted adjoint of each generator on the full algebra."""
+        return {name: dagger(g) for name, g in self.operators().items()}
+
     def supertraces(self, blocks) -> dict[str, GaussRational]:
         """Exact supertrace of each restricted generator over ``blocks``."""
         blocks = tuple(blocks)
@@ -188,8 +194,8 @@ class RestrictedAlgebra:
         order, restricted to ``blocks``."""
         blocks = tuple(blocks)
         if blocks not in self._daggers:
-            ops = self.operators()
-            self._daggers[blocks] = [self.restrict(dagger(ops[n]), blocks) for n in GENERATOR_NAMES]
+            daggers = self.generator_daggers
+            self._daggers[blocks] = [self.restrict(daggers[n], blocks) for n in GENERATOR_NAMES]
         return self._daggers[blocks]
 
 
@@ -423,67 +429,50 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
 
 
 class _HalfEngine:
-    """Echelon accumulator for one multidegree-shift class, on that class's
-    coordinate slice.  Two tiers: a large fully-reduced tier and a pending
-    tier merged once it grows past a threshold, so batch reduction is one
-    BLAS product per tier.  Every array holds balanced residues
+    """Fully reduced echelon basis of one multidegree-shift class, on that
+    class's coordinate slice.  ``B`` holds exactly the basis rows, in
+    insertion order; each leads at its entry of ``pivots`` with a 1 there
+    and is 0 at every other pivot, so reducing a batch against the basis
+    is one BLAS product.  Every array holds balanced residues
     (|x| <= (p-1)/2), and the primes are sized so no product here can leave
     the exact float64 integer range."""
 
-    MERGE_AT = 128  # classes hold at most 448 rows
-
-    def __init__(self, p: int, length: int, capacity: int):
+    def __init__(self, p: int, length: int):
         self.p = p
         self.fp = float(p)
         self.inv_p = 1.0 / p
         self.length = length
-        self.B = np.zeros((capacity, length))
-        self.nrows = 0
-        self.nmerged = 0
-        self.pivots: list[int] = []  # local coordinate indices
-        self._piv_merged: np.ndarray | None = None
+        self.B = np.zeros((0, length))
+        self.pivots = np.zeros(0, dtype=np.int64)  # local coordinate indices
+
+    @property
+    def nrows(self) -> int:
+        return len(self.B)
 
     def _balance(self, a: np.ndarray) -> np.ndarray:
         a -= np.rint(a * self.inv_p) * self.fp
         return a
 
     def reduce_rows(self, C: np.ndarray) -> np.ndarray:
-        """Single pass per tier suffices: each tier is fully reduced
-        against itself and the pending tier against the merged one."""
-        if self.nmerged:
-            piv = self._piv_merged
-            if piv is None or len(piv) != self.nmerged:
-                piv = self._piv_merged = np.asarray(self.pivots[: self.nmerged])
-            C -= C[:, piv] @ self.B[: self.nmerged]
-            self._balance(C)
-        if self.nrows > self.nmerged:
-            piv = np.asarray(self.pivots[self.nmerged : self.nrows])
-            C -= C[:, piv] @ self.B[self.nmerged : self.nrows]
+        """Reduce rows in place; one product suffices, the basis being fully
+        reduced."""
+        if len(self.pivots):
+            C -= C[:, self.pivots] @ self.B
             self._balance(C)
         return C
 
-    def merge(self):
-        lo, hi = self.nmerged, self.nrows
-        if lo == hi:
-            return
-        piv = np.asarray(self.pivots[lo:hi])
-        coef = self.B[:lo, piv]
-        if lo and np.any(coef):
-            self.B[:lo] -= coef @ self.B[lo:hi]
-            self._balance(self.B[:lo])
-        self.nmerged = hi
-        self._piv_merged = None
-
     def insert_batch(self, C: np.ndarray) -> list[int]:
         """Insert a batch of candidate rows already reduced against the
-        stored tiers; returns the class-local pivots of the new basis rows,
-        in increasing order, as stored.
+        basis; returns the class-local pivots of the new basis rows, in
+        increasing order, as stored.
 
         One modular RREF of the batch: each step takes the leftmost column
         that is nonzero among the free rows, normalises the first free row
         nonzero there, and clears that column from every other row with one
         rank-1 update.  The pivots therefore increase, and each pivot row
-        leads at its pivot and is zero at every other pivot of the batch."""
+        leads at its pivot and is zero at every other pivot of the batch.
+        The stored rows are then reduced at the new pivots, so the basis
+        stays fully reduced."""
         width = C.shape[1]
         nz = C != 0
         lead = np.where(nz.any(axis=1), nz.argmax(axis=1), width)  # width: zero row
@@ -512,33 +501,23 @@ class _HalfEngine:
             rows.append(i)
         if not pivots:
             return []
-        if self.nrows + len(pivots) > self.B.shape[0]:
-            raise RuntimeError("closure exceeded the basis capacity bound")
         V = C[rows]
-        # keep the whole pending tier reduced at the new pivots, so the
-        # single-pass batch reduction against it stays complete
-        if self.nrows > self.nmerged:
-            pend = self.B[self.nmerged : self.nrows]
-            coef = pend[:, pivots]
-            if np.any(coef):
-                pend -= coef @ V
-                self._balance(pend)
-        self.B[self.nrows : self.nrows + len(pivots)] = V
-        self.pivots.extend(pivots)
-        self.nrows += len(pivots)
-        if self.nrows - self.nmerged >= self.MERGE_AT:
-            self.merge()
+        coef = self.B[:, pivots]
+        if np.any(coef):
+            self.B -= coef @ V
+            self._balance(self.B)
+        self.B = np.concatenate([self.B, V])
+        self.pivots = np.concatenate([self.pivots, pivots])
         return pivots
 
     def contains(self, vec: np.ndarray) -> bool:
-        self.merge()
         v = self.reduce_rows(vec.reshape(1, -1).copy())
         return not np.any(v)
 
 
 class _ModularEngine:
     """One ``_HalfEngine`` per multidegree-shift class, presenting one
-    echelon basis.
+    echelon basis whose rows are listed class by class.
 
     Rows are addressed as (class, local row); pivots are reported in the
     global coordinate numbering.  Every row is homogeneous, so the span is
@@ -547,39 +526,35 @@ class _ModularEngine:
     pivot is the row's global leading coordinate and the pivot set is that
     of the unsplit computation."""
 
-    def __init__(self, layout: FlatLayout, p: int, capacity: int):
+    def __init__(self, layout: FlatLayout, p: int):
         self.layout = layout
         self.root_i = root_of_minus_one(p)
-        self.echelons = [
-            _HalfEngine(p, len(idx), min(capacity, len(idx))) for idx in layout.class_indices
-        ]
-        self.row_order: list[tuple[int, int]] = []  # (class, local row) in insertion order
+        self.echelons = [_HalfEngine(p, len(idx)) for idx in layout.class_indices]
 
     @property
     def nrows(self) -> int:
-        return len(self.row_order)
+        return sum(ech.nrows for ech in self.echelons)
 
     def global_pivots(self) -> list[int]:
-        return [
-            int(self.layout.class_indices[t][self.echelons[t].pivots[local]])
-            for t, local in self.row_order
-        ]
+        return np.concatenate(
+            [idx[ech.pivots] for idx, ech in zip(self.layout.class_indices, self.echelons)]
+        ).tolist()
 
     def parities(self) -> list[int]:
-        return [int(self.layout.class_parity[t]) for t, _ in self.row_order]
+        return np.repeat(self.layout.class_parity, [e.nrows for e in self.echelons]).tolist()
 
-    def process_batch(self, parts: dict[int, list[np.ndarray]]) -> list[tuple[int, int]]:
+    def process_batch(self, parts: dict[int, list[np.ndarray]]) -> dict[int, range]:
         """Reduce and insert one batch of candidates per target class:
         ``parts`` maps a class to stacks of class-local rows.  Returns
-        (class, local row) for each new basis row, by class and then by
-        pivot; the rows are appended to ``row_order`` in that order."""
-        added: list[tuple[int, int]] = []
+        {class: range of its new local rows} for each class that gained
+        rows; a class appends its new rows by increasing pivot."""
+        added: dict[int, range] = {}
         for t in sorted(parts):
             ech = self.echelons[t]
-            C = ech.reduce_rows(np.concatenate(parts.pop(t)))
-            n = len(ech.insert_batch(C))
-            added.extend((t, local) for local in range(ech.nrows - n, ech.nrows))
-        self.row_order.extend(added)
+            before = ech.nrows
+            ech.insert_batch(ech.reduce_rows(np.concatenate(parts.pop(t))))
+            if ech.nrows > before:
+                added[t] = range(before, ech.nrows)
         return added
 
     def contains(self, vec: np.ndarray) -> bool:
@@ -590,10 +565,6 @@ class _ModularEngine:
             if not ech.nrows or not ech.contains(vec[self.layout.class_indices[t]]):
                 return False
         return True
-
-    def merge(self):
-        for ech in self.echelons:
-            ech.merge()
 
 
 def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: int):
@@ -678,14 +649,14 @@ def _modular_closure(
     frontier with every generator: the frontier rows of one source class
     take one product with that class's stacked ad_g blocks, and every
     target class's candidates are reduced and inserted in one batch.  The
-    rows added form the next frontier; the run ends when a level adds none.
-    Any row of the span may stand for a frontier element, so the current
-    (further reduced) basis rows are bracketed.  The span, hence the pivot
-    set, does not depend on the order of insertion, and every basis row is
-    bracketed with every generator exactly once, so ``brackets`` is
-    len(gens) * dim.  Returns (engine, brackets, levels)."""
-    cap = DIMENSION_BOUND + len(gens) + 4
-    eng = _ModularEngine(layout, p, cap)
+    rows added (a range of local rows per class) form the next frontier;
+    the run ends when a level adds none.  Any row of the span may stand for
+    a frontier element, so the current (further reduced) basis rows are
+    bracketed.  The span, hence the pivot set, does not depend on the order
+    of insertion, and every basis row is bracketed with every generator
+    exactly once, so ``brackets`` is len(gens) * dim.  Returns (engine,
+    brackets, levels)."""
+    eng = _ModularEngine(layout, p)
     gcls = [layout.operator_class(g) for g in gens]
     for g, t in zip(gens, gcls):
         if t is not None and layout.class_parity[t] != g.parity:
@@ -701,26 +672,22 @@ def _modular_closure(
 
     brackets = levels = 0
     while frontier:
-        by_class: dict[int, list[int]] = {}
-        for d, local in frontier:
-            by_class.setdefault(d, []).append(local)
         parts: dict[int, list] = {}
-        for d in sorted(by_class):
+        for d, new in sorted(frontier.items()):
             hit = ads.get(d)
             if hit is None:  # every generator brackets class d to zero
                 continue
             targets, M, bounds = hit
-            R = _bracket_rows(eng.echelons[d].B[by_class[d]], M, p)
+            R = _bracket_rows(eng.echelons[d].B[new.start : new.stop], M, p)
             for t, piece in zip(targets, np.split(R, bounds, axis=1)):
                 parts.setdefault(t, []).append(piece)
-        brackets += len(frontier) * len(gens)
+        brackets += sum(map(len, frontier.values())) * len(gens)
         levels += 1
         frontier = eng.process_batch(parts)
         if eng.nrows > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
         if progress:
-            progress(levels, eng.nrows, brackets, len(frontier))
-    eng.merge()
+            progress(levels, eng.nrows, brackets, sum(map(len, frontier.values())))
     return eng, brackets, levels
 
 
@@ -791,7 +758,7 @@ class ClosureState:
                 w = full[idx]
                 if not ech.nrows or not w.any():
                     continue
-                r = ech.B[: ech.nrows] @ w
+                r = ech.B @ w
                 ech._balance(r)
                 vals.append(float(np.abs(r).max()))
         return max(vals)
@@ -815,15 +782,15 @@ class ClosureState:
         """Compressed dump of the echelon basis (modular states only),
         enough to resume membership checks without recomputing the closure.
 
-        Basis rows are stored in insertion order: ``row_class`` holds each
-        row's class id, ``row_pivot`` its class-local pivot, and ``rows``
-        the concatenation of the rows' class-local residues.  Like
-        ``np.savez``, a ".npz" suffix is appended when missing.  The file
-        is written to a temporary name and then renamed into place."""
+        Basis rows are stored class by class, in insertion order within a
+        class: ``row_class`` holds each row's class id, ``row_pivot`` its
+        class-local pivot, and ``rows`` the concatenation of the rows'
+        class-local residues.  Like ``np.savez``, a ".npz" suffix is
+        appended when missing.  The file is written to a temporary name and
+        then renamed into place."""
         if not isinstance(self._engine, _ModularEngine):
             raise ValueError("only modular closure states can be dumped")
-        eng = self._engine
-        eng.merge()
+        echelons = self._engine.echelons
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
@@ -837,15 +804,10 @@ class ClosureState:
                     prime=self.prime,
                     blocks=np.asarray(self.blocks),
                     complexified=np.asarray(self.layout.complexified),
-                    row_class=np.asarray([t for t, _ in eng.row_order], dtype=np.int32),
-                    row_pivot=np.asarray(
-                        [eng.echelons[t].pivots[local] for t, local in eng.row_order],
-                        dtype=np.int32,
-                    ),
-                    rows=np.concatenate(
-                        [eng.echelons[t].B[local] for t, local in eng.row_order]
-                        or [np.zeros(0)]
-                    ).astype(np.int32),
+                    row_class=np.repeat(np.arange(len(echelons), dtype=np.int32),
+                                        [ech.nrows for ech in echelons]),
+                    row_pivot=np.concatenate([ech.pivots for ech in echelons]).astype(np.int32),
+                    rows=np.concatenate([ech.B.ravel() for ech in echelons]).astype(np.int32),
                     brackets=self.brackets,
                 )
             os.replace(tmp, path)
@@ -931,35 +893,45 @@ def load_state(path: str) -> ClosureState:
         return ValueError(f"closure state {path}: {why}")
 
     try:
-        data = np.load(path)
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise bad("not an archive of named arrays")
+            with data:
+                missing = [k for k in _STATE_KEYS if k not in data.files]
+                if missing:
+                    raise bad(f"missing entries {', '.join(missing)}")
+                d = {k: data[k] for k in _STATE_KEYS}
     except zipfile.BadZipFile as e:
         raise bad(f"not a readable archive ({e})") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise bad("not an archive of named arrays")
-    with data:
-        missing = [k for k in _STATE_KEYS if k not in data.files]
-        if missing:
-            raise bad(f"missing entries {', '.join(missing)}")
-        d = {k: data[k] for k in _STATE_KEYS}
+
+    def integers(key: str, ndim: int | None = None) -> np.ndarray:
+        a = d[key]
+        if a.dtype.kind not in "iu":
+            raise bad(f"{key} does not hold integers")
+        if ndim is not None and a.ndim != ndim:
+            raise bad(f"{key} has {a.ndim} dimensions, not {ndim}")
+        return a
+
     field = str(d["field"])
     complexified = bool(d["complexified"])
     if field not in ("modular", "modular-complex") or complexified != (field == "modular-complex"):
         raise bad(f"field {field!r} with complexified={complexified} is not a modular state")
-    prime = int(d["prime"])
+    prime = int(integers("prime", 0))
     try:
         validate_prime(prime)
     except ValueError as e:
         raise bad(f"invalid prime: {e}") from None
-    blocks = tuple(int(b) for b in d["blocks"])
+    blocks = tuple(integers("blocks", 1).tolist())
     if not blocks or len(set(blocks)) != len(blocks) or not set(blocks) <= {0, 1, 2, 3}:
         raise bad(f"blocks {blocks} are not distinct values among 0..3")
+    brackets = int(integers("brackets", 0))
+    if brackets < 0:
+        raise bad(f"negative bracket count {brackets}")
     layout = FlatLayout(blocks, complexified)
-    for key in ("row_class", "row_pivot", "rows"):
-        if d[key].dtype.kind not in "iu":
-            raise bad(f"{key} does not hold integers")
-    row_class = d["row_class"].astype(np.int64).ravel()
-    row_pivot = d["row_pivot"].astype(np.int64).ravel()
-    rows = d["rows"].astype(np.float64).ravel()
+    row_class = integers("row_class").astype(np.int64).ravel()
+    row_pivot = integers("row_pivot").astype(np.int64).ravel()
+    rows = integers("rows").astype(np.float64).ravel()
     if row_pivot.size != row_class.size:
         raise bad(f"{row_pivot.size} pivots for {row_class.size} rows")
     nclasses = len(layout.class_indices)
@@ -970,27 +942,22 @@ def load_state(path: str) -> ClosureState:
         raise bad(f"{rows.size} residues where the rows' classes have {lengths.sum()} coordinates")
     if rows.size and np.abs(rows).max() > (prime - 1) // 2:
         raise bad(f"residues outside the balanced range mod {prime}")
-    eng = _ModularEngine(layout, prime, capacity=0)
-    per_class: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for t, pv, row in zip(row_class, row_pivot, np.split(rows, np.cumsum(lengths)[:-1])):
-        per_class.setdefault(int(t), []).append((int(pv), row))
-        eng.row_order.append((int(t), len(per_class[int(t)]) - 1))
-    for t, entries in per_class.items():
-        ech = eng.echelons[t]
-        piv = np.array([pv for pv, _ in entries])
-        B = np.stack([row for _, row in entries])
+    eng = _ModularEngine(layout, prime)
+    residues = np.split(rows, np.cumsum(lengths)[:-1])
+    for t in np.unique(row_class).tolist():
+        sel = np.flatnonzero(row_class == t)
+        ech, piv = eng.echelons[t], row_pivot[sel]
+        B = np.stack([residues[i] for i in sel])
         if piv.min() < 0 or piv.max() >= ech.length:
             raise bad(f"pivots outside class {t}")
         if not np.array_equal(B[:, piv], np.eye(len(piv))):
             raise bad(f"class {t} rows are not reduced at their pivots")
         if not np.array_equal(np.argmax(B != 0, axis=1), piv):
             raise bad(f"class {t} rows do not lead at their pivots")
-        ech.B = B
-        ech.nrows = ech.nmerged = len(piv)
-        ech.pivots = piv.tolist()
+        ech.B, ech.pivots = B, piv
     return ClosureState(
         field, prime, blocks, layout, eng.nrows, eng.global_pivots(), eng.parities(),
-        int(d["brackets"]), 0.0, _engine=eng,
+        brackets, 0.0, _engine=eng,
     )
 
 

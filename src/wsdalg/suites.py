@@ -94,9 +94,7 @@ def _suite_structure(config) -> dict:
             failures.append(f"{name}: pairing preservation fails")
         if ops.supertrace(g):
             failures.append(f"{name}: nonzero supertrace")
-        d = ops.dagger(g)
-        par = d.parity()
-        if par is None:
+        if ralg.generator_daggers[name].parity() is None:
             failures.append(f"dagger({name}): mixed parity")
     oracle = {n: cl.su_pair_dimension(n) for n in (1, 2)}
     formula_ok = all(oracle[n] == 4 * n * n - 1 for n in oracle)

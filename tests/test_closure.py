@@ -4,6 +4,8 @@ The full-size runs (criterion-level, tens of minutes) live in the
 acceptance module; everything here completes in seconds.
 """
 
+import gc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from wsdalg.scalars import DEFAULT_PRIMES, GaussRational, I
 from wsdalg import operators as ops
 from wsdalg import closure as cl
+from wsdalg import suites
 from wsdalg.closure import (
     EVEN_GENERATOR_NAMES,
     FlatLayout,
@@ -324,12 +327,14 @@ def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
     seen = 0
     for t, ech in enumerate(eng.echelons):
         full = np.zeros((ech.nrows, layout.length))
-        full[:, layout.class_indices[t]] = ech.B[: ech.nrows]
+        full[:, layout.class_indices[t]] = ech.B
         for row in full:
             assert np.unique(layout.coord_class[np.flatnonzero(row)]).tolist() == [t]
         seen += ech.nrows
     assert seen == st.dim
-    assert st.parities == [int(layout.class_parity[t]) for t, _ in eng.row_order]
+    # rows are listed class by class, each with its class's parity
+    assert st.parities == [int(layout.class_parity[t])
+                           for t, ech in enumerate(eng.echelons) for _ in range(ech.nrows)]
     path = tmp_path / "hw0.npz"
     st.save(str(path))
     loaded = cl.load_state(str(path))
@@ -352,6 +357,27 @@ def test_empty_class_component_rejected(ralg):
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
     assert not st.contains_modular(member)
+
+
+def test_load_state_accepts_rows_in_any_order(tmp_path, ralg):
+    """A file whose rows interleave the classes (as files written in
+    insertion order do) loads to the same state, listed class by class."""
+    st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    good = tmp_path / "good.npz"
+    st.save(str(good))
+    with np.load(good) as data:
+        e = {k: data[k] for k in data.files}
+    widths = np.array([len(idx) for idx in st.layout.class_indices])[e["row_class"]]
+    rows = np.split(e["rows"], np.cumsum(widths)[:-1])
+    perm = np.random.default_rng(0).permutation(st.dim)
+    assert np.any(np.diff(e["row_class"][perm]) < 0)  # the classes interleave
+    e.update(row_class=e["row_class"][perm], row_pivot=e["row_pivot"][perm],
+             rows=np.concatenate([rows[i] for i in perm]))
+    shuffled = tmp_path / "shuffled.npz"
+    np.savez_compressed(shuffled, **e)
+    loaded = cl.load_state(str(shuffled))
+    assert loaded.report() == st.report()
+    assert sorted(zip(loaded.pivots, loaded.parities)) == sorted(zip(st.pivots, st.parities))
 
 
 def test_save_is_atomic(tmp_path, ralg):
@@ -396,6 +422,18 @@ def _tamper(entries, key):
         e["complexified"] = np.asarray(True)
     elif key == "missing":
         del e["brackets"]
+    elif key == "prime-float":
+        e["prime"] = np.asarray(DEFAULT_PRIMES[0] + 0.9)
+    elif key == "prime-vector":
+        e["prime"] = np.asarray(DEFAULT_PRIMES)
+    elif key == "blocks-float":
+        e["blocks"] = e["blocks"].astype(np.float64)
+    elif key == "brackets-float":
+        e["brackets"] = e["brackets"].astype(np.float64)
+    elif key == "brackets-negative":
+        e["brackets"] = np.asarray(-1)
+    elif key == "brackets-vector":
+        e["brackets"] = np.stack([e["brackets"]] * 2)
     return e
 
 
@@ -411,6 +449,12 @@ def _tamper(entries, key):
     ("float-rows", "rows does not hold integers"),
     ("field", "is not a modular state"),
     ("missing", "missing entries brackets"),
+    ("prime-float", "prime does not hold integers"),
+    ("prime-vector", "prime has 1 dimensions, not 0"),
+    ("blocks-float", "blocks does not hold integers"),
+    ("brackets-float", "brackets does not hold integers"),
+    ("brackets-negative", "negative bracket count -1"),
+    ("brackets-vector", "brackets has 1 dimensions, not 0"),
 ])
 def test_load_state_rejects_bad_files(tmp_path, ralg, key, message):
     st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
@@ -438,6 +482,32 @@ def test_load_state_rejects_unreadable_files(tmp_path, ralg):
         cl.load_state(str(single))
 
 
+def test_load_state_closes_unreadable_archive(tmp_path, ralg):
+    """A truncated archive is rejected without leaving its file open."""
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    good = tmp_path / "good.npz"
+    st.save(str(good))
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(good.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ValueError, match="not a readable archive"):
+            cl.load_state(str(truncated))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_generator_denominators_divide_six(ralg):
+    """Every denominator in the restricted generators and their restricted
+    daggers divides 6.  Accepted primes are 1 (mod 4), so none divides a
+    denominator, and projecting these inputs mod p cannot collide."""
+    rops = ralg.generators() + ralg.daggers((0, 1, 2, 3))
+    dens = {Fraction(x).denominator
+            for rop in rops for blk in rop.blocks.values() for v in blk.values()
+            for x in (v.re, v.im)}
+    assert dens and all(6 % d == 0 for d in dens)
+
+
 def test_generators_built_once(monkeypatch):
     calls = []
     real = cl.standard_generators
@@ -460,20 +530,26 @@ def test_root_of_minus_one_once_per_state(monkeypatch, ralg):
 
 def test_structure_checks_computed_once(monkeypatch):
     """The algebra-only checks of verify_structure (pairing identity,
-    restricted supertraces, restricted daggers) are computed on the first
-    call and read back on later ones."""
+    generator daggers, restricted supertraces, restricted daggers) are
+    computed on the first call and read back on later ones, and by the
+    structure suite."""
     fresh = RestrictedAlgebra()
     st = lie_closure(blocks=(3,), field="modular", ralg=fresh)
     calls = []
-    real_adjoint, real_restrict = cl.super_adjoint, RestrictedAlgebra.restrict
+    real_adjoint, real_dagger = cl.super_adjoint, cl.dagger
+    real_restrict = RestrictedAlgebra.restrict
     monkeypatch.setattr(cl, "super_adjoint", lambda g: calls.append("adjoint") or real_adjoint(g))
+    monkeypatch.setattr(cl, "dagger", lambda g: calls.append("dagger") or real_dagger(g))
+    monkeypatch.setattr(ops, "dagger", cl.dagger)
     monkeypatch.setattr(RestrictedAlgebra, "restrict",
                         lambda self, *a: calls.append("restrict") or real_restrict(self, *a))
     first = cl.verify_structure(st, fresh)
     assert first["pass"]
-    assert (calls.count("adjoint"), calls.count("restrict")) == (12, 12)
+    assert [calls.count(c) for c in ("adjoint", "dagger", "restrict")] == [12, 12, 12]
     calls.clear()
     assert cl.verify_structure(st, fresh) == first
+    monkeypatch.setattr(cl, "default_algebra", lambda: fresh)
+    assert suites._SUITES["structure"]({})["pass"]
     assert calls == []
 
 
@@ -527,27 +603,23 @@ def _random_batch(rng, p, width, stored) -> np.ndarray:
 def test_insert_batch_matches_plain_elimination(p):
     rng = np.random.default_rng(p)
     width = 40
-    ech = cl._HalfEngine(p, width, width)
-    ech.MERGE_AT = 7  # exercise the merged and the pending tier
+    ech = cl._HalfEngine(p, width)
     inputs: list[np.ndarray] = []
     for _ in range(12):
-        batch = _random_batch(rng, p, width, ech.B[: ech.nrows])
+        batch = _random_batch(rng, p, width, ech.B)
         want = _rank_mod_p(inputs + list(batch), p) - _rank_mod_p(inputs, p)
         before = ech.nrows
         pivots = ech.insert_batch(ech.reduce_rows(batch.copy()))
         assert len(pivots) == ech.nrows - before == want
-        assert pivots == sorted(pivots) and ech.pivots[before:] == pivots
+        assert pivots == sorted(pivots) and ech.pivots[before:].tolist() == pivots
         inputs.extend(batch)
-        B, piv = ech.B[: ech.nrows], np.asarray(ech.pivots, dtype=np.int64)
+        B, piv = ech.B, ech.pivots
+        assert B.shape == (len(piv), width) and piv.dtype == np.int64
         # every stored row leads at its pivot, with a 1 there
         assert np.array_equal(np.argmax(B != 0, axis=1), piv)
-        # the pending tier is reduced at every pivot, the merged one at its own
-        assert np.array_equal(B[ech.nmerged :][:, piv], np.eye(ech.nrows)[ech.nmerged :])
-        assert np.array_equal(B[: ech.nmerged][:, piv[: ech.nmerged]], np.eye(ech.nmerged))
+        # the basis is fully reduced: each row is 0 at every other pivot
+        assert np.array_equal(B[:, piv], np.eye(ech.nrows))
         assert np.abs(B).max(initial=0) <= (p - 1) // 2
     assert 0 < ech.nrows < width  # the batches neither stayed empty nor filled the space
-    ech.merge()
-    B, piv = ech.B[: ech.nrows], np.asarray(ech.pivots, dtype=np.int64)
-    assert np.array_equal(B[:, piv], np.eye(len(piv)))
     assert ech.nrows == _rank_mod_p(inputs, p)
     assert all(ech.contains(row) for row in inputs)
