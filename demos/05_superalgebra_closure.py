@@ -10,7 +10,7 @@ C^{n|n} at n = 1, 2.
 Pass --full to run the complete certification: both modular closures of
 all twelve generators (dimension 8396 with block dimensions 1599, 5183,
 1599, 15), the complexified closure, and the structural checks.  Expect
-about 3 seconds on a 2-core machine.
+about 2 seconds on a 2-core machine.
 """
 
 import sys

@@ -27,14 +27,17 @@ block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
 elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
 superalgebra).  The engine keeps one fully reduced echelon per class (319
-classes of at most 448 coordinates on the full real layout) and runs level
-by level: the frontier rows of one class are bracketed with all twelve
-generators in one product with the class's ad_g matrices side by side, and
-each target class reduces and inserts a level's candidates in one batch.
-Basis rows are listed, and membership is tested, class by class.  The
-pivot set of a reduced echelon basis is an invariant of the span, and
-class-local coordinates keep the global order, so the pivots are those of
-an ungraded computation.
+classes of at most 448 coordinates on the full real layout), and holds the
+echelons of all classes of one width as one stack (16 widths on the full
+layout, 9 on hw0).  It runs level by level: the frontier rows of one class
+are bracketed with all twelve generators in one product with the class's
+ad_g matrices side by side, the candidates are written into one stack per
+target width, and each width group then makes one batched reduce and one
+batched elimination for all its classes.  Basis rows are listed class by
+class, in increasing pivot order within a class, and membership is tested
+class by class.  The pivot set of a reduced echelon basis is an invariant
+of the span, and class-local coordinates keep the global order, so the
+pivots are those of an ungraded computation.
 
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
@@ -47,6 +50,7 @@ scalars, so its rank is the complex dimension of the complexified algebra.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import tempfile
@@ -56,6 +60,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -243,7 +248,7 @@ class FlatLayout:
         self.length = off
 
     # The shift-class tables serve only the modular engine, so they are
-    # built on the first read of any of them: an exact closure never pays.
+    # read on the first access to any of them: an exact closure never pays.
     _CLASS_TABLES = frozenset(
         ("coord_class", "class_shifts", "class_of_shift", "class_parity", "class_indices",
          "coord_local")
@@ -252,29 +257,8 @@ class FlatLayout:
     def __getattr__(self, name):
         if name not in FlatLayout._CLASS_TABLES:
             raise AttributeError(f"'FlatLayout' object has no attribute {name!r}")
-        self._build_class_tables()
+        self.__dict__.update(_class_tables(self.blocks, self.complexified))
         return self.__dict__[name]
-
-    def _build_class_tables(self) -> None:
-        mds = _basis_multidegrees()
-        shifts = np.zeros((self.length, 3), dtype=np.int64)
-        for k in self.blocks:
-            s, o = BLOCK_SIZES[k], self.offsets[k]
-            d = (mds[k][:, None, :] - mds[k][None, :, :]).reshape(s * s, 3)
-            shifts[o : o + s * s] = d
-            if not self.complexified:
-                shifts[o + s * s : o + 2 * s * s] = d
-        uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
-        self.coord_class = inverse.ravel()
-        self.class_shifts = [tuple(int(x) for x in u) for u in uniq]
-        self.class_of_shift = {sh: t for t, sh in enumerate(self.class_shifts)}
-        self.class_parity = uniq.sum(axis=1) & 1
-        counts = np.bincount(self.coord_class, minlength=len(uniq))
-        order = np.argsort(self.coord_class, kind="stable")
-        self.class_indices = np.split(order, np.cumsum(counts)[:-1])
-        self.coord_local = np.empty(self.length, dtype=np.int64)
-        for idx in self.class_indices:
-            self.coord_local[idx] = np.arange(len(idx))
 
     def operator_class(self, rop: RestrictedOperator) -> int | None:
         """Class of an operator's support on this layout (None when it
@@ -354,6 +338,40 @@ class FlatLayout:
         return vec
 
 
+@lru_cache(maxsize=8)
+def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
+    """The shift-class tables of ``FlatLayout(blocks, complexified)``, built
+    once per layout shape and shared by every layout of that shape, so the
+    arrays and the mapping are read-only."""
+    layout = FlatLayout(blocks, complexified)
+    mds = _basis_multidegrees()
+    shifts = np.zeros((layout.length, 3), dtype=np.int64)
+    for k in blocks:
+        s, o = BLOCK_SIZES[k], layout.offsets[k]
+        d = (mds[k][:, None, :] - mds[k][None, :, :]).reshape(s * s, 3)
+        shifts[o : o + s * s] = d
+        if not complexified:
+            shifts[o + s * s : o + 2 * s * s] = d
+    uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
+    coord_class = inverse.ravel()
+    counts = np.bincount(coord_class, minlength=len(uniq))
+    order = np.argsort(coord_class, kind="stable")
+    coord_local = np.empty(layout.length, dtype=np.int64)
+    coord_local[order] = np.arange(layout.length) - np.repeat(np.cumsum(counts) - counts, counts)
+    class_shifts = tuple(tuple(int(x) for x in u) for u in uniq)
+    class_parity = uniq.sum(axis=1) & 1
+    for a in (coord_class, order, coord_local, class_parity):
+        a.setflags(write=False)  # before splitting: views inherit the flag
+    return {
+        "coord_class": coord_class,
+        "class_shifts": class_shifts,
+        "class_of_shift": MappingProxyType({sh: t for t, sh in enumerate(class_shifts)}),
+        "class_parity": class_parity,
+        "class_indices": tuple(np.split(order, np.cumsum(counts)[:-1])),
+        "coord_local": coord_local,
+    }
+
+
 # ---------------------------------------------------------------------------
 # exact engine (sparse rational coordinates)
 # ---------------------------------------------------------------------------
@@ -428,141 +446,265 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
 # ---------------------------------------------------------------------------
 
 
-class _HalfEngine:
-    """Fully reduced echelon basis of one multidegree-shift class, on that
-    class's coordinate slice.  ``B`` holds exactly the basis rows, in
-    insertion order; each leads at its entry of ``pivots`` with a 1 there
-    and is 0 at every other pivot, so reducing a batch against the basis
-    is one BLAS product.  Every array holds balanced residues
-    (|x| <= (p-1)/2), and the primes are sized so no product here can leave
-    the exact float64 integer range."""
+def _columns(C: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack of C[i][:, cols[i]]."""
+    k, m = C.shape[:2]
+    return C[np.arange(k)[:, None, None], np.arange(m)[None, :, None], cols[:, None, :]]
 
-    def __init__(self, p: int, length: int):
+
+class _HalfEngine:
+    """The fully reduced echelon bases of all shift classes of one width,
+    held as one rank-padded stack.
+
+    Slot k belongs to class ``classes[k]``.  ``B[k, :nrows[k]]`` are that
+    class's basis rows on its class-local coordinates, in insertion order,
+    and ``pivots[k, j]`` is the pivot of row j: each row is 1 at its own
+    pivot and 0 at every other pivot of its class.  The rows past a slot's
+    rank, up to the largest rank of the group, are zero with pivot 0, so a
+    batch of candidates of any set of slots reduces in one batched product.
+    Every array holds balanced residues (|x| <= (p-1)/2), and the primes are
+    sized so no product here can leave the exact float64 integer range."""
+
+    def __init__(self, p: int, width: int, classes: np.ndarray):
         self.p = p
         self.fp = float(p)
         self.inv_p = 1.0 / p
-        self.length = length
-        self.B = np.zeros((0, length))
-        self.pivots = np.zeros(0, dtype=np.int64)  # local coordinate indices
-
-    @property
-    def nrows(self) -> int:
-        return len(self.B)
+        self.width = width
+        self.classes = classes
+        self.nrows = np.zeros(len(classes), dtype=np.int64)
+        self.B = np.zeros((len(classes), 0, width))
+        self.pivots = np.zeros((len(classes), 0), dtype=np.int64)  # local coordinates
 
     def _balance(self, a: np.ndarray) -> np.ndarray:
-        a -= np.rint(a * self.inv_p) * self.fp
+        q = np.multiply(a, self.inv_p)
+        np.rint(q, out=q)
+        q *= self.fp
+        a -= q
         return a
 
-    def reduce_rows(self, C: np.ndarray) -> np.ndarray:
-        """Reduce rows in place; one product suffices, the basis being fully
+    def reserve(self, rank: int) -> None:
+        """Pad the stack to hold ``rank`` rows per slot."""
+        extra = rank - self.B.shape[1]
+        if extra > 0:
+            k = len(self.classes)
+            self.B = np.concatenate([self.B, np.zeros((k, extra, self.width))], axis=1)
+            self.pivots = np.concatenate([self.pivots, np.zeros((k, extra), np.int64)], axis=1)
+
+    def reduce_rows(self, C: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        """Reduce each C[i], a stack of rows of slot sel[i], in place against
+        that slot's basis: one batched product, the bases being fully
         reduced."""
-        if len(self.pivots):
-            C -= C[:, self.pivots] @ self.B
+        rank = int(self.nrows[sel].max(initial=0))
+        if rank:
+            C -= _columns(C, self.pivots[sel, :rank]) @ self.B[sel, :rank]
             self._balance(C)
         return C
 
-    def insert_batch(self, C: np.ndarray) -> list[int]:
-        """Insert a batch of candidate rows already reduced against the
-        basis; returns the class-local pivots of the new basis rows, in
-        increasing order, as stored.
+    def insert_batch(self, C: np.ndarray, sel: np.ndarray) -> dict[int, range]:
+        """Insert candidate rows already reduced against the bases: C[i]
+        holds the candidates of slot sel[i], padded with zero rows.  Returns
+        {class: range of its new rows} for every class that gained rows;
+        a class's new rows come in increasing pivot order.
 
-        One modular RREF of the batch: each step takes the leftmost column
-        that is nonzero among the free rows, normalises the first free row
-        nonzero there, and clears that column from every other row with one
-        rank-1 update.  The pivots therefore increase, and each pivot row
-        leads at its pivot and is zero at every other pivot of the batch.
-        The stored rows are then reduced at the new pivots, so the basis
-        stays fully reduced."""
-        width = C.shape[1]
+        One modular RREF of all the stacks at once, by the rule for a single
+        class: at each step, every class that still has a live row takes
+        its leftmost live column, normalises its first row nonzero there,
+        and clears that column from its other rows that are nonzero in it.
+        So each class's pivots increase, and each of its new rows leads at
+        its pivot and is zero at every other new pivot.  The stored rows are
+        then reduced at the new pivots, so the bases stay fully reduced."""
+        p, w = self.p, self.width
         nz = C != 0
-        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), width)  # width: zero row
-        taken = np.zeros(len(C), dtype=bool)
-        pivots: list[int] = []
-        rows: list[int] = []
-        for _ in range(len(C)):
-            i = int(lead.argmin())  # first free row at the leftmost live column
-            pv = int(lead[i])
-            if pv == width:
+        lead = np.where(nz.any(axis=2), nz.argmax(axis=2), w)  # w: zero or pivot row
+        steps = []
+        while True:
+            col = lead.min(axis=1, initial=w)
+            live = np.flatnonzero(col < w)  # a class once dead stays dead
+            if not live.size:
                 break
-            inv = pow(int(C[i, pv]) % self.p, -1, self.p)
-            C[i] *= float(inv - self.p if inv > self.p // 2 else inv)
-            self._balance(C[i])
-            taken[i] = True
-            lead[i] = width
-            hit = np.flatnonzero(C[:, pv])
-            hit = hit[hit != i]
-            if hit.size:
+            c = col[live]
+            r = lead[live].argmin(axis=1)  # the first row leading at c
+            inv = np.array([pow(x, -1, p) for x in (C[live, r, c].astype(np.int64) % p).tolist()])
+            rows = self._balance(C[live, r] * np.where(inv > p // 2, inv - p, inv)[:, None])
+            C[live, r] = rows
+            lead[live, r] = w
+            a, b = np.nonzero(C[live, :, c])
+            keep = b != r[a]
+            a, b = a[keep], b[keep]
+            if a.size:
+                k = live[a]
                 # fancy indexing copies, so the balanced rows are written back
-                C[hit] = self._balance(C[hit] - np.outer(C[hit, pv], C[i]))
-                hit = hit[~taken[hit]]
-                nz = C[hit] != 0
-                lead[hit] = np.where(nz.any(axis=1), nz.argmax(axis=1), width)
-            pivots.append(pv)
-            rows.append(i)
-        if not pivots:
-            return []
-        V = C[rows]
-        coef = self.B[:, pivots]
-        if np.any(coef):
-            self.B -= coef @ V
-            self._balance(self.B)
-        self.B = np.concatenate([self.B, V])
-        self.pivots = np.concatenate([self.pivots, pivots])
-        return pivots
-
-    def contains(self, vec: np.ndarray) -> bool:
-        v = self.reduce_rows(vec.reshape(1, -1).copy())
-        return not np.any(v)
+                hit = self._balance(C[k, b] - C[k, b, c[a]][:, None] * rows[a])
+                C[k, b] = hit
+                free = lead[k, b] < w
+                nz = hit[free] != 0
+                lead[k[free], b[free]] = np.where(nz.any(axis=1), nz.argmax(axis=1), w)
+            steps.append((live, r, c))
+        if not steps:
+            return {}
+        # a class live at s steps gains s rows, its j-th new row taken at step j
+        gained = np.zeros(len(sel), dtype=np.int64)
+        V = np.zeros((len(sel), len(steps), w))
+        P = np.zeros((len(sel), len(steps)), dtype=np.int64)
+        for j, (live, r, c) in enumerate(steps):
+            gained[live] += 1
+            V[live, j] = C[live, r]
+            P[live, j] = c
+        got = np.flatnonzero(gained)
+        slots, V, P, gained = sel[got], V[got], P[got], gained[got]
+        start = self.nrows[slots]
+        rank = int(start.max())
+        if rank:
+            B = self.B[slots, :rank]
+            coef = _columns(B, P)
+            if np.any(coef):
+                B -= coef @ V
+                self.B[slots, :rank] = self._balance(B)
+        self.reserve(int((start + gained).max()))
+        k, j = np.nonzero(np.arange(len(steps)) < gained[:, None])
+        self.B[slots[k], start[k] + j] = V[k, j]
+        self.pivots[slots[k], start[k] + j] = P[k, j]
+        self.nrows[slots] += gained
+        return {int(self.classes[s]): range(int(a), int(a + n))
+                for s, a, n in zip(slots, start, gained)}
 
 
 class _ModularEngine:
-    """One ``_HalfEngine`` per multidegree-shift class, presenting one
-    echelon basis whose rows are listed class by class.
+    """The echelon basis of the whole closure: one ``_HalfEngine`` per class
+    width, holding every shift class of that width.
 
-    Rows are addressed as (class, local row); pivots are reported in the
-    global coordinate numbering.  Every row is homogeneous, so the span is
-    the direct sum of its class parts and the classes never interact.
-    Class-local coordinates are in increasing global order, so a local
-    pivot is the row's global leading coordinate and the pivot set is that
-    of the unsplit computation."""
+    Rows are listed class by class, in increasing pivot order within a
+    class, and pivots are reported in the global coordinate numbering.
+    Every row is homogeneous, so the span is the direct sum of its class
+    parts and the classes never interact.  Class-local coordinates are in
+    increasing global order, so a local pivot is the row's global leading
+    coordinate and the pivot set is that of the unsplit computation."""
 
     def __init__(self, layout: FlatLayout, p: int):
         self.layout = layout
         self.root_i = root_of_minus_one(p)
-        self.echelons = [_HalfEngine(p, len(idx)) for idx in layout.class_indices]
+        idx = layout.class_indices
+        widths, self.class_group = np.unique([len(i) for i in idx], return_inverse=True)
+        self.groups = [_HalfEngine(p, int(w), np.flatnonzero(self.class_group == g))
+                       for g, w in enumerate(widths)]
+        self.class_slot = np.empty(len(idx), dtype=np.int64)
+        for ech in self.groups:
+            self.class_slot[ech.classes] = np.arange(len(ech.classes))
+        self.class_width = widths[self.class_group]
+
+    def _where(self, t: int) -> tuple[_HalfEngine, int]:
+        return self.groups[self.class_group[t]], int(self.class_slot[t])
 
     @property
     def nrows(self) -> int:
-        return sum(ech.nrows for ech in self.echelons)
+        return int(sum(ech.nrows.sum() for ech in self.groups))
+
+    def class_rows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Class t's local pivots and basis rows, in increasing pivot order."""
+        ech, k = self._where(t)
+        piv = ech.pivots[k, : ech.nrows[k]]
+        order = np.argsort(piv)
+        return piv[order], ech.B[k, order]
+
+    def listing(self):
+        """Every basis row, listed class by class in increasing pivot order
+        within a class, as arrays of its class, its local pivot and its
+        (group, slot, row) place in the stacks."""
+        parts = []
+        for g, ech in enumerate(self.groups):
+            k, j = np.nonzero(np.arange(ech.B.shape[1]) < ech.nrows[:, None])
+            parts.append((ech.classes[k], ech.pivots[k, j], np.full(len(k), g), k, j))
+        cls, piv, grp, slot, row = map(np.concatenate, zip(*parts))
+        order = np.lexsort((piv, cls))
+        return cls[order], piv[order], grp[order], slot[order], row[order]
+
+    def export_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(classes, local pivots, residues) of the basis rows in
+        ``listing`` order, the rows' class-local residues concatenated."""
+        cls, piv, grp, slot, row = self.listing()
+        counts = np.bincount(cls, minlength=len(self.class_group))
+        rows = [None] * len(counts)
+        for g, ech in enumerate(self.groups):
+            m = grp == g
+            block = ech.B[slot[m], row[m]]  # the group's rows, class by class
+            for t, part in zip(ech.classes, np.split(block, np.cumsum(counts[ech.classes])[:-1])):
+                rows[t] = part.ravel()
+        return cls, piv, np.concatenate(rows)
+
+    def import_rows(self, cls: np.ndarray, piv: np.ndarray, residues: np.ndarray) -> None:
+        """Fill an empty engine with rows given as ``export_rows`` gives
+        them."""
+        counts = np.bincount(cls, minlength=len(self.class_group))
+        row = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
+        rows = np.split(residues, np.cumsum(counts * self.class_width)[:-1])
+        for g, ech in enumerate(self.groups):
+            m = self.class_group[cls] == g
+            slot = self.class_slot[cls[m]]
+            ech.reserve(int(counts[ech.classes].max()))
+            ech.B[slot, row[m]] = np.concatenate([rows[t] for t in ech.classes]).reshape(-1, ech.width)
+            ech.pivots[slot, row[m]] = piv[m]
+            ech.nrows = counts[ech.classes]
+
+    def frontier_rows(self, t: int, new: range) -> np.ndarray:
+        ech, k = self._where(t)
+        return ech.B[k, new.start : new.stop]
 
     def global_pivots(self) -> list[int]:
-        return np.concatenate(
-            [idx[ech.pivots] for idx, ech in zip(self.layout.class_indices, self.echelons)]
-        ).tolist()
+        cls, piv = self.listing()[:2]
+        first = np.cumsum(self.class_width) - self.class_width
+        return np.concatenate(self.layout.class_indices)[first[cls] + piv].tolist()
 
     def parities(self) -> list[int]:
-        return np.repeat(self.layout.class_parity, [e.nrows for e in self.echelons]).tolist()
+        return self.layout.class_parity[self.listing()[0]].tolist()
 
-    def process_batch(self, parts: dict[int, list[np.ndarray]]) -> dict[int, range]:
-        """Reduce and insert one batch of candidates per target class:
-        ``parts`` maps a class to stacks of class-local rows.  Returns
-        {class: range of its new local rows} for each class that gained
-        rows; a class appends its new rows by increasing pivot."""
+    def stacks(self, counts: dict[int, int]):
+        """Zero candidate stacks for ``counts[t]`` rows of each class t, one
+        per width group.  Returns ({group: (slots, C)}, {class: (C, i)}),
+        where C[i] is the stack of the class in slot slots[i]."""
+        members: dict[int, list[int]] = {}
+        for t in sorted(counts):
+            members.setdefault(int(self.class_group[t]), []).append(t)
+        stacks, place = {}, {}
+        for g, ts in members.items():
+            C = np.zeros((len(ts), max(counts[t] for t in ts), self.groups[g].width))
+            stacks[g] = (self.class_slot[ts], C)
+            place.update((t, (C, i)) for i, t in enumerate(ts))
+        return stacks, place
+
+    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, range]:
+        """Reduce and insert filled candidate stacks, as made by ``stacks``:
+        one reduce and one elimination per width group, groups in
+        increasing width, each stack dropped once inserted.  Returns
+        {class: range of its new rows} for each class that gained rows, in
+        class order, and adds the seconds spent to ``phases["reduce_s"]``
+        and ``phases["insert_s"]``."""
         added: dict[int, range] = {}
-        for t in sorted(parts):
-            ech = self.echelons[t]
-            before = ech.nrows
-            ech.insert_batch(ech.reduce_rows(np.concatenate(parts.pop(t))))
-            if ech.nrows > before:
-                added[t] = range(before, ech.nrows)
-        return added
+        for g in sorted(stacks):
+            sel, C = stacks.pop(g)
+            ech = self.groups[g]
+            t0 = time.perf_counter()
+            ech.reduce_rows(C, sel)
+            t1 = time.perf_counter()
+            added.update(ech.insert_batch(C, sel))
+            phases["reduce_s"] += t1 - t0
+            phases["insert_s"] += time.perf_counter() - t1
+        return dict(sorted(added.items()))
 
     def contains(self, vec: np.ndarray) -> bool:
         """Membership of a flattened vector: the span is graded, so vec is
-        a member iff each class component reduces to zero in its class."""
-        for t in np.unique(self.layout.coord_class[np.flatnonzero(vec)]):
-            ech = self.echelons[t]
-            if not ech.nrows or not ech.contains(vec[self.layout.class_indices[t]]):
+        a member iff each class component reduces to zero in its class.
+        One vector reduces on views of its class's rows, which is cheaper
+        than a batched ``reduce_rows`` of a stack of one."""
+        hit = np.bincount(self.layout.coord_class[np.flatnonzero(vec)],
+                          minlength=len(self.class_group))
+        for t in np.flatnonzero(hit).tolist():
+            ech, k = self._where(t)
+            n = ech.nrows[k]
+            v = vec[self.layout.class_indices[t]]
+            if n:
+                v -= v[ech.pivots[k, :n]] @ ech.B[k, :n]
+                ech._balance(v)
+            if v.any():
                 return False
         return True
 
@@ -610,11 +752,11 @@ def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> dict:
     """ad_g = [g, .] on the layout for every generator g, one dense matrix
     per source class with the generators' blocks side by side.
 
-    Returns {d: (targets, M, bounds)}: for a stack X of class-local rows of
-    class d, the columns of X @ M split at ``bounds`` are the brackets with
-    the successive generators that do not vanish on class d, as class-local
-    rows of the classes ``targets``.  Classes on which every bracket
-    vanishes are absent."""
+    Returns {d: (targets, M, offsets)}: for a stack X of class-local rows of
+    class d, columns offsets[i]:offsets[i+1] of X @ M are the brackets with
+    the i-th generator that does not vanish on class d, as class-local rows
+    of class targets[i].  Classes on which every bracket vanishes are
+    absent."""
     entries = [_adjoint_entries(layout, g, p, root_i) for g in gens]
     gen = np.concatenate([np.full(e[0].size, gi) for gi, e in enumerate(entries)])
     src, tgt, coef = (np.concatenate(x) for x in zip(*entries))
@@ -633,7 +775,7 @@ def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> dict:
         at = (layout.coord_local[src[run]], cols)
         np.add.at(M, at, coef[run])
         M[at] -= np.rint(M[at] / p) * p  # only the entries written can leave the range
-        out[dc] = (targets, M, offsets[1:-1])
+        out[dc] = (targets, M, offsets)
     return out
 
 
@@ -646,49 +788,65 @@ def _modular_closure(
     """Level-synchronous left-normed closure over F_p.
 
     The generators are the first frontier.  Each level brackets the whole
-    frontier with every generator: the frontier rows of one source class
-    take one product with that class's stacked ad_g blocks, and every
-    target class's candidates are reduced and inserted in one batch.  The
-    rows added (a range of local rows per class) form the next frontier;
-    the run ends when a level adds none.  Any row of the span may stand for
-    a frontier element, so the current (further reduced) basis rows are
-    bracketed.  The span, hence the pivot set, does not depend on the order
-    of insertion, and every basis row is bracketed with every generator
-    exactly once, so ``brackets`` is len(gens) * dim.  Returns (engine,
-    brackets, levels)."""
+    frontier with every generator in two passes.  The first counts the
+    candidates of each target class and allocates one zero-padded stack
+    per target width group.  The second takes, per source class, one
+    product of its frontier rows with its stacked ad_g blocks and writes
+    each generator's columns into its target's stack; then every width
+    group is reduced and inserted once.  The rows added (a range of rows
+    per class) form the next frontier; the run ends when a level adds none.
+    Any row of the span may stand for a frontier element, so the current
+    (further reduced) basis rows are bracketed.  The span, hence the pivot
+    set, does not depend on the order of insertion, and every basis row is
+    bracketed with every generator exactly once, so ``brackets`` is
+    len(gens) * dim.  Returns (engine, brackets, levels, phases), the last
+    the seconds spent bracketing, reducing and inserting."""
     eng = _ModularEngine(layout, p)
     gcls = [layout.operator_class(g) for g in gens]
     for g, t in zip(gens, gcls):
         if t is not None and layout.class_parity[t] != g.parity:
             raise AssertionError("generator support disagrees with its parity")
     ads = _adjoint_blocks(layout, gens, p, eng.root_i)
+    phases = dict.fromkeys(("bracket_s", "reduce_s", "insert_s"), 0.0)
 
     seeds: dict[int, list] = {}
     for g, t in zip(gens, gcls):
         if t is not None:
-            vec = layout.flatten_modular(g, p, eng.root_i)
-            seeds.setdefault(t, []).append(vec[layout.class_indices[t]][None])
-    frontier = eng.process_batch(seeds)
+            seeds.setdefault(t, []).append(
+                layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]])
+    stacks, place = eng.stacks({t: len(rows) for t, rows in seeds.items()})
+    for t, rows in seeds.items():
+        C, i = place[t]
+        C[i, : len(rows)] = rows
+    del place
+    frontier = eng.process_batch(stacks, phases)
 
     brackets = levels = 0
     while frontier:
-        parts: dict[int, list] = {}
-        for d, new in sorted(frontier.items()):
-            hit = ads.get(d)
-            if hit is None:  # every generator brackets class d to zero
-                continue
-            targets, M, bounds = hit
-            R = _bracket_rows(eng.echelons[d].B[new.start : new.stop], M, p)
-            for t, piece in zip(targets, np.split(R, bounds, axis=1)):
-                parts.setdefault(t, []).append(piece)
+        t0 = time.perf_counter()
+        sources = [(d, new, ads[d]) for d, new in frontier.items() if d in ads]
+        counts: dict[int, int] = {}
+        for _, new, (targets, _, _) in sources:
+            for t in targets:
+                counts[t] = counts.get(t, 0) + len(new)
+        stacks, place = eng.stacks(counts)
+        filled = dict.fromkeys(counts, 0)
+        for d, new, (targets, M, offsets) in sources:
+            R = _bracket_rows(eng.frontier_rows(d, new), M, p)
+            for t, lo, hi in zip(targets, offsets, offsets[1:]):
+                C, i = place[t]
+                C[i, filled[t] : filled[t] + len(R)] = R[:, lo:hi]
+                filled[t] += len(R)
+        place = R = None  # only the stacks live on into the inserts
+        phases["bracket_s"] += time.perf_counter() - t0
         brackets += sum(map(len, frontier.values())) * len(gens)
         levels += 1
-        frontier = eng.process_batch(parts)
+        frontier = eng.process_batch(stacks, phases)
         if eng.nrows > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
         if progress:
             progress(levels, eng.nrows, brackets, sum(map(len, frontier.values())))
-    return eng, brackets, levels
+    return eng, brackets, levels, phases
 
 
 def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
@@ -721,6 +879,9 @@ class ClosureState:
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
     _engine: object = None  # SparseEchelon (exact) or _ModularEngine
+    # seconds spent bracketing, reducing and inserting in a modular run
+    # (not in the report)
+    phases: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def block_dims(self) -> dict[int, int]:
         out = {}
@@ -751,16 +912,15 @@ class ClosureState:
         """max |supertrace residue| over all basis rows (modular only)."""
         assert isinstance(self._engine, _ModularEngine)
         eng = self._engine
+        idx = self.layout.class_indices
         vals = [0.0]
         for full in (_supertrace_vector(self.layout, imag=False),
                      _supertrace_vector(self.layout, imag=True)):
-            for ech, idx in zip(eng.echelons, self.layout.class_indices):
-                w = full[idx]
-                if not ech.nrows or not w.any():
-                    continue
-                r = ech.B @ w
-                ech._balance(r)
-                vals.append(float(np.abs(r).max()))
+            for ech in eng.groups:
+                w = full[np.stack([idx[t] for t in ech.classes])]
+                if ech.B.shape[1] and w.any():
+                    r = ech._balance(ech.B @ w[:, :, None])
+                    vals.append(float(np.abs(r).max()))
         return max(vals)
 
     def report(self, include_wall: bool = False) -> dict:
@@ -782,15 +942,15 @@ class ClosureState:
         """Compressed dump of the echelon basis (modular states only),
         enough to resume membership checks without recomputing the closure.
 
-        Basis rows are stored class by class, in insertion order within a
-        class: ``row_class`` holds each row's class id, ``row_pivot`` its
-        class-local pivot, and ``rows`` the concatenation of the rows'
-        class-local residues.  Like ``np.savez``, a ".npz" suffix is
+        Basis rows are stored class by class, in increasing pivot order
+        within a class: ``row_class`` holds each row's class id,
+        ``row_pivot`` its class-local pivot, and ``rows`` the concatenation
+        of the rows' class-local residues.  Like ``np.savez``, a ".npz" suffix is
         appended when missing.  The file is written to a temporary name and
         then renamed into place."""
         if not isinstance(self._engine, _ModularEngine):
             raise ValueError("only modular closure states can be dumped")
-        echelons = self._engine.echelons
+        row_class, row_pivot, rows = self._engine.export_rows()
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
@@ -804,10 +964,9 @@ class ClosureState:
                     prime=self.prime,
                     blocks=np.asarray(self.blocks),
                     complexified=np.asarray(self.layout.complexified),
-                    row_class=np.repeat(np.arange(len(echelons), dtype=np.int32),
-                                        [ech.nrows for ech in echelons]),
-                    row_pivot=np.concatenate([ech.pivots for ech in echelons]).astype(np.int32),
-                    rows=np.concatenate([ech.B.ravel() for ech in echelons]).astype(np.int32),
+                    row_class=row_class.astype(np.int32),
+                    row_pivot=row_pivot.astype(np.int32),
+                    rows=rows.astype(np.int32),
                     brackets=self.brackets,
                 )
             os.replace(tmp, path)
@@ -860,21 +1019,21 @@ def lie_closure(
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
     blocks = tuple(blocks)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if field == "exact":
         layout = FlatLayout(blocks, complexified=False)
         echelon, pivots, parities, brackets = _exact_closure(gens, layout)
         return ClosureState(
             "exact", None, blocks, layout, len(pivots), pivots, parities,
-            brackets, time.time() - t0, _engine=echelon,
+            brackets, time.perf_counter() - t0, _engine=echelon,
         )
     if field in ("modular", "modular-complex"):
         p = prime if prime is not None else DEFAULT_PRIMES[0]
         layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
-        eng, brackets, levels = _modular_closure(gens, layout, p, progress)
+        eng, brackets, levels, phases = _modular_closure(gens, layout, p, progress)
         return ClosureState(
             field, p, blocks, layout, eng.nrows, eng.global_pivots(),
-            eng.parities(), brackets, time.time() - t0, levels, _engine=eng,
+            eng.parities(), brackets, time.perf_counter() - t0, levels, eng, phases,
         )
     raise ValueError(f"unknown field {field!r}")
 
@@ -914,6 +1073,8 @@ def load_state(path: str) -> ClosureState:
         return a
 
     field = str(d["field"])
+    if d["complexified"].dtype.kind != "b" or d["complexified"].ndim:
+        raise bad("complexified is not a boolean scalar")
     complexified = bool(d["complexified"])
     if field not in ("modular", "modular-complex") or complexified != (field == "modular-complex"):
         raise bad(f"field {field!r} with complexified={complexified} is not a modular state")
@@ -942,19 +1103,28 @@ def load_state(path: str) -> ClosureState:
         raise bad(f"{rows.size} residues where the rows' classes have {lengths.sum()} coordinates")
     if rows.size and np.abs(rows).max() > (prime - 1) // 2:
         raise bad(f"residues outside the balanced range mod {prime}")
+    outside = (row_pivot < 0) | (row_pivot >= lengths)
+    if outside.any():
+        raise bad(f"pivots outside class {row_class[outside.argmax()]}")
+    # list the rows class by class, in increasing pivot order within a class
+    order = np.lexsort((row_pivot, row_class))
+    listed = lengths[order]
+    shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(listed) - listed)
+    rows = rows[np.arange(rows.size) + np.repeat(shift, listed)]
     eng = _ModularEngine(layout, prime)
-    residues = np.split(rows, np.cumsum(lengths)[:-1])
-    for t in np.unique(row_class).tolist():
-        sel = np.flatnonzero(row_class == t)
-        ech, piv = eng.echelons[t], row_pivot[sel]
-        B = np.stack([residues[i] for i in sel])
-        if piv.min() < 0 or piv.max() >= ech.length:
-            raise bad(f"pivots outside class {t}")
-        if not np.array_equal(B[:, piv], np.eye(len(piv))):
-            raise bad(f"class {t} rows are not reduced at their pivots")
-        if not np.array_equal(np.argmax(B != 0, axis=1), piv):
-            raise bad(f"class {t} rows do not lead at their pivots")
-        ech.B, ech.pivots = B, piv
+    eng.import_rows(row_class[order], row_pivot[order], rows)
+    unreduced, unled = [], []
+    for ech in eng.groups:
+        rank = ech.B.shape[1]
+        live = np.arange(rank) < ech.nrows[:, None]
+        wrong = (_columns(ech.B, ech.pivots) != np.eye(rank)) & live[:, :, None] & live[:, None, :]
+        unreduced.append(ech.classes[wrong.any(axis=(1, 2))])
+        wrong = (np.argmax(ech.B != 0, axis=2) != ech.pivots) & live
+        unled.append(ech.classes[wrong.any(axis=1)])
+    for failing, why in ((unreduced, "are not reduced at"), (unled, "do not lead at")):
+        failing = np.concatenate(failing)
+        if failing.size:
+            raise bad(f"class {failing.min()} rows {why} their pivots")
     return ClosureState(
         field, prime, blocks, layout, eng.nrows, eng.global_pivots(), eng.parities(),
         brackets, 0.0, _engine=eng,

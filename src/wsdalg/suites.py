@@ -116,7 +116,7 @@ def _suite_closure(config) -> dict:
     ralg = cl.default_algebra()
     runs = []
     failures = []
-    meta = {"wall_s": {}, "levels": {}, "survival": {}}
+    meta = {"wall_s": {}, "levels": {}, "phase_s": {}, "survival": {}}
 
     def run(key: str, **kwargs) -> cl.ClosureState:
         st = cl.lie_closure(
@@ -126,6 +126,7 @@ def _suite_closure(config) -> dict:
         meta["wall_s"][key] = round(st.wall_s, 3)
         if st.field != "exact":
             meta["levels"][key] = st.levels
+            meta["phase_s"][key] = {k: round(v, 3) for k, v in st.phases.items()}
         meta["survival"][key] = round(st.dim / st.brackets, 4) if st.brackets else None
         return st
 

@@ -251,6 +251,20 @@ def test_layout_classes(blocks, complexified, count, largest, squares):
     assert np.array_equal(layout.class_parity[layout.coord_class], _parity_split(layout))
 
 
+def test_layout_class_tables_shared():
+    """Layouts of one shape share one read-only copy of the class tables."""
+    a, b = FlatLayout((0,)), FlatLayout((0,))
+    assert a.class_indices is b.class_indices and a.coord_class is b.coord_class
+    with pytest.raises(ValueError, match="read-only"):
+        a.class_indices[0][0] = 1
+    for name in ("coord_class", "class_parity", "coord_local"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0] = 1
+    with pytest.raises(TypeError):
+        a.class_of_shift[(0, 0, 0)] = 0
+    assert FlatLayout((0,), complexified=True).class_indices is not a.class_indices
+
+
 def test_generator_shifts(ralg):
     """iL_j: +1 on the two other blocks; iLambda_j: -1 there; iV_j: +3 on
     block j; A_j: -3 on block j.  Every bracket of two generators lies in
@@ -325,16 +339,21 @@ def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
     layout, eng = st.layout, st._engine
     # every basis row lies in exactly one class, and its parity is that class's
     seen = 0
-    for t, ech in enumerate(eng.echelons):
-        full = np.zeros((ech.nrows, layout.length))
-        full[:, layout.class_indices[t]] = ech.B
+    nclasses = len(layout.class_indices)
+    for t in range(nclasses):
+        piv, rows = eng.class_rows(t)
+        full = np.zeros((len(rows), layout.length))
+        full[:, layout.class_indices[t]] = rows
         for row in full:
             assert np.unique(layout.coord_class[np.flatnonzero(row)]).tolist() == [t]
-        seen += ech.nrows
+        # in increasing pivot order, each row leading at its pivot with a 1
+        assert np.all(np.diff(piv) > 0)
+        assert np.array_equal(rows[:, piv], np.eye(len(piv)))
+        seen += len(rows)
     assert seen == st.dim
     # rows are listed class by class, each with its class's parity
     assert st.parities == [int(layout.class_parity[t])
-                           for t, ech in enumerate(eng.echelons) for _ in range(ech.nrows)]
+                           for t in range(nclasses) for _ in eng.class_rows(t)[0]]
     path = tmp_path / "hw0.npz"
     st.save(str(path))
     loaded = cl.load_state(str(path))
@@ -352,7 +371,7 @@ def test_empty_class_component_rejected(ralg):
     st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
     odd = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
     t = st.layout.operator_class(odd)
-    assert st._engine.echelons[t].nrows == 0
+    assert len(st._engine.class_rows(t)[0]) == 0
     assert not st.contains_modular(odd)
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
@@ -420,6 +439,12 @@ def _tamper(entries, key):
         e["rows"] = e["rows"] + 0.5
     elif key == "field":
         e["complexified"] = np.asarray(True)
+    elif key == "complexified-vector":
+        e["complexified"] = np.asarray([False, False])
+    elif key == "complexified-string":
+        e["complexified"] = np.asarray("yes")
+    elif key == "complexified-int":
+        e["complexified"] = np.asarray(0)
     elif key == "missing":
         del e["brackets"]
     elif key == "prime-float":
@@ -448,6 +473,9 @@ def _tamper(entries, key):
     ("residue", "outside the balanced range mod 2065121"),
     ("float-rows", "rows does not hold integers"),
     ("field", "is not a modular state"),
+    ("complexified-vector", "complexified is not a boolean scalar"),
+    ("complexified-string", "complexified is not a boolean scalar"),
+    ("complexified-int", "complexified is not a boolean scalar"),
     ("missing", "missing entries brackets"),
     ("prime-float", "prime does not hold integers"),
     ("prime-vector", "prime has 1 dimensions, not 0"),
@@ -601,25 +629,88 @@ def _random_batch(rng, p, width, stored) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [13, 2065121])
 def test_insert_batch_matches_plain_elimination(p):
+    """One width group of three classes.  Each round feeds a seeded batch of
+    its own size, empty and all-zero batches included, to a random subset
+    of the classes, and every class must match a plain elimination."""
     rng = np.random.default_rng(p)
-    width = 40
-    ech = cl._HalfEngine(p, width)
-    inputs: list[np.ndarray] = []
+    width, classes = 40, np.array([3, 8, 21])
+    ech = cl._HalfEngine(p, width, classes)
+    inputs: list[list[np.ndarray]] = [[] for _ in classes]
     for _ in range(12):
-        batch = _random_batch(rng, p, width, ech.B)
-        want = _rank_mod_p(inputs + list(batch), p) - _rank_mod_p(inputs, p)
-        before = ech.nrows
-        pivots = ech.insert_batch(ech.reduce_rows(batch.copy()))
-        assert len(pivots) == ech.nrows - before == want
-        assert pivots == sorted(pivots) and ech.pivots[before:].tolist() == pivots
-        inputs.extend(batch)
-        B, piv = ech.B, ech.pivots
-        assert B.shape == (len(piv), width) and piv.dtype == np.int64
-        # every stored row leads at its pivot, with a 1 there
-        assert np.array_equal(np.argmax(B != 0, axis=1), piv)
-        # the basis is fully reduced: each row is 0 at every other pivot
-        assert np.array_equal(B[:, piv], np.eye(ech.nrows))
-        assert np.abs(B).max(initial=0) <= (p - 1) // 2
-    assert 0 < ech.nrows < width  # the batches neither stayed empty nor filled the space
-    assert ech.nrows == _rank_mod_p(inputs, p)
-    assert all(ech.contains(row) for row in inputs)
+        sel = np.flatnonzero(rng.random(len(classes)) < 0.8)
+        if not sel.size:
+            continue
+        batches = []
+        for k in sel:
+            kind = int(rng.integers(6))
+            if kind == 0:
+                batches.append(np.zeros((0, width)))
+            elif kind == 1:
+                batches.append(np.zeros((int(rng.integers(1, 4)), width)))
+            else:
+                batches.append(_random_batch(rng, p, width, ech.B[k, : ech.nrows[k]]))
+        C = np.zeros((len(sel), max(map(len, batches)), width))
+        for i, batch in enumerate(batches):
+            C[i, : len(batch)] = batch
+        before = ech.nrows.copy()
+        added = ech.insert_batch(ech.reduce_rows(C, sel), sel)
+        assert set(added) <= set(classes[sel].tolist())
+        for k, batch in zip(sel, batches):
+            want = _rank_mod_p(inputs[k] + list(batch), p) - _rank_mod_p(inputs[k], p)
+            new = added.get(int(classes[k]), range(before[k], before[k]))
+            assert new == range(before[k], ech.nrows[k]) and len(new) == want
+            assert np.all(np.diff(ech.pivots[k, new.start : new.stop]) > 0)
+            inputs[k].extend(batch)
+        assert all(ech.nrows[k] == before[k] for k in range(len(classes)) if k not in sel)
+        assert ech.B.shape == (len(classes), ech.pivots.shape[1], width)
+        assert ech.pivots.dtype == np.int64
+        for k, n in enumerate(ech.nrows):
+            B, piv = ech.B[k, :n], ech.pivots[k, :n]
+            # every stored row leads at its pivot, with a 1 there
+            assert np.array_equal(np.argmax(B != 0, axis=1), piv)
+            # the basis is fully reduced: each row is 0 at every other pivot
+            assert np.array_equal(B[:, piv], np.eye(n))
+            # the padding past the class's rank is zero
+            assert not ech.B[k, n:].any() and not ech.pivots[k, n:].any()
+        assert np.abs(ech.B).max(initial=0) <= (p - 1) // 2
+    # the batches neither stayed empty nor filled the space, and the ranks differ
+    assert all(0 < n < width for n in ech.nrows) and len(set(ech.nrows.tolist())) > 1
+    for k in range(len(classes)):
+        assert ech.nrows[k] == _rank_mod_p(inputs[k], p)
+        # every input is a member: it reduces to zero against its class
+        for row in inputs[k]:
+            assert not ech.reduce_rows(row.reshape(1, 1, -1).copy(), np.array([k])).any()
+
+
+def test_hw0_closure_batches_width_groups(monkeypatch, ralg):
+    """Each level makes one reduce and one elimination per width group: hw0
+    has 9 class widths, so a closure of L levels (plus the generators'
+    insertion) makes at most (L + 1) * 9 of each."""
+    calls = []
+    for name in ("reduce_rows", "insert_batch"):
+        real = getattr(cl._HalfEngine, name)
+        monkeypatch.setattr(cl._HalfEngine, name, lambda self, C, sel, real=real, name=name:
+                            calls.append(name) or real(self, C, sel))
+    st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    assert st.pivot_hash() == HW0_HASHES["modular"] and st.levels == 8
+    assert len({len(idx) for idx in st.layout.class_indices}) == 9
+    for name in ("reduce_rows", "insert_batch"):
+        assert 0 < calls.count(name) <= (st.levels + 1) * 9
+
+
+def test_closure_phase_timers(ralg):
+    """A modular run times its bracket, reduce and insert phases; the
+    closure suite records them in meta, never in results."""
+    st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    assert set(st.phases) == {"bracket_s", "reduce_s", "insert_s"}
+    assert all(v > 0 for v in st.phases.values())
+    assert sum(st.phases.values()) <= st.wall_s
+    assert "phases" not in st.report()
+    assert lie_closure(blocks=(3,), field="exact", ralg=ralg).phases == {}
+    out = suites._SUITES["closure"]({"blocks": (3,)})
+    meta = out.pop("_meta")
+    assert set(meta["phase_s"]) == set(meta["wall_s"])
+    for key, phases in meta["phase_s"].items():
+        assert set(phases) == {"bracket_s", "reduce_s", "insert_s"}
+        assert sum(phases.values()) <= meta["wall_s"][key] + 0.002  # both rounded to ms
+    assert "phase_s" not in repr(out)
