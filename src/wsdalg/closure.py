@@ -29,15 +29,18 @@ direct sum of its shift classes (the root-space grading of a Lie
 superalgebra).  The engine keeps one fully reduced echelon per class (319
 classes of at most 448 coordinates on the full real layout), and holds the
 echelons of all classes of one width as one stack (16 widths on the full
-layout, 9 on hw0).  It runs level by level: the frontier rows of one class
-are bracketed with all twelve generators in one product with the class's
-ad_g matrices side by side, the candidates are written into one stack per
-target width, and each width group then makes one batched reduce and one
-batched elimination for all its classes.  Basis rows are listed class by
-class, in increasing pivot order within a class, and membership is tested
-class by class.  The pivot set of a reduced echelon basis is an invariant
-of the span, and class-local coordinates keep the global order, so the
-pivots are those of an ungraded computation.
+layout, 9 on hw0).  The ad_g matrices of all generators are built once
+per closure, in one pass: each class's matrix, the generators' blocks
+side by side, is a view into one shared buffer.  The closure runs level by
+level: the frontier rows of one class are bracketed with all twelve
+generators in one product with the class's matrix, the candidates are
+written into one stack per target width, and each width group then makes
+one batched reduce and one batched elimination for all its classes.
+Basis rows are listed class by class, in increasing pivot order within a
+class, and membership is tested class by class.  The pivot set of a
+reduced echelon basis is an invariant of the span, and class-local
+coordinates keep the global order, so the pivots are those of an ungraded
+computation.
 
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
@@ -230,7 +233,8 @@ class FlatLayout:
     (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
     imaginary parts and all blocks share one class per shift.  Class ids
     number the distinct shifts in lexicographic order, ``class_indices[t]``
-    lists class t's coordinates in increasing global order, and a class's
+    lists class t's coordinates in increasing global order (there are
+    ``class_width[t]`` of them, its local coordinates), and a class's
     parity is the parity of a + b + c (odd exactly on the off-diagonal
     even/odd sub-blocks).  An operator of definite shift is supported on a
     single class.
@@ -251,7 +255,7 @@ class FlatLayout:
     # read on the first access to any of them: an exact closure never pays.
     _CLASS_TABLES = frozenset(
         ("coord_class", "class_shifts", "class_of_shift", "class_parity", "class_indices",
-         "coord_local")
+         "class_width", "coord_local")
     )
 
     def __getattr__(self, name):
@@ -360,7 +364,7 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
     coord_local[order] = np.arange(layout.length) - np.repeat(np.cumsum(counts) - counts, counts)
     class_shifts = tuple(tuple(int(x) for x in u) for u in uniq)
     class_parity = uniq.sum(axis=1) & 1
-    for a in (coord_class, order, coord_local, class_parity):
+    for a in (coord_class, order, coord_local, class_parity, counts):
         a.setflags(write=False)  # before splitting: views inherit the flag
     return {
         "coord_class": coord_class,
@@ -368,6 +372,7 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
         "class_of_shift": MappingProxyType({sh: t for t, sh in enumerate(class_shifts)}),
         "class_parity": class_parity,
         "class_indices": tuple(np.split(order, np.cumsum(counts)[:-1])),
+        "class_width": counts,
         "coord_local": coord_local,
     }
 
@@ -583,14 +588,13 @@ class _ModularEngine:
     def __init__(self, layout: FlatLayout, p: int):
         self.layout = layout
         self.root_i = root_of_minus_one(p)
-        idx = layout.class_indices
-        widths, self.class_group = np.unique([len(i) for i in idx], return_inverse=True)
+        self.class_width = layout.class_width
+        widths, self.class_group = np.unique(self.class_width, return_inverse=True)
         self.groups = [_HalfEngine(p, int(w), np.flatnonzero(self.class_group == g))
                        for g, w in enumerate(widths)]
-        self.class_slot = np.empty(len(idx), dtype=np.int64)
+        self.class_slot = np.empty(len(self.class_width), dtype=np.int64)
         for ech in self.groups:
             self.class_slot[ech.classes] = np.arange(len(ech.classes))
-        self.class_width = widths[self.class_group]
 
     def _where(self, t: int) -> tuple[_HalfEngine, int]:
         return self.groups[self.class_group[t]], int(self.class_slot[t])
@@ -657,19 +661,21 @@ class _ModularEngine:
     def parities(self) -> list[int]:
         return self.layout.class_parity[self.listing()[0]].tolist()
 
-    def stacks(self, counts: dict[int, int]):
+    def stacks(self, counts: np.ndarray):
         """Zero candidate stacks for ``counts[t]`` rows of each class t, one
-        per width group.  Returns ({group: (slots, C)}, {class: (C, i)}),
-        where C[i] is the stack of the class in slot slots[i]."""
-        members: dict[int, list[int]] = {}
-        for t in sorted(counts):
-            members.setdefault(int(self.class_group[t]), []).append(t)
-        stacks, place = {}, {}
-        for g, ts in members.items():
-            C = np.zeros((len(ts), max(counts[t] for t in ts), self.groups[g].width))
+        per width group that has candidates, the classes in increasing
+        order.  Returns ({group: (slots, C)}, pos): class t's stack is
+        C[pos[t]] in the stacks of its group, and its slot slots[pos[t]]."""
+        live = np.flatnonzero(counts)
+        grp = self.class_group[live]
+        pos = np.zeros(len(counts), dtype=np.int64)
+        stacks = {}
+        for g in np.flatnonzero(np.bincount(grp, minlength=len(self.groups))).tolist():
+            ts = live[grp == g]
+            pos[ts] = np.arange(len(ts))
+            C = np.zeros((len(ts), int(counts[ts].max()), self.groups[g].width))
             stacks[g] = (self.class_slot[ts], C)
-            place.update((t, (C, i)) for i, t in enumerate(ts))
-        return stacks, place
+        return stacks, pos
 
     def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, range]:
         """Reduce and insert filled candidate stacks, as made by ``stacks``:
@@ -748,35 +754,68 @@ def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: 
     return src, tgt, coef
 
 
-def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> dict:
-    """ad_g = [g, .] on the layout for every generator g, one dense matrix
-    per source class with the generators' blocks side by side.
+@dataclass(frozen=True)
+class _Adjoint:
+    """ad_g = [g, .] on a layout for every generator g, as channels.
 
-    Returns {d: (targets, M, offsets)}: for a stack X of class-local rows of
-    class d, columns offsets[i]:offsets[i+1] of X @ M are the brackets with
-    the i-th generator that does not vanish on class d, as class-local rows
-    of class targets[i].  Classes on which every bracket vanishes are
-    absent."""
+    A channel is a (source class, generator) pair on which the bracket does
+    not vanish; it maps class-local rows of its source class to class-local
+    rows of its target class.  Channels are numbered by source class, then
+    generator, and the channels of class d are ``first[d]:first[d + 1]``.
+    ``matrices[d]`` is class d's channels side by side, a view of rows
+    ``class_width[d]`` by the sum of its channels' target widths into the
+    one ``buffer``: for a stack X of rows of class d, columns
+    ``lo[c]:hi[c]`` of X @ matrices[d] are the brackets of channel c.
+    Classes without channels have no matrix."""
+
+    buffer: np.ndarray
+    source: np.ndarray
+    generator: np.ndarray
+    target: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    matrices: dict[int, np.ndarray]
+
+
+def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> _Adjoint:
+    """Build the ad_g channels of every generator in one pass: the channels
+    come from the entries by array operations, every entry is added into
+    the buffer by one ``bincount``, and only the entries written are
+    balanced mod p.  The buffer holds the class matrices back to back,
+    with no padding."""
     entries = [_adjoint_entries(layout, g, p, root_i) for g in gens]
-    gen = np.concatenate([np.full(e[0].size, gi) for gi, e in enumerate(entries)])
+    gen = np.repeat(np.arange(len(gens)), [e[0].size for e in entries])
     src, tgt, coef = (np.concatenate(x) for x in zip(*entries))
-    if not src.size:
-        return {}
-    d, t = layout.coord_class[src], layout.coord_class[tgt]
-    order = np.lexsort((gen, d))  # by source class, then generator
-    out = {}
-    for run in np.split(order, np.flatnonzero(np.diff(d[order])) + 1):
-        dc = int(d[run[0]])
-        gens_here, first = np.unique(gen[run], return_index=True)
-        targets = [int(t[run[f]]) for f in first]
-        offsets = np.cumsum([0] + [len(layout.class_indices[tc]) for tc in targets])
-        cols = offsets[np.searchsorted(gens_here, gen[run])] + layout.coord_local[tgt[run]]
-        M = np.zeros((len(layout.class_indices[dc]), offsets[-1]))
-        at = (layout.coord_local[src[run]], cols)
-        np.add.at(M, at, coef[run])
-        M[at] -= np.rint(M[at] / p) * p  # only the entries written can leave the range
-        out[dc] = (targets, M, offsets)
-    return out
+    del entries
+    ngens, width = len(gens), layout.class_width
+    d = layout.coord_class[src]
+    # channel c is (source class, generator) = divmod(chans[c], ngens); a
+    # table over all such pairs numbers them without sorting the entries
+    key = d * ngens + gen
+    number = np.full(len(width) * ngens, -1)
+    number[key] = layout.coord_class[tgt]  # one target per channel, as checked
+    chans = np.flatnonzero(number >= 0)
+    target = number[chans]
+    number[chans] = np.arange(len(chans))
+    chan = number[key]
+    source, generator = np.divmod(chans, ngens)
+    first = np.searchsorted(source, np.arange(len(width) + 1))
+    w = width[target]
+    lo = np.cumsum(w) - w
+    lo -= lo[first[source]]
+    cols = np.bincount(source, weights=w, minlength=len(width)).astype(np.int64)
+    size = width * cols
+    base = np.cumsum(size) - size
+    # the flat position of each entry: its class matrix, row, channel, column
+    pos = base[d] + layout.coord_local[src] * cols[d] + lo[chan] + layout.coord_local[tgt]
+    del src, tgt, gen, d, key, chan
+    buffer = np.bincount(pos, weights=coef, minlength=int(size.sum()))
+    v = buffer[pos]
+    buffer[pos] = v - np.rint(v / p) * p  # only the entries written can leave the range
+    live = np.flatnonzero(size).tolist()
+    matrices = {t: buffer[base[t] : base[t] + size[t]].reshape(width[t], cols[t]) for t in live}
+    return _Adjoint(buffer, source, generator, target, lo, lo + w, first, matrices)
 
 
 def _modular_closure(
@@ -787,59 +826,75 @@ def _modular_closure(
 ):
     """Level-synchronous left-normed closure over F_p.
 
-    The generators are the first frontier.  Each level brackets the whole
-    frontier with every generator in two passes.  The first counts the
-    candidates of each target class and allocates one zero-padded stack
-    per target width group.  The second takes, per source class, one
-    product of its frontier rows with its stacked ad_g blocks and writes
-    each generator's columns into its target's stack; then every width
-    group is reduced and inserted once.  The rows added (a range of rows
-    per class) form the next frontier; the run ends when a level adds none.
-    Any row of the span may stand for a frontier element, so the current
-    (further reduced) basis rows are bracketed.  The span, hence the pivot
-    set, does not depend on the order of insertion, and every basis row is
-    bracketed with every generator exactly once, so ``brackets`` is
-    len(gens) * dim.  Returns (engine, brackets, levels, phases), the last
-    the seconds spent bracketing, reducing and inserting."""
+    The ad_g channels of all generators are built once per run
+    (``_adjoint_blocks``), and the generators are the first frontier.  Each
+    level brackets the whole frontier with every generator in two passes.
+    The first takes, from the channel arrays, the candidate count of each
+    target class (the frontier size of each channel's source, summed per
+    target) and the first row of each channel's block in its target's
+    stack, and allocates one zero-padded stack per target width group.
+    The second takes, per source class, one product of its frontier rows
+    with its ad_g matrix and writes each channel's columns into its
+    target's stack; then every width group is reduced and inserted once.
+    The rows added (a range of rows per class) form the next frontier; the
+    run ends when a level adds none.  Any row of the span may stand for a
+    frontier element, so the current (further reduced) basis rows are
+    bracketed.  The span, hence the pivot set, does not depend on the order
+    of insertion, and every basis row is bracketed with every generator
+    exactly once, so ``brackets`` is len(gens) * dim.  Returns (engine,
+    brackets, levels, phases), the last the seconds spent building ad_g
+    and bracketing, reducing and inserting."""
     eng = _ModularEngine(layout, p)
     gcls = [layout.operator_class(g) for g in gens]
     for g, t in zip(gens, gcls):
         if t is not None and layout.class_parity[t] != g.parity:
             raise AssertionError("generator support disagrees with its parity")
+    t0 = time.perf_counter()
     ads = _adjoint_blocks(layout, gens, p, eng.root_i)
-    phases = dict.fromkeys(("bracket_s", "reduce_s", "insert_s"), 0.0)
+    phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
+    phases["adjoint_s"] = time.perf_counter() - t0
+    nclasses = len(layout.class_width)
 
-    seeds: dict[int, list] = {}
-    for g, t in zip(gens, gcls):
-        if t is not None:
-            seeds.setdefault(t, []).append(
-                layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]])
-    stacks, place = eng.stacks({t: len(rows) for t, rows in seeds.items()})
-    for t, rows in seeds.items():
-        C, i = place[t]
-        C[i, : len(rows)] = rows
-    del place
+    seeds = [(t, g) for g, t in zip(gens, gcls) if t is not None]
+    counts = np.bincount(np.array([t for t, _ in seeds], dtype=np.int64), minlength=nclasses)
+    stacks, pos = eng.stacks(counts)
+    filled = np.zeros(nclasses, dtype=np.int64)
+    for t, g in seeds:
+        C = stacks[eng.class_group[t]][1]
+        C[pos[t], filled[t]] = layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]]
+        filled[t] += 1
     frontier = eng.process_batch(stacks, phases)
 
+    # channel c's block starts, in its target's stack, after the blocks of
+    # the channels before it with the same target
+    by_target = np.argsort(ads.target, kind="stable")
+    group = eng.class_group[ads.target]
     brackets = levels = 0
     while frontier:
         t0 = time.perf_counter()
-        sources = [(d, new, ads[d]) for d, new in frontier.items() if d in ads]
-        counts: dict[int, int] = {}
-        for _, new, (targets, _, _) in sources:
-            for t in targets:
-                counts[t] = counts.get(t, 0) + len(new)
-        stacks, place = eng.stacks(counts)
-        filled = dict.fromkeys(counts, 0)
-        for d, new, (targets, M, offsets) in sources:
-            R = _bracket_rows(eng.frontier_rows(d, new), M, p)
-            for t, lo, hi in zip(targets, offsets, offsets[1:]):
-                C, i = place[t]
-                C[i, filled[t] : filled[t] + len(R)] = R[:, lo:hi]
-                filled[t] += len(R)
-        place = R = None  # only the stacks live on into the inserts
+        size = np.zeros(nclasses, dtype=np.int64)
+        size[list(frontier)] = [len(new) for new in frontier.values()]
+        n = size[ads.source]
+        counts = np.bincount(ads.target, weights=n, minlength=nclasses).astype(np.int64)
+        stacks, pos = eng.stacks(counts)
+        start = np.empty_like(n)
+        ns = n[by_target]
+        start[by_target] = np.cumsum(ns) - ns - (np.cumsum(counts) - counts)[ads.target[by_target]]
+        # per channel: the group and stack it writes, its first row there,
+        # and the columns of its source's product it reads
+        dest = (group, pos[ads.target], start, ads.lo, ads.hi)
+        Cs = {g: C for g, (_, C) in stacks.items()}
+        for d, new in frontier.items():
+            a, b = ads.first[d : d + 2].tolist()
+            if a < b:
+                R = _bracket_rows(eng.frontier_rows(d, new), ads.matrices[d], p)
+                k = len(new)
+                for g, i, r, lo, hi in zip(*(x[a:b].tolist() for x in dest)):
+                    Cs[g][i, r : r + k] = R[:, lo:hi]
+                R = None  # before the next product is made
+        Cs = dest = None  # only the stacks live on into the inserts
         phases["bracket_s"] += time.perf_counter() - t0
-        brackets += sum(map(len, frontier.values())) * len(gens)
+        brackets += int(size.sum()) * len(gens)
         levels += 1
         frontier = eng.process_batch(stacks, phases)
         if eng.nrows > DIMENSION_BOUND:
@@ -851,7 +906,7 @@ def _modular_closure(
 
 def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
     """[g, x] for a stack of class-local rows x of one class, as balanced
-    residues mod p; ``ad`` is the class's stacked block from
+    residues mod p; ``ad`` is the class's ad_g matrix from
     ``_adjoint_blocks``."""
     R = X @ ad
     R -= np.rint(R * (1.0 / p)) * float(p)
@@ -879,8 +934,8 @@ class ClosureState:
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
     _engine: object = None  # SparseEchelon (exact) or _ModularEngine
-    # seconds spent bracketing, reducing and inserting in a modular run
-    # (not in the report)
+    # seconds spent building ad_g, bracketing, reducing and inserting in a
+    # modular run (not in the report)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def block_dims(self) -> dict[int, int]:
@@ -1000,6 +1055,13 @@ def _resolve_generators(generators, ralg: RestrictedAlgebra) -> list[RestrictedO
     return out
 
 
+def _valid_blocks(blocks: tuple) -> bool:
+    """Whether blocks is a non-empty strictly increasing tuple drawn from
+    0..3, the only form whose layout, and so whose pivots, depend on the
+    set of blocks alone."""
+    return bool(blocks) and set(blocks) <= {0, 1, 2, 3} and list(blocks) == sorted(set(blocks))
+
+
 def lie_closure(
     generators=GENERATOR_NAMES,
     field: str = "modular",
@@ -1013,12 +1075,20 @@ def lie_closure(
     field: "exact" (sparse rational), "modular" (real coordinates mod p) or
     "modular-complex" (one residue per matrix entry; the rank is then the
     complex dimension of the complexified algebra).
+    blocks: the highest-weight blocks to close on, a non-empty strictly
+    increasing tuple drawn from 0..3; generators must name at least one
+    generator.  Anything else raises ValueError.
     progress: for a modular run, called after each bracketing level with
     (level, dim, brackets, frontier size); the last call has frontier 0.
     """
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
+    if not gens:
+        raise ValueError("generators: at least one generator is needed")
     blocks = tuple(blocks)
+    if not _valid_blocks(blocks):
+        raise ValueError(f"blocks {blocks}: need a non-empty strictly increasing tuple "
+                         "drawn from 0..3")
     t0 = time.perf_counter()
     if field == "exact":
         layout = FlatLayout(blocks, complexified=False)
@@ -1084,8 +1154,8 @@ def load_state(path: str) -> ClosureState:
     except ValueError as e:
         raise bad(f"invalid prime: {e}") from None
     blocks = tuple(integers("blocks", 1).tolist())
-    if not blocks or len(set(blocks)) != len(blocks) or not set(blocks) <= {0, 1, 2, 3}:
-        raise bad(f"blocks {blocks} are not distinct values among 0..3")
+    if not _valid_blocks(blocks):
+        raise bad(f"blocks {blocks} are not strictly increasing values among 0..3")
     brackets = int(integers("brackets", 0))
     if brackets < 0:
         raise bad(f"negative bracket count {brackets}")
@@ -1098,7 +1168,7 @@ def load_state(path: str) -> ClosureState:
     nclasses = len(layout.class_indices)
     if row_class.size and (row_class.min() < 0 or row_class.max() >= nclasses):
         raise bad(f"class ids outside 0..{nclasses - 1} of the layout")
-    lengths = np.array([len(idx) for idx in layout.class_indices])[row_class]
+    lengths = layout.class_width[row_class]
     if rows.size != lengths.sum():
         raise bad(f"{rows.size} residues where the rows' classes have {lengths.sum()} coordinates")
     if rows.size and np.abs(rows).max() > (prime - 1) // 2:

@@ -5,6 +5,7 @@ acceptance module; everything here completes in seconds.
 """
 
 import gc
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -188,28 +189,48 @@ def test_state_save_load_roundtrip(tmp_path, ralg):
 
 
 def test_bracket_engines_agree(ralg):
-    """One bracket computed by the exact block path and by the modular
-    engine must agree after projection, coordinate for coordinate, in the
-    real and in the complexified layout."""
+    """Every channel of the modular ad_g must agree with the exact block
+    bracket after projection, coordinate for coordinate, in the real and in
+    the complexified layout, on hw0 and on all four blocks: each of the
+    twelve generators bracketed with every restricted generator.  The class
+    matrices are views that tile the one buffer, with no padding."""
     from wsdalg.closure import _rop_bracket
     from wsdalg.scalars import root_of_minus_one
 
-    x = ralg.generator("iV0")
-    g = ralg.generator("A1")
-    exact = _rop_bracket(g, x, (0, 1, 2, 3))
+    gens = ralg.generators()
     p = DEFAULT_PRIMES[0]
     root = root_of_minus_one(p)
-    for complexified in (False, True):
-        layout = FlatLayout(complexified=complexified)
-        vec_exact = layout.flatten_modular(exact, p, root)
-
-        ad = cl._adjoint_blocks(layout, [g], p, root)
-        d = layout.operator_class(x)
-        (t,), M, _ = ad[d]
-        X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
-        got = np.zeros(layout.length)
-        got[layout.class_indices[t]] = cl._bracket_rows(X, M, p)[0]
-        assert np.array_equal(got, vec_exact)
+    for blocks, complexified in itertools.product([(0,), (0, 1, 2, 3)], (False, True)):
+        layout = FlatLayout(blocks, complexified=complexified)
+        ads = cl._adjoint_blocks(layout, gens, p, root)
+        width = layout.class_width
+        cover = np.zeros(ads.buffer.size, dtype=np.int64)
+        for d, M in ads.matrices.items():
+            a, b = ads.first[d], ads.first[d + 1]
+            assert M.base is ads.buffer and b > a
+            at = (M.ctypes.data - ads.buffer.ctypes.data) // ads.buffer.itemsize
+            cover[at : at + M.size] += 1
+            assert M.shape == (width[d], width[ads.target[a:b]].sum())
+            assert np.array_equal(ads.hi[a:b] - ads.lo[a:b], width[ads.target[a:b]])
+            assert ads.lo[a] == 0 and np.array_equal(ads.lo[a + 1 : b], ads.hi[a : b - 1])
+        assert np.all(cover == 1)
+        checked = 0
+        for x in gens:
+            d = layout.operator_class(x)
+            if d is None:
+                continue
+            X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
+            R = cl._bracket_rows(X, ads.matrices[d], p)[0] if d in ads.matrices else None
+            channel = {int(ads.generator[c]): c for c in range(ads.first[d], ads.first[d + 1])}
+            for i, g in enumerate(gens):
+                want = layout.flatten_modular(_rop_bracket(g, x, blocks), p, root)
+                got = np.zeros(layout.length)
+                if i in channel:
+                    c = channel[i]
+                    got[layout.class_indices[ads.target[c]]] = R[ads.lo[c] : ads.hi[c]]
+                    checked += bool(want.any())
+                assert np.array_equal(got, want)
+        assert checked > 12
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +474,8 @@ def _tamper(entries, key):
         e["prime"] = np.asarray(DEFAULT_PRIMES)
     elif key == "blocks-float":
         e["blocks"] = e["blocks"].astype(np.float64)
+    elif key == "blocks-order":
+        e["blocks"] = np.asarray([3, 0])
     elif key == "brackets-float":
         e["brackets"] = e["brackets"].astype(np.float64)
     elif key == "brackets-negative":
@@ -480,6 +503,7 @@ def _tamper(entries, key):
     ("prime-float", "prime does not hold integers"),
     ("prime-vector", "prime has 1 dimensions, not 0"),
     ("blocks-float", "blocks does not hold integers"),
+    ("blocks-order", r"blocks \(3, 0\) are not strictly increasing"),
     ("brackets-float", "brackets does not hold integers"),
     ("brackets-negative", "negative bracket count -1"),
     ("brackets-vector", "brackets has 1 dimensions, not 0"),
@@ -699,10 +723,11 @@ def test_hw0_closure_batches_width_groups(monkeypatch, ralg):
 
 
 def test_closure_phase_timers(ralg):
-    """A modular run times its bracket, reduce and insert phases; the
-    closure suite records them in meta, never in results."""
+    """A modular run times its ad_g set-up and its bracket, reduce and
+    insert phases; the closure suite records them in meta, never in
+    results."""
     st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
-    assert set(st.phases) == {"bracket_s", "reduce_s", "insert_s"}
+    assert set(st.phases) == {"adjoint_s", "bracket_s", "reduce_s", "insert_s"}
     assert all(v > 0 for v in st.phases.values())
     assert sum(st.phases.values()) <= st.wall_s
     assert "phases" not in st.report()
@@ -711,6 +736,51 @@ def test_closure_phase_timers(ralg):
     meta = out.pop("_meta")
     assert set(meta["phase_s"]) == set(meta["wall_s"])
     for key, phases in meta["phase_s"].items():
-        assert set(phases) == {"bracket_s", "reduce_s", "insert_s"}
+        assert set(phases) == {"adjoint_s", "bracket_s", "reduce_s", "insert_s"}
         assert sum(phases.values()) <= meta["wall_s"][key] + 0.002  # both rounded to ms
     assert "phase_s" not in repr(out)
+
+
+def test_hw0_level_bookkeeping(monkeypatch, ralg):
+    """The candidate stacks are allocated once for the generators and once
+    per level.  A level asks, per target class, for the frontier size of
+    each source class times the channels from that source to the target,
+    the channels read off the generators' ad_g entries."""
+    calls, frontiers = [], []
+    stacks, process = cl._ModularEngine.stacks, cl._ModularEngine.process_batch
+    monkeypatch.setattr(cl._ModularEngine, "stacks", lambda self, counts:
+                        calls.append(counts.copy()) or stacks(self, counts))
+    monkeypatch.setattr(cl._ModularEngine, "process_batch", lambda self, s, phases:
+                        frontiers.append(process(self, s, phases)) or frontiers[-1])
+    st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    assert st.pivot_hash() == HW0_HASHES["modular"]
+    assert len(calls) == st.levels + 1 == len(frontiers) and not frontiers[-1]
+    layout, gens = st.layout, ralg.generators()
+    nclasses = len(layout.class_width)
+    links = np.zeros((nclasses, nclasses), dtype=np.int64)
+    for g in gens:
+        src, tgt, _ = cl._adjoint_entries(layout, g, st.prime, st._engine.root_i)
+        for d, t in set(zip(layout.coord_class[src].tolist(), layout.coord_class[tgt].tolist())):
+            links[d, t] += 1
+    seeds = [layout.operator_class(g) for g in gens]
+    assert np.array_equal(calls[0], np.bincount([t for t in seeds if t is not None],
+                                                minlength=nclasses))
+    for counts, frontier in zip(calls[1:], frontiers):
+        size = np.zeros(nclasses, dtype=np.int64)
+        for d, new in frontier.items():
+            size[d] = len(new)
+        assert np.array_equal(counts, size @ links)
+
+
+@pytest.mark.parametrize("generators,blocks,argument", [
+    ([], (3,), "generators"),
+    (cl.GENERATOR_NAMES, (), "blocks"),
+    (cl.GENERATOR_NAMES, (4,), "blocks"),
+    (cl.GENERATOR_NAMES, (3, 3), "blocks"),
+    (cl.GENERATOR_NAMES, (3, 0), "blocks"),
+])
+def test_lie_closure_rejects_bad_arguments(ralg, generators, blocks, argument):
+    """No generators, and blocks that are not a non-empty strictly
+    increasing tuple drawn from 0..3, are rejected before any work."""
+    with pytest.raises(ValueError, match=f"^{argument}"):
+        lie_closure(generators, field="modular", blocks=blocks, ralg=ralg)
