@@ -254,8 +254,8 @@ class FlatLayout:
     # The shift-class tables serve only the modular engine, so they are
     # read on the first access to any of them: an exact closure never pays.
     _CLASS_TABLES = frozenset(
-        ("coord_class", "class_shifts", "class_of_shift", "class_parity", "class_indices",
-         "class_width", "coord_local")
+        ("coord_class", "class_shifts", "class_shift_array", "class_of_shift", "class_parity",
+         "class_indices", "class_width", "coord_local")
     )
 
     def __getattr__(self, name):
@@ -364,11 +364,12 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
     coord_local[order] = np.arange(layout.length) - np.repeat(np.cumsum(counts) - counts, counts)
     class_shifts = tuple(tuple(int(x) for x in u) for u in uniq)
     class_parity = uniq.sum(axis=1) & 1
-    for a in (coord_class, order, coord_local, class_parity, counts):
+    for a in (uniq, coord_class, order, coord_local, class_parity, counts):
         a.setflags(write=False)  # before splitting: views inherit the flag
     return {
         "coord_class": coord_class,
         "class_shifts": class_shifts,
+        "class_shift_array": uniq,
         "class_of_shift": MappingProxyType({sh: t for t, sh in enumerate(class_shifts)}),
         "class_parity": class_parity,
         "class_indices": tuple(np.split(order, np.cumsum(counts)[:-1])),
@@ -721,34 +722,33 @@ def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: 
     AssertionError if some bracket leaves the class its multidegree shift
     predicts."""
     gblocks = layout.generator_arrays(g, p, root_i)
+    # (src part, tgt part, matrix, sign): re/im mixing of a complex entry
+    terms = ([(0, 0, 0, 1)] if layout.complexified else
+             [(0, 0, 0, 1), (1, 0, 1, -1), (0, 1, 1, 1), (1, 1, 0, 1)])
     src, tgt, coef, right = [], [], [], []
     for k in layout.blocks:
         s, o = BLOCK_SIZES[k], layout.offsets[k]
         mats = [gblocks[k]] if layout.complexified else list(gblocks[k])
-        rows, cols = np.nonzero(np.any([m != 0 for m in mats], axis=0))
-        vals = [m[rows, cols][:, None] for m in mats]
-        a = np.arange(s)[None, :]
-        # (src part, tgt part, coefficient): re/im mixing of a complex entry
-        terms = ([(0, 0, vals[0])] if layout.complexified else
-                 [(0, 0, vals[0]), (1, 0, -vals[1]), (0, 1, vals[1]), (1, 1, vals[0])])
+        nonzero = [np.nonzero(m) for m in mats]
+        # each term expands only the entries where its matrix is nonzero
+        parts = []
+        for a, b, m, sign in terms:
+            r, c = nonzero[m]
+            parts.append((r, c, np.full(r.size, o + a * s * s), np.full(r.size, o + b * s * s),
+                          sign * mats[m][r, c]))
+        rows, cols, sp, tp, v = (np.concatenate(x)[:, None] for x in zip(*parts))
+        j = np.arange(s)[None, :]
         # g x: x[j, c] -> (g x)[r, c] for G[r, j];  x g: x[r, j] -> (x g)[r, c] for G[j, c]
-        for is_right, s_rc, t_rc in (
-            (False, cols[:, None] * s + a, rows[:, None] * s + a),
-            (True, a * s + rows[:, None], a * s + cols[:, None]),
-        ):
-            for sp, tp, v in terms:
-                src.append((o + sp * s * s + s_rc).ravel())
-                tgt.append((o + tp * s * s + t_rc).ravel())
-                coef.append(np.broadcast_to(v, s_rc.shape).ravel())
-                right.append(np.full(s_rc.size, is_right))
+        src += [(sp + cols * s + j).ravel(), (sp + j * s + rows).ravel()]
+        tgt += [(tp + rows * s + j).ravel(), (tp + j * s + cols).ravel()]
+        coef += [np.broadcast_to(v, (v.size, s)).ravel()] * 2
+        right += [np.zeros(v.size * s, bool), np.ones(v.size * s, bool)]
     src, tgt, coef, right = (np.concatenate(x) for x in (src, tgt, coef, right))
-    live = coef != 0
-    src, tgt, coef, right = src[live], tgt[live], coef[live], right[live]
     d, t = layout.coord_class[src], layout.coord_class[tgt]
     # [g, x] = g x - (-1)^{|g||x|} x g
     coef = np.where(right & ~(g.parity & layout.class_parity[d]).astype(bool), -coef, coef)
-    shifts = np.asarray(layout.class_shifts)
-    moved = shifts[t] - shifts[d]
+    shifts = layout.class_shift_array  # np.take: a row gather faster than fancy indexing
+    moved = np.take(shifts, t, axis=0) - np.take(shifts, d, axis=0)
     if np.any(moved != moved[:1]):
         raise AssertionError("a bracket leaves the class its multidegree shift predicts")
     return src, tgt, coef

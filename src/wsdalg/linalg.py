@@ -1,16 +1,15 @@
-"""Exact Gaussian elimination over Q(i), sparse and dense flavors.
+"""Exact Gaussian elimination over Q(i) and Q on sparse rows.
 
-Everything here is deterministic: pivots are always the smallest key
-(sparse) or the leftmost column (dense), rows are normalized to a leading
-one, and kernels are parameterized by free columns in increasing order.
-The sparse routines accept entries of any exact type, so ``SparseEchelon``
-also serves rational coordinates (ints and Fractions, as the exact closure
-engine flattens a ``GaussRational``'s int-or-Fraction components).
-Normalization divides ``Fraction(1)`` by the leading entry, never the
-int 1, so an int row never turns into floats, and stores integral
-rational entries as ints, so reductions against them stay on ints.
-Sizes in this package stay below a few hundred, so exact arithmetic is
-cheap.
+``SparseEchelon`` is the one echelon: a fully reduced basis, each row 1 at
+its pivot (its smallest key) and 0 at every other pivot.  A reduced
+echelon form is unique for its span, so pivots, rows and the free-column
+kernels read off them do not depend on the insertion order.
+``rref_dense``, ``rank_dense`` and ``kernel_basis`` wrap it for dense
+lists; ``CoordinateSolver`` also tracks how its rows combine the inputs.
+Entries may be of any exact type, so rational coordinates (the exact
+closure's ints and Fractions) work too: normalization divides
+``Fraction(1)``, never the int 1, so no float appears, and integral
+rational entries are stored as ints, so reductions stay on ints.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ __all__ = ["SparseEchelon", "CoordinateSolver", "rref_dense", "kernel_basis", "r
 
 def _sub_scaled(vec: dict, other: dict, coeff) -> None:
     """vec -= coeff * other, in place, dropping zeros; rational entries
-    stay rational and GaussRational entries stay GaussRational."""
+    stay canonical (integral ones as ints) and GaussRational entries stay
+    GaussRational."""
     for k, v in other.items():
         s = vec[k] - coeff * v if k in vec else -(coeff * v)
         if s:
-            vec[k] = s
+            vec[k] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         else:
             vec.pop(k, None)
 
@@ -39,31 +39,40 @@ def _canonical(x):
 
 
 class SparseEchelon:
-    """Echelon basis of sparse row vectors keyed by their leading index."""
+    """Fully reduced echelon basis of sparse row vectors keyed by their
+    pivot: ``rows[p]`` is 1 at p and 0 at every other pivot."""
 
     def __init__(self):
         self.rows: dict = {}
 
+    def copy(self) -> "SparseEchelon":
+        out = SparseEchelon()
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
+
     def reduce(self, vec: dict) -> dict:
-        """Reduce the leading entry until it is pivot-free or the vector
-        dies; returns the (mutated) vector."""
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            _sub_scaled(vec, row, vec[lead])
+        """Clear every pivot column of vec in one pass (a row is 0 at the
+        other pivots, so each subtraction clears one pivot for good);
+        returns the (mutated) vector."""
+        rows = self.rows
+        for p in [k for k in vec if k in rows]:
+            _sub_scaled(vec, rows[p], vec[p])
         return vec
 
     def insert(self, vec: dict):
-        """Reduce and, if nonzero, normalize and store; returns the new
-        pivot or None."""
+        """Reduce and, if nonzero, normalize, back-reduce the stored rows at
+        the new pivot and store; returns the new pivot or None."""
         vec = self.reduce(dict(vec))
         if not vec:
             return None
         lead = min(vec)
         inv = Fraction(1) / vec[lead]
-        self.rows[lead] = {k: _canonical(inv * v) for k, v in vec.items()}
+        new = {k: _canonical(inv * v) for k, v in vec.items()}
+        for row in self.rows.values():
+            c = row.get(lead)
+            if c:
+                _sub_scaled(row, new, c)
+        self.rows[lead] = new
         return lead
 
     def contains(self, vec: dict) -> bool:
@@ -72,6 +81,20 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def kernel(self, columns) -> list[dict]:
+        """Kernel of the rows on ``columns`` (increasing keys): one vector
+        per free column f, 1 at f and minus each row's f entry at that
+        row's pivot, with keys in increasing order."""
+        rows = sorted(self.rows.items())
+        out = []
+        for f in columns:
+            if f in self.rows:
+                continue
+            vec = {p: -row[f] for p, row in rows if f in row}
+            vec[f] = ONE
+            out.append(vec)
+        return out
 
 
 class CoordinateSolver:
@@ -137,50 +160,25 @@ class CoordinateSolver:
         return [combo.get(i, ZERO) for i in range(self.n)]
 
 
+def _echelon(rows: list[list[GaussRational]]) -> SparseEchelon:
+    ech = SparseEchelon()
+    for r in rows:
+        ech.insert({c: v for c, v in enumerate(r) if v})
+    return ech
+
+
 def rref_dense(rows: list[list[GaussRational]], ncols: int):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    ech = _echelon(rows)
+    pivots = sorted(ech.rows)
+    return [[ech.rows[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
 
 
 def rank_dense(rows: list[list[GaussRational]], ncols: int) -> int:
-    return len(rref_dense(rows, ncols)[1])
+    return _echelon(rows).rank
 
 
 def kernel_basis(rows: list[list[GaussRational]], ncols: int) -> list[list[GaussRational]]:
     """Deterministic kernel basis: one vector per free column, carrying a 1
     there and the negated pivot-row coefficients elsewhere."""
-    rref, pivots = rref_dense(rows, ncols)
-    pivot_set = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, pc in enumerate(pivots):
-            if rref[r][free]:
-                vec[pc] = -rref[r][free]
-        out.append(vec)
-    return out
+    return [[vec.get(c, ZERO) for c in range(ncols)] for vec in _echelon(rows).kernel(range(ncols))]

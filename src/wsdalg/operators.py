@@ -20,6 +20,8 @@ composition walks columns, so this is the natural orientation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .scalars import GaussRational, I, ONE, ZERO, gauss
 from . import forms
 from .forms import (
@@ -327,19 +329,11 @@ def build_J(k: int) -> Operator:
     return Operator(cols)
 
 
-_STAR: Operator | None = None
-
-
+@lru_cache(maxsize=1)
 def star_operator() -> Operator:
-    global _STAR
-    if _STAR is None:
-        _STAR = Operator(
-            {
-                m: {FULL_MASK ^ m: ONE if forms.star_sign(m) > 0 else -ONE}
-                for m in range(DIM)
-            }
-        )
-    return _STAR
+    return Operator(
+        {m: {FULL_MASK ^ m: ONE if forms.star_sign(m) > 0 else -ONE} for m in range(DIM)}
+    )
 
 
 # -- adjoints -------------------------------------------------------------------
@@ -501,9 +495,11 @@ def standard_generators() -> dict[str, Operator]:
 # -- weight operators ------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def sl2_triple() -> tuple[Operator, Operator, Operator]:
     """Raising/lowering/Cartan triple of the rotation action:
-    e = iJ1 - J2, f = iJ1 + J2, h = 2iJ3."""
+    e = iJ1 - J2, f = iJ1 + J2, h = 2iJ3.  Built once; callers share the
+    operators and must not mutate them."""
     j1, j2, j3 = build_J(1), build_J(2), build_J(3)
     e = j1.scale(I) - j2
     f = j1.scale(I) + j2

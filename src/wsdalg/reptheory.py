@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .scalars import GaussRational, ZERO
 from .forms import Form, multidegree_of_mask
-from .linalg import CoordinateSolver, kernel_basis
-from .operators import Operator, sl2_triple
+from .linalg import CoordinateSolver, SparseEchelon
+from .operators import Operator, identity, sl2_triple
 
 __all__ = [
     "multidegree_classes",
@@ -48,45 +48,43 @@ def multidegree_classes() -> dict[tuple[int, int, int], list[int]]:
     return classes
 
 
-def _class_matrix(op: Operator, masks: list[int]) -> list[list[GaussRational]]:
-    """Matrix of an operator on a multidegree class it preserves."""
-    index = {m: i for i, m in enumerate(masks)}
-    cols = []
+def _insert_class_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> SparseEchelon:
+    """Insert the rows {input mask: coeff} of an operator on a multidegree
+    class it preserves into ech; returns ech."""
+    index = set(masks)
+    rows: dict[int, dict[int, GaussRational]] = {}
     for m in masks:
-        col = [ZERO] * len(masks)
         for r, v in op.cols.get(m, {}).items():
             if r not in index:
                 raise ValueError("operator leaves the multidegree class")
-            col[index[r]] = v
-        cols.append(col)
-    # transpose to rows
-    return [[cols[c][r] for c in range(len(masks))] for r in range(len(masks))]
+            rows.setdefault(r, {})[m] = v
+    for row in rows.values():
+        ech.insert(row)
+    return ech
 
 
-@lru_cache(maxsize=8)
-def _hw_class_vectors(k: int) -> list[tuple[tuple[int, int, int], list[Form]]]:
-    """Per multidegree class, a deterministic basis of ker(e) with
-    h-eigenvalue 2k."""
+@lru_cache(maxsize=2)
+def _hw_class_vectors_by_type(max_type: int) -> tuple[list[tuple[tuple[int, int, int], list[Form]]], ...]:
+    """Per type k = 0..max_type and multidegree class, a deterministic
+    basis of ker(e) with h-eigenvalue 2k: the free-column kernel of e's
+    rows stacked on the rows of h - 2k, with the masks of the class as
+    columns.  e's rows are eliminated once per class for all types."""
     e, _, h = sl2_triple()
-    classes = multidegree_classes()
-    out = []
-    for md in sorted(classes):
-        masks = classes[md]
-        em = _class_matrix(e, masks)
-        hm = _class_matrix(h, masks)
-        n = len(masks)
-        stacked = em + [
-            [hm[r][c] - (GaussRational(2 * k) if r == c else ZERO) for c in range(n)]
-            for r in range(n)
-        ]
-        kern = kernel_basis(stacked, n)
-        vecs = [
-            Form({masks[i]: coord for i, coord in enumerate(vec) if coord})
-            for vec in kern
-        ]
-        if vecs:
-            out.append((md, vecs))
+    shifted = [h - identity().scale(2 * k) for k in range(max_type + 1)]
+    out = tuple([] for _ in shifted)
+    for md, masks in sorted(multidegree_classes().items()):
+        e_ech = _insert_class_rows(SparseEchelon(), e, masks)
+        for by_class, hk in zip(out, shifted):
+            vecs = [Form(v) for v in _insert_class_rows(e_ech.copy(), hk, masks).kernel(masks)]
+            if vecs:
+                by_class.append((md, vecs))
     return out
+
+
+def _hw_class_vectors(k: int) -> list[tuple[tuple[int, int, int], list[Form]]]:
+    """Per multidegree class, the basis of ker(e) with h-eigenvalue 2k.
+    Types 0..4, the range ``isotypical_table`` checks, share one pass."""
+    return _hw_class_vectors_by_type(max(k, 4))[k]
 
 
 @dataclass

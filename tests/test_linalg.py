@@ -1,0 +1,106 @@
+"""Exact elimination: the fully reduced sparse echelon and its dense wrappers."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from wsdalg.linalg import CoordinateSolver, SparseEchelon, kernel_basis, rank_dense, rref_dense
+from wsdalg.scalars import GaussRational, ONE, ZERO
+
+
+def _entry(rng):
+    """A Gaussian rational with int or Fraction components."""
+
+    def part():
+        if rng.random() < 0.5:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    return GaussRational(part(), part())
+
+
+def _matrix(rng, density):
+    """A random matrix, often rank deficient: some rows are combinations
+    of earlier ones, and an arrow pattern (a full first row and column)
+    fills in the sparse case during elimination."""
+    nr, nc = rng.randint(1, 8), rng.randint(1, 9)
+    rows = [[_entry(rng) if rng.random() < density else ZERO for _ in range(nc)] for _ in range(nr)]
+    if density < 0.5:
+        rows[0] = [_entry(rng) for _ in range(nc)]
+        for r in rows[1:]:
+            r[0] = _entry(rng)
+    for i in range(1, nr):
+        if rng.random() < 0.3:
+            a, b = _entry(rng), _entry(rng)
+            rows[i] = [a * x + b * y for x, y in zip(rows[rng.randrange(i)], rows[i - 1])]
+    return rows, nc
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+@pytest.mark.parametrize("density", [0.9, 0.3])
+def test_rref_and_kernel_properties(density):
+    rng = random.Random(11 if density > 0.5 else 12)
+    for _ in range(40):
+        rows, nc = _matrix(rng, density)
+        rref, pivots = rref_dense(rows, nc)
+        # reduced echelon form, unique for the span
+        assert pivots == sorted(pivots) and len(rref) == len(pivots)
+        for i, pc in enumerate(pivots):
+            assert [rref[j][pc] for j in range(len(rref))] == [ONE if j == i else ZERO for j in range(len(rref))]
+            assert not any(rref[i][:pc])
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert rref_dense(shuffled, nc) == (rref, pivots)
+        # same span as the input, and the rank agrees with CoordinateSolver
+        rank = CoordinateSolver(_sparse(rows)).rank
+        assert rank == len(pivots) == rank_dense(rows, nc)
+        solver = CoordinateSolver(_sparse(rref))
+        assert all(solver.coordinates(r) is not None for r in _sparse(rows))
+        # kernel: A v = 0 exactly, one vector per free column in increasing
+        # order, 1 there and 0 at every other free column
+        kern = kernel_basis(rows, nc)
+        free = [c for c in range(nc) if c not in pivots]
+        assert len(kern) == nc - rank == len(free)
+        for f, v in zip(free, kern):
+            assert [v[c] for c in free] == [ONE if c == f else ZERO for c in free]
+            for r in rows:
+                assert sum((a * x for a, x in zip(r, v)), ZERO) == ZERO
+
+
+def test_sparse_echelon_is_fully_reduced():
+    rng = random.Random(5)
+    for _ in range(30):
+        rows, nc = _matrix(rng, 0.3)
+        ech = SparseEchelon()
+        for r in _sparse(rows):
+            ech.insert(r)
+        for p, row in ech.rows.items():
+            assert min(row) == p and row[p] == ONE
+            assert not any(q in row for q in ech.rows if q != p)
+        ech2 = ech.copy()
+        for r in _sparse(rows):
+            assert ech.contains(r)
+            assert ech2.insert(r) is None
+        assert ech2.rows == ech.rows
+
+
+def test_sparse_echelon_back_reduction():
+    """A second insert back-reduces the earlier row at the new pivot, and
+    rational entries stay ints or Fractions (ints when integral)."""
+    ech = SparseEchelon()
+    assert ech.insert({0: 2, 1: 3}) == 0
+    assert ech.rows[0] == {0: 1, 1: Fraction(3, 2)}
+    assert ech.insert({0: 1, 1: 1, 2: 5}) == 1
+    assert ech.rows == {0: {0: 1, 2: 15}, 1: {1: 1, 2: -10}}
+    assert ech.insert({1: Fraction(1, 3), 2: 1, 3: 7}) == 2
+    for row in ech.rows.values():
+        assert 2 not in row or row is ech.rows[2]
+        for v in row.values():
+            assert type(v) in (int, Fraction), repr(v)
+            assert type(v) is int or v.denominator != 1, repr(v)
+    assert ech.rows[0] == {0: 1, 3: Fraction(-315, 13)}
+    assert ech.rows[1] == {1: 1, 3: Fraction(210, 13)}

@@ -115,6 +115,16 @@ def test_serre_presentation():
     assert g["h3"] == superbracket(L2, Lam2)
 
 
+def test_rotation_triple_is_built_once_and_never_mutated():
+    """Every caller shares the cached triple; after all the exact suites
+    it still equals a fresh build."""
+    from wsdalg import suites
+
+    assert ops.sl2_triple() is ops.sl2_triple()
+    suites.run_suites(["relations", "table1", "bases", "appendix", "structure"])
+    assert ops.sl2_triple() == ops.sl2_triple.__wrapped__()
+
+
 def test_rotation_triple_weights():
     e, f, h = ops.sl2_triple()
     w10 = forms.w_form(1, 0)

@@ -1,5 +1,7 @@
 """Isotypical decomposition and highest-weight space extraction."""
 
+import hashlib
+
 import pytest
 
 from wsdalg.scalars import GaussRational, ZERO
@@ -11,6 +13,7 @@ from wsdalg.reptheory import (
     HW_HALF_DIMS,
     SpaceEscape,
     SpanSolver,
+    _hw_class_vectors,
     highest_weight_space,
     isotypical_table,
     multidegree_classes,
@@ -134,3 +137,26 @@ def test_total_dimension_bookkeeping():
         for k in range(4)
     )
     assert total == 512
+
+
+# sha256 prefixes of the per-class kernel bases, as computed by the dense
+# Gauss-Jordan elimination this package used before its sparse echelon
+HW_CLASS_DIGESTS = {
+    0: "60b5d5db7435bc7f",
+    1: "d009c0b31b33c7c8",
+    2: "bcb4bd3aec7b343d",
+    3: "e61ead9b74309b03",
+    4: "e3b0c44298fc1c14",  # no type-4 vectors: the empty digest
+}
+
+
+@pytest.mark.parametrize("k", sorted(HW_CLASS_DIGESTS))
+def test_hw_class_vectors_pinned(k):
+    """Every highest-weight vector, its class and its coefficients (in
+    dictionary order) are unchanged."""
+    h = hashlib.sha256()
+    for md, vecs in _hw_class_vectors(k):
+        h.update(repr(md).encode())
+        for v in vecs:
+            h.update(repr([(m, str(c.re), str(c.im)) for m, c in v.coeffs.items()]).encode())
+    assert h.hexdigest()[:16] == HW_CLASS_DIGESTS[k]
