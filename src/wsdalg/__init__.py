@@ -55,7 +55,6 @@ from .hwbases import (
 )
 from .closure import (
     RestrictedAlgebra,
-    block_dimensions,
     lie_closure,
     su_pair_dimension,
     verify_structure,

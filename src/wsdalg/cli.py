@@ -128,6 +128,11 @@ def main(argv=None) -> int:
         primes = tuple(map(validate_prime, args.prime or suites.default_primes_from_env()))
     except ValueError as exc:
         parser.error(str(exc))
+    if args.out:
+        if os.path.isdir(args.out):
+            parser.error(f"--out {args.out} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            parser.error(f"--out {args.out}: its directory does not exist")
     config = {"primes": primes}
     if args.progress:
         config["progress"] = _progress_line

@@ -94,7 +94,6 @@ __all__ = [
     "ClosureState",
     "lie_closure",
     "load_state",
-    "block_dimensions",
     "verify_structure",
     "su_pair_dimension",
     "DIMENSION_BOUND",
@@ -939,6 +938,9 @@ class ClosureState:
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def block_dims(self) -> dict[int, int]:
+        """Per-block dimensions read off the echelon pivots.  Pivot counts
+        are exact projection ranks whenever the per-block ranks sum to the
+        total dimension (each block's pivot rows project independently)."""
         out = {}
         for k in self.blocks:
             lo, hi = self.layout.block_range(k)
@@ -1199,13 +1201,6 @@ def load_state(path: str) -> ClosureState:
         field, prime, blocks, layout, eng.nrows, eng.global_pivots(), eng.parities(),
         brackets, 0.0, _engine=eng,
     )
-
-
-def block_dimensions(state: ClosureState) -> dict[str, int]:
-    """Per-block dimensions read off the echelon pivots.  Pivot counts are
-    exact projection ranks whenever the per-block ranks sum to the total
-    dimension (each block's pivot rows project independently)."""
-    return {f"hw{k}": v for k, v in state.block_dims().items()}
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,10 @@ __all__ = [
     "BLOCK_MASKS",
     "pos",
     "pos_label",
-    "degree_of_mask",
     "multidegree_of_mask",
     "Form",
     "monomial",
     "one",
-    "zero_form",
     "wedge",
     "contract",
     "hodge_star",
@@ -73,10 +71,6 @@ def pos(i: int, j: int) -> int:
 def pos_label(p: int) -> str:
     """Inverse of pos(): the textual name 'v{i}{j}' of a position."""
     return f"v{p % 3 + 1}{p // 3}"
-
-
-def degree_of_mask(mask: int) -> int:
-    return mask.bit_count()
 
 
 def multidegree_of_mask(mask: int) -> tuple[int, int, int]:
@@ -155,10 +149,6 @@ def monomial(mask: int, coeff=1) -> Form:
 
 def one() -> Form:
     return monomial(0)
-
-
-def zero_form() -> Form:
-    return Form()
 
 
 def _wedge_sign_and_mask(a: int, b: int) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .scalars import I
 from . import forms
 from .forms import Form, wedge, hodge_star, w_form
-from .reptheory import SpanSolver
+from .reptheory import SpanSolver, restrict_operator
 from .operators import Operator, kw_decompose, build_L, build_K, sl2_triple
 from . import pattern_tables
 
@@ -277,8 +277,6 @@ def verify_pattern_tables(tables=None) -> dict:
         matrices = {}
         for op_spec in ops_in_scope:
             op = _component_operator(op_spec, cache)
-            from .reptheory import restrict_operator
-
             matrices[op_spec] = restrict_operator(op, vecs, solver, labels)
         mismatches = []
         marked = unmarked = 0

@@ -4,21 +4,21 @@
 its pivot (its smallest key) and 0 at every other pivot.  A reduced
 echelon form is unique for its span, so pivots, rows and the free-column
 kernels read off them do not depend on the insertion order.
-``rref_dense``, ``rank_dense`` and ``kernel_basis`` wrap it for dense
-lists; ``CoordinateSolver`` also tracks how its rows combine the inputs.
-Entries may be of any exact type, so rational coordinates (the exact
-closure's ints and Fractions) work too: normalization divides
-``Fraction(1)``, never the int 1, so no float appears, and integral
-rational entries are stored as ints, so reductions stay on ints.
+``rank_dense`` wraps it for dense lists, and ``reptheory.SpanSolver``
+reads coordinates in a spanning family off it.  Entries may be of any
+exact type, so rational coordinates (the exact closure's ints and
+Fractions) work too: normalization divides ``Fraction(1)``, never the int
+1, so no float appears, and integral rational entries are stored as ints,
+so reductions stay on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, ONE, ZERO
+from .scalars import GaussRational, ONE
 
-__all__ = ["SparseEchelon", "CoordinateSolver", "rref_dense", "kernel_basis", "rank_dense"]
+__all__ = ["SparseEchelon", "rank_dense"]
 
 
 def _sub_scaled(vec: dict, other: dict, coeff) -> None:
@@ -97,88 +97,8 @@ class SparseEchelon:
         return out
 
 
-class CoordinateSolver:
-    """Expresses vectors as exact linear combinations of a fixed list.
-
-    Feed the spanning vectors in order; ``coordinates`` then returns the
-    coefficient list of any member of the span, or None for non-members.
-    """
-
-    def __init__(self, vectors=None):
-        self.rows: dict = {}  # lead -> (row vec, combo dict idx -> coeff)
-        self.n = 0
-        self.dependent: list[int] = []
-        for v in vectors or []:
-            self.append(v)
-
-    def append(self, vec: dict) -> bool:
-        """Add one spanning vector; False when it was already in the span."""
-        idx = self.n
-        self.n += 1
-        work = dict(vec)
-        combo = {idx: ONE}
-        while work:
-            lead = min(work)
-            hit = self.rows.get(lead)
-            if hit is None:
-                c = work[lead]
-                inv = ONE / c
-                self.rows[lead] = (
-                    {k: inv * v for k, v in work.items()},
-                    {k: inv * v for k, v in combo.items()},
-                )
-                return True
-            row, rcombo = hit
-            c = work[lead]
-            _sub_scaled(work, row, c)
-            _sub_scaled(combo, rcombo, c)
-        self.dependent.append(idx)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def coordinates(self, vec: dict) -> list | None:
-        """Coefficients x with vec = sum x_i * vectors[i], else None."""
-        work = dict(vec)
-        combo: dict = {}
-        while work:
-            lead = min(work)
-            hit = self.rows.get(lead)
-            if hit is None:
-                return None
-            row, rcombo = hit
-            c = work[lead]
-            _sub_scaled(work, row, c)
-            for k, v in rcombo.items():
-                s = combo.get(k, ZERO) + c * v
-                if s:
-                    combo[k] = s
-                else:
-                    combo.pop(k, None)
-        return [combo.get(i, ZERO) for i in range(self.n)]
-
-
-def _echelon(rows: list[list[GaussRational]]) -> SparseEchelon:
+def rank_dense(rows: list[list[GaussRational]], ncols: int) -> int:
     ech = SparseEchelon()
     for r in rows:
         ech.insert({c: v for c, v in enumerate(r) if v})
-    return ech
-
-
-def rref_dense(rows: list[list[GaussRational]], ncols: int):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    ech = _echelon(rows)
-    pivots = sorted(ech.rows)
-    return [[ech.rows[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
-
-
-def rank_dense(rows: list[list[GaussRational]], ncols: int) -> int:
-    return _echelon(rows).rank
-
-
-def kernel_basis(rows: list[list[GaussRational]], ncols: int) -> list[list[GaussRational]]:
-    """Deterministic kernel basis: one vector per free column, carrying a 1
-    there and the negated pivot-row coefficients elsewhere."""
-    return [[vec.get(c, ZERO) for c in range(ncols)] for vec in _echelon(rows).kernel(range(ncols))]
+    return ech.rank

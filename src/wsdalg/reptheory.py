@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .scalars import GaussRational, ZERO
-from .forms import Form, multidegree_of_mask
-from .linalg import CoordinateSolver, SparseEchelon
+from .scalars import GaussRational, ONE, ZERO
+from .forms import DIM, Form, multidegree_of_mask
+from .linalg import SparseEchelon
 from .operators import Operator, identity, sl2_triple
 
 __all__ = [
@@ -172,18 +172,19 @@ class SpaceEscape(ValueError):
 class SpanSolver:
     """Coordinate solver for a family of multidegree-homogeneous forms.
 
-    Vectors are grouped by multidegree; each image is decomposed per class,
-    so solves stay tiny even for the 72-dimensional space.
+    Vectors are grouped by multidegree, each class in one ``SparseEchelon``,
+    so solves stay tiny even for the 72-dimensional space.  Vector i goes
+    in with an extra -1 at the marker key ``DIM + i``, past every mask: a
+    pivot at a marker means vector i is dependent, and a member f reduces
+    to sum_i x_i at ``DIM + i``, where f = sum_i x_i vectors[i].
     """
 
     def __init__(self, vectors: list[Form]):
         self.vectors = vectors
-        self.by_md: dict[tuple[int, int, int], tuple[list[int], CoordinateSolver]] = {}
+        self.by_md: dict[tuple[int, int, int], SparseEchelon] = {}
         for i, v in enumerate(vectors):
-            md = _require_homogeneous(v, i)
-            idxs, solver = self.by_md.setdefault(md, ([], CoordinateSolver()))
-            idxs.append(i)
-            if not solver.append(dict(v.coeffs)):
+            ech = self.by_md.setdefault(_require_homogeneous(v, i), SparseEchelon())
+            if ech.insert({**v.coeffs, DIM + i: -ONE}) >= DIM:
                 raise ValueError(f"vector {i} is linearly dependent on earlier ones")
 
     def __len__(self):
@@ -195,16 +196,14 @@ class SpanSolver:
         for m, c in f.coeffs.items():
             parts.setdefault(multidegree_of_mask(m), {})[m] = c
         for md, part in parts.items():
-            hit = self.by_md.get(md)
-            if hit is None:
+            ech = self.by_md.get(md)
+            if ech is None:
                 return None
-            idxs, solver = hit
-            coords = solver.coordinates(part)
-            if coords is None:
+            rest = ech.reduce(part)
+            if any(k < DIM for k in rest):
                 return None
-            for local, c in enumerate(coords):
-                if c:
-                    out[idxs[local]] = c
+            for k, c in rest.items():
+                out[k - DIM] = c
         return out
 
 

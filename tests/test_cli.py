@@ -101,6 +101,16 @@ def test_bad_primes_env_rejected(monkeypatch, capsys, value):
     _assert_usage_error(capsys, ["closure", "--block", "hw3"], "WSDALG_PRIMES")
 
 
+# rejected before any suite runs: a path whose directory does not exist,
+# and a path that is itself a directory
+@pytest.mark.parametrize("out", ["missing/report.txt", ""], ids=["no-dir", "is-dir"])
+def test_bad_out_rejected(monkeypatch, capsys, tmp_path, out):
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    path = str(tmp_path / out)
+    _assert_usage_error(capsys, ["verify", "table1", "--out", path], "--out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corrupted_operator_fails_relations(monkeypatch, capsys):
     """Damaging one creation operator must fail the relations suite with
     the offending identity named, and exit with status 1."""

@@ -20,7 +20,6 @@ from wsdalg.closure import (
     EVEN_GENERATOR_NAMES,
     FlatLayout,
     RestrictedAlgebra,
-    block_dimensions,
     default_algebra,
     lie_closure,
     su_pair_dimension,
@@ -94,7 +93,7 @@ def test_layout_boundaries():
 def test_hw3_closure_exact(ralg):
     st = lie_closure(blocks=(3,), field="exact", ralg=ralg)
     assert st.dim == 15
-    assert block_dimensions(st) == {"hw3": 15}
+    assert st.block_dims() == {3: 15}
     # the split form has no odd part on this block
     assert st.parity_dims() == (15, 0)
 

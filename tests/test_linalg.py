@@ -1,11 +1,11 @@
-"""Exact elimination: the fully reduced sparse echelon and its dense wrappers."""
+"""Exact elimination: the fully reduced sparse echelon and its dense rank."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from wsdalg.linalg import CoordinateSolver, SparseEchelon, kernel_basis, rank_dense, rref_dense
+from wsdalg.linalg import SparseEchelon, rank_dense
 from wsdalg.scalars import GaussRational, ONE, ZERO
 
 
@@ -37,32 +37,67 @@ def _matrix(rng, density):
     return rows, nc
 
 
+def _gauss_int_matrix(rng):
+    """A sparse Gaussian-integer matrix."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+    rows = [
+        [GaussRational(rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.4 else ZERO
+         for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    return rows, nc
+
+
+# case id -> (seed, number of matrices, matrix generator)
+_CASES = {
+    "0.9": (11, 40, lambda rng: _matrix(rng, 0.9)),
+    "0.3": (12, 40, lambda rng: _matrix(rng, 0.3)),
+    "gauss-int": (7, 30, _gauss_int_matrix),
+}
+
+
 def _sparse(rows):
     return [{c: v for c, v in enumerate(r) if v} for r in rows]
 
 
-@pytest.mark.parametrize("density", [0.9, 0.3])
-def test_rref_and_kernel_properties(density):
-    rng = random.Random(11 if density > 0.5 else 12)
-    for _ in range(40):
-        rows, nc = _matrix(rng, density)
-        rref, pivots = rref_dense(rows, nc)
+def _echelon(rows):
+    ech = SparseEchelon()
+    for r in _sparse(rows):
+        ech.insert(r)
+    return ech
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_rref_and_kernel_properties(case):
+    seed, count, matrix = _CASES[case]
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, nc = matrix(rng)
+        ech = _echelon(rows)
+        pivots = sorted(ech.rows)
+        rref = [[ech.rows[p].get(c, ZERO) for c in range(nc)] for p in pivots]
         # reduced echelon form, unique for the span
-        assert pivots == sorted(pivots) and len(rref) == len(pivots)
         for i, pc in enumerate(pivots):
             assert [rref[j][pc] for j in range(len(rref))] == [ONE if j == i else ZERO for j in range(len(rref))]
             assert not any(rref[i][:pc])
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert rref_dense(shuffled, nc) == (rref, pivots)
-        # same span as the input, and the rank agrees with CoordinateSolver
-        rank = CoordinateSolver(_sparse(rows)).rank
-        assert rank == len(pivots) == rank_dense(rows, nc)
-        solver = CoordinateSolver(_sparse(rref))
-        assert all(solver.coordinates(r) is not None for r in _sparse(rows))
+        assert _echelon(shuffled).rows == ech.rows
+        # same span as the input: each input row r is sum_p r[p] * rref[p],
+        # and each rref row is sum_j y_j * rows[j], with -y_j read off the
+        # echelon of the rows augmented by -1 at column nc + j
+        rank = len(pivots)
+        assert rank == ech.rank == rank_dense(rows, nc)
+        for r in rows:
+            combo = [sum((r[p] * rref[i][c] for i, p in enumerate(pivots)), ZERO) for c in range(nc)]
+            assert combo == r
+        aug = _echelon([r + [ZERO] * j + [-ONE] for j, r in enumerate(rows)])
+        for i, p in enumerate(pivots):
+            y = [-aug.rows[p].get(nc + j, ZERO) for j in range(len(rows))]
+            assert [sum((a * r[c] for a, r in zip(y, rows)), ZERO) for c in range(nc)] == rref[i]
         # kernel: A v = 0 exactly, one vector per free column in increasing
         # order, 1 there and 0 at every other free column
-        kern = kernel_basis(rows, nc)
+        kern = [[v.get(c, ZERO) for c in range(nc)] for v in ech.kernel(range(nc))]
         free = [c for c in range(nc) if c not in pivots]
         assert len(kern) == nc - rank == len(free)
         for f, v in zip(free, kern):
@@ -75,9 +110,7 @@ def test_sparse_echelon_is_fully_reduced():
     rng = random.Random(5)
     for _ in range(30):
         rows, nc = _matrix(rng, 0.3)
-        ech = SparseEchelon()
-        for r in _sparse(rows):
-            ech.insert(r)
+        ech = _echelon(rows)
         for p, row in ech.rows.items():
             assert min(row) == p and row[p] == ONE
             assert not any(q in row for q in ech.rows if q != p)

@@ -1,13 +1,16 @@
 """Isotypical decomposition and highest-weight space extraction."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
 from wsdalg.scalars import GaussRational, ZERO
 from wsdalg import forms
-from wsdalg.forms import hodge_star, monomial, poincare_pair
+from wsdalg.forms import Form, hodge_star, monomial, multidegree, poincare_pair
 from wsdalg import operators as ops
+from wsdalg.hwbases import all_bases
 from wsdalg.reptheory import (
     HW_DIMS,
     HW_HALF_DIMS,
@@ -74,6 +77,47 @@ def test_hw1_contains_degree_one_vector():
     w10 = forms.w_form(1, 0)
     solver = SpanSolver(hw.vectors())
     assert solver.coordinates(w10) is not None
+
+
+def test_span_solver_rejects_bad_families():
+    vecs = all_bases()[1].vectors()
+    by_md: dict = {}
+    for v in vecs:
+        by_md.setdefault(multidegree(v), []).append(v)
+    a, b = next(vs[:2] for vs in by_md.values() if len(vs) > 1)
+    other = next(v for v in vecs if multidegree(v) != multidegree(a))
+    with pytest.raises(ValueError, match="vector 3 is linearly dependent"):
+        SpanSolver([a, other, b, a.scale(GaussRational(Fraction(2, 3), -1)) + b.scale(5)])
+    with pytest.raises(ValueError, match="vector 1 is not multidegree homogeneous"):
+        SpanSolver([a, a + other])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_span_solver_coordinates(k):
+    """Random Q(i) combinations of a labeled basis get their exact
+    coefficients back.  A monomial that e does not kill is no
+    highest-weight vector, so where one shares a basis vector's
+    multidegree, it and its sum with that vector are non-members."""
+    vecs = all_bases()[k].vectors()
+    solver = SpanSolver(vecs)
+    rng = random.Random(k)
+
+    def coeff():
+        return GaussRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-3, 3))
+
+    for _ in range(10):
+        x = [coeff() if rng.random() < 0.3 else ZERO for _ in vecs]
+        f = sum((v.scale(c) for v, c in zip(vecs, x)), Form())
+        coords = solver.coordinates(f)
+        assert sum((v.scale(c) for v, c in zip(vecs, coords)), Form()) == f
+        assert coords == x
+    e = ops.sl2_triple()[0]
+    outside = [(v, g) for v in vecs for g in map(monomial, multidegree_classes()[multidegree(v)])
+               if not e.apply(g).is_zero()]
+    assert outside
+    for v, g in outside:
+        assert solver.coordinates(g) is None
+        assert solver.coordinates(v + g) is None
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

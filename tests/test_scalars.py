@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from wsdalg.linalg import CoordinateSolver, SparseEchelon, rref_dense
+from wsdalg.linalg import SparseEchelon
 from wsdalg.scalars import (
     DEFAULT_PRIMES,
     GaussRational,
     I,
     ONE,
-    ZERO,
     PrimeCollision,
     balanced_residue,
     gauss,
@@ -161,28 +160,6 @@ def test_sparse_echelon_int_rows_stay_exact():
     g = SparseEchelon()
     g.insert({0: GaussRational(0, 2), 3: GaussRational(1)})
     assert g.rows[0] == {0: ONE, 3: GaussRational(0, Fraction(-1, 2))}
-
-
-def test_rref_dense_matches_oracle():
-    """rref_dense on sparse Gaussian-integer matrices: the result is in
-    reduced echelon form and spans the input rows."""
-    rng = random.Random(7)
-    for _ in range(30):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
-        rows = [
-            [GaussRational(rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.4 else ZERO
-             for _ in range(nc)]
-            for _ in range(nr)
-        ]
-        rref, pivots = rref_dense(rows, nc)
-        assert pivots == sorted(pivots) and len(rref) == len(pivots)
-        for i, pc in enumerate(pivots):
-            assert [rref[j][pc] for j in range(len(rref))] == [ONE if j == i else ZERO for j in range(len(rref))]
-            assert not any(rref[i][:pc])
-        sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
-        assert CoordinateSolver(sparse).rank == len(pivots)
-        solver = CoordinateSolver([{c: v for c, v in enumerate(r) if v} for r in rref])
-        assert all(solver.coordinates(r) is not None for r in sparse)
 
 
 def test_division_by_zero():
