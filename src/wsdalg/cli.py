@@ -5,6 +5,7 @@
     wsdalg report [--out PATH] [options]
 
 ``--progress`` writes one line per modular closure level to stderr.
+``--format csv`` is only defined for ``verify table1`` and ``verify all``.
 
 Exit codes: 0 when every selected check passes, 1 on a failed check,
 2 on usage errors.  Reports are written atomically; the ``results``
@@ -20,13 +21,13 @@ import sys
 import tempfile
 
 from . import suites
+from .reptheory import isotypical_table
 from .scalars import validate_prime
 
 _BLOCK_CHOICES = {"hw0": (0,), "hw1": (1,), "hw2": (2,), "hw3": (3,), "all": (0, 1, 2, 3)}
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write the report to this path (atomic)")
     p.add_argument(
         "--prime",
@@ -59,9 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("closure", help="run the algebra closure")
     pc.add_argument("--block", choices=sorted(_BLOCK_CHOICES), default="all")
     pc.add_argument("--field", choices=("exact", "modular"), default="modular")
+    pc.set_defaults(suite="closure")
     _add_common(pc)
+    for p in (pv, pc):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                       help="csv is only defined for 'verify table1' and 'verify all'")
 
-    pr = sub.add_parser("report", help="run every suite and emit the full report")
+    pr = sub.add_parser("report", help="run every suite and emit the full JSON report")
+    pr.set_defaults(suite="all", format="json")
     _add_common(pr)
     return parser
 
@@ -124,6 +130,8 @@ def _format_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.suite not in ("table1", "all"):
+        parser.error("csv output is only defined for the table1 suite")
     try:
         primes = tuple(map(validate_prime, args.prime or suites.default_primes_from_env()))
     except ValueError as exc:
@@ -137,32 +145,14 @@ def main(argv=None) -> int:
     if args.progress:
         config["progress"] = _progress_line
 
-    if args.command == "verify":
-        report = suites.run_suites(args.suite, config)
-    elif args.command == "report":
-        report = suites.run_suites("all", config)
-    else:  # closure
+    if args.command == "closure":
         config["blocks"] = _BLOCK_CHOICES[args.block]
         config["field"] = args.field
-        res = suites._SUITES["closure"](config)
-        extra = res.pop("_meta", {})
-        report = {
-            "schema": "wsdalg-report/1",
-            "results": {"closure": res},
-            "meta": {
-                "primes": list(primes),
-                "suites": {"closure": extra},
-            },
-        }
-        report["pass"] = report["results"]["closure"]["pass"]
+    report = suites.run_suites(args.suite, config)
 
-    if args.format == "json" or args.command == "report":
+    if args.format == "json":
         text = suites.report_json(report)
     elif args.format == "csv":
-        if "table1" not in report["results"]:
-            parser.error("csv output is only defined for the table1 suite")
-        from .reptheory import isotypical_table
-
         text = isotypical_table().as_csv()
     else:
         text = _format_text(report)

@@ -84,7 +84,7 @@ from .operators import (
     standard_generators,
     super_adjoint,
 )
-from .reptheory import SpanSolver, _require_homogeneous, restrict_operator, HW_HALF_DIMS
+from .reptheory import SpanSolver, _BlockMat, _require_homogeneous, restrict_operator, HW_HALF_DIMS
 from .hwbases import LabeledBasis, all_bases
 
 __all__ = [
@@ -107,8 +107,6 @@ EXPECTED_DIMENSION = 8396
 EXPECTED_BLOCK_DIMS = (1599, 5183, 1599, 15)
 
 EVEN_GENERATOR_NAMES = ("iL0", "iL1", "iL2", "iLambda0", "iLambda1", "iLambda2")
-
-_BlockMat = dict[tuple[int, int], GaussRational]
 
 
 @dataclass
@@ -144,14 +142,7 @@ class RestrictedAlgebra:
         out: dict[int, _BlockMat] = {}
         for k in blocks:
             basis = self.bases[k]
-            mat = restrict_operator(op, basis.vectors(), self.solvers[k], basis.labels())
-            entries = {
-                (r, c): v
-                for r, row in enumerate(mat)
-                for c, v in enumerate(row)
-                if v
-            }
-            out[k] = entries
+            out[k] = restrict_operator(op, basis.vectors(), self.solvers[k], basis.labels())
         return RestrictedOperator(out, 0 if par is None else par)
 
     def operators(self) -> dict[str, Operator]:

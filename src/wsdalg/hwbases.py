@@ -279,33 +279,27 @@ def verify_pattern_tables(tables=None) -> dict:
             op = _component_operator(op_spec, cache)
             matrices[op_spec] = restrict_operator(op, vecs, solver, labels)
         mismatches = []
-        marked = unmarked = 0
+        marked = 0
         for rl in table.row_labels:
             for cl in table.col_labels:
+                key = (index[rl], index[cl])
+                found = {o: mat[key] for o, mat in matrices.items() if key in mat}
                 entry = table.entries.get((rl, cl))
-                r, c = index[rl], index[cl]
+                expected = "0"
                 if entry is not None:
                     marked += 1
-                    if not matrices[entry.op][r][c]:
+                    expected = "0 (cell marked for another operator)"
+                    if found.pop(entry.op, None) is None:
                         mismatches.append(
                             {"row": rl, "col": cl, "op": pattern_tables.op_name(entry.op),
                              "expected": "nonzero", "found": "0"}
                         )
-                    for other, mat in matrices.items():
-                        if other != entry.op and mat[r][c]:
-                            mismatches.append(
-                                {"row": rl, "col": cl, "op": pattern_tables.op_name(other),
-                                 "expected": "0 (cell marked for another operator)",
-                                 "found": str(mat[r][c])}
-                            )
-                else:
-                    unmarked += 1
-                    for op_spec, mat in matrices.items():
-                        if mat[r][c]:
-                            mismatches.append(
-                                {"row": rl, "col": cl, "op": pattern_tables.op_name(op_spec),
-                                 "expected": "0", "found": str(mat[r][c])}
-                            )
+                for op_spec, v in found.items():
+                    mismatches.append(
+                        {"row": rl, "col": cl, "op": pattern_tables.op_name(op_spec),
+                         "expected": expected, "found": str(v)}
+                    )
+        unmarked = len(table.row_labels) * len(table.col_labels) - marked
         ok = not mismatches
         report["tables"][table.name] = {
             "pass": ok,

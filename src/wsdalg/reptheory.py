@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .scalars import GaussRational, ONE, ZERO
+from .scalars import GaussRational, ONE
 from .forms import DIM, Form, multidegree_of_mask
 from .linalg import SparseEchelon
 from .operators import Operator, identity, sl2_triple
@@ -35,6 +35,9 @@ __all__ = [
 # column totals of the multiplicity table and their parity splits
 HW_DIMS = (40, 72, 40, 8)
 HW_HALF_DIMS = (20, 36, 20, 4)
+
+# a restricted matrix: its nonzero entries only, keyed (row, column)
+_BlockMat = dict[tuple[int, int], GaussRational]
 
 _BINOM9 = (1, 9, 36, 84, 126, 126, 84, 36, 9, 1)
 
@@ -175,23 +178,20 @@ class SpanSolver:
     Vectors are grouped by multidegree, each class in one ``SparseEchelon``,
     so solves stay tiny even for the 72-dimensional space.  Vector i goes
     in with an extra -1 at the marker key ``DIM + i``, past every mask: a
-    pivot at a marker means vector i is dependent, and a member f reduces
-    to sum_i x_i at ``DIM + i``, where f = sum_i x_i vectors[i].
+    pivot at a marker means vector i is dependent, and a member
+    f = sum_i x_i vectors[i] reduces to {DIM + i: x_i} over the nonzero x_i.
     """
 
     def __init__(self, vectors: list[Form]):
-        self.vectors = vectors
         self.by_md: dict[tuple[int, int, int], SparseEchelon] = {}
         for i, v in enumerate(vectors):
             ech = self.by_md.setdefault(_require_homogeneous(v, i), SparseEchelon())
             if ech.insert({**v.coeffs, DIM + i: -ONE}) >= DIM:
                 raise ValueError(f"vector {i} is linearly dependent on earlier ones")
 
-    def __len__(self):
-        return len(self.vectors)
-
-    def coordinates(self, f: Form) -> list[GaussRational] | None:
-        out = [ZERO] * len(self.vectors)
+    def coordinates(self, f: Form) -> dict[int, GaussRational] | None:
+        """f's coordinates {i: x_i}, nonzero ones only; None outside the span."""
+        out: dict[int, GaussRational] = {}
         parts: dict[tuple[int, int, int], dict] = {}
         for m, c in f.coeffs.items():
             parts.setdefault(multidegree_of_mask(m), {})[m] = c
@@ -199,10 +199,9 @@ class SpanSolver:
             ech = self.by_md.get(md)
             if ech is None:
                 return None
-            rest = ech.reduce(part)
-            if any(k < DIM for k in rest):
-                return None
-            for k, c in rest.items():
+            for k, c in ech.reduce(part).items():
+                if k < DIM:
+                    return None
                 out[k - DIM] = c
         return out
 
@@ -219,20 +218,19 @@ def restrict_operator(
     vectors: list[Form],
     solver: SpanSolver | None = None,
     labels: list[str] | None = None,
-) -> list[list[GaussRational]]:
-    """Matrix of phi on the span of ``vectors``: column c holds the
-    coordinates of phi(vectors[c]).  Raises SpaceEscape when some image
-    leaves the span, naming the offending vector."""
+) -> _BlockMat:
+    """Matrix of phi on the span of ``vectors`` as its nonzero entries
+    {(r, c): v}: column c holds the coordinates of phi(vectors[c]).
+    Raises SpaceEscape when some image leaves the span, naming the
+    offending vector."""
     solver = solver or SpanSolver(vectors)
-    n = len(vectors)
-    mat = [[ZERO] * n for _ in range(n)]
+    mat: _BlockMat = {}
     for c, v in enumerate(vectors):
         img = phi.apply(v)
         coords = solver.coordinates(img)
         if coords is None:
             name = labels[c] if labels else f"vector {c}"
             raise SpaceEscape(f"image of {name} escapes the span")
-        for r, val in enumerate(coords):
-            if val:
-                mat[r][c] = val
+        for r, val in coords.items():
+            mat[(r, c)] = val
     return mat

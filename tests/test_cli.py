@@ -111,6 +111,18 @@ def test_bad_out_rejected(monkeypatch, capsys, tmp_path, out):
     assert list(tmp_path.iterdir()) == []
 
 
+# rejected before any suite runs: csv for a selection without table1, and
+# --format on report, which always writes JSON
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "relations", "--format", "csv"], "csv"),
+    (["closure", "--block", "hw3", "--format", "csv"], "csv"),
+    (["report", "--format", "text"], "--format"),
+], ids=["verify-relations-csv", "closure-csv", "report-format"])
+def test_bad_format_rejected(monkeypatch, capsys, argv, named):
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    _assert_usage_error(capsys, argv, named)
+
+
 def test_corrupted_operator_fails_relations(monkeypatch, capsys):
     """Damaging one creation operator must fail the relations suite with
     the offending identity named, and exit with status 1."""

@@ -5,6 +5,7 @@ acceptance module; everything here completes in seconds.
 """
 
 import gc
+import hashlib
 import itertools
 import warnings
 from fractions import Fraction
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from wsdalg.scalars import DEFAULT_PRIMES, GaussRational, I
+from wsdalg.forms import Form
 from wsdalg import operators as ops
 from wsdalg import closure as cl
 from wsdalg import suites
@@ -47,6 +49,34 @@ def test_restricted_generator_shapes(ralg):
     assert ralg.generator("iLambda2").parity == 0
     assert ralg.generator("iV0").parity == 1
     assert ralg.generator("A0").parity == 1
+
+
+def test_restricted_generators_reproduce_images(ralg):
+    """Each stored block is the exact matrix of its generator on the labeled
+    basis: column c recombines to g(v_c), and no stored entry is zero."""
+    for name, g in ralg.operators().items():
+        rop = ralg.generator(name)
+        for k, basis in enumerate(ralg.bases):
+            vecs, blk = basis.vectors(), rop.block(k)
+            assert all(blk.values())
+            cols: dict = {}
+            for (r, c), v in blk.items():
+                cols.setdefault(c, []).append(vecs[r].scale(v))
+            for c, v in enumerate(vecs):
+                assert sum(cols.get(c, []), Form()) == g.apply(v)
+
+
+def test_restricted_generators_digest(ralg):
+    """The restricted generators' entries, pinned as one digest of the lines
+    name|block|row|col|re|im in sorted order."""
+    lines = []
+    for name in ops.GENERATOR_NAMES:
+        rop = ralg.generator(name)
+        for k in sorted(rop.blocks):
+            for (r, c), v in sorted(rop.block(k).items()):
+                lines.append(f"{name}|{k}|{r}|{c}|{v.re}|{v.im}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "9c1fc5c00851cd2f"
 
 
 def test_smallest_block_matrices(ralg):
