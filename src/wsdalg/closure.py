@@ -71,6 +71,7 @@ from .scalars import (
     DEFAULT_PRIMES,
     GaussRational,
     ZERO,
+    _gauss_cells,
     balanced_residue,
     root_of_minus_one,
     validate_prime,
@@ -373,38 +374,25 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _blockmat_mul(a: _BlockMat, b: _BlockMat) -> _BlockMat:
-    bycol: dict[int, list[tuple[int, GaussRational]]] = {}
-    for (r, c), v in a.items():
-        bycol.setdefault(c, []).append((r, v))
-    out: _BlockMat = {}
-    for (k, c), vb in b.items():
-        hits = bycol.get(k)
-        if not hits:
-            continue
-        for r, va in hits:
-            key = (r, c)
-            s = out.get(key, ZERO) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
 def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
-    sign = -1 if (x.parity and y.parity) else 1
+    """[x, y] = xy - (-1)^{|x||y|} yx, both products of a block summed as
+    (re, im) pairs of ints or Fractions and wrapped once per nonzero cell."""
+    sign = 1 if (x.parity and y.parity) else -1
     out: dict[int, _BlockMat] = {}
     for k in blocks:
-        ab = _blockmat_mul(x.block(k), y.block(k))
-        ba = _blockmat_mul(y.block(k), x.block(k))
-        for key, v in ba.items():
-            s = ab.get(key, ZERO) - (v if sign > 0 else -v)
-            if s:
-                ab[key] = s
-            else:
-                ab.pop(key, None)
-        out[k] = ab
+        re: dict[tuple[int, int], int | Fraction] = {}
+        im: dict[tuple[int, int], int | Fraction] = {}
+        for sgn, a, b in ((1, x.block(k), y.block(k)), (sign, y.block(k), x.block(k))):
+            bycol: dict[int, list[tuple[int, GaussRational]]] = {}
+            for (r, c), v in a.items():
+                bycol.setdefault(c, []).append((r, v))
+            for (mid, c), v in b.items():
+                p, q = (v.re, v.im) if sgn > 0 else (-v.re, -v.im)
+                for r, w in bycol.get(mid, ()):
+                    key = (r, c)
+                    re[key] = re.get(key, 0) + (w.re * p - w.im * q)
+                    im[key] = im.get(key, 0) + (w.re * q + w.im * p)
+        out[k] = _gauss_cells(re, im)
     return RestrictedOperator(out, (x.parity + y.parity) & 1)
 
 

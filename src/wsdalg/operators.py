@@ -16,13 +16,20 @@ sparse matrices over Q(i) in the monomial basis:
 Operators are stored column-sparse: cols[input_mask] = {output_mask: coeff}.
 The wedge/contraction generators touch O(1) outputs per input and
 composition walks columns, so this is the natural orientation.
+
+Every product and sum (compose, +, -, superbracket) runs through one
+accumulator, ``_product_sum``, and ``apply`` through the same sums over a
+form: real and imaginary parts add as plain ints or Fractions, and each
+nonzero result becomes one GaussRational at the end.
+The wedge operators L_j and V_j and the rotation triple are built once
+and shared, so no caller may mutate an operator in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import GaussRational, I, ONE, ZERO, gauss
+from .scalars import GaussRational, I, ONE, ZERO, _gauss_cells, gauss
 from . import forms
 from .forms import (
     DIM,
@@ -77,8 +84,13 @@ __all__ = [
 class Operator:
     """Sparse linear map of the 512-dimensional algebra over Q(i).
 
-    cols maps an input basis mask to the sparse column {output mask: coeff}.
-    parity is 0 (even), 1 (odd) or None (mixed), read off the entries.
+    cols maps an input basis mask to the sparse column {output mask: coeff}
+    and stores nonzero coefficients only.  parity is 0 (even), 1 (odd) or
+    None (mixed), read off the entries.
+
+    compose, + and - go through ``_product_sum``, so their results hold
+    no zero entries and every value is in canonical form; ``scale`` needs
+    no filtering, since s * v is nonzero for nonzero s and v.
     """
 
     __slots__ = ("cols",)
@@ -91,24 +103,21 @@ class Operator:
                 clean[c] = nz
         self.cols = clean
 
+    @classmethod
+    def _wrap(cls, cols: dict[int, dict[int, GaussRational]]) -> "Operator":
+        """An Operator over cols as given: no value may be zero and no
+        column empty, since nothing is filtered."""
+        op = object.__new__(cls)
+        op.cols = cols
+        return op
+
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "Operator") -> "Operator":
-        out = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
-            dst = out.setdefault(c, {})
-            for r, v in col.items():
-                s = dst.get(r, ZERO) + v
-                if s:
-                    dst[r] = s
-                else:
-                    dst.pop(r, None)
-            if not dst:
-                del out[c]
-        return Operator(out)
+        return _product_sum(((1, self, None), (1, other, None)))
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return self + other.scale(-1)
+        return _product_sum(((1, self, None), (-1, other, None)))
 
     def __neg__(self) -> "Operator":
         return self.scale(-1)
@@ -117,7 +126,7 @@ class Operator:
         s = gauss(s)
         if not s:
             return Operator()
-        return Operator({c: {r: s * v for r, v in col.items()} for c, col in self.cols.items()})
+        return Operator._wrap({c: {r: s * v for r, v in col.items()} for c, col in self.cols.items()})
 
     def __mul__(self, other):
         if isinstance(other, Operator):
@@ -128,36 +137,23 @@ class Operator:
 
     def compose(self, other: "Operator") -> "Operator":
         """self after other (matrix product self @ other)."""
-        out: dict[int, dict[int, GaussRational]] = {}
-        for c, col in other.cols.items():
-            dst: dict[int, GaussRational] = {}
-            for mid, v1 in col.items():
-                col2 = self.cols.get(mid)
-                if not col2:
-                    continue
-                for r, v2 in col2.items():
-                    s = dst.get(r, ZERO) + v2 * v1
-                    if s:
-                        dst[r] = s
-                    else:
-                        dst.pop(r, None)
-            if dst:
-                out[c] = dst
-        return Operator(out)
+        return _product_sum(((1, self, other),))
 
     def apply(self, f: Form) -> Form:
-        out: dict[int, GaussRational] = {}
-        for m, c in f.coeffs.items():
+        """self(f), summed as (re, im) pairs like ``_product_sum`` but with
+        no per-column bookkeeping, since restriction applies operators to
+        thousands of small forms."""
+        re: dict = {}
+        im: dict = {}
+        for m, v in f.coeffs.items():
             col = self.cols.get(m)
-            if not col:
-                continue
-            for r, v in col.items():
-                s = out.get(r, ZERO) + v * c
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return Form(out)
+            if col:
+                x, y = v.re, v.im
+                for r, w in col.items():
+                    p, q = w.re, w.im
+                    re[r] = re.get(r, 0) + (p * x - q * y)
+                    im[r] = im.get(r, 0) + (p * y + q * x)
+        return Form(_gauss_cells(re, im))
 
     def __call__(self, f: Form) -> Form:
         return self.apply(f)
@@ -213,6 +209,41 @@ class Operator:
         return f"<Operator nnz={self.nnz()} parity={self.parity()}>"
 
 
+def _product_sum(terms) -> Operator:
+    """The sum of sgn * (a @ b) over the terms (sgn, a, b), sgn = +1 or -1;
+    b = None stands for the identity, so (sgn, a, None) adds sgn * a.
+
+    Each output column accumulates as two dicts, {row: re} and {row: im},
+    of ints, or Fractions where a value is not integral.  Each nonzero cell
+    then becomes one GaussRational in canonical form, and exact
+    cancellations leave no entry behind.
+    """
+    acc: dict[int, tuple[dict, dict]] = {}
+    for sgn, a, b in terms:
+        acols = a.cols
+        bcols = b.cols if b is not None else {m: {m: ONE} for m in acols}
+        for c, col in bcols.items():
+            sums = acc.get(c)
+            if sums is None:
+                sums = acc[c] = ({}, {})
+            re, im = sums
+            for mid, v in col.items():
+                col2 = acols.get(mid)
+                if not col2:
+                    continue
+                x, y = (v.re, v.im) if sgn > 0 else (-v.re, -v.im)
+                for r, w in col2.items():
+                    p, q = w.re, w.im
+                    re[r] = re.get(r, 0) + (p * x - q * y)
+                    im[r] = im.get(r, 0) + (p * y + q * x)
+    cols: dict[int, dict[int, GaussRational]] = {}
+    for c, (re, im) in acc.items():
+        out = _gauss_cells(re, im)
+        if out:
+            cols[c] = out
+    return Operator._wrap(cols)
+
+
 def zero_operator() -> Operator:
     return Operator()
 
@@ -263,8 +294,10 @@ def wedge_operator(f: Form) -> Operator:
     return Operator(cols)
 
 
+@lru_cache(maxsize=3)
 def build_L(j: int) -> Operator:
-    """L_0 = omegaD ^ ., L_1 = -omega2 ^ ., L_2 = omega1 ^ . """
+    """L_0 = omegaD ^ ., L_1 = -omega2 ^ ., L_2 = omega1 ^ .  Built once per
+    j; callers share the operator and must not mutate it."""
     if j == 0:
         return wedge_operator(forms.omegaD())
     if j == 1:
@@ -274,8 +307,10 @@ def build_L(j: int) -> Operator:
     raise ValueError(f"L index out of range: {j}")
 
 
+@lru_cache(maxsize=3)
 def build_V(j: int) -> Operator:
-    """Wedge with the block volume Vol(W_j) = v_1j ^ v_2j ^ v_3j."""
+    """Wedge with the block volume Vol(W_j) = v_1j ^ v_2j ^ v_3j.  Built once
+    per j; callers share the operator and must not mutate it."""
     if j not in (0, 1, 2):
         raise ValueError(f"V index out of range: {j}")
     return wedge_operator(forms.block_volume(j))
@@ -394,9 +429,7 @@ def superbracket(phi: Operator, psi: Operator) -> Operator:
     p1, p2 = phi.parity(), psi.parity()
     if p1 is None or p2 is None:
         raise ValueError("superbracket needs operators of definite parity")
-    ab = phi.compose(psi)
-    ba = psi.compose(phi)
-    return ab + ba if (p1 and p2) else ab - ba
+    return _product_sum(((1, phi, psi), (1 if (p1 and p2) else -1, psi, phi)))
 
 
 # -- permutation action on the block index -----------------------------------
@@ -603,22 +636,22 @@ def clifford_relations_report() -> dict:
     failures: list[str] = []
     checks = 0
 
-    def anti(a: Operator, b: Operator) -> bool:
-        return not (a.compose(b) + b.compose(a))
+    def anti(a: Operator, b: Operator) -> Operator:
+        return _product_sum(((1, a, b), (1, b, a)))
 
     for x in idx:
         for y in idx:
             checks += 2
-            if not anti(E[x], E[y]):
+            if anti(E[x], E[y]):
                 failures.append(f"E{x}E{y} + E{y}E{x} != 0")
-            if not anti(Iops[x], Iops[y]):
+            if anti(Iops[x], Iops[y]):
                 failures.append(f"I{x}I{y} + I{y}I{x} != 0")
             checks += 1
             if x == y:
-                if E[x].compose(Iops[x]) + Iops[x].compose(E[x]) != ident:
+                if anti(E[x], Iops[x]) != ident:
                     failures.append(f"E{x}I{x} + I{x}E{x} != Id")
             else:
-                if not anti(E[x], Iops[y]):
+                if anti(E[x], Iops[y]):
                     failures.append(f"E{x}I{y} + I{y}E{x} != 0")
 
     plain_ok = all(plain_adjoint(E[x]) == Iops[x] for x in idx)

@@ -251,6 +251,12 @@ def _canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _gauss_cells(re: dict, im: dict) -> dict:
+    """{key: GaussRational} for the nonzero cells of component sums re[key],
+    im[key] (ints or Fractions; im has every key of re), canonical."""
+    return {k: _make(_canon(x), _canon(im[k])) for k, x in re.items() if x or im[k]}
+
+
 def _quotient(x, n):
     """Exact canonical x / n for ints or Fractions, n nonzero: int / int
     would give a float, so that case goes through Fraction."""

@@ -1,11 +1,18 @@
 """Canonical operators: relations, adjoints, symmetries, weight structure."""
 
+import hashlib
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
 from wsdalg.scalars import GaussRational, I, ONE, ZERO
 from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
+from wsdalg import suites
+from wsdalg.closure import RestrictedOperator, _rop_bracket
 from wsdalg.operators import (
     PERMUTATIONS,
     build_A,
@@ -115,14 +122,37 @@ def test_serre_presentation():
     assert g["h3"] == superbracket(L2, Lam2)
 
 
-def test_rotation_triple_is_built_once_and_never_mutated():
+EXACT_SUITES = ["relations", "table1", "bases", "appendix", "structure"]
+
+
+@pytest.fixture(scope="module")
+def exact_suite_results():
+    """The results of one run of the exact suites, after which every cached
+    operator has been handed to every caller."""
+    return suites.run_suites(EXACT_SUITES)["results"]
+
+
+def test_rotation_triple_is_built_once_and_never_mutated(exact_suite_results):
     """Every caller shares the cached triple; after all the exact suites
     it still equals a fresh build."""
-    from wsdalg import suites
-
     assert ops.sl2_triple() is ops.sl2_triple()
-    suites.run_suites(["relations", "table1", "bases", "appendix", "structure"])
     assert ops.sl2_triple() == ops.sl2_triple.__wrapped__()
+
+
+def test_wedge_operators_are_built_once_and_never_mutated(exact_suite_results):
+    """build_L and build_V hand out cached operators; after all the exact
+    suites each still dumps like a fresh wedge_operator build."""
+    for build in (build_L, build_V):
+        for j in range(3):
+            assert build(j) is build(j)
+            assert dump_operator(build(j)) == dump_operator(build.__wrapped__(j))
+
+
+def test_exact_suite_results_digest(exact_suite_results):
+    """The exact suites' results, pinned as the digest of their sorted JSON."""
+    assert all(exact_suite_results[name]["pass"] for name in EXACT_SUITES)
+    text = json.dumps(exact_suite_results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "da6e706193de1e69"
 
 
 def test_rotation_triple_weights():
@@ -307,3 +337,181 @@ def test_parity_and_shift_metadata():
     assert build_L(2).multidegree_shift() == (1, 1, 0)
     assert build_V(0).multidegree_shift() == (3, 0, 0)
     assert build_K(0, 1).multidegree_shift() == (3, -3, 0)
+
+
+# -- the product accumulator against plain GaussRational arithmetic -----------
+
+
+def _random_value(rng: random.Random) -> GaussRational:
+    """A nonzero value: an int, +-i, a non-integral Fraction or a complex
+    value with Fraction components."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return GaussRational(rng.choice([-3, -2, -1, 1, 2, 3]))
+    if kind == 1:
+        return rng.choice([I, -I])
+    if kind == 2:
+        return GaussRational(Fraction(rng.choice([-3, -1, 1, 5]), rng.choice([2, 3, 4])))
+    return GaussRational(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])), rng.choice([-2, -1, 1, 2]))
+
+
+def _random_entries(rng: random.Random, parity: int, masks=range(32), density=0.15) -> dict:
+    """{(r, c): v} over the given masks, every entry of the given parity."""
+    return {
+        (r, c): _random_value(rng)
+        for c in masks
+        for r in masks
+        if (r.bit_count() - c.bit_count()) % 2 == parity and rng.random() < density
+    }
+
+
+def _operator(entries: dict) -> ops.Operator:
+    cols: dict = {}
+    for (r, c), v in entries.items():
+        cols.setdefault(c, {})[r] = v
+    return ops.Operator(cols)
+
+
+def _cells(op: ops.Operator) -> dict:
+    return {(r, c): v for c, col in op.cols.items() for r, v in col.items()}
+
+
+def _ref_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (mid, c), v in b.items():
+        for (r, m2), w in a.items():
+            if m2 == mid:
+                out[(r, c)] = out.get((r, c), ZERO) + w * v
+    return out
+
+
+def _ref_sum(*terms) -> dict:
+    """Cell-by-cell sum of s * x over the (s, x) terms, zeros dropped."""
+    out: dict = {}
+    for s, x in terms:
+        for key, v in x.items():
+            out[key] = out.get(key, ZERO) + v * s
+    return {key: v for key, v in out.items() if v}
+
+
+def _assert_canonical(cells: dict) -> None:
+    for v in cells.values():
+        assert v, "stored zero"
+        for part in (v.re, v.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator != 1), v
+
+
+def _cancelling_pairs(rng: random.Random):
+    """Pairs whose products, sums and differences cancel to exactly zero, or
+    sum Fractions to ints."""
+    a = _random_entries(rng, 0)
+    yield a, {key: -v for key, v in a.items()}
+    yield a, dict(a)
+    # two paths r <- m1 <- c and r <- m2 <- c with opposite weights
+    half = GaussRational(Fraction(1, 2), Fraction(-3, 2))
+    yield {(1, 2): ONE, (1, 4): ONE}, {(2, 8): half, (4, 8): -half}
+    yield {(1, 2): half, (1, 4): half}, {(2, 8): ONE, (4, 8): ONE}
+
+
+def test_product_accumulator_matches_reference():
+    rng = random.Random(13)
+    pairs = [
+        (_random_entries(rng, pa), _random_entries(rng, pb))
+        for pa in (0, 1)
+        for pb in (0, 1)
+        for _ in range(3)
+    ]
+    pairs += list(_cancelling_pairs(rng))
+    assert any(not _ref_sum((1, a), (1, b)) for a, b in pairs)
+    for a, b in pairs:
+        A, B = _operator(a), _operator(b)
+        ab, ba = _ref_product(a, b), _ref_product(b, a)
+        expect = {
+            "compose": _ref_sum((1, ab)),
+            "add": _ref_sum((1, a), (1, b)),
+            "sub": _ref_sum((1, a), (-1, b)),
+        }
+        got = {"compose": A.compose(B), "add": A + B, "sub": A - B}
+        pa, pb = A.parity(), B.parity()
+        if pa is not None and pb is not None:
+            expect["bracket"] = _ref_sum((1, ab), (1 if (pa and pb) else -1, ba))
+            got["bracket"] = superbracket(A, B)
+        for name, op in got.items():
+            cells = _cells(op)
+            assert cells == expect[name], name
+            assert all(op.cols.values()), f"{name}: empty column"
+            _assert_canonical(cells)
+        f = forms.Form({c: v for (r, c), v in b.items() if r == 3})
+        image = A.apply(f)
+        ref = _ref_sum((1, _ref_product(a, {(m, 0): v for m, v in f.coeffs.items()})))
+        assert image.coeffs == {r: v for (r, _), v in ref.items()}
+        _assert_canonical(image.coeffs)
+
+
+def test_rop_bracket_matches_reference():
+    rng = random.Random(17)
+    for px in (0, 1):
+        for py in (0, 1):
+            for _ in range(3):
+                xb = {k: _random_entries(rng, 0, range(8), 0.3) for k in (0, 2)}
+                yb = {k: _random_entries(rng, 0, range(8), 0.3) for k in (0, 2)}
+                x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
+                got = _rop_bracket(x, y, (0, 2))
+                assert got.parity == (px + py) & 1
+                for k in (0, 2):
+                    ref = _ref_sum(
+                        (1, _ref_product(xb[k], yb[k])),
+                        (1 if (px and py) else -1, _ref_product(yb[k], xb[k])),
+                    )
+                    assert got.block(k) == ref
+                    _assert_canonical(got.block(k))
+    # an even element brackets to zero with itself, leaving empty blocks
+    xb = {0: _random_entries(rng, 0, range(8), 0.3)}
+    x = RestrictedOperator(xb, 0)
+    assert _rop_bracket(x, x, (0,)).blocks == {0: {}}
+
+
+# -- the relation suites still catch a broken relation -----------------------
+
+
+def test_clifford_report_names_a_flipped_sign(monkeypatch):
+    """One entry of E_(1,0) with its sign flipped breaks exactly the
+    relations that involve E_(1,0), and the report names each of them."""
+    build = ops.build_E
+
+    def broken_E(i, j):
+        op = build(i, j)
+        if (i, j) != (1, 0):
+            return op
+        cols = {c: dict(col) for c, col in op.cols.items()}
+        cols[0] = {r: -v for r, v in cols[0].items()}
+        return ops.Operator(cols)
+
+    monkeypatch.setattr(ops, "build_E", broken_E)
+    rep = ops.clifford_relations_report()
+    x = (1, 0)
+    others = [(i, j) for i in (1, 2, 3) for j in (0, 1, 2) if (i, j) != x]
+    expect = {f"E{x}I{x} + I{x}E{x} != Id", "plain adjoint does not exchange E and I"}
+    for y in others:
+        expect |= {f"E{x}E{y} + E{y}E{x} != 0", f"E{y}E{x} + E{x}E{y} != 0"}
+        expect.add(f"E{x}I{y} + I{y}E{x} != 0")
+    assert not rep["pass"]
+    assert set(rep["failures"]) == expect
+
+
+def test_serre_check_catches_a_perturbed_generator(monkeypatch):
+    generators = ops.serre_generators
+
+    def perturbed():
+        g = dict(generators())
+        cols = {c: dict(col) for c, col in g["e1"].cols.items()}
+        c = min(cols)
+        r = min(cols[c])
+        cols[c][r] = -cols[c][r]
+        g["e1"] = ops.Operator(cols)
+        return g
+
+    monkeypatch.setattr(ops, "serre_generators", perturbed)
+    rep = ops.serre_check()
+    assert not rep["pass"]
+    assert "[e1,f1] != h1" in rep["failures"]
