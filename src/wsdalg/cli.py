@@ -133,7 +133,9 @@ def main(argv=None) -> int:
     if args.format == "csv" and args.suite not in ("table1", "all"):
         parser.error("csv output is only defined for the table1 suite")
     try:
-        primes = tuple(map(validate_prime, args.prime or suites.default_primes_from_env()))
+        # default_primes_from_env validates WSDALG_PRIMES itself
+        primes = (tuple(map(validate_prime, args.prime)) if args.prime
+                  else suites.default_primes_from_env())
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:

@@ -6,7 +6,10 @@ generator restricts to one block matrix per space (sizes 40, 72, 40, 8 over
 Q(i)), a restricted operator flattens to the real/imaginary parts of its
 block entries (16896 rational coordinates over all four blocks), and the
 closure is the smallest coordinate subspace containing the generators and
-stable under bracketing with each generator.  Left-normed brackets span the
+stable under bracketing with each generator.  ``FlatLayout.parts`` is the
+one map from the nonzero entries of the sparse blocks to flat coordinates;
+the exact flattening, the modular flattening and the ad_g build all read
+it, and no dense block matrix is built.  Left-normed brackets span the
 whole algebra by the graded Jacobi identity, so each new basis element is
 bracketed with the twelve generators only.
 
@@ -70,6 +73,8 @@ import numpy as np
 from .scalars import (
     DEFAULT_PRIMES,
     GaussRational,
+    I,
+    ONE,
     ZERO,
     _gauss_cells,
     balanced_residue,
@@ -219,6 +224,8 @@ class FlatLayout:
     real mode: per included block, the real parts of the row-major entries
     followed by the imaginary parts (2 s^2 coordinates per block).
     complex mode: one coordinate per entry (s^2 per block).
+    ``grid(k)`` holds block k's coordinates, and ``parts`` places the
+    nonzero parts of an operator's entries on them.
 
     Every labeled basis vector is multidegree-homogeneous, so coordinate
     (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
@@ -269,67 +276,51 @@ class FlatLayout:
             raise ValueError("operator is not homogeneous in the multidegree-shift grading")
         return self.class_of_shift[shifts.pop()] if shifts else None
 
-    def index(self, k: int, r: int, c: int, imag: bool = False) -> int:
-        s = BLOCK_SIZES[k]
-        base = self.offsets[k] + r * s + c
-        if self.complexified:
-            if imag:
-                raise ValueError("complex layout has a single coordinate per entry")
-            return base
-        return base + (s * s if imag else 0)
-
     def block_range(self, k: int) -> tuple[int, int]:
         s = BLOCK_SIZES[k]
         width = (s * s) if self.complexified else (2 * s * s)
         return self.offsets[k], self.offsets[k] + width
 
-    # -- exact flattening --------------------------------------------------
+    def grid(self, k: int) -> np.ndarray:
+        """Block k's flat coordinates as an array [m, r, c]: the coordinate
+        of part m (0 real, 1 imaginary; complex mode has part 0 only) of
+        entry (r, c)."""
+        s = BLOCK_SIZES[k]
+        return np.arange(*self.block_range(k)).reshape(-1, s, s)
+
+    def parts(self, rop: RestrictedOperator) -> list[tuple]:
+        """The nonzero parts of rop on this layout, each as (flat
+        coordinate, value, (k, r, c, m)): part m of entry (r, c) of block
+        k, at its place in ``grid(k)``.  Real mode gives the real (m = 0)
+        and imaginary (m = 1) part of each entry, an int or Fraction each;
+        complex mode gives each entry whole, a GaussRational with m = 0."""
+        out = []
+        for k in self.blocks:
+            s = BLOCK_SIZES[k]
+            o, im = self.offsets[k], s * s  # the grid's offsets, once per block
+            for (r, c), v in rop.block(k).items():
+                f = o + r * s + c
+                if self.complexified:
+                    out.append((f, v, (k, r, c, 0)))
+                    continue
+                if v.re:
+                    out.append((f, v.re, (k, r, c, 0)))
+                if v.im:
+                    out.append((f + im, v.im, (k, r, c, 1)))
+        return out
 
     def flatten_exact(self, rop: RestrictedOperator) -> dict[int, Fraction]:
         if self.complexified:
             raise ValueError("exact engine runs on real coordinates")
-        out: dict[int, Fraction] = {}
-        for k in self.blocks:
-            for (r, c), v in rop.block(k).items():
-                if v.re:
-                    out[self.index(k, r, c, False)] = v.re
-                if v.im:
-                    out[self.index(k, r, c, True)] = v.im
-        return out
-
-    # -- modular flattening --------------------------------------------------
-
-    def generator_arrays(self, rop: RestrictedOperator, p: int, root_i: int):
-        """Balanced-residue block matrices: (re, im) pairs in real mode,
-        single arrays in complex mode."""
-        out = {}
-        for k in self.blocks:
-            s = BLOCK_SIZES[k]
-            if self.complexified:
-                m = np.zeros((s, s))
-                for (r, c), v in rop.block(k).items():
-                    m[r, c] = balanced_residue(v, p, root_i)
-                out[k] = m
-            else:
-                mr = np.zeros((s, s))
-                mi = np.zeros((s, s))
-                for (r, c), v in rop.block(k).items():
-                    mr[r, c] = balanced_residue(v.re, p, root_i)
-                    mi[r, c] = balanced_residue(v.im, p, root_i)
-                out[k] = (mr, mi)
-        return out
+        return {f: v for f, v, _ in self.parts(rop)}
 
     def flatten_modular(self, rop: RestrictedOperator, p: int, root_i: int) -> np.ndarray:
-        arrs = self.generator_arrays(rop, p, root_i)
+        """Balanced residues of rop's parts: real and imaginary parts in
+        real mode, one residue per entry (i mapped to root_i) in complex
+        mode."""
         vec = np.zeros(self.length)
-        for k in self.blocks:
-            s = BLOCK_SIZES[k]
-            o = self.offsets[k]
-            if self.complexified:
-                vec[o : o + s * s] = arrs[k].ravel()
-            else:
-                vec[o : o + s * s] = arrs[k][0].ravel()
-                vec[o + s * s : o + 2 * s * s] = arrs[k][1].ravel()
+        for f, v, _ in self.parts(rop):
+            vec[f] = balanced_residue(v, p, root_i)
         return vec
 
 
@@ -582,13 +573,6 @@ class _ModularEngine:
     def nrows(self) -> int:
         return int(sum(ech.nrows.sum() for ech in self.groups))
 
-    def class_rows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Class t's local pivots and basis rows, in increasing pivot order."""
-        ech, k = self._where(t)
-        piv = ech.pivots[k, : ech.nrows[k]]
-        order = np.argsort(piv)
-        return piv[order], ech.B[k, order]
-
     def listing(self):
         """Every basis row, listed class by class in increasing pivot order
         within a class, as arrays of its class, its local pivot and its
@@ -699,28 +683,24 @@ def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: 
     coordinate, target coordinate, coefficient) arrays.  Raises
     AssertionError if some bracket leaves the class its multidegree shift
     predicts."""
-    gblocks = layout.generator_arrays(g, p, root_i)
-    # (src part, tgt part, matrix, sign): re/im mixing of a complex entry
-    terms = ([(0, 0, 0, 1)] if layout.complexified else
-             [(0, 0, 0, 1), (1, 0, 1, -1), (0, 1, 1, 1), (1, 1, 0, 1)])
+    parts = layout.parts(g)
+    value = np.array([balanced_residue(v, p, root_i) for _, v, _ in parts], dtype=np.float64)
+    block, row, col, part = np.array([e for _, _, e in parts], dtype=np.int64).reshape(-1, 4).T
     src, tgt, coef, right = [], [], [], []
     for k in layout.blocks:
-        s, o = BLOCK_SIZES[k], layout.offsets[k]
-        mats = [gblocks[k]] if layout.complexified else list(gblocks[k])
-        nonzero = [np.nonzero(m) for m in mats]
-        # each term expands only the entries where its matrix is nonzero
-        parts = []
-        for a, b, m, sign in terms:
-            r, c = nonzero[m]
-            parts.append((r, c, np.full(r.size, o + a * s * s), np.full(r.size, o + b * s * s),
-                          sign * mats[m][r, c]))
-        rows, cols, sp, tp, v = (np.concatenate(x)[:, None] for x in zip(*parts))
-        j = np.arange(s)[None, :]
-        # g x: x[j, c] -> (g x)[r, c] for G[r, j];  x g: x[r, j] -> (x g)[r, c] for G[j, c]
-        src += [(sp + cols * s + j).ravel(), (sp + j * s + rows).ravel()]
-        tgt += [(tp + rows * s + j).ravel(), (tp + j * s + cols).ravel()]
-        coef += [np.broadcast_to(v, (v.size, s)).ravel()] * 2
-        right += [np.zeros(v.size * s, bool), np.ones(v.size * s, bool)]
+        X = layout.grid(k)
+        here = (block == k) & (value != 0)  # a part may vanish mod p
+        r, c, m, v = row[here], col[here], part[here], value[here]
+        n, s = r.size, X.shape[2]
+        # part m of an entry maps part a of x to part a ^ m, times i * i = -1
+        # when both are imaginary; complex mode has the one part a = m = 0
+        for a in range(len(X)):
+            b, w = a ^ m, np.where(m & a, -v, v)
+            # g x: x[c, j] -> (g x)[r, j] for g[r, c];  x g: x[j, r] -> (x g)[j, c]
+            src += [X[a, c].ravel(), X[a, :, r].ravel()]
+            tgt += [X[b, r].ravel(), X[b, :, c].ravel()]
+            coef += [np.repeat(w, s)] * 2
+            right += [np.zeros(n * s, bool), np.ones(n * s, bool)]
     src, tgt, coef, right = (np.concatenate(x) for x in (src, tgt, coef, right))
     d, t = layout.coord_class[src], layout.coord_class[tgt]
     # [g, x] = g x - (-1)^{|g||x|} x g
@@ -950,8 +930,11 @@ class ClosureState:
         eng = self._engine
         idx = self.layout.class_indices
         vals = [0.0]
-        for full in (_supertrace_vector(self.layout, imag=False),
-                     _supertrace_vector(self.layout, imag=True)):
+        # the real part of the supertrace, and in real mode the imaginary
+        # part: a single residue per entry already carries both
+        for unit in ((ONE,) if self.layout.complexified else (ONE, I)):
+            full = self.layout.flatten_modular(_supertrace_sign(self.layout, unit), self.prime,
+                                               eng.root_i)
             for ech in eng.groups:
                 w = full[np.stack([idx[t] for t in ech.classes])]
                 if ech.B.shape[1] and w.any():
@@ -1011,15 +994,11 @@ class ClosureState:
             raise
 
 
-def _supertrace_vector(layout: FlatLayout, imag: bool) -> np.ndarray:
-    v = np.zeros(layout.length)
-    if layout.complexified and imag:
-        return v  # single residue per entry already carries both parts
-    for k in layout.blocks:
-        s, h = BLOCK_SIZES[k], HW_HALF_DIMS[k]
-        for i in range(s):
-            v[layout.index(k, i, i, imag=imag)] = 1.0 if i < h else -1.0
-    return v
+def _supertrace_sign(layout: FlatLayout, unit: GaussRational) -> RestrictedOperator:
+    """unit times the grading sign: +unit on the even half of each block's
+    basis, -unit on the odd half."""
+    return RestrictedOperator({k: {(i, i): unit if i < HW_HALF_DIMS[k] else -unit
+                                   for i in range(BLOCK_SIZES[k])} for k in layout.blocks}, 0)
 
 
 def _resolve_generators(generators, ralg: RestrictedAlgebra) -> list[RestrictedOperator]:
@@ -1189,72 +1168,40 @@ def load_state(path: str) -> ClosureState:
 
 def su_pair_dimension(n: int) -> int:
     """Real dimension of the supertrace-zero operators on C^{n|n} preserving
-    the standard odd Hermitean pairing, by brute-force enumeration of the
-    defining linear constraints over Q (no closed formula is assumed)."""
-    from .linalg import rank_dense
+    the standard odd Hermitean pairing, as the kernel of its defining
+    linear constraints over Q (no closed formula is assumed).
 
-    # basis: even vectors 0..n-1, odd vectors n..2n-1; <e_a, f_b> = delta,
-    # <f_a, e_b> = delta, zero otherwise
-    def pair(x, y):
-        px, ix = x
-        py, iy = y
-        if px != py and ix == iy:
-            return 1
-        return 0
+    Basis vector i < 2n is even for i < n and odd otherwise, and
+    <e_i, e_j> = 1 exactly when j = i' = i + n (mod 2n).  The unknowns are
+    the real and imaginary parts of each entry X[r, c], at column
+    2 (2n r + c) + part.  For every (c, b), the constraint
+    <X e_c, e_b> + (-1)^{|X| p(c)} <e_c, X e_b> = 0 reads
+    X[b', c] + sigma conj(X[c', b]) = 0; both entries are of the parity
+    |X| = 1 + p(b) + p(c), so the even and odd parts of X separate.  Its
+    real and imaginary parts, and those of the supertrace, are one sparse
+    row each of a single echelon."""
+    size = 2 * n
 
-    basis = [(0, i) for i in range(n)] + [(1, i) for i in range(n)]
+    def odd(i: int) -> int:
+        return int(i >= n)
 
-    def constraint_rows(parity: int, params: list[tuple]):
-        rows = []
-        for x in basis:
-            for y in basis:
-                row_re, row_im = [], []
-                for (src, dst, scal) in params:
-                    # operator: basis src -> scal * basis dst
-                    val = GaussRational(0)
-                    if src == x:
-                        val = val + scal * GaussRational(pair(dst, y))
-                    if src == y:
-                        sgn = -1 if (parity and x[0]) else 1
-                        val = val + GaussRational(sgn) * scal.conjugate() * GaussRational(pair(x, dst))
-                    row_re.append(GaussRational(val.re))
-                    row_im.append(GaussRational(val.im))
-                rows.append(row_re)
-                rows.append(row_im)
-        return rows
+    def var(r: int, c: int, part: int) -> int:
+        return 2 * (r * size + c) + part
 
-    one = GaussRational(1)
-    i_ = GaussRational(0, 1)
-    even_params = []
-    for a in range(n):
-        for b in range(n):
-            for scal in (one, i_):
-                even_params.append(((0, b), (0, a), scal))  # block e -> e
-                even_params.append(((1, b), (1, a), scal))  # block f -> f
-    odd_params = []
-    for a in range(n):
-        for b in range(n):
-            for scal in (one, i_):
-                odd_params.append(((0, b), (1, a), scal))  # e -> f
-                odd_params.append(((1, b), (0, a), scal))  # f -> e
-
-    even_rows = constraint_rows(0, even_params)
-    str_re, str_im = [], []
-    for (src, dst, scal) in even_params:
-        if src == dst:
-            sgn = 1 if src[0] == 0 else -1
-            str_re.append(GaussRational(sgn) * GaussRational(scal.re))
-            str_im.append(GaussRational(sgn) * GaussRational(scal.im))
-        else:
-            str_re.append(GaussRational(0))
-            str_im.append(GaussRational(0))
-    even_rows.append(str_re)
-    even_rows.append(str_im)
-    odd_rows = constraint_rows(1, odd_params)
-
-    dim_even = len(even_params) - rank_dense(even_rows, len(even_params))
-    dim_odd = len(odd_params) - rank_dense(odd_rows, len(odd_params))
-    return dim_even + dim_odd
+    ech = SparseEchelon()
+    for c in range(size):
+        for b in range(size):
+            sigma = -1 if odd(b) and odd(c) else 1  # (-1)^{|X| p(c)}
+            # conj flips the imaginary part of the second term
+            for part, second in ((0, sigma), (1, -sigma)):
+                row: dict[int, int] = {}
+                for key, coeff in ((var((b + n) % size, c, part), 1),
+                                   (var((c + n) % size, b, part), second)):
+                    row[key] = row.get(key, 0) + coeff
+                ech.insert({key: v for key, v in row.items() if v})
+    for part in (0, 1):
+        ech.insert({var(i, i, part): 1 - 2 * odd(i) for i in range(size)})
+    return 2 * size * size - ech.rank
 
 
 def verify_structure(

@@ -4,21 +4,20 @@
 its pivot (its smallest key) and 0 at every other pivot.  A reduced
 echelon form is unique for its span, so pivots, rows and the free-column
 kernels read off them do not depend on the insertion order.
-``rank_dense`` wraps it for dense lists, and ``reptheory.SpanSolver``
-reads coordinates in a spanning family off it.  Entries may be of any
-exact type, so rational coordinates (the exact closure's ints and
-Fractions) work too: normalization divides ``Fraction(1)``, never the int
-1, so no float appears, and integral rational entries are stored as ints,
-so reductions stay on ints.
+``reptheory.SpanSolver`` reads coordinates in a spanning family off it.
+Entries may be of any exact type, so rational coordinates (the exact
+closure's ints and Fractions) work too: normalization divides
+``Fraction(1)``, never the int 1, so no float appears, and integral
+rational entries are stored as ints, so reductions stay on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational, ONE
+from .scalars import ONE
 
-__all__ = ["SparseEchelon", "rank_dense"]
+__all__ = ["SparseEchelon"]
 
 
 def _sub_scaled(vec: dict, other: dict, coeff) -> None:
@@ -96,9 +95,3 @@ class SparseEchelon:
             out.append(vec)
         return out
 
-
-def rank_dense(rows: list[list[GaussRational]], ncols: int) -> int:
-    ech = SparseEchelon()
-    for r in rows:
-        ech.insert({c: v for c, v in enumerate(r) if v})
-    return ech.rank

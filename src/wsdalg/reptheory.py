@@ -41,6 +41,11 @@ _BlockMat = dict[tuple[int, int], GaussRational]
 
 _BINOM9 = (1, 9, 36, 84, 126, 126, 84, 36, 9, 1)
 
+# the types computed, 0..4, and the types the table holds, 0..3: type 4
+# is computed only to show it is absent
+_TYPES = range(5)
+_TABLE_TYPES = range(4)
+
 
 @lru_cache(maxsize=1)
 def multidegree_classes() -> dict[tuple[int, int, int], list[int]]:
@@ -51,7 +56,7 @@ def multidegree_classes() -> dict[tuple[int, int, int], list[int]]:
     return classes
 
 
-def _insert_class_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> SparseEchelon:
+def _insert_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> SparseEchelon:
     """Insert the rows {input mask: coeff} of an operator on a multidegree
     class it preserves into ech; returns ech."""
     index = set(masks)
@@ -66,19 +71,19 @@ def _insert_class_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> Sp
     return ech
 
 
-@lru_cache(maxsize=2)
-def _hw_class_vectors_by_type(max_type: int) -> tuple[list[tuple[tuple[int, int, int], list[Form]]], ...]:
-    """Per type k = 0..max_type and multidegree class, a deterministic
+@lru_cache(maxsize=1)
+def _hw_class_vectors_by_type() -> tuple[list[tuple[tuple[int, int, int], list[Form]]], ...]:
+    """Per type k in ``_TYPES`` and multidegree class, a deterministic
     basis of ker(e) with h-eigenvalue 2k: the free-column kernel of e's
     rows stacked on the rows of h - 2k, with the masks of the class as
     columns.  e's rows are eliminated once per class for all types."""
     e, _, h = sl2_triple()
-    shifted = [h - identity().scale(2 * k) for k in range(max_type + 1)]
+    shifted = [h - identity().scale(2 * k) for k in _TYPES]
     out = tuple([] for _ in shifted)
     for md, masks in sorted(multidegree_classes().items()):
-        e_ech = _insert_class_rows(SparseEchelon(), e, masks)
+        e_ech = _insert_rows(SparseEchelon(), e, masks)
         for by_class, hk in zip(out, shifted):
-            vecs = [Form(v) for v in _insert_class_rows(e_ech.copy(), hk, masks).kernel(masks)]
+            vecs = [Form(v) for v in _insert_rows(e_ech.copy(), hk, masks).kernel(masks)]
             if vecs:
                 by_class.append((md, vecs))
     return out
@@ -86,8 +91,11 @@ def _hw_class_vectors_by_type(max_type: int) -> tuple[list[tuple[tuple[int, int,
 
 def _hw_class_vectors(k: int) -> list[tuple[tuple[int, int, int], list[Form]]]:
     """Per multidegree class, the basis of ker(e) with h-eigenvalue 2k.
-    Types 0..4, the range ``isotypical_table`` checks, share one pass."""
-    return _hw_class_vectors_by_type(max(k, 4))[k]
+    Types 0..4, the range ``isotypical_table`` checks, share one pass;
+    any other k raises ValueError."""
+    if k not in _TYPES:
+        raise ValueError(f"type {k} is outside the computed types 0..4")
+    return _hw_class_vectors_by_type()[k]
 
 
 @dataclass
@@ -95,10 +103,9 @@ class IsotypicalTable:
     """multiplicity[(degree, k)] of the irreducible of highest weight 2k."""
 
     multiplicity: dict[tuple[int, int], int]
-    max_type: int = 3
 
     def row(self, degree: int) -> tuple[int, ...]:
-        return tuple(self.multiplicity.get((degree, k), 0) for k in range(self.max_type + 1))
+        return tuple(self.multiplicity.get((degree, k), 0) for k in _TABLE_TYPES)
 
     def rows(self) -> list[tuple[int, ...]]:
         return [self.row(d) for d in range(10)]
@@ -109,37 +116,37 @@ class IsotypicalTable:
     def dimension_check(self) -> bool:
         """sum_k mult(d,k) * (2k+1) must reproduce binomial(9, d)."""
         for d in range(10):
-            if sum(m * (2 * k + 1) for k in range(self.max_type + 1)
+            if sum(m * (2 * k + 1) for k in _TABLE_TYPES
                    for m in [self.multiplicity.get((d, k), 0)]) != _BINOM9[d]:
                 return False
         return True
 
     def as_json_rows(self) -> list[dict]:
         return [
-            {"degree": d, **{f"rho{k}": self.row(d)[k] for k in range(self.max_type + 1)}}
+            {"degree": d, **{f"rho{k}": self.row(d)[k] for k in _TABLE_TYPES}}
             for d in range(10)
         ]
 
     def as_csv(self) -> str:
-        lines = ["degree," + ",".join(f"rho{k}" for k in range(self.max_type + 1))]
+        lines = ["degree," + ",".join(f"rho{k}" for k in _TABLE_TYPES)]
         for d in range(10):
             lines.append(f"{d}," + ",".join(str(x) for x in self.row(d)))
         return "\n".join(lines) + "\n"
 
 
-def isotypical_table(max_type: int = 4) -> IsotypicalTable:
+def isotypical_table() -> IsotypicalTable:
     """Multiplicities of each rotation type per form degree, computed as
     dim ker(e) on the h-eigenspace of eigenvalue 2k inside each degree."""
     mult: dict[tuple[int, int], int] = {}
-    for k in range(max_type + 1):
+    for k in _TYPES:
         for md, vecs in _hw_class_vectors(k):
             d = sum(md)
             mult[(d, k)] = mult.get((d, k), 0) + len(vecs)
-    # anything above type 3 must be absent; keep the table at 0..3
+    # anything outside the table's types must be absent
     for (d, k), m in mult.items():
-        if k > 3 and m:
+        if k not in _TABLE_TYPES and m:
             raise AssertionError(f"unexpected type-{k} component in degree {d}")
-    return IsotypicalTable({dk: m for dk, m in mult.items() if dk[1] <= 3})
+    return IsotypicalTable({dk: m for dk, m in mult.items() if dk[1] in _TABLE_TYPES})
 
 
 @dataclass

@@ -37,7 +37,9 @@ def test_su_pair_dimension_oracle():
     # brute-force constraint enumeration, then the closed form it certifies
     assert su_pair_dimension(1) == 3
     assert su_pair_dimension(2) == 15
-    for n in (1, 2):
+    assert su_pair_dimension(3) == 35
+    assert su_pair_dimension(4) == 63
+    for n in (1, 2, 3, 4):
         assert su_pair_dimension(n) == 4 * n * n - 1
 
 
@@ -107,6 +109,62 @@ def test_flatten_zero(ralg):
     assert layout.flatten_exact(zero) == {}
     vec = layout.flatten_modular(zero, DEFAULT_PRIMES[0], 1)
     assert not np.any(vec)
+
+
+def _reference_coordinates(layout, rop):
+    """rop's nonzero parts on the layout, cell by cell: block k starts after
+    the blocks before it, each s*s entries wide in complex mode and 2*s*s
+    in real mode (real parts row-major, then imaginary parts)."""
+    out, start = {}, 0
+    for k in layout.blocks:
+        s = cl.BLOCK_SIZES[k]
+        blk = rop.block(k)
+        for r in range(s):
+            for c in range(s):
+                v = blk.get((r, c), GaussRational(0))
+                if layout.complexified:
+                    if v:
+                        out[start + r * s + c] = v
+                else:
+                    if v.re:
+                        out[start + r * s + c] = v.re
+                    if v.im:
+                        out[start + s * s + r * s + c] = v.im
+        start += s * s * (1 if layout.complexified else 2)
+    assert start == layout.length
+    return out
+
+
+def test_flatten_matches_cell_by_cell_reference(ralg):
+    """flatten_exact and flatten_modular put every nonzero part of the
+    twelve restricted generators and their daggers where a cell-by-cell
+    walk of the blocks puts it, with its value or its balanced residue,
+    and write nothing else; on the full real and the full complex layout."""
+    from wsdalg.scalars import balanced_residue, root_of_minus_one
+
+    p = DEFAULT_PRIMES[0]
+    root = root_of_minus_one(p)
+    rops = ralg.generators() + ralg.daggers((0, 1, 2, 3))
+    for complexified in (False, True):
+        layout = FlatLayout(complexified=complexified)
+        seen_imaginary = False
+        for rop in rops:
+            want = _reference_coordinates(layout, rop)
+            assert want
+            vec = layout.flatten_modular(rop, p, root)
+            expected = np.zeros(layout.length)
+            for f, v in want.items():
+                expected[f] = balanced_residue(v, p, root)
+            assert np.array_equal(vec, expected)
+            for f, v, (k, r, c, m) in layout.parts(rop):
+                assert layout.grid(k)[m, r, c] == f
+                seen_imaginary |= m == 1
+            if complexified:
+                with pytest.raises(ValueError):
+                    layout.flatten_exact(rop)
+            else:
+                assert layout.flatten_exact(rop) == want
+        assert seen_imaginary is not complexified
 
 
 def test_layout_boundaries():
@@ -221,12 +279,16 @@ def test_bracket_engines_agree(ralg):
     """Every channel of the modular ad_g must agree with the exact block
     bracket after projection, coordinate for coordinate, in the real and in
     the complexified layout, on hw0 and on all four blocks: each of the
-    twelve generators bracketed with every restricted generator.  The class
+    twelve generators bracketed with every restricted generator and with i
+    times it, so that imaginary parts meet imaginary parts.  The class
     matrices are views that tile the one buffer, with no padding."""
     from wsdalg.closure import _rop_bracket
     from wsdalg.scalars import root_of_minus_one
 
     gens = ralg.generators()
+    xs = gens + [cl.RestrictedOperator({k: {rc: I * v for rc, v in blk.items()}
+                                        for k, blk in x.blocks.items()}, x.parity)
+                 for x in gens]
     p = DEFAULT_PRIMES[0]
     root = root_of_minus_one(p)
     for blocks, complexified in itertools.product([(0,), (0, 1, 2, 3)], (False, True)):
@@ -244,7 +306,7 @@ def test_bracket_engines_agree(ralg):
             assert ads.lo[a] == 0 and np.array_equal(ads.lo[a + 1 : b], ads.hi[a : b - 1])
         assert np.all(cover == 1)
         checked = 0
-        for x in gens:
+        for x in xs:
             d = layout.operator_class(x)
             if d is None:
                 continue
@@ -388,22 +450,25 @@ def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
     assert st.brackets == 12 * st.dim
     layout, eng = st.layout, st._engine
     # every basis row lies in exactly one class, and its parity is that class's
+    cls, pivots, residues = eng.export_rows()
+    assert len(cls) == len(pivots) == st.dim
+    assert np.all(np.diff(cls) >= 0)
+    rows = np.split(residues, np.cumsum(layout.class_width[cls])[:-1])
     seen = 0
-    nclasses = len(layout.class_indices)
-    for t in range(nclasses):
-        piv, rows = eng.class_rows(t)
-        full = np.zeros((len(rows), layout.length))
-        full[:, layout.class_indices[t]] = rows
+    for t in np.unique(cls).tolist():
+        at = np.flatnonzero(cls == t)
+        piv, block = pivots[at], np.stack([rows[i] for i in at])
+        full = np.zeros((len(block), layout.length))
+        full[:, layout.class_indices[t]] = block
         for row in full:
             assert np.unique(layout.coord_class[np.flatnonzero(row)]).tolist() == [t]
         # in increasing pivot order, each row leading at its pivot with a 1
         assert np.all(np.diff(piv) > 0)
-        assert np.array_equal(rows[:, piv], np.eye(len(piv)))
-        seen += len(rows)
+        assert np.array_equal(block[:, piv], np.eye(len(piv)))
+        seen += len(block)
     assert seen == st.dim
     # rows are listed class by class, each with its class's parity
-    assert st.parities == [int(layout.class_parity[t])
-                           for t in range(nclasses) for _ in eng.class_rows(t)[0]]
+    assert st.parities == layout.class_parity[cls].tolist()
     path = tmp_path / "hw0.npz"
     st.save(str(path))
     loaded = cl.load_state(str(path))
@@ -421,11 +486,23 @@ def test_empty_class_component_rejected(ralg):
     st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
     odd = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
     t = st.layout.operator_class(odd)
-    assert len(st._engine.class_rows(t)[0]) == 0
+    assert t is not None and t not in st._engine.listing()[0]
     assert not st.contains_modular(odd)
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
     assert not st.contains_modular(member)
+
+
+@pytest.mark.parametrize("field", ["modular", "modular-complex"])
+@pytest.mark.parametrize("unit", [GaussRational(1), I])
+def test_supertrace_residues_see_both_parts(ralg, field, unit):
+    """A basis element whose supertrace has a nonzero real or imaginary
+    part reads as a nonzero residue, in the real and in the complexified
+    layout: its one row is 1 at the pivot, the (0, 0) entry of hw3."""
+    g = cl.RestrictedOperator({3: {(0, 0): unit}}, 0)
+    st = lie_closure([g], field=field, blocks=(3,), ralg=ralg)
+    assert st.dim == 1
+    assert st.supertrace_residues() == 1.0
 
 
 def test_load_state_accepts_rows_in_any_order(tmp_path, ralg):

@@ -72,6 +72,12 @@ def test_highest_weight_spaces(k):
         assert h.apply(v) == v.scale(2 * k)
 
 
+@pytest.mark.parametrize("k", [-1, 5])
+def test_highest_weight_space_rejects_uncomputed_types(k):
+    with pytest.raises(ValueError, match=f"type {k} is outside"):
+        highest_weight_space(k)
+
+
 def test_hw1_contains_degree_one_vector():
     hw = highest_weight_space(1)
     w10 = forms.w_form(1, 0)
@@ -133,11 +139,13 @@ def test_hodge_star_exchanges_halves(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_pairing_nondegenerate_on_hw(k):
-    from wsdalg.linalg import rank_dense
+    from wsdalg.linalg import SparseEchelon
 
     vecs = highest_weight_space(k).vectors()
-    mat = [[poincare_pair(a, b) for b in vecs] for a in vecs]
-    assert rank_dense(mat, len(vecs)) == len(vecs)
+    ech = SparseEchelon()
+    for a in vecs:
+        ech.insert({j: v for j, b in enumerate(vecs) if (v := poincare_pair(a, b))})
+    assert ech.rank == len(vecs)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
