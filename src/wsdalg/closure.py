@@ -365,26 +365,53 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _column_index(x: RestrictedOperator, blocks) -> tuple[int, dict]:
+    """x's parity and, per block, (real, {c: [(r, re, im), ...]}): the
+    block's entries grouped by column, and whether every entry is real."""
+    index = {}
+    for k in blocks:
+        bycol: dict[int, list[tuple[int, int | Fraction, int | Fraction]]] = {}
+        real = True
+        for (r, c), v in x.block(k).items():
+            bycol.setdefault(c, []).append((r, v.re, v.im))
+            real = real and not v.im
+        index[k] = (real, bycol)
+    return x.parity, index
+
+
 def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
-    """[x, y] = xy - (-1)^{|x||y|} yx, both products of a block summed as
-    (re, im) pairs of ints or Fractions and wrapped once per nonzero cell."""
-    sign = 1 if (x.parity and y.parity) else -1
+    """[x, y] = xy - (-1)^{|x||y|} yx."""
+    return _indexed_bracket(_column_index(x, blocks), _column_index(y, blocks), blocks)
+
+
+def _indexed_bracket(x, y, blocks) -> RestrictedOperator:
+    """``_rop_bracket`` on the ``_column_index`` forms of x and y: both
+    products of a block are summed as (re, im) pairs of ints or Fractions
+    and wrapped once per nonzero cell; when both factors of a product are
+    real, its imaginary partial products are skipped."""
+    (px, xi), (py, yi) = x, y
+    sign = 1 if (px and py) else -1
     out: dict[int, _BlockMat] = {}
     for k in blocks:
         re: dict[tuple[int, int], int | Fraction] = {}
         im: dict[tuple[int, int], int | Fraction] = {}
-        for sgn, a, b in ((1, x.block(k), y.block(k)), (sign, y.block(k), x.block(k))):
-            bycol: dict[int, list[tuple[int, GaussRational]]] = {}
-            for (r, c), v in a.items():
-                bycol.setdefault(c, []).append((r, v))
-            for (mid, c), v in b.items():
-                p, q = (v.re, v.im) if sgn > 0 else (-v.re, -v.im)
-                for r, w in bycol.get(mid, ()):
-                    key = (r, c)
-                    re[key] = re.get(key, 0) + (w.re * p - w.im * q)
-                    im[key] = im.get(key, 0) + (w.re * q + w.im * p)
+        for sgn, (a_real, a), (b_real, b) in ((1, xi[k], yi[k]), (sign, yi[k], xi[k])):
+            real = a_real and b_real
+            for c, col in b.items():
+                for mid, p, q in col:
+                    if sgn < 0:
+                        p, q = -p, -q
+                    if real:
+                        for r, w, _ in a.get(mid, ()):
+                            key = (r, c)
+                            re[key] = re.get(key, 0) + w * p
+                        continue
+                    for r, w, z in a.get(mid, ()):
+                        key = (r, c)
+                        re[key] = re.get(key, 0) + (w * p - z * q)
+                        im[key] = im.get(key, 0) + (w * q + z * p)
         out[k] = _gauss_cells(re, im)
-    return RestrictedOperator(out, (x.parity + y.parity) & 1)
+    return RestrictedOperator(out, (px + py) & 1)
 
 
 def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
@@ -406,11 +433,13 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
     for g in gens:
         if reduce_insert(g):
             frontier.append(g)
+    blocks = layout.blocks
+    indexed = [_column_index(g, blocks) for g in gens]
     while frontier:
-        x = frontier.popleft()
-        for g in gens:
+        x = _column_index(frontier.popleft(), blocks)
+        for g in indexed:
             brackets += 1
-            cand = _rop_bracket(g, x, layout.blocks)
+            cand = _indexed_bracket(g, x, blocks)
             if reduce_insert(cand):
                 frontier.append(cand)
     return echelon, pivots, parities, brackets

@@ -17,19 +17,26 @@ Operators are stored column-sparse: cols[input_mask] = {output_mask: coeff}.
 The wedge/contraction generators touch O(1) outputs per input and
 composition walks columns, so this is the natural orientation.
 
-Every product and sum (compose, +, -, superbracket) runs through one
-accumulator, ``_product_sum``, and ``apply`` through the same sums over a
-form: real and imaginary parts add as plain ints or Fractions, and each
-nonzero result becomes one GaussRational at the end.
-The wedge operators L_j and V_j and the rotation triple are built once
-and shared, so no caller may mutate an operator in place.
+Every product and sum (compose, +, -, superbracket), ``scale`` and the
+adjoints run on each operator's coordinate view instead: its entries
+sorted by (column, row) as int64 row and column masks beside object
+arrays of the real and imaginary parts (plain ints, Fractions only where
+a value is not integral), so the arithmetic stays exact.  Products are
+one sparse join, ``_product_sum``.  A result's cols, one GaussRational per
+entry, are built only when read, as ``apply`` does, which sums (re, im)
+pairs over a form.  The wedge operators L_j and V_j and the rotation
+triple are built once and shared, and every operator keeps both of its
+forms and its parity, so no caller may mutate an operator in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
-from .scalars import GaussRational, I, ONE, ZERO, _gauss_cells, gauss
+import numpy as np
+
+from .scalars import GaussRational, I, ONE, ZERO, _canon, _gauss_cells, _make, gauss
 from . import forms
 from .forms import (
     DIM,
@@ -81,19 +88,37 @@ __all__ = [
 ]
 
 
+class _Coords(NamedTuple):
+    """An operator's entries sorted by (column, row): int64 row and column
+    masks, and object arrays of the canonical re and im parts."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+_UNSET = object()  # a parity not yet computed (None means mixed)
+_MASK_PARITY = np.array([m.bit_count() & 1 for m in range(DIM)], dtype=np.int64)
+
+
 class Operator:
     """Sparse linear map of the 512-dimensional algebra over Q(i).
 
-    cols maps an input basis mask to the sparse column {output mask: coeff}
-    and stores nonzero coefficients only.  parity is 0 (even), 1 (odd) or
-    None (mixed), read off the entries.
+    The entries have two forms, each built from the other on first use and
+    then kept: ``cols`` maps an input basis mask to the sparse column
+    {output mask: coeff}, and ``coords()`` is the ``_Coords`` view that
+    ``_product_sum`` joins on.  Both hold nonzero canonical values only.
+    ``parity()`` is also computed once.  Keeping them is sound because no
+    operator is mutated after it is built.
 
-    compose, + and - go through ``_product_sum``, so their results hold
-    no zero entries and every value is in canonical form; ``scale`` needs
-    no filtering, since s * v is nonzero for nonzero s and v.
+    compose, +, -, ``scale`` and the adjoints start their results with the
+    coordinate view alone, with no zero entry and every value in canonical
+    form: an intermediate result that is only multiplied, added or tested
+    for zero never builds its cols.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("_cols", "_coords", "_parity")
 
     def __init__(self, cols: dict[int, dict[int, GaussRational]] | None = None):
         clean: dict[int, dict[int, GaussRational]] = {}
@@ -101,15 +126,54 @@ class Operator:
             nz = {r: v for r, v in col.items() if v}
             if nz:
                 clean[c] = nz
-        self.cols = clean
+        self._cols: dict[int, dict[int, GaussRational]] | None = clean
+        self._coords: _Coords | None = None
+        self._parity = _UNSET
 
     @classmethod
-    def _wrap(cls, cols: dict[int, dict[int, GaussRational]]) -> "Operator":
-        """An Operator over cols as given: no value may be zero and no
-        column empty, since nothing is filtered."""
+    def _from_coords(cls, coords: _Coords) -> "Operator":
+        """An Operator over a coordinate view as it is: sorted by (column,
+        row), canonical and with no zero value, since nothing is checked."""
         op = object.__new__(cls)
-        op.cols = cols
+        op._cols = None
+        op._coords = coords
+        op._parity = _UNSET
         return op
+
+    @property
+    def cols(self) -> dict[int, dict[int, GaussRational]]:
+        """{input mask: {output mask: coeff}}, one GaussRational per entry."""
+        if self._cols is None:
+            v = self._coords
+            out: dict[int, dict[int, GaussRational]] = {}
+            for c, r, z in zip(v.cols.tolist(), v.rows.tolist(), map(_make, v.re.tolist(), v.im.tolist())):
+                col = out.get(c)
+                if col is None:
+                    out[c] = {r: z}
+                else:
+                    col[r] = z
+            self._cols = out
+        return self._cols
+
+    def coords(self) -> _Coords:
+        """The entries sorted by (column, row)."""
+        if self._coords is None:
+            rows: list[int] = []
+            cols: list[int] = []
+            vals: list[GaussRational] = []
+            for c in sorted(self._cols):
+                col = self._cols[c]
+                rs = sorted(col)
+                rows += rs
+                cols += [c] * len(rs)
+                vals += [col[r] for r in rs]
+            self._coords = _Coords(
+                np.array(rows, dtype=np.int64),
+                np.array(cols, dtype=np.int64),
+                np.array([v.re for v in vals], dtype=object),
+                np.array([v.im for v in vals], dtype=object),
+            )
+        return self._coords
 
     # -- linear structure ---------------------------------------------------
 
@@ -126,7 +190,8 @@ class Operator:
         s = gauss(s)
         if not s:
             return Operator()
-        return Operator._wrap({c: {r: s * v for r, v in col.items()} for c, col in self.cols.items()})
+        v = self.coords()
+        return _from_sums(v.rows, v.cols, s.re * v.re - s.im * v.im, s.re * v.im + s.im * v.re)
 
     def __mul__(self, other):
         if isinstance(other, Operator):
@@ -143,10 +208,11 @@ class Operator:
         """self(f), summed as (re, im) pairs like ``_product_sum`` but with
         no per-column bookkeeping, since restriction applies operators to
         thousands of small forms."""
+        cols = self.cols
         re: dict = {}
         im: dict = {}
         for m, v in f.coeffs.items():
-            col = self.cols.get(m)
+            col = cols.get(m)
             if col:
                 x, y = v.re, v.im
                 for r, w in col.items():
@@ -164,10 +230,12 @@ class Operator:
         return self.cols.get(col, {}).get(row, ZERO)
 
     def is_zero(self) -> bool:
-        return not self.cols
+        return not self
 
     def __bool__(self) -> bool:
-        return bool(self.cols)
+        if self._cols is None:
+            return len(self._coords.rows) > 0
+        return bool(self._cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Operator) and self.cols == other.cols
@@ -176,17 +244,13 @@ class Operator:
         raise TypeError("Operator is unhashable")
 
     def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed or zero-without-meaning."""
-        par: int | None = None
-        for c, col in self.cols.items():
-            dc = c.bit_count()
-            for r in col:
-                p = (r.bit_count() - dc) & 1
-                if par is None:
-                    par = p
-                elif par != p:
-                    return None
-        return par
+        """0 for even, 1 for odd, None for mixed or zero-without-meaning;
+        computed once."""
+        if self._parity is _UNSET:
+            v = self.coords()
+            d = _MASK_PARITY[v.rows] ^ _MASK_PARITY[v.cols]
+            self._parity = int(d[0]) if len(d) and d.min() == d.max() else None
+        return self._parity
 
     def multidegree_shift(self) -> tuple[int, int, int] | None:
         """Common (da, db, dc) of all entries, or None if mixed."""
@@ -213,35 +277,52 @@ def _product_sum(terms) -> Operator:
     """The sum of sgn * (a @ b) over the terms (sgn, a, b), sgn = +1 or -1;
     b = None stands for the identity, so (sgn, a, None) adds sgn * a.
 
-    Each output column accumulates as two dicts, {row: re} and {row: im},
-    of ints, or Fractions where a value is not integral.  Each nonzero cell
-    then becomes one GaussRational in canonical form, and exact
-    cancellations leave no entry behind.
+    One sparse join on the coordinate views: each entry (mid, c) of b meets
+    the entries of a in column mid, found by ``searchsorted`` in a's sorted
+    columns, and each meeting is one partial product (r, c).  The partial
+    products of all terms are sorted on col * DIM + row and summed per cell
+    with ``np.add.reduceat``, as ints or Fractions in object arrays, so the
+    sums are exact.  Exact zeros are dropped, each remaining cell becomes
+    one canonical GaussRational, and the arrays become the result's view.
     """
-    acc: dict[int, tuple[dict, dict]] = {}
+    parts = []
     for sgn, a, b in terms:
-        acols = a.cols
-        bcols = b.cols if b is not None else {m: {m: ONE} for m in acols}
-        for c, col in bcols.items():
-            sums = acc.get(c)
-            if sums is None:
-                sums = acc[c] = ({}, {})
-            re, im = sums
-            for mid, v in col.items():
-                col2 = acols.get(mid)
-                if not col2:
-                    continue
-                x, y = (v.re, v.im) if sgn > 0 else (-v.re, -v.im)
-                for r, w in col2.items():
-                    p, q = w.re, w.im
-                    re[r] = re.get(r, 0) + (p * x - q * y)
-                    im[r] = im.get(r, 0) + (p * y + q * x)
-    cols: dict[int, dict[int, GaussRational]] = {}
-    for c, (re, im) in acc.items():
-        out = _gauss_cells(re, im)
-        if out:
-            cols[c] = out
-    return Operator._wrap(cols)
+        x = a.coords()
+        if b is None:
+            rows, cols, re, im = x
+        else:
+            y = b.coords()
+            lo = np.searchsorted(x.cols, y.rows, "left")
+            n = np.searchsorted(x.cols, y.rows, "right") - lo
+            j = np.repeat(np.arange(len(n)), n)
+            i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(n) - n), n)
+            rows, cols = x.rows[i], y.cols[j]
+            p, q, s, t = x.re[i], x.im[i], y.re[j], y.im[j]
+            re, im = p * s - q * t, p * t + q * s
+        if sgn < 0:
+            re, im = -re, -im
+        parts.append((rows, cols, re, im))
+    rows, cols, re, im = (np.concatenate(z) for z in zip(*parts))
+    if not len(rows):
+        return Operator._from_coords(_Coords(rows, cols, re, im))
+    key = cols * DIM + rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    re = np.add.reduceat(re[order], first)
+    im = np.add.reduceat(im[order], first)
+    keep = (re != 0) | (im != 0)
+    cols, rows = np.divmod(key[first[keep]], DIM)
+    return _from_sums(rows, cols, re[keep], im[keep])
+
+
+def _from_sums(rows, cols, re, im) -> Operator:
+    """The Operator over entries sorted by (column, row) whose re and im
+    parts are exact sums, not both zero, of ints and Fractions: each part
+    is made canonical once, and the arrays become its coordinate view."""
+    re = np.array(list(map(_canon, re.tolist())), dtype=object)
+    im = np.array(list(map(_canon, im.tolist())), dtype=object)
+    return Operator._from_coords(_Coords(rows, cols, re, im))
 
 
 def zero_operator() -> Operator:
@@ -376,11 +457,7 @@ def star_operator() -> Operator:
 
 def plain_adjoint(phi: Operator) -> Operator:
     """Conjugate transpose in the orthonormal monomial basis."""
-    out: dict[int, dict[int, GaussRational]] = {}
-    for c, col in phi.cols.items():
-        for r, v in col.items():
-            out.setdefault(r, {})[c] = v.conjugate()
-    return Operator(out)
+    return _conjugate_transpose(phi, False)
 
 
 def super_adjoint(phi: Operator) -> Operator:
@@ -395,13 +472,20 @@ def super_adjoint(phi: Operator) -> Operator:
     par = phi.parity()
     if par is None:
         raise ValueError("super_adjoint needs an operator of definite parity")
-    out: dict[int, dict[int, GaussRational]] = {}
-    for c, col in phi.cols.items():
-        sgn = -1 if (par and c.bit_count() & 1) else 1
-        for r, v in col.items():
-            w = v.conjugate()
-            out.setdefault(r, {})[c] = w if sgn > 0 else -w
-    return Operator(out)
+    return _conjugate_transpose(phi, par == 1)
+
+
+def _conjugate_transpose(phi: Operator, twist: bool) -> Operator:
+    """conj(phi[c, r]) at (r, c), negated on the rows r of odd degree when
+    twist is set; re-sorted on the coordinate view, so no cell is touched
+    in Python."""
+    v = phi.coords()
+    order = np.argsort(v.rows * DIM + v.cols, kind="stable")
+    rows, cols, re, im = v.cols[order], v.rows[order], v.re[order], -v.im[order]
+    if twist:
+        odd = _MASK_PARITY[rows] == 1
+        re, im = np.where(odd, -re, re), np.where(odd, -im, im)
+    return Operator._from_coords(_Coords(rows, cols, re, im))
 
 
 def dagger(phi: Operator) -> Operator:
@@ -522,6 +606,10 @@ def standard_generators() -> dict[str, Operator]:
         gens[f"iV{j}"] = build_V(j).scale(I)
     for j in range(3):
         gens[f"A{j}"] = build_A(j)
+    # restriction applies every generator to forms through cols: build them
+    # here, once, and not inside the first restriction of each generator
+    for op in gens.values():
+        op.cols
     return gens
 
 

@@ -23,6 +23,7 @@ and printing independent of how a value was computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "GaussRational",
@@ -253,8 +254,8 @@ def _canon(x):
 
 def _gauss_cells(re: dict, im: dict) -> dict:
     """{key: GaussRational} for the nonzero cells of component sums re[key],
-    im[key] (ints or Fractions; im has every key of re), canonical."""
-    return {k: _make(_canon(x), _canon(im[k])) for k, x in re.items() if x or im[k]}
+    im.get(key, 0) (ints or Fractions; re has every key of im), canonical."""
+    return {k: _make(_canon(x), _canon(y)) for k, x in re.items() if (y := im.get(k, 0)) or x}
 
 
 def _quotient(x, n):
@@ -310,6 +311,13 @@ def balanced_residue(z: GaussRational | int | Fraction, p: int, root_i: int) -> 
 def _residue(x: int | Fraction, p: int) -> int:
     if type(x) is int:
         return x
-    if x.denominator % p == 0:
+    return x.numerator * _inverse(x.denominator, p)
+
+
+@lru_cache(maxsize=256)
+def _inverse(den: int, p: int) -> int:
+    """den^-1 mod p, cached: the certificate's denominators all divide 6.
+    A PrimeCollision is raised, and not cached, whenever p divides den."""
+    if den % p == 0:
         raise PrimeCollision(f"denominator divisible by {p}")
-    return x.numerator * pow(x.denominator, -1, p)
+    return pow(den, -1, p)

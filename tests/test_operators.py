@@ -413,6 +413,33 @@ def _cancelling_pairs(rng: random.Random):
     yield {(1, 2): half, (1, 4): half}, {(2, 8): ONE, (4, 8): ONE}
 
 
+def _edge_pairs(rng: random.Random):
+    """The masks 0 and 511 on both sides, components past 2^63, Fractions
+    that sum to ints, and the zero operator on either side."""
+    for pa in (0, 1):
+        a = _random_entries(rng, pa, (0, 1, 510, 511), 0.7)
+        yield a, _random_entries(rng, 1 - pa, (0, 1, 510, 511), 0.7)
+        yield a, {}
+        yield {}, a
+    # 2^64 + 1 = 2 and 2^63 + 2 = 1 (mod 3): the thirds sum to an int
+    x, y = Fraction(2**64 + 1, 3), Fraction(2**63 + 2, 3)
+    yield {(1, 2): ONE, (1, 4): ONE}, {(2, 8): GaussRational(x, 2**70), (4, 8): GaussRational(y, 1 - 2**70)}
+    yield {(2, 8): GaussRational(x, 2**65)}, {(2, 8): GaussRational(y, -(2**65)), (0, 511): GaussRational(2**80)}
+
+
+def _assert_coords(op: ops.Operator) -> None:
+    """op's coordinate view equals the one a fresh operator builds from its
+    cols, entry for entry and type for type, and its parity is that of its
+    entries."""
+    parities = {(r.bit_count() - c.bit_count()) & 1 for (r, c) in _cells(op)}
+    assert op.parity() == (parities.pop() if len(parities) == 1 else None)
+    got, want = op.coords(), ops.Operator(op.cols).coords()
+    assert got.rows.tolist() == want.rows.tolist()
+    assert got.cols.tolist() == want.cols.tolist()
+    for g, w in ((got.re, want.re), (got.im, want.im)):
+        assert [(type(v), v) for v in g.tolist()] == [(type(v), v) for v in w.tolist()]
+
+
 def test_product_accumulator_matches_reference():
     rng = random.Random(13)
     pairs = [
@@ -422,7 +449,9 @@ def test_product_accumulator_matches_reference():
         for _ in range(3)
     ]
     pairs += list(_cancelling_pairs(rng))
+    pairs += list(_edge_pairs(rng))
     assert any(not _ref_sum((1, a), (1, b)) for a, b in pairs)
+    assert ops.Operator().parity() is None
     for a, b in pairs:
         A, B = _operator(a), _operator(b)
         ab, ba = _ref_product(a, b), _ref_product(b, a)
@@ -430,9 +459,24 @@ def test_product_accumulator_matches_reference():
             "compose": _ref_sum((1, ab)),
             "add": _ref_sum((1, a), (1, b)),
             "sub": _ref_sum((1, a), (-1, b)),
+            "mixed": _ref_sum((1, ab), (-1, b), (1, a), (-1, ba)),
+            "scale": _ref_sum((GaussRational(Fraction(-2, 3), 5), a)),
         }
-        got = {"compose": A.compose(B), "add": A + B, "sub": A - B}
+        got = {
+            "compose": A.compose(B),
+            "add": A + B,
+            "sub": A - B,
+            "mixed": ops._product_sum(((1, A, B), (-1, B, None), (1, A, None), (-1, B, A))),
+            "scale": A.scale(GaussRational(Fraction(-2, 3), 5)),
+        }
+        expect["adjoint"] = {(c, r): v.conjugate() for (r, c), v in a.items()}
+        got["adjoint"] = plain_adjoint(A)
         pa, pb = A.parity(), B.parity()
+        if pa is not None:
+            expect["super_adjoint"] = {
+                (c, r): v.conjugate() * (-1 if pa and c.bit_count() & 1 else 1) for (r, c), v in a.items()
+            }
+            got["super_adjoint"] = super_adjoint(A)
         if pa is not None and pb is not None:
             expect["bracket"] = _ref_sum((1, ab), (1 if (pa and pb) else -1, ba))
             got["bracket"] = superbracket(A, B)
@@ -441,6 +485,7 @@ def test_product_accumulator_matches_reference():
             assert cells == expect[name], name
             assert all(op.cols.values()), f"{name}: empty column"
             _assert_canonical(cells)
+            _assert_coords(op)
         f = forms.Form({c: v for (r, c), v in b.items() if r == 3})
         image = A.apply(f)
         ref = _ref_sum((1, _ref_product(a, {(m, 0): v for m, v in f.coeffs.items()})))
@@ -448,13 +493,29 @@ def test_product_accumulator_matches_reference():
         _assert_canonical(image.coeffs)
 
 
+def _complex_block(rng: random.Random) -> dict:
+    return _random_entries(rng, 0, range(8), 0.3)
+
+
+def _real_block(rng: random.Random) -> dict:
+    """A random {(r, c): v} block of real ints and Fractions."""
+    return {
+        (r, c): GaussRational(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3, 6])))
+        for c in range(8)
+        for r in range(8)
+        if rng.random() < 0.3
+    }
+
+
 def test_rop_bracket_matches_reference():
     rng = random.Random(17)
+    # real with real takes the real-only products; real with complex does not
+    kinds = [(_complex_block, _complex_block), (_real_block, _real_block), (_real_block, _complex_block)]
     for px in (0, 1):
         for py in (0, 1):
-            for _ in range(3):
-                xb = {k: _random_entries(rng, 0, range(8), 0.3) for k in (0, 2)}
-                yb = {k: _random_entries(rng, 0, range(8), 0.3) for k in (0, 2)}
+            for make_x, make_y in kinds:
+                xb = {k: make_x(rng) for k in (0, 2)}
+                yb = {k: make_y(rng) for k in (0, 2)}
                 x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
                 got = _rop_bracket(x, y, (0, 2))
                 assert got.parity == (px + py) & 1
@@ -466,7 +527,7 @@ def test_rop_bracket_matches_reference():
                     assert got.block(k) == ref
                     _assert_canonical(got.block(k))
     # an even element brackets to zero with itself, leaving empty blocks
-    xb = {0: _random_entries(rng, 0, range(8), 0.3)}
+    xb = {0: _complex_block(rng)}
     x = RestrictedOperator(xb, 0)
     assert _rop_bracket(x, x, (0,)).blocks == {0: {}}
 

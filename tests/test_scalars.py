@@ -227,6 +227,31 @@ def test_mod_project_prime_collision():
         balanced_residue(GaussRational(1, Fraction(2, 5)), 5, 2)
 
 
+def test_mod_project_collision_is_raised_every_time():
+    """The cached inverse never caches a collision: the same vanishing
+    denominator raises on every call, also after a valid one."""
+    z = GaussRational(Fraction(1, 10))
+    for _ in range(2):
+        with pytest.raises(PrimeCollision):
+            balanced_residue(z, 5, 2)
+        with pytest.raises(PrimeCollision):
+            balanced_residue(Fraction(3, 5), 5, 2)
+        assert balanced_residue(Fraction(1, 10), 13, 5) == 4  # 10 * 4 = 40 = 1 mod 13
+
+
+def test_mod_project_fractions_match_direct_inverse():
+    rng = random.Random(29)
+    for p in (13, DEFAULT_PRIMES[1]):
+        for _ in range(300):
+            den = rng.randint(1, 50)
+            if den % p == 0:
+                continue
+            num = rng.randint(-10**6, 10**6)
+            want = num * pow(den, -1, p) % p
+            want = want - p if want > p // 2 else want
+            assert balanced_residue(Fraction(num, den), p, 5) == want, (num, den, p)
+
+
 @pytest.mark.parametrize("p", [5, 13, DEFAULT_PRIMES[0]])
 def test_mod_project_homomorphism(p):
     rng = random.Random(p)
