@@ -379,13 +379,9 @@ def _column_index(x: RestrictedOperator, blocks) -> tuple[int, dict]:
     return x.parity, index
 
 
-def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
-    """[x, y] = xy - (-1)^{|x||y|} yx."""
-    return _indexed_bracket(_column_index(x, blocks), _column_index(y, blocks), blocks)
-
-
 def _indexed_bracket(x, y, blocks) -> RestrictedOperator:
-    """``_rop_bracket`` on the ``_column_index`` forms of x and y: both
+    """[x, y] = xy - (-1)^{|x||y|} yx, from the ``_column_index`` forms of
+    x and y, so that a closure indexes each generator once: both
     products of a block are summed as (re, im) pairs of ints or Fractions
     and wrapped once per nonzero cell; when both factors of a product are
     real, its imaginary partial products are skipped."""

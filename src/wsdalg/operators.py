@@ -22,11 +22,11 @@ adjoints run on each operator's coordinate view instead: its entries
 sorted by (column, row) as int64 row and column masks beside object
 arrays of the real and imaginary parts (plain ints, Fractions only where
 a value is not integral), so the arithmetic stays exact.  Products are
-one sparse join, ``_product_sum``.  A result's cols, one GaussRational per
-entry, are built only when read, as ``apply`` does, which sums (re, im)
-pairs over a form.  The wedge operators L_j and V_j and the rotation
-triple are built once and shared, and every operator keeps both of its
-forms and its parity, so no caller may mutate an operator in place.
+one sparse join, ``_product_sum``; its result keeps the joined arrays as
+its view and builds its cols from them once, one GaussRational per entry.
+The wedge operators L_j and V_j and the rotation triple are built once
+and shared, and every operator keeps both of its forms and its parity, so
+no caller may mutate an operator in place.
 """
 
 from __future__ import annotations
@@ -105,20 +105,19 @@ _MASK_PARITY = np.array([m.bit_count() & 1 for m in range(DIM)], dtype=np.int64)
 class Operator:
     """Sparse linear map of the 512-dimensional algebra over Q(i).
 
-    The entries have two forms, each built from the other on first use and
-    then kept: ``cols`` maps an input basis mask to the sparse column
-    {output mask: coeff}, and ``coords()`` is the ``_Coords`` view that
-    ``_product_sum`` joins on.  Both hold nonzero canonical values only.
-    ``parity()`` is also computed once.  Keeping them is sound because no
-    operator is mutated after it is built.
+    The entries have two forms, both holding nonzero canonical values only:
+    ``cols`` maps an input basis mask to the sparse column {output mask:
+    coeff}, and ``coords()`` is the ``_Coords`` view that ``_product_sum``
+    joins on, built on first use and then kept.  ``parity()`` is also
+    computed once.  Keeping them is sound because no operator is mutated
+    after it is built.
 
-    compose, +, -, ``scale`` and the adjoints start their results with the
-    coordinate view alone, with no zero entry and every value in canonical
-    form: an intermediate result that is only multiplied, added or tested
-    for zero never builds its cols.
+    compose, +, -, ``scale`` and the adjoints build their results from a
+    coordinate view with no zero entry and every value in canonical form,
+    and keep that view.
     """
 
-    __slots__ = ("_cols", "_coords", "_parity")
+    __slots__ = ("cols", "_coords", "_parity")
 
     def __init__(self, cols: dict[int, dict[int, GaussRational]] | None = None):
         clean: dict[int, dict[int, GaussRational]] = {}
@@ -126,34 +125,28 @@ class Operator:
             nz = {r: v for r, v in col.items() if v}
             if nz:
                 clean[c] = nz
-        self._cols: dict[int, dict[int, GaussRational]] | None = clean
+        self.cols = clean
         self._coords: _Coords | None = None
         self._parity = _UNSET
 
     @classmethod
     def _from_coords(cls, coords: _Coords) -> "Operator":
         """An Operator over a coordinate view as it is: sorted by (column,
-        row), canonical and with no zero value, since nothing is checked."""
+        row), canonical and with no zero value, since nothing is checked.
+        Its cols are built from the view, one ``_make`` per entry."""
+        cols: dict[int, dict[int, GaussRational]] = {}
+        values = map(_make, coords.re.tolist(), coords.im.tolist())
+        for c, r, z in zip(coords.cols.tolist(), coords.rows.tolist(), values):
+            col = cols.get(c)
+            if col is None:
+                cols[c] = {r: z}
+            else:
+                col[r] = z
         op = object.__new__(cls)
-        op._cols = None
+        op.cols = cols
         op._coords = coords
         op._parity = _UNSET
         return op
-
-    @property
-    def cols(self) -> dict[int, dict[int, GaussRational]]:
-        """{input mask: {output mask: coeff}}, one GaussRational per entry."""
-        if self._cols is None:
-            v = self._coords
-            out: dict[int, dict[int, GaussRational]] = {}
-            for c, r, z in zip(v.cols.tolist(), v.rows.tolist(), map(_make, v.re.tolist(), v.im.tolist())):
-                col = out.get(c)
-                if col is None:
-                    out[c] = {r: z}
-                else:
-                    col[r] = z
-            self._cols = out
-        return self._cols
 
     def coords(self) -> _Coords:
         """The entries sorted by (column, row)."""
@@ -161,8 +154,8 @@ class Operator:
             rows: list[int] = []
             cols: list[int] = []
             vals: list[GaussRational] = []
-            for c in sorted(self._cols):
-                col = self._cols[c]
+            for c in sorted(self.cols):
+                col = self.cols[c]
                 rs = sorted(col)
                 rows += rs
                 cols += [c] * len(rs)
@@ -205,14 +198,12 @@ class Operator:
         return _product_sum(((1, self, other),))
 
     def apply(self, f: Form) -> Form:
-        """self(f), summed as (re, im) pairs like ``_product_sum`` but with
-        no per-column bookkeeping, since restriction applies operators to
-        thousands of small forms."""
-        cols = self.cols
+        """self(f): sums (re, im) pairs of ints and Fractions over the
+        form's coefficients and wraps each nonzero cell once."""
         re: dict = {}
         im: dict = {}
         for m, v in f.coeffs.items():
-            col = cols.get(m)
+            col = self.cols.get(m)
             if col:
                 x, y = v.re, v.im
                 for r, w in col.items():
@@ -230,12 +221,10 @@ class Operator:
         return self.cols.get(col, {}).get(row, ZERO)
 
     def is_zero(self) -> bool:
-        return not self
+        return not self.cols
 
     def __bool__(self) -> bool:
-        if self._cols is None:
-            return len(self._coords.rows) > 0
-        return bool(self._cols)
+        return bool(self.cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Operator) and self.cols == other.cols
@@ -606,10 +595,6 @@ def standard_generators() -> dict[str, Operator]:
         gens[f"iV{j}"] = build_V(j).scale(I)
     for j in range(3):
         gens[f"A{j}"] = build_A(j)
-    # restriction applies every generator to forms through cols: build them
-    # here, once, and not inside the first restriction of each generator
-    for op in gens.values():
-        op.cols
     return gens
 
 

@@ -60,10 +60,9 @@ def _insert_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> SparseEc
     """Insert the rows {input mask: coeff} of an operator on a multidegree
     class it preserves into ech; returns ech."""
     index = set(masks)
-    cols = op.cols
     rows: dict[int, dict[int, GaussRational]] = {}
     for m in masks:
-        for r, v in cols.get(m, {}).items():
+        for r, v in op.cols.get(m, {}).items():
             if r not in index:
                 raise ValueError("operator leaves the multidegree class")
             rows.setdefault(r, {})[m] = v

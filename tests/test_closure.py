@@ -33,6 +33,11 @@ def ralg():
     return default_algebra()
 
 
+def _rop_bracket(x, y, blocks):
+    """[x, y] of two restricted operators on the given blocks."""
+    return cl._indexed_bracket(cl._column_index(x, blocks), cl._column_index(y, blocks), blocks)
+
+
 def test_su_pair_dimension_oracle():
     # brute-force constraint enumeration, then the closed form it certifies
     assert su_pair_dimension(1) == 3
@@ -282,7 +287,6 @@ def test_bracket_engines_agree(ralg):
     twelve generators bracketed with every restricted generator and with i
     times it, so that imaginary parts meet imaginary parts.  The class
     matrices are views that tile the one buffer, with no padding."""
-    from wsdalg.closure import _rop_bracket
     from wsdalg.scalars import root_of_minus_one
 
     gens = ralg.generators()
@@ -394,7 +398,7 @@ def test_generator_shifts(ralg):
     assert got == want
     for a in ops.GENERATOR_NAMES:
         for b in ops.GENERATOR_NAMES:
-            br = cl._rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
+            br = _rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
             t = layout.operator_class(br)
             if t is not None:
                 assert layout.class_shifts[t] == tuple(x + y for x, y in zip(want[a], want[b]))

@@ -12,7 +12,7 @@ from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
 from wsdalg import suites
-from wsdalg.closure import RestrictedOperator, _rop_bracket
+from wsdalg.closure import RestrictedOperator, _column_index, _indexed_bracket
 from wsdalg.operators import (
     PERMUTATIONS,
     build_A,
@@ -507,29 +507,45 @@ def _real_block(rng: random.Random) -> dict:
     }
 
 
+def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
+    """[x, y] of two restricted operators on the given blocks."""
+    return _indexed_bracket(_column_index(x, blocks), _column_index(y, blocks), blocks)
+
+
+def _assert_bracket_matches_reference(xb: dict, px: int, yb: dict, py: int) -> None:
+    x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
+    got = _rop_bracket(x, y, tuple(xb))
+    assert got.parity == (px + py) & 1
+    for k in xb:
+        ref = _ref_sum(
+            (1, _ref_product(xb[k], yb[k])),
+            (1 if (px and py) else -1, _ref_product(yb[k], xb[k])),
+        )
+        assert got.block(k) == ref
+        _assert_canonical(got.block(k))
+
+
 def test_rop_bracket_matches_reference():
     rng = random.Random(17)
-    # real with real takes the real-only products; real with complex does not
-    kinds = [(_complex_block, _complex_block), (_real_block, _real_block), (_real_block, _complex_block)]
     for px in (0, 1):
         for py in (0, 1):
-            for make_x, make_y in kinds:
-                xb = {k: make_x(rng) for k in (0, 2)}
-                yb = {k: make_y(rng) for k in (0, 2)}
-                x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
-                got = _rop_bracket(x, y, (0, 2))
-                assert got.parity == (px + py) & 1
-                for k in (0, 2):
-                    ref = _ref_sum(
-                        (1, _ref_product(xb[k], yb[k])),
-                        (1 if (px and py) else -1, _ref_product(yb[k], xb[k])),
-                    )
-                    assert got.block(k) == ref
-                    _assert_canonical(got.block(k))
+            for _ in range(3):
+                xb = {k: _complex_block(rng) for k in (0, 2)}
+                yb = {k: _complex_block(rng) for k in (0, 2)}
+                _assert_bracket_matches_reference(xb, px, yb, py)
     # an even element brackets to zero with itself, leaving empty blocks
     xb = {0: _complex_block(rng)}
     x = RestrictedOperator(xb, 0)
     assert _rop_bracket(x, x, (0,)).blocks == {0: {}}
+    # real with real takes the real-only products; real with complex does not
+    kinds = [(_real_block, _real_block), (_real_block, _complex_block), (_complex_block, _real_block)]
+    for px in (0, 1):
+        for py in (0, 1):
+            for make_x, make_y in kinds:
+                for _ in range(3):
+                    xb = {k: make_x(rng) for k in (0, 2)}
+                    yb = {k: make_y(rng) for k in (0, 2)}
+                    _assert_bracket_matches_reference(xb, px, yb, py)
 
 
 # -- the relation suites still catch a broken relation -----------------------
