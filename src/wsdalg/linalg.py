@@ -4,7 +4,8 @@
 its pivot (its smallest key) and 0 at every other pivot.  A reduced
 echelon form is unique for its span, so pivots, rows and the free-column
 kernels read off them do not depend on the insertion order.
-``reptheory.SpanSolver`` reads coordinates in a spanning family off it.
+``reptheory.SpanSolver`` reads the coordinate functional of a basis
+off its rows' marker columns.
 Entries may be of any exact type, so rational coordinates (the exact
 closure's ints and Fractions) work too: normalization divides
 ``Fraction(1)``, never the int 1, so no float appears, and integral

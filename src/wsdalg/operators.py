@@ -13,26 +13,27 @@ sparse matrices over Q(i) in the monomial basis:
   the weight-pattern decomposition of an operator, and the super adjoint
   of the graded Hilbert pairing (dagger).
 
-Operators are stored column-sparse: cols[input_mask] = {output_mask: coeff}.
-The wedge/contraction generators touch O(1) outputs per input and
-composition walks columns, so this is the natural orientation.
-
-Every product and sum (compose, +, -, superbracket), ``scale`` and the
-adjoints run on each operator's coordinate view instead: its entries
-sorted by (column, row) as int64 row and column masks beside object
-arrays of the real and imaginary parts (plain ints, Fractions only where
-a value is not integral), so the arithmetic stays exact.  Products are
-one sparse join, ``_product_sum``; its result keeps the joined arrays as
-its view and builds its cols from them once, one GaussRational per entry.
-The wedge operators L_j and V_j and the rotation triple are built once
-and shared, and every operator keeps both of its forms and its parity, so
-no caller may mutate an operator in place.
+An operator stores one form, its coordinate view: its entries sorted by
+(column, row) as int64 row and column masks beside the real and imaginary
+parts.  The parts are int64 arrays when every part is an int that fits,
+and object arrays of ints and Fractions otherwise.  Every product and sum
+(compose, +, -, superbracket), ``scale``, the adjoints, equality and the
+zero test run on the view.  Products are one sparse join,
+``_product_sum``, in int64 only when a bound proves every partial product
+and cell sum exact, else on object arrays, so the arithmetic stays exact.
+The column-sparse mapping ``cols[input_mask] = {output_mask: coeff}`` is
+derived from the view on first read, read-only.  The wedge operators L_j
+and V_j and the rotation triple are built once and shared, and every
+operator caches its cols and parity, so no operator is mutated in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import groupby
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .forms import (
     FULL_MASK,
     NPOS,
     Form,
-    monomial,
     multidegree_of_mask,
     pos,
 )
@@ -90,7 +90,8 @@ __all__ = [
 
 class _Coords(NamedTuple):
     """An operator's entries sorted by (column, row): int64 row and column
-    masks, and object arrays of the canonical re and im parts."""
+    masks, and the canonical re and im parts, both int64 arrays or both
+    object arrays of ints and Fractions."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -99,74 +100,83 @@ class _Coords(NamedTuple):
 
 
 _UNSET = object()  # a parity not yet computed (None means mixed)
+_MASKS = np.arange(DIM, dtype=np.int64)
 _MASK_PARITY = np.array([m.bit_count() & 1 for m in range(DIM)], dtype=np.int64)
+# int64 arithmetic is exact on values of magnitude below this
+_LIMIT = 1 << 63
+
+
+def _parts(re: list, im: list) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical parts as int64 arrays when each is an int of magnitude
+    below 2^63 (so negation stays exact), else as object arrays."""
+    if all(type(x) is int and -_LIMIT < x < _LIMIT for x in (*re, *im)):
+        return np.array(re, dtype=np.int64), np.array(im, dtype=np.int64)
+    return np.array(re, dtype=object), np.array(im, dtype=object)
+
+
+def _magnitude(v: _Coords) -> int | None:
+    """P = max|re| + max|im| as an exact int; None for object parts."""
+    if v.re.dtype == object:
+        return None
+    if not len(v.re):
+        return 0
+    return sum(max(int(x.max()), -int(x.min())) for x in (v.re, v.im))
+
+
+def _cast(v: _Coords, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """v's parts, as object arrays of Python ints unless ``exact``, i.e.
+    unless int64 arithmetic on them was proven exact."""
+    if exact or v.re.dtype == object:
+        return v.re, v.im
+    return v.re.astype(object), v.im.astype(object)
 
 
 class Operator:
     """Sparse linear map of the 512-dimensional algebra over Q(i).
 
-    The entries have two forms, both holding nonzero canonical values only:
-    ``cols`` maps an input basis mask to the sparse column {output mask:
-    coeff}, and ``coords()`` is the ``_Coords`` view that ``_product_sum``
-    joins on, built on first use and then kept.  ``parity()`` is also
-    computed once.  Keeping them is sound because no operator is mutated
-    after it is built.
-
-    compose, +, -, ``scale`` and the adjoints build their results from a
-    coordinate view with no zero entry and every value in canonical form,
-    and keep that view.
+    The one stored form is the ``_Coords`` view, ``coords()``: nonzero
+    canonical values only, sorted by (column, row), which ``_product_sum``
+    joins on.  ``cols`` maps an input basis mask to the sparse column
+    {output mask: coeff}; it is derived from the view on first read and
+    read-only.  ``cols`` and ``parity()`` are computed once, which is sound
+    because no operator is mutated after it is built.
     """
 
-    __slots__ = ("cols", "_coords", "_parity")
+    __slots__ = ("_coords", "_cols", "_parity")
 
-    def __init__(self, cols: dict[int, dict[int, GaussRational]] | None = None):
-        clean: dict[int, dict[int, GaussRational]] = {}
-        for c, col in (cols or {}).items():
-            nz = {r: v for r, v in col.items() if v}
-            if nz:
-                clean[c] = nz
-        self.cols = clean
-        self._coords: _Coords | None = None
+    def __init__(self, cols: Mapping[int, Mapping[int, GaussRational]] | None = None):
+        # (c, r) pairs are distinct, so the sort never compares values
+        cells = sorted((c, r, v) for c, col in (cols or {}).items() for r, v in col.items() if v)
+        cs, rows, vals = zip(*cells) if cells else ((), (), ())
+        self._coords = _Coords(np.array(rows, dtype=np.int64), np.array(cs, dtype=np.int64),
+                               *_parts([v.re for v in vals], [v.im for v in vals]))
+        self._cols = None
         self._parity = _UNSET
 
     @classmethod
     def _from_coords(cls, coords: _Coords) -> "Operator":
         """An Operator over a coordinate view as it is: sorted by (column,
-        row), canonical and with no zero value, since nothing is checked.
-        Its cols are built from the view, one ``_make`` per entry."""
-        cols: dict[int, dict[int, GaussRational]] = {}
-        values = map(_make, coords.re.tolist(), coords.im.tolist())
-        for c, r, z in zip(coords.cols.tolist(), coords.rows.tolist(), values):
-            col = cols.get(c)
-            if col is None:
-                cols[c] = {r: z}
-            else:
-                col[r] = z
+        row), canonical and with no zero value, since nothing is checked."""
         op = object.__new__(cls)
-        op.cols = cols
         op._coords = coords
+        op._cols = None
         op._parity = _UNSET
         return op
 
     def coords(self) -> _Coords:
         """The entries sorted by (column, row)."""
-        if self._coords is None:
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[GaussRational] = []
-            for c in sorted(self.cols):
-                col = self.cols[c]
-                rs = sorted(col)
-                rows += rs
-                cols += [c] * len(rs)
-                vals += [col[r] for r in rs]
-            self._coords = _Coords(
-                np.array(rows, dtype=np.int64),
-                np.array(cols, dtype=np.int64),
-                np.array([v.re for v in vals], dtype=object),
-                np.array([v.im for v in vals], dtype=object),
-            )
         return self._coords
+
+    @property
+    def cols(self) -> Mapping[int, Mapping[int, GaussRational]]:
+        """{input mask: {output mask: coeff}}, read-only, built from the
+        view on first read, one GaussRational per entry."""
+        if self._cols is None:
+            v = self._coords
+            cells = zip(v.cols.tolist(), v.rows.tolist(), map(_make, v.re.tolist(), v.im.tolist()))
+            self._cols = MappingProxyType({c: MappingProxyType({r: z for _, r, z in col})
+                                           for c, col in groupby(cells, itemgetter(0))})
+        return self._cols
 
     # -- linear structure ---------------------------------------------------
 
@@ -180,11 +190,16 @@ class Operator:
         return self.scale(-1)
 
     def scale(self, s) -> "Operator":
+        """s * self, in int64 when P * (|s.re| + |s.im|) < 2^63 for
+        integral s; s * v != 0 for v != 0, so no entry vanishes."""
         s = gauss(s)
-        if not s:
+        v = self._coords
+        if not s or not self:
             return Operator()
-        v = self.coords()
-        return _from_sums(v.rows, v.cols, s.re * v.re - s.im * v.im, s.re * v.im + s.im * v.re)
+        pa = _magnitude(v)
+        exact = pa is not None and type(s.re) is type(s.im) is int and pa * (abs(s.re) + abs(s.im)) < _LIMIT
+        p, q = _cast(v, exact)
+        return _from_sums(v.rows, v.cols, s.re * p - s.im * q, s.re * q + s.im * p)
 
     def __mul__(self, other):
         if isinstance(other, Operator):
@@ -221,13 +236,17 @@ class Operator:
         return self.cols.get(col, {}).get(row, ZERO)
 
     def is_zero(self) -> bool:
-        return not self.cols
+        return not self
 
     def __bool__(self) -> bool:
-        return bool(self.cols)
+        return len(self._coords.rows) > 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Operator) and self.cols == other.cols
+        """Equal views: canonical values make equality entrywise."""
+        if not isinstance(other, Operator):
+            return False
+        x, y = self._coords, other._coords
+        return len(x.rows) == len(y.rows) and all(map(np.array_equal, x, y))
 
     def __hash__(self):
         raise TypeError("Operator is unhashable")
@@ -256,7 +275,7 @@ class Operator:
         return shift
 
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
+        return len(self._coords.rows)
 
     def __repr__(self):
         return f"<Operator nnz={self.nnz()} parity={self.parity()}>"
@@ -270,23 +289,42 @@ def _product_sum(terms) -> Operator:
     the entries of a in column mid, found by ``searchsorted`` in a's sorted
     columns, and each meeting is one partial product (r, c).  The partial
     products of all terms are sorted on col * DIM + row and summed per cell
-    with ``np.add.reduceat``, as ints or Fractions in object arrays, so the
-    sums are exact.  Exact zeros are dropped, each remaining cell becomes
-    one canonical GaussRational, and the arrays become the result's view.
+    with ``np.add.reduceat``.  Each partial product part is at most
+    P_a * P_b in magnitude (P = max|re| + max|im| of an operand, 1 for the
+    identity), and a cell gets at most n_t = min(#products, DIM) of them
+    per term.  So when every view is int64 and the sum over terms of
+    n_t * P_a * P_b is below 2^63, every product and partial cell sum is
+    exact in int64; otherwise the parts are summed as ints and Fractions in
+    object arrays.  Exact zeros are dropped and the arrays become the
+    result's view.
     """
-    parts = []
+    joins = []
+    bound: int | None = 0
     for sgn, a, b in terms:
-        x = a.coords()
+        x = a._coords
         if b is None:
-            rows, cols, re, im = x
+            y, i, j, pb = None, None, None, 1
+            n = len(x.rows)
         else:
-            y = b.coords()
+            y = b._coords
             lo = np.searchsorted(x.cols, y.rows, "left")
-            n = np.searchsorted(x.cols, y.rows, "right") - lo
-            j = np.repeat(np.arange(len(n)), n)
-            i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(n) - n), n)
+            hits = np.searchsorted(x.cols, y.rows, "right") - lo
+            j = np.repeat(np.arange(len(hits)), hits)
+            i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
+            n, pb = len(j), _magnitude(y)
+        pa = _magnitude(x)
+        bound = None if None in (bound, pa, pb) else bound + min(n, DIM) * pa * pb
+        joins.append((sgn, x, y, i, j))
+    exact = bound is not None and bound < _LIMIT
+    parts = []
+    for sgn, x, y, i, j in joins:
+        p, q = _cast(x, exact)
+        if y is None:
+            rows, cols, re, im = x.rows, x.cols, p, q
+        else:
+            s, t = _cast(y, exact)
             rows, cols = x.rows[i], y.cols[j]
-            p, q, s, t = x.re[i], x.im[i], y.re[j], y.im[j]
+            p, q, s, t = p[i], q[i], s[j], t[j]
             re, im = p * s - q * t, p * t + q * s
         if sgn < 0:
             re, im = -re, -im
@@ -307,10 +345,12 @@ def _product_sum(terms) -> Operator:
 
 def _from_sums(rows, cols, re, im) -> Operator:
     """The Operator over entries sorted by (column, row) whose re and im
-    parts are exact sums, not both zero, of ints and Fractions: each part
-    is made canonical once, and the arrays become its coordinate view."""
-    re = np.array(list(map(_canon, re.tolist())), dtype=object)
-    im = np.array(list(map(_canon, im.tolist())), dtype=object)
+    parts are exact sums, not both zero: object parts (ints and Fractions)
+    are made canonical once, int64 parts are canonical ints already, and
+    the arrays become its coordinate view."""
+    if re.dtype == object:
+        re = np.array(list(map(_canon, re.tolist())), dtype=object)
+        im = np.array(list(map(_canon, im.tolist())), dtype=object)
     return Operator._from_coords(_Coords(rows, cols, re, im))
 
 
@@ -324,26 +364,17 @@ def identity() -> Operator:
 
 def creation(p: int) -> Operator:
     """Wedge with the basis one-form at position p."""
-    bit = 1 << p
-    cols = {}
-    for m in range(DIM):
-        if m & bit:
-            continue
-        sgn = -1 if (m & (bit - 1)).bit_count() & 1 else 1
-        cols[m] = {m | bit: ONE if sgn > 0 else -ONE}
-    return Operator(cols)
+    return wedge_operator(forms.monomial(1 << p))
 
 
 def annihilation(p: int) -> Operator:
-    """Contraction with the vector dual to position p."""
+    """Contraction with the vector dual to position p: v_m -> +-v_(m ^ bit)
+    for each m holding p, negated when an odd number of factors of m lie
+    below p."""
     bit = 1 << p
-    cols = {}
-    for m in range(DIM):
-        if not m & bit:
-            continue
-        sgn = -1 if (m & (bit - 1)).bit_count() & 1 else 1
-        cols[m] = {m ^ bit: ONE if sgn > 0 else -ONE}
-    return Operator(cols)
+    m = _MASKS[(_MASKS & bit) != 0]
+    sign = 1 - 2 * _MASK_PARITY[m & (bit - 1)]
+    return Operator._from_coords(_Coords(m ^ bit, m, sign, np.zeros_like(sign)))
 
 
 def build_E(i: int, j: int) -> Operator:
@@ -355,13 +386,25 @@ def build_I(i: int, j: int) -> Operator:
 
 
 def wedge_operator(f: Form) -> Operator:
-    """Left wedge with a fixed form."""
-    cols = {}
-    for m in range(DIM):
-        img = forms.wedge(f, monomial(m))
-        if img.coeffs:
-            cols[m] = dict(img.coeffs)
-    return Operator(cols)
+    """Left wedge with a fixed form, built as a coordinate view: a term
+    z v_a sends each v_m with m disjoint from a to +-z v_(a|m), negated
+    when an odd number of factors of a lie above factors of m.  Distinct
+    terms give distinct rows in a column, so nothing is summed."""
+    if not f:
+        return Operator()
+    terms = list(f.coeffs.items())
+    zr, zi = _parts([z.re for _, z in terms], [z.im for _, z in terms])
+    pieces = []
+    for t, (a, _) in enumerate(terms):
+        m = _MASKS[(_MASKS & a) == 0]
+        # the bits k at which an odd number of factors of a lie above k
+        above = sum(1 << k for k in range(NPOS) if (a >> (k + 1)).bit_count() & 1)
+        neg = _MASK_PARITY[m & above] == 1
+        z = slice(t, t + 1)  # a slice keeps the parts' dtype
+        pieces.append((m | a, m, np.where(neg, -zr[z], zr[z]), np.where(neg, -zi[z], zi[z])))
+    rows, cols, re, im = (np.concatenate(z) for z in zip(*pieces))
+    order = np.argsort(cols * DIM + rows, kind="stable")
+    return Operator._from_coords(_Coords(rows[order], cols[order], re[order], im[order]))
 
 
 @lru_cache(maxsize=3)
@@ -396,42 +439,13 @@ _J_ACTION = {
 
 def build_J(k: int) -> Operator:
     """Rotation generators, extended to the whole algebra as even
-    derivations: J(v ^ w) = J(v) ^ w + v ^ J(w)."""
+    derivations: J(v ^ w) = J(v) ^ w + v ^ J(w).  The one-form map
+    v_ij -> s v_i'j extends as the derivation s E_i'j I_ij, so J_k is the
+    sum of six such products."""
     if k not in (1, 2, 3):
         raise ValueError(f"J index out of range: {k}")
-    act = _J_ACTION[k]
-    cols: dict[int, dict[int, GaussRational]] = {}
-    for m in range(1, DIM):
-        col: dict[int, GaussRational] = {}
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            i, j = p % 3 + 1, p // 3
-            hit = act.get(i)
-            if hit is None:
-                continue
-            i2, sgn = hit
-            p2 = pos(i2, j)
-            bit2 = 1 << p2
-            others = m ^ low
-            if others & bit2:
-                continue
-            # replace the factor in place, then count the factors the moved
-            # one-form jumps over to reach ascending order
-            lo, hi = (p, p2) if p < p2 else (p2, p)
-            between = others & ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-            s = sgn if between.bit_count() % 2 == 0 else -sgn
-            r = others | bit2
-            cur = col.get(r, ZERO) + (ONE if s > 0 else -ONE)
-            if cur:
-                col[r] = cur
-            else:
-                col.pop(r, None)
-        if col:
-            cols[m] = col
-    return Operator(cols)
+    return _product_sum(tuple((sgn, build_E(i2, j), build_I(i, j))
+                              for j in range(3) for i, (i2, sgn) in _J_ACTION[k].items()))
 
 
 @lru_cache(maxsize=1)

@@ -12,12 +12,12 @@ HW_k collects them across all degrees, split into even and odd form degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import GaussRational, ONE
 from .forms import DIM, Form, multidegree_of_mask
 from .linalg import SparseEchelon
-from .operators import Operator, identity, sl2_triple
+from .operators import Operator, _product_sum, identity, sl2_triple
 
 __all__ = [
     "multidegree_classes",
@@ -187,14 +187,29 @@ class SpanSolver:
     in with an extra -1 at the marker key ``DIM + i``, past every mask: a
     pivot at a marker means vector i is dependent, and a member
     f = sum_i x_i vectors[i] reduces to {DIM + i: x_i} over the nonzero x_i.
+    Hence x_i = -sum_p f[p] row_p[DIM + i] over the pivots p, which is the
+    coordinate functional ``functional`` (P, with P B = I for the basis
+    operator B, ``basis``); both are built on first use.
     """
 
     def __init__(self, vectors: list[Form]):
+        self.vectors = vectors
         self.by_md: dict[tuple[int, int, int], SparseEchelon] = {}
         for i, v in enumerate(vectors):
             ech = self.by_md.setdefault(_require_homogeneous(v, i), SparseEchelon())
             if ech.insert({**v.coeffs, DIM + i: -ONE}) >= DIM:
                 raise ValueError(f"vector {i} is linearly dependent on earlier ones")
+
+    @cached_property
+    def basis(self) -> Operator:
+        """B, whose column i is vectors[i]."""
+        return Operator(dict(enumerate(v.coeffs for v in self.vectors)))
+
+    @cached_property
+    def functional(self) -> Operator:
+        """P, with P[i, p] = -row_p[DIM + i] at each pivot p."""
+        return Operator({p: {k - DIM: -v for k, v in row.items() if k >= DIM}
+                         for ech in self.by_md.values() for p, row in ech.rows.items()})
 
     def coordinates(self, f: Form) -> dict[int, GaussRational] | None:
         """f's coordinates {i: x_i}, nonzero ones only; None outside the span."""
@@ -227,17 +242,17 @@ def restrict_operator(
     labels: list[str] | None = None,
 ) -> _BlockMat:
     """Matrix of phi on the span of ``vectors`` as its nonzero entries
-    {(r, c): v}: column c holds the coordinates of phi(vectors[c]).
-    Raises SpaceEscape when some image leaves the span, naming the
-    offending vector."""
+    {(r, c): v}: M = P (phi B) for the solver's basis operator B and
+    coordinate functional P, so column c holds the coordinates of
+    phi(vectors[c]) when that image lies in the span.  It does exactly when
+    column c of B M equals that of phi B; otherwise SpaceEscape names the
+    first offending vector."""
     solver = solver or SpanSolver(vectors)
-    mat: _BlockMat = {}
-    for c, v in enumerate(vectors):
-        img = phi.apply(v)
-        coords = solver.coordinates(img)
-        if coords is None:
-            name = labels[c] if labels else f"vector {c}"
-            raise SpaceEscape(f"image of {name} escapes the span")
-        for r, val in coords.items():
-            mat[(r, c)] = val
-    return mat
+    image = phi.compose(solver.basis)
+    mat = solver.functional.compose(image)
+    escape = _product_sum(((1, solver.basis, mat), (-1, image, None)))
+    if escape:
+        c = int(escape.coords().cols[0])
+        name = labels[c] if labels else f"vector {c}"
+        raise SpaceEscape(f"image of {name} escapes the span")
+    return {(r, c): v for c, col in mat.cols.items() for r, v in col.items()}

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wsdalg.scalars import GaussRational, I, ONE, ZERO
@@ -12,7 +13,7 @@ from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
 from wsdalg import suites
-from wsdalg.closure import RestrictedOperator, _column_index, _indexed_bracket
+from wsdalg.closure import RestrictedOperator, _column_index, _indexed_bracket, default_algebra
 from wsdalg.operators import (
     PERMUTATIONS,
     build_A,
@@ -146,6 +147,34 @@ def test_wedge_operators_are_built_once_and_never_mutated(exact_suite_results):
         for j in range(3):
             assert build(j) is build(j)
             assert dump_operator(build(j)) == dump_operator(build.__wrapped__(j))
+
+
+def _wedge_reference(f: forms.Form) -> ops.Operator:
+    """Left wedge with f, one forms.wedge per input mask."""
+    return ops.Operator({m: wedge(f, monomial(m)).coeffs for m in range(forms.DIM)})
+
+
+def test_wedge_operators_match_per_mask_loop():
+    """L_j, V_j and wedges with random forms (mixed degrees, masks 0 and
+    511, Fraction and complex coefficients) equal the per-mask wedge loop,
+    entry for entry and type for type, and keep its view's dtype."""
+    pairs = [
+        (build_L(0), _wedge_reference(forms.omegaD())),
+        (build_L(1), _wedge_reference(forms.omega2()).scale(-1)),
+        (build_L(2), _wedge_reference(forms.omega1())),
+    ] + [(build_V(j), _wedge_reference(forms.block_volume(j))) for j in range(3)]
+    rng = random.Random(19)
+    for _ in range(6):
+        f = forms.Form({m: _random_value(rng) for m in rng.sample(range(forms.DIM), rng.randint(1, 6))})
+        pairs.append((ops.wedge_operator(f), _wedge_reference(f)))
+    for f in (forms.Form(), monomial(0, 2), monomial(511, I)):
+        pairs.append((ops.wedge_operator(f), _wedge_reference(f)))
+    for got, want in pairs:
+        assert got == want
+        assert dump_operator(got) == dump_operator(want)
+        assert got.coords().re.dtype == got.coords().im.dtype == want.coords().re.dtype
+        _assert_coords(got)
+    assert all(op.coords().re.dtype == np.int64 for op, _ in pairs[:6])
 
 
 def test_exact_suite_results_digest(exact_suite_results):
@@ -491,6 +520,76 @@ def test_product_accumulator_matches_reference():
         ref = _ref_sum((1, _ref_product(a, {(m, 0): v for m, v in f.coeffs.items()})))
         assert image.coeffs == {r: v for (r, _), v in ref.items()}
         _assert_canonical(image.coeffs)
+
+
+def _bound_cases(over: int):
+    """(name, result, reference cells, bound) for compose, bracket, +, -
+    and scale of int64 operands whose bound sum_t n_t P_a P_b is 2^63 - 1
+    or less when over = 0 and 2^63 or more when over = 1."""
+    big = 1 << 31
+    # two partial products meet in cell (1, 8): P_a = 2^31, P_b = 2^31 - 1 + over
+    a = {(1, 2): GaussRational(big - 5, 5), (1, 4): GaussRational(big - 5, 5)}
+    b = {(2, 8): GaussRational(big - 8 + over, -7), (4, 8): GaussRational(big - 8 + over, -7)}
+    A, B = _operator(a), _operator(b)
+    bound = 2 * big * (big - 1 + over)
+    yield "compose", A.compose(B), _ref_sum((1, _ref_product(a, b))), bound
+    # both even, and B A has no partial product
+    yield "bracket", superbracket(A, B), _ref_sum((1, _ref_product(a, b)), (-1, _ref_product(b, a))), bound
+    # one cell each: P = 2^62 and 2^62 - 1 + over
+    u = {(1, 2): GaussRational((1 << 62) - 9, 9)}
+    w = {(1, 2): GaussRational((1 << 62) - 10 + over, -9)}
+    U, W = _operator(u), _operator(w)
+    yield "add", U + W, _ref_sum((1, u), (1, w)), (1 << 63) - 1 + over
+    yield "sub", U - W, _ref_sum((1, u), (-1, w)), (1 << 63) - 1 + over
+    # P = 2^62 - 1 + over times |1| + |-1|
+    x = {(1, 2): GaussRational((1 << 62) - 4 + over, 3), (3, 2): GaussRational(-7, 1)}
+    s = GaussRational(1, -1)
+    yield "scale", _operator(x).scale(s), _ref_sum((s, x)), 2 * ((1 << 62) - 1 + over)
+    for op in (A, B, U, W, _operator(x)):
+        assert op.coords().re.dtype == np.int64
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_int64_bound_decides_the_arithmetic(over):
+    """Just under and just over the int64 bound, compose, bracket, +, -
+    and scale equal dict arithmetic, and the object fallback engages
+    exactly when the bound fails."""
+    for name, op, expect, bound in _bound_cases(over):
+        assert (bound < 2**63) == (not over), name
+        cells = _cells(op)
+        assert cells == expect, name
+        _assert_canonical(cells)
+        assert op.coords().re.dtype == (object if over else np.int64), name
+        assert op.coords().im.dtype == op.coords().re.dtype, name
+    # the largest magnitude an int64 view holds is 2^63 - 1, so it negates exactly
+    for v, dtype in ((2**63 - 1, np.int64), (-(2**63) + 1, np.int64), (-(2**63), object), (2**63, object)):
+        op = ops.Operator({0: {1: GaussRational(v, 1)}})
+        assert op.coords().re.dtype == dtype
+        assert _cells(-op) == {(1, 0): GaussRational(-v, -1)}
+
+
+def test_entries_are_python_ints_or_fractions():
+    """Restricted generators, their daggers and product cols hold int or
+    Fraction components, never numpy scalars, which would compare and
+    print like them."""
+    ralg = default_algebra()
+    blocks = (0, 1, 2, 3)
+    values = [v for rop in ralg.generators() + ralg.daggers(blocks) for k in blocks
+              for v in rop.block(k).values()]
+    g = ralg.operators()
+    products = [
+        superbracket(g["iL0"], g["A1"]),
+        g["iV2"].compose(g["iLambda1"]),
+        g["A0"] - g["iV0"],
+        g["iL2"].scale(GaussRational(Fraction(1, 3), 2)),
+        hodge_conjugate(g["A2"]),
+        dagger(g["iLambda0"]),
+    ]
+    values += [v for op in products for col in op.cols.values() for v in col.values()]
+    values += [op.entry(int(op.coords().rows[0]), int(op.coords().cols[0])) for op in products]
+    assert len(values) > 2000
+    for v in values:
+        assert type(v.re) in (int, Fraction) and type(v.im) in (int, Fraction), (type(v.re), type(v.im))
 
 
 def _complex_block(rng: random.Random) -> dict:

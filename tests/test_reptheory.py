@@ -10,6 +10,7 @@ from wsdalg.scalars import GaussRational, ONE, ZERO
 from wsdalg import forms
 from wsdalg.forms import Form, hodge_star, monomial, multidegree, poincare_pair
 from wsdalg import operators as ops
+from wsdalg.closure import default_algebra
 from wsdalg.hwbases import all_bases
 from wsdalg.reptheory import (
     HW_DIMS,
@@ -167,6 +168,61 @@ def test_restrict_escape_detection():
     hw = highest_weight_space(3)
     with pytest.raises(SpaceEscape):
         restrict_operator(ops.build_E(1, 0), hw.vectors())
+
+
+def _restrict_reference(phi, vectors, solver, labels):
+    """The per-vector restriction: apply phi to each vector in turn and
+    solve for the image's coordinates, naming the first escaping vector."""
+    mat = {}
+    for c, v in enumerate(vectors):
+        coords = solver.coordinates(phi.apply(v))
+        if coords is None:
+            raise SpaceEscape(f"image of {labels[c]} escapes the span")
+        mat.update({(r, c): x for r, x in coords.items()})
+    return mat
+
+
+def _escape_message(restrict, phi, basis, solver):
+    try:
+        restrict(phi, basis.vectors(), solver, basis.labels())
+    except SpaceEscape as exc:
+        return str(exc)
+    return None
+
+
+def test_restriction_matches_per_vector_reference():
+    """M = P (phi B) equals the per-vector restriction for the twelve
+    generators and their daggers on all four labeled bases."""
+    ralg = default_algebra()
+    for basis, solver in zip(ralg.bases, ralg.solvers):
+        vecs, labels = basis.vectors(), basis.labels()
+        for name, g in ralg.operators().items():
+            for op in (g, ralg.generator_daggers[name]):
+                got = restrict_operator(op, vecs, solver, labels)
+                assert got == _restrict_reference(op, vecs, solver, labels), (basis.k, name)
+
+
+def test_space_escape_names_the_reference_vector():
+    """Every E_ij and I_ij, whole and with the columns of vector 0's
+    monomials dropped, escapes or stays in each labeled basis exactly as
+    in the per-vector loop, and SpaceEscape names the same first vector."""
+    ralg = default_algebra()
+    named = set()
+    for basis, solver in zip(ralg.bases, ralg.solvers):
+        head = set(basis.vectors()[0].coeffs)
+        want = _escape_message(_restrict_reference, ops.build_E(1, 0), basis, solver)
+        assert want is not None
+        assert _escape_message(restrict_operator, ops.build_E(1, 0), basis, solver) == want
+        for i in (1, 2, 3):
+            for j in (0, 1, 2):
+                for op in (ops.build_E(i, j), ops.build_I(i, j)):
+                    tail = ops.Operator({m: col for m, col in op.cols.items() if m not in head})
+                    for x in (op, tail):
+                        want = _escape_message(_restrict_reference, x, basis, solver)
+                        assert _escape_message(restrict_operator, x, basis, solver) == want
+                        named.add(want)
+    # some escape is first at a vector past vector 0 of its basis
+    assert len(named - {None}) > len(ralg.bases)
 
 
 def test_restrict_V_zero_on_smallest_space():
