@@ -967,8 +967,8 @@ class ClosureState:
                     vals.append(float(np.abs(r).max()))
         return max(vals)
 
-    def report(self, include_wall: bool = False) -> dict:
-        out = {
+    def report(self) -> dict:
+        return {
             "field": self.field,
             "prime": self.prime,
             "blocks": [f"hw{k}" for k in self.blocks],
@@ -978,9 +978,6 @@ class ClosureState:
             "brackets": self.brackets,
             "pivot_hash": self.pivot_hash(),
         }
-        if include_wall:
-            out["wall_s"] = round(self.wall_s, 3)
-        return out
 
     def save(self, path: str) -> None:
         """Compressed dump of the echelon basis (modular states only),

@@ -31,6 +31,7 @@ __all__ = [
     "DIM",
     "FULL_MASK",
     "BLOCK_MASKS",
+    "ABOVE",
     "pos",
     "pos_label",
     "multidegree_of_mask",
@@ -151,23 +152,18 @@ def one() -> Form:
     return monomial(0)
 
 
-def _wedge_sign_and_mask(a: int, b: int) -> tuple[int, int]:
-    """Sign and mask of v_a ^ v_b for disjoint masks, else (0, 0).
+# ABOVE[a]: the positions k at which an odd number of factors of a lie
+# above k, so the sign of v_a ^ v_b (disjoint masks) is
+# (-1)^popcount(b & ABOVE[a]): merging the ascending factor lists moves each
+# factor k of b past the factors of a above it.
+ABOVE = tuple(sum(1 << k for k in range(NPOS) if (a >> (k + 1)).bit_count() & 1) for a in range(DIM))
 
-    The sign counts the transpositions needed to merge the two ascending
-    factor lists into one ascending list.
-    """
+
+def _wedge_sign_and_mask(a: int, b: int) -> tuple[int, int]:
+    """Sign and mask of v_a ^ v_b for disjoint masks, else (0, 0)."""
     if a & b:
         return 0, 0
-    sign = 1
-    rest = b
-    while rest:
-        low = rest & -rest
-        # factors of a strictly above this factor of b must jump over it
-        if (a & ~(low - 1) & ~low).bit_count() & 1:
-            sign = -sign
-        rest ^= low
-    return sign, a | b
+    return (-1 if (b & ABOVE[a]).bit_count() & 1 else 1), a | b
 
 
 def wedge(f: Form, g: Form) -> Form:
@@ -193,13 +189,15 @@ def contract(p: int, f: Form) -> Form:
 
     Graded derivation of degree -1:
         contract(p, v_p ^ a) + v_p ^ contract(p, a) = a.
+    It sends v_m to s v_(m ^ bit), with v_p ^ v_(m ^ bit) = s v_m.
     """
     bit = 1 << p
+    above = ABOVE[bit]
     out: dict[int, GaussRational] = {}
     for m, c in f.coeffs.items():
         if not m & bit:
             continue
-        if (m & (bit - 1)).bit_count() & 1:
+        if (m & above).bit_count() & 1:
             c = -c
         out[m ^ bit] = c
     return Form(out)
@@ -207,14 +205,7 @@ def contract(p: int, f: Form) -> Form:
 
 def star_sign(mask: int) -> int:
     """Sign eps with v_mask ^ (eps * v_complement) = Vol."""
-    comp = FULL_MASK ^ mask
-    inversions = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        inversions += (comp & (low - 1)).bit_count()
-        rest ^= low
-    return -1 if inversions & 1 else 1
+    return -1 if ((FULL_MASK ^ mask) & ABOVE[mask]).bit_count() & 1 else 1
 
 
 def hodge_star(f: Form) -> Form:
@@ -249,9 +240,8 @@ def poincare_pair(f: Form, g: Form) -> GaussRational:
         cb = g.coeffs.get(mb)
         if cb is None:
             continue
-        sgn, _ = _wedge_sign_and_mask(ma, mb)
         term = ca * cb.conjugate()
-        acc = acc + (term if sgn > 0 else -term)
+        acc = acc + (term if star_sign(ma) > 0 else -term)
     return acc
 
 

@@ -21,25 +21,25 @@ and object arrays of ints and Fractions otherwise.  Every product and sum
 zero test run on the view.  Products are one sparse join,
 ``_product_sum``, in int64 only when a bound proves every partial product
 and cell sum exact, else on object arrays, so the arithmetic stays exact.
-The column-sparse mapping ``cols[input_mask] = {output_mask: coeff}`` is
-derived from the view on first read, read-only.  The wedge operators L_j
-and V_j and the rotation triple are built once and shared, and every
-operator caches its cols and parity, so no operator is mutated in place.
+Every reader of the entries (``apply``, ``entry``, ``multidegree_shift``,
+``kw_decompose``, ``supertrace``, ``dump_operator``) reads them off the
+view; ``apply`` is the product with a one-column operator.  The wedge
+operators L_j and V_j and the rotation triple are built once and shared,
+and every operator caches its parity and int64 magnitude, so no operator
+is mutated in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .scalars import GaussRational, I, ONE, ZERO, _canon, _gauss_cells, _make, gauss
+from .scalars import GaussRational, I, ONE, ZERO, _canon, _make, gauss
 from . import forms
 from .forms import (
+    ABOVE,
     DIM,
     FULL_MASK,
     NPOS,
@@ -99,9 +99,10 @@ class _Coords(NamedTuple):
     im: np.ndarray
 
 
-_UNSET = object()  # a parity not yet computed (None means mixed)
+_UNSET = object()  # a parity or magnitude not yet computed (None is a value)
 _MASKS = np.arange(DIM, dtype=np.int64)
 _MASK_PARITY = np.array([m.bit_count() & 1 for m in range(DIM)], dtype=np.int64)
+_MULTIDEGREE = np.array([multidegree_of_mask(m) for m in range(DIM)], dtype=np.int64)
 # int64 arithmetic is exact on values of magnitude below this
 _LIMIT = 1 << 63
 
@@ -114,13 +115,11 @@ def _parts(re: list, im: list) -> tuple[np.ndarray, np.ndarray]:
     return np.array(re, dtype=object), np.array(im, dtype=object)
 
 
-def _magnitude(v: _Coords) -> int | None:
-    """P = max|re| + max|im| as an exact int; None for object parts."""
-    if v.re.dtype == object:
-        return None
-    if not len(v.re):
-        return 0
-    return sum(max(int(x.max()), -int(x.min())) for x in (v.re, v.im))
+def _entries(v: _Coords, which=slice(None)):
+    """(row, col, GaussRational) of the view's entries picked by ``which``
+    (a slice or a boolean mask), in view order."""
+    return zip(v.rows[which].tolist(), v.cols[which].tolist(),
+               map(_make, v.re[which].tolist(), v.im[which].tolist()))
 
 
 def _cast(v: _Coords, exact: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -136,13 +135,13 @@ class Operator:
 
     The one stored form is the ``_Coords`` view, ``coords()``: nonzero
     canonical values only, sorted by (column, row), which ``_product_sum``
-    joins on.  ``cols`` maps an input basis mask to the sparse column
-    {output mask: coeff}; it is derived from the view on first read and
-    read-only.  ``cols`` and ``parity()`` are computed once, which is sound
-    because no operator is mutated after it is built.
+    joins on.  The constructor takes the column-sparse mapping
+    {input mask: {output mask: coeff}}; nothing keeps it.  ``parity()``
+    and ``_magnitude()`` are computed once, which is sound because no
+    operator is mutated after it is built.
     """
 
-    __slots__ = ("_coords", "_cols", "_parity")
+    __slots__ = ("_coords", "_parity", "_mag")
 
     def __init__(self, cols: Mapping[int, Mapping[int, GaussRational]] | None = None):
         # (c, r) pairs are distinct, so the sort never compares values
@@ -150,8 +149,7 @@ class Operator:
         cs, rows, vals = zip(*cells) if cells else ((), (), ())
         self._coords = _Coords(np.array(rows, dtype=np.int64), np.array(cs, dtype=np.int64),
                                *_parts([v.re for v in vals], [v.im for v in vals]))
-        self._cols = None
-        self._parity = _UNSET
+        self._parity = self._mag = _UNSET
 
     @classmethod
     def _from_coords(cls, coords: _Coords) -> "Operator":
@@ -159,24 +157,23 @@ class Operator:
         row), canonical and with no zero value, since nothing is checked."""
         op = object.__new__(cls)
         op._coords = coords
-        op._cols = None
-        op._parity = _UNSET
+        op._parity = op._mag = _UNSET
         return op
 
     def coords(self) -> _Coords:
         """The entries sorted by (column, row)."""
         return self._coords
 
-    @property
-    def cols(self) -> Mapping[int, Mapping[int, GaussRational]]:
-        """{input mask: {output mask: coeff}}, read-only, built from the
-        view on first read, one GaussRational per entry."""
-        if self._cols is None:
+    def _magnitude(self) -> int | None:
+        """P = max|re| + max|im| as an exact int, None for object parts;
+        computed once."""
+        if self._mag is _UNSET:
             v = self._coords
-            cells = zip(v.cols.tolist(), v.rows.tolist(), map(_make, v.re.tolist(), v.im.tolist()))
-            self._cols = MappingProxyType({c: MappingProxyType({r: z for _, r, z in col})
-                                           for c, col in groupby(cells, itemgetter(0))})
-        return self._cols
+            if v.re.dtype == object:
+                self._mag = None
+            else:
+                self._mag = sum(max(int(x.max()), -int(x.min())) for x in (v.re, v.im)) if len(v.re) else 0
+        return self._mag
 
     # -- linear structure ---------------------------------------------------
 
@@ -196,7 +193,7 @@ class Operator:
         v = self._coords
         if not s or not self:
             return Operator()
-        pa = _magnitude(v)
+        pa = self._magnitude()
         exact = pa is not None and type(s.re) is type(s.im) is int and pa * (abs(s.re) + abs(s.im)) < _LIMIT
         p, q = _cast(v, exact)
         return _from_sums(v.rows, v.cols, s.re * p - s.im * q, s.re * q + s.im * p)
@@ -213,19 +210,10 @@ class Operator:
         return _product_sum(((1, self, other),))
 
     def apply(self, f: Form) -> Form:
-        """self(f): sums (re, im) pairs of ints and Fractions over the
-        form's coefficients and wraps each nonzero cell once."""
-        re: dict = {}
-        im: dict = {}
-        for m, v in f.coeffs.items():
-            col = self.cols.get(m)
-            if col:
-                x, y = v.re, v.im
-                for r, w in col.items():
-                    p, q = w.re, w.im
-                    re[r] = re.get(r, 0) + (p * x - q * y)
-                    im[r] = im.get(r, 0) + (p * y + q * x)
-        return Form(_gauss_cells(re, im))
+        """self(f): the product with the one-column operator of f, read
+        back off the result's view."""
+        v = self.compose(Operator({0: f.coeffs})).coords()
+        return Form({r: z for r, _, z in _entries(v)})
 
     def __call__(self, f: Form) -> Form:
         return self.apply(f)
@@ -233,7 +221,9 @@ class Operator:
     # -- structure queries ----------------------------------------------------
 
     def entry(self, row: int, col: int) -> GaussRational:
-        return self.cols.get(col, {}).get(row, ZERO)
+        v = self._coords
+        lo, hi = np.searchsorted(v.cols, (col, col + 1))
+        return next((z for r, _, z in _entries(v, slice(lo, hi)) if r == row), ZERO)
 
     def is_zero(self) -> bool:
         return not self
@@ -261,18 +251,10 @@ class Operator:
         return self._parity
 
     def multidegree_shift(self) -> tuple[int, int, int] | None:
-        """Common (da, db, dc) of all entries, or None if mixed."""
-        shift: tuple[int, int, int] | None = None
-        for c, col in self.cols.items():
-            mc = multidegree_of_mask(c)
-            for r in col:
-                mr = multidegree_of_mask(r)
-                d = (mr[0] - mc[0], mr[1] - mc[1], mr[2] - mc[2])
-                if shift is None:
-                    shift = d
-                elif shift != d:
-                    return None
-        return shift
+        """Common (da, db, dc) of all entries, or None if mixed or zero."""
+        v = self._coords
+        d = _MULTIDEGREE[v.rows] - _MULTIDEGREE[v.cols]
+        return tuple(d[0].tolist()) if len(d) and (d == d[0]).all() else None
 
     def nnz(self) -> int:
         return len(self._coords.rows)
@@ -311,8 +293,8 @@ def _product_sum(terms) -> Operator:
             hits = np.searchsorted(x.cols, y.rows, "right") - lo
             j = np.repeat(np.arange(len(hits)), hits)
             i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
-            n, pb = len(j), _magnitude(y)
-        pa = _magnitude(x)
+            n, pb = len(j), b._magnitude()
+        pa = a._magnitude()
         bound = None if None in (bound, pa, pb) else bound + min(n, DIM) * pa * pb
         joins.append((sgn, x, y, i, j))
     exact = bound is not None and bound < _LIMIT
@@ -368,12 +350,12 @@ def creation(p: int) -> Operator:
 
 
 def annihilation(p: int) -> Operator:
-    """Contraction with the vector dual to position p: v_m -> +-v_(m ^ bit)
-    for each m holding p, negated when an odd number of factors of m lie
-    below p."""
+    """Contraction with the vector dual to position p: v_m -> s v_(m ^ bit)
+    for each m holding p, with v_p ^ v_(m ^ bit) = s v_m, as in
+    ``forms.contract``."""
     bit = 1 << p
     m = _MASKS[(_MASKS & bit) != 0]
-    sign = 1 - 2 * _MASK_PARITY[m & (bit - 1)]
+    sign = 1 - 2 * _MASK_PARITY[m & ABOVE[bit]]
     return Operator._from_coords(_Coords(m ^ bit, m, sign, np.zeros_like(sign)))
 
 
@@ -387,9 +369,9 @@ def build_I(i: int, j: int) -> Operator:
 
 def wedge_operator(f: Form) -> Operator:
     """Left wedge with a fixed form, built as a coordinate view: a term
-    z v_a sends each v_m with m disjoint from a to +-z v_(a|m), negated
-    when an odd number of factors of a lie above factors of m.  Distinct
-    terms give distinct rows in a column, so nothing is summed."""
+    z v_a sends each v_m with m disjoint from a to +-z v_(a|m), with the
+    sign of v_a ^ v_m read off ``forms.ABOVE``.  Distinct terms give
+    distinct rows in a column, so nothing is summed."""
     if not f:
         return Operator()
     terms = list(f.coeffs.items())
@@ -397,9 +379,7 @@ def wedge_operator(f: Form) -> Operator:
     pieces = []
     for t, (a, _) in enumerate(terms):
         m = _MASKS[(_MASKS & a) == 0]
-        # the bits k at which an odd number of factors of a lie above k
-        above = sum(1 << k for k in range(NPOS) if (a >> (k + 1)).bit_count() & 1)
-        neg = _MASK_PARITY[m & above] == 1
+        neg = _MASK_PARITY[m & ABOVE[a]] == 1
         z = slice(t, t + 1)  # a slice keeps the parts' dtype
         pieces.append((m | a, m, np.where(neg, -zr[z], zr[z]), np.where(neg, -zi[z], zi[z])))
     rows, cols, re, im = (np.concatenate(z) for z in zip(*pieces))
@@ -763,6 +743,9 @@ def kw_pattern(md: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple((1 if x == 0 else 0) - (1 if x == 3 else 0) for x in md)  # type: ignore[return-value]
 
 
+_PATTERN = np.array([kw_pattern(multidegree_of_mask(m)) for m in range(DIM)], dtype=np.int64)
+
+
 def kw_form_weight(mask: int) -> tuple[GaussRational, GaussRational, GaussRational]:
     """Simultaneous K_mm eigenvalue triple of a basis monomial:
     i * (-1)^degree * pattern, valued in {0, +i, -i}."""
@@ -781,31 +764,28 @@ def kw_decompose(phi: Operator) -> dict[tuple[GaussRational, ...], Operator]:
     basis the package restricts to has a single degree parity, so on those
     spaces the buckets are genuine simultaneous eigencomponents.
     """
-    buckets: dict[tuple[GaussRational, ...], dict[int, dict[int, GaussRational]]] = {}
-    for c, col in phi.cols.items():
-        pc = kw_pattern(multidegree_of_mask(c))
-        for r, v in col.items():
-            pr = kw_pattern(multidegree_of_mask(r))
-            key = tuple(GaussRational(0, pr[t] - pc[t]) for t in range(3))
-            buckets.setdefault(key, {}).setdefault(c, {})[r] = v
-    return {k: Operator(colmap) for k, colmap in buckets.items()}
+    v = phi.coords()
+    d = _PATTERN[v.rows] - _PATTERN[v.cols]
+    # one code per weight, each component in -2..2; buckets in order of first entry
+    code = (d + 2) @ np.array([25, 5, 1])
+    _, first = np.unique(code, return_index=True)
+    out = {}
+    for i in sorted(first.tolist()):
+        keep = code == code[i]
+        key = tuple(GaussRational(0, x) for x in d[i].tolist())
+        out[key] = Operator._from_coords(_Coords(*(x[keep] for x in v)))
+    return out
 
 
 def supertrace(phi: Operator) -> GaussRational:
     """Trace on even-degree monomials minus trace on odd-degree ones."""
+    v = phi.coords()
     acc = ZERO
-    for c, col in phi.cols.items():
-        v = col.get(c)
-        if v:
-            acc = acc + (v if c.bit_count() % 2 == 0 else -v)
+    for c, _, z in _entries(v, v.rows == v.cols):
+        acc = acc + (z if c.bit_count() % 2 == 0 else -z)
     return acc
 
 
 def dump_operator(phi: Operator) -> list[tuple[int, int, str]]:
     """Sorted (row_mask, col_mask, scalar) triples, for golden tests."""
-    out = []
-    for c, col in phi.cols.items():
-        for r, v in col.items():
-            out.append((r, c, str(v)))
-    out.sort()
-    return out
+    return sorted((r, c, str(z)) for r, c, z in _entries(phi.coords()))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from .scalars import GaussRational, ONE
 from .forms import DIM, Form, multidegree_of_mask
 from .linalg import SparseEchelon
-from .operators import Operator, _product_sum, identity, sl2_triple
+from .operators import Operator, _entries, _product_sum, identity, sl2_triple
 
 __all__ = [
     "multidegree_classes",
@@ -26,6 +26,7 @@ __all__ = [
     "HWSpace",
     "highest_weight_space",
     "SpanSolver",
+    "basis_operator",
     "SpaceEscape",
     "restrict_operator",
     "HW_DIMS",
@@ -56,16 +57,21 @@ def multidegree_classes() -> dict[tuple[int, int, int], list[int]]:
     return classes
 
 
-def _insert_rows(ech: SparseEchelon, op: Operator, masks: list[int]) -> SparseEchelon:
-    """Insert the rows {input mask: coeff} of an operator on a multidegree
-    class it preserves into ech; returns ech."""
-    index = set(masks)
-    rows: dict[int, dict[int, GaussRational]] = {}
-    for m in masks:
-        for r, v in op.cols.get(m, {}).items():
-            if r not in index:
-                raise ValueError("operator leaves the multidegree class")
-            rows.setdefault(r, {})[m] = v
+def _class_rows(op: Operator) -> dict[tuple[int, int, int], dict[int, dict[int, GaussRational]]]:
+    """The rows {output mask: {input mask: coeff}} of an operator that
+    preserves every multidegree class, grouped by class in one pass over
+    its entries."""
+    out: dict = {}
+    for r, c, v in _entries(op.coords()):
+        md = multidegree_of_mask(c)
+        if multidegree_of_mask(r) != md:
+            raise ValueError("operator leaves the multidegree class")
+        out.setdefault(md, {}).setdefault(r, {})[c] = v
+    return out
+
+
+def _insert_rows(ech: SparseEchelon, rows: dict[int, dict[int, GaussRational]]) -> SparseEchelon:
+    """Insert the rows of one class into ech; returns ech."""
     for row in rows.values():
         ech.insert(row)
     return ech
@@ -78,12 +84,13 @@ def _hw_class_vectors_by_type() -> tuple[list[tuple[tuple[int, int, int], list[F
     rows stacked on the rows of h - 2k, with the masks of the class as
     columns.  e's rows are eliminated once per class for all types."""
     e, _, h = sl2_triple()
-    shifted = [h - identity().scale(2 * k) for k in _TYPES]
+    e_rows = _class_rows(e)
+    shifted = [_class_rows(h - identity().scale(2 * k)) for k in _TYPES]
     out = tuple([] for _ in shifted)
     for md, masks in sorted(multidegree_classes().items()):
-        e_ech = _insert_rows(SparseEchelon(), e, masks)
+        e_ech = _insert_rows(SparseEchelon(), e_rows.get(md, {}))
         for by_class, hk in zip(out, shifted):
-            vecs = [Form(v) for v in _insert_rows(e_ech.copy(), hk, masks).kernel(masks)]
+            vecs = [Form(v) for v in _insert_rows(e_ech.copy(), hk.get(md, {})).kernel(masks)]
             if vecs:
                 by_class.append((md, vecs))
     return out
@@ -203,7 +210,7 @@ class SpanSolver:
     @cached_property
     def basis(self) -> Operator:
         """B, whose column i is vectors[i]."""
-        return Operator(dict(enumerate(v.coeffs for v in self.vectors)))
+        return basis_operator(self.vectors)
 
     @cached_property
     def functional(self) -> Operator:
@@ -226,6 +233,11 @@ class SpanSolver:
                     return None
                 out[k - DIM] = c
         return out
+
+
+def basis_operator(vectors: list[Form]) -> Operator:
+    """The operator whose column i is vectors[i]."""
+    return Operator(dict(enumerate(v.coeffs for v in vectors)))
 
 
 def _require_homogeneous(v: Form, i: int) -> tuple[int, int, int]:
@@ -255,4 +267,4 @@ def restrict_operator(
         c = int(escape.coords().cols[0])
         name = labels[c] if labels else f"vector {c}"
         raise SpaceEscape(f"image of {name} escapes the span")
-    return {(r, c): v for c, col in mat.cols.items() for r, v in col.items()}
+    return {(r, c): v for r, c, v in _entries(mat.coords())}

@@ -7,6 +7,7 @@ import pytest
 
 from wsdalg import cli, suites
 from wsdalg import operators as ops
+from opcolumns import columns
 
 
 def test_verify_relations_text(capsys):
@@ -131,10 +132,9 @@ def test_corrupted_operator_fails_relations(monkeypatch, capsys):
     def corrupted_E(i, j):
         op = real_build_E(i, j)
         if (i, j) == (1, 0):
-            col = dict(op.cols.get(0, {}))
+            cols = columns(op)
+            col = cols.setdefault(0, {})
             col[1] = col.get(1, ops.ZERO) + ops.ONE  # spurious entry
-            cols = dict(op.cols)
-            cols[0] = col
             return ops.Operator(cols)
         return op
 

@@ -39,6 +39,45 @@ def test_basis_dimensions_and_membership(builder, expected):
     assert report["pass"], report["failures"][:5]
 
 
+def _report_reference(basis) -> list[str]:
+    """basis_report's e, h and vector checks, one vector at a time."""
+    e, _, h = ops.sl2_triple()
+    out = []
+    for lab, v in zip(basis.labels(), basis.vectors()):
+        if not v:
+            out.append(f"{lab}: vanishes")
+            continue
+        if multidegree(v) is None:
+            out.append(f"{lab}: not multidegree homogeneous")
+        if e.apply(v):
+            out.append(f"{lab}: not killed by the raising operator")
+        if h.apply(v) != v.scale(2 * basis.k):
+            out.append(f"{lab}: wrong Cartan weight")
+    return out
+
+
+@pytest.mark.parametrize("builder", [build_hw1_basis, build_hw2_basis])
+def test_basis_report_names_each_failing_vector(builder):
+    """A damaged basis: a zero vector, a type-0 vector, a lowered one-form
+    and an inhomogeneous sum are each named as the per-vector loop names
+    them, in its order."""
+    b = builder()
+    even, odd = list(b.even), list(b.odd)
+    even[0] = forms.Form()
+    even[1] = build_hw0_basis().even[1]
+    even[5] = w_form(2, 0)
+    odd[3] = odd[3] + odd[-1]
+    damaged = hwbases.LabeledBasis(b.k, b.even_labels, even, b.odd_labels, odd)
+    report = basis_report(damaged)
+    assert not report["pass"]
+    assert report["failures"][0].startswith("independence:")
+    want = _report_reference(damaged)
+    assert report["failures"][1:] == want
+    for kind in ("vanishes", "not multidegree homogeneous", "not killed by the raising operator",
+                 "wrong Cartan weight"):
+        assert any(f.endswith(kind) for f in want), kind
+
+
 def test_hw0_labels_and_vectors():
     basis = build_hw0_basis()
     assert basis.even_labels[0] == "(0,0,0)"

@@ -39,6 +39,7 @@ from wsdalg.operators import (
     superbracket,
     supertrace,
 )
+from opcolumns import columns
 
 
 def test_clifford_relations_exhaustive():
@@ -285,7 +286,7 @@ def test_kw_component_bracket_identity():
     for w, comp in kw_decompose(iL0).items():
         for m in range(3):
             br = superbracket(Ks[m], comp)
-            for c, col in br.cols.items():
+            for c, col in columns(br).items():
                 sign = 1 if c.bit_count() % 2 == 0 else -1
                 expect = w[m] * GaussRational(sign)
                 for r, v in col.items():
@@ -402,7 +403,7 @@ def _operator(entries: dict) -> ops.Operator:
 
 
 def _cells(op: ops.Operator) -> dict:
-    return {(r, c): v for c, col in op.cols.items() for r, v in col.items()}
+    return {(r, c): v for c, col in columns(op).items() for r, v in col.items()}
 
 
 def _ref_product(a: dict, b: dict) -> dict:
@@ -458,11 +459,11 @@ def _edge_pairs(rng: random.Random):
 
 def _assert_coords(op: ops.Operator) -> None:
     """op's coordinate view equals the one a fresh operator builds from its
-    cols, entry for entry and type for type, and its parity is that of its
+    columns, entry for entry and type for type, and its parity is that of its
     entries."""
     parities = {(r.bit_count() - c.bit_count()) & 1 for (r, c) in _cells(op)}
     assert op.parity() == (parities.pop() if len(parities) == 1 else None)
-    got, want = op.coords(), ops.Operator(op.cols).coords()
+    got, want = op.coords(), ops.Operator(columns(op)).coords()
     assert got.rows.tolist() == want.rows.tolist()
     assert got.cols.tolist() == want.cols.tolist()
     for g, w in ((got.re, want.re), (got.im, want.im)):
@@ -512,7 +513,7 @@ def test_product_accumulator_matches_reference():
         for name, op in got.items():
             cells = _cells(op)
             assert cells == expect[name], name
-            assert all(op.cols.values()), f"{name}: empty column"
+            assert all(columns(op).values()), f"{name}: empty column"
             _assert_canonical(cells)
             _assert_coords(op)
         f = forms.Form({c: v for (r, c), v in b.items() if r == 3})
@@ -568,8 +569,97 @@ def test_int64_bound_decides_the_arithmetic(over):
         assert _cells(-op) == {(1, 0): GaussRational(-v, -1)}
 
 
+# -- the entry readers against walks over the entries they were built from ---
+
+
+def _ref_apply(cells: dict, f: forms.Form) -> dict:
+    out: dict = {}
+    for (r, c), v in cells.items():
+        if c in f.coeffs:
+            out[r] = out.get(r, ZERO) + v * f.coeffs[c]
+    return {r: v for r, v in out.items() if v}
+
+
+def _ref_shift(cells: dict):
+    md = forms.multidegree_of_mask
+    shifts = {tuple(x - y for x, y in zip(md(r), md(c))) for r, c in cells}
+    return shifts.pop() if len(shifts) == 1 else None
+
+
+def _ref_kw(cells: dict) -> dict:
+    """{weight: cells}, the weights in order of first entry by (column, row)."""
+    out: dict = {}
+    for (r, c) in sorted(cells, key=lambda rc: (rc[1], rc[0])):
+        pr, pc = (ops.kw_pattern(forms.multidegree_of_mask(m)) for m in (r, c))
+        key = tuple(GaussRational(0, pr[t] - pc[t]) for t in range(3))
+        out.setdefault(key, {})[(r, c)] = cells[(r, c)]
+    return out
+
+
+def _ref_supertrace(cells: dict) -> GaussRational:
+    acc = ZERO
+    for (r, c), v in cells.items():
+        if r == c:
+            acc = acc + (v if c.bit_count() % 2 == 0 else -v)
+    return acc
+
+
+def _reader_cases(rng: random.Random):
+    """(name, entries, dtype): int64 and object views, the zero operator,
+    masks 0 and 511, Fraction and complex values, diagonals, one shift
+    and mixed shifts."""
+    gauss_ints = [ONE, -ONE, GaussRational(2), I, -I, GaussRational(3, -2)]
+    edge = (0, 1, 2, 7, 56, 63, 448, 504, 510, 511)
+    yield "int64", {(r, c): rng.choice(gauss_ints) for c in edge for r in edge if rng.random() < 0.4}, np.int64
+    yield "object", _random_entries(rng, 0, edge, 0.5), object
+    yield "big", {(511, 0): GaussRational(2**70, -3), (0, 0): GaussRational(Fraction(1, 3)), (5, 5): I}, object
+    yield "zero", {}, np.int64
+    # every entry shifts the multidegree by (3, 0, 0): v_m -> v_(m | 7)
+    yield "one-shift", {(m | 7, m): _random_value(rng) for m in range(512) if not m & 7 and rng.random() < 0.3}, object
+    yield "mixed-shift", _random_entries(rng, 1, range(32), 0.3), object
+
+
+def test_entry_readers_match_dict_walks():
+    """apply, entry, multidegree_shift, kw_decompose, supertrace and
+    dump_operator read the coordinate view exactly as walks over the
+    entries the operator was built from."""
+    rng = random.Random(23)
+    cases = list(_reader_cases(rng))
+    assert any(v.re and v.im and Fraction in (type(v.re), type(v.im)) for _, e, _ in cases for v in e.values())
+    assert any(_ref_shift(e) is not None for _, e, _ in cases[:-1])
+    assert _ref_shift(cases[-1][1]) is None and _ref_supertrace(cases[-1][1]) == ZERO
+    assert all(_ref_supertrace(e) for _, e, _ in cases[:3])
+    assert all(len(_ref_kw(e)) > 1 for _, e, _ in cases if _ref_shift(e) is None and e)
+    for name, entries, dtype in cases:
+        op = _operator(entries)
+        assert op.coords().re.dtype == dtype, name
+        # apply: each column's monomial, a random form over used and unused masks, zero
+        used = sorted({c for _, c in entries} | {0, 3, 511})
+        fs = [monomial(c, _random_value(rng)) for c in used]
+        fs += [forms.Form({m: _random_value(rng) for m in used}), forms.Form()]
+        for f in fs:
+            image = op.apply(f)
+            assert image.coeffs == _ref_apply(entries, f), name
+            _assert_canonical(image.coeffs)
+        # entry: every stored cell, and absent cells in used and unused columns
+        for (r, c), v in entries.items():
+            got = op.entry(r, c)
+            assert got == v and (type(got.re), type(got.im)) == (type(v.re), type(v.im)), name
+        absent = [(r, c) for c in (0, 5, 300, 511) for r in (0, 6, 511) if (r, c) not in entries]
+        assert absent and all(op.entry(r, c) == ZERO for r, c in absent), name
+        assert op.multidegree_shift() == _ref_shift(entries), name
+        buckets = kw_decompose(op)
+        want = _ref_kw(entries)
+        assert list(buckets) == list(want), name
+        for key, comp in buckets.items():
+            assert _cells(comp) == want[key], (name, key)
+            _assert_coords(comp)
+        assert supertrace(op) == _ref_supertrace(entries), name
+        assert dump_operator(op) == sorted((r, c, str(v)) for (r, c), v in entries.items()), name
+
+
 def test_entries_are_python_ints_or_fractions():
-    """Restricted generators, their daggers and product cols hold int or
+    """Restricted generators, their daggers and product columns hold int or
     Fraction components, never numpy scalars, which would compare and
     print like them."""
     ralg = default_algebra()
@@ -585,7 +675,7 @@ def test_entries_are_python_ints_or_fractions():
         hodge_conjugate(g["A2"]),
         dagger(g["iLambda0"]),
     ]
-    values += [v for op in products for col in op.cols.values() for v in col.values()]
+    values += [v for op in products for col in columns(op).values() for v in col.values()]
     values += [op.entry(int(op.coords().rows[0]), int(op.coords().cols[0])) for op in products]
     assert len(values) > 2000
     for v in values:
@@ -659,7 +749,7 @@ def test_clifford_report_names_a_flipped_sign(monkeypatch):
         op = build(i, j)
         if (i, j) != (1, 0):
             return op
-        cols = {c: dict(col) for c, col in op.cols.items()}
+        cols = columns(op)
         cols[0] = {r: -v for r, v in cols[0].items()}
         return ops.Operator(cols)
 
@@ -680,7 +770,7 @@ def test_serre_check_catches_a_perturbed_generator(monkeypatch):
 
     def perturbed():
         g = dict(generators())
-        cols = {c: dict(col) for c, col in g["e1"].cols.items()}
+        cols = columns(g["e1"])
         c = min(cols)
         r = min(cols[c])
         cols[c][r] = -cols[c][r]

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wsdalg.scalars import GaussRational, ONE, ZERO
@@ -12,11 +13,13 @@ from wsdalg.forms import Form, hodge_star, monomial, multidegree, poincare_pair
 from wsdalg import operators as ops
 from wsdalg.closure import default_algebra
 from wsdalg.hwbases import all_bases
+from opcolumns import columns
 from wsdalg.reptheory import (
     HW_DIMS,
     HW_HALF_DIMS,
     SpaceEscape,
     SpanSolver,
+    _class_rows,
     _hw_class_vectors,
     highest_weight_space,
     isotypical_table,
@@ -171,11 +174,17 @@ def test_restrict_escape_detection():
 
 
 def _restrict_reference(phi, vectors, solver, labels):
-    """The per-vector restriction: apply phi to each vector in turn and
-    solve for the image's coordinates, naming the first escaping vector."""
+    """The per-vector restriction: apply phi to each vector in turn, by a
+    walk over phi's columns, and solve for the image's coordinates, naming
+    the first escaping vector."""
+    cols = columns(phi)
     mat = {}
     for c, v in enumerate(vectors):
-        coords = solver.coordinates(phi.apply(v))
+        image = {}
+        for m, x in v.coeffs.items():
+            for r, w in cols.get(m, {}).items():
+                image[r] = image.get(r, ZERO) + w * x
+        coords = solver.coordinates(Form(image))
         if coords is None:
             raise SpaceEscape(f"image of {labels[c]} escapes the span")
         mat.update({(r, c): x for r, x in coords.items()})
@@ -202,6 +211,42 @@ def test_restriction_matches_per_vector_reference():
                 assert got == _restrict_reference(op, vecs, solver, labels), (basis.k, name)
 
 
+def test_class_rows_group_by_multidegree():
+    """e's rows grouped in one pass equal a walk over each class's masks,
+    and an operator that leaves its class is refused."""
+    e = ops.sl2_triple()[0]
+    cols = columns(e)
+    got = _class_rows(e)
+    for md, masks in multidegree_classes().items():
+        want = {}
+        for m in masks:
+            for r, v in cols.get(m, {}).items():
+                want.setdefault(r, {})[m] = v
+        assert got.get(md, {}) == want, md
+        assert list(got.get(md, {})) == list(want), md
+    with pytest.raises(ValueError, match="leaves the multidegree class"):
+        _class_rows(ops.build_L(0))
+
+
+def test_restricted_block_reads_the_view():
+    """The {(r, c): v} block equals the per-vector reference for the zero
+    operator, an int64 view, an object view with Fraction and complex
+    values and a sum of mixed parity, with canonical int or Fraction parts."""
+    ralg = default_algebra()
+    g = ralg.operators()
+    cases = [ops.Operator(), g["iL0"], g["iL1"].scale(GaussRational(Fraction(1, 3), 2)), g["A1"] + g["iV1"]]
+    assert [op.coords().re.dtype for op in cases[1:3]] == [np.int64, object]
+    for basis, solver in zip(ralg.bases, ralg.solvers):
+        vecs, labels = basis.vectors(), basis.labels()
+        for op in cases:
+            got = restrict_operator(op, vecs, solver, labels)
+            assert got == _restrict_reference(op, vecs, solver, labels), basis.k
+            for v in got.values():
+                for part in (v.re, v.im):
+                    assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+    assert restrict_operator(cases[2], vecs, solver, labels)
+
+
 def test_space_escape_names_the_reference_vector():
     """Every E_ij and I_ij, whole and with the columns of vector 0's
     monomials dropped, escapes or stays in each labeled basis exactly as
@@ -216,7 +261,7 @@ def test_space_escape_names_the_reference_vector():
         for i in (1, 2, 3):
             for j in (0, 1, 2):
                 for op in (ops.build_E(i, j), ops.build_I(i, j)):
-                    tail = ops.Operator({m: col for m, col in op.cols.items() if m not in head})
+                    tail = ops.Operator({m: col for m, col in columns(op).items() if m not in head})
                     for x in (op, tail):
                         want = _escape_message(_restrict_reference, x, basis, solver)
                         assert _escape_message(restrict_operator, x, basis, solver) == want
