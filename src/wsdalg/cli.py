@@ -22,7 +22,7 @@ import tempfile
 
 from . import suites
 from .reptheory import isotypical_table
-from .scalars import validate_prime
+from .scalars import validate_primes
 
 _BLOCK_CHOICES = {"hw0": (0,), "hw1": (1,), "hw2": (2,), "hw3": (3,), "all": (0, 1, 2, 3)}
 
@@ -134,8 +134,7 @@ def main(argv=None) -> int:
         parser.error("csv output is only defined for the table1 suite")
     try:
         # default_primes_from_env validates WSDALG_PRIMES itself
-        primes = (tuple(map(validate_prime, args.prime)) if args.prime
-                  else suites.default_primes_from_env())
+        primes = validate_primes(args.prime) if args.prime else suites.default_primes_from_env()
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:

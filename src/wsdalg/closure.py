@@ -66,7 +66,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -208,16 +207,6 @@ def default_algebra() -> RestrictedAlgebra:
     return RestrictedAlgebra()
 
 
-@lru_cache(maxsize=1)
-def _basis_multidegrees() -> tuple[np.ndarray, ...]:
-    """Per block, the (a, b, c) multidegree of each labeled basis vector,
-    as an (s, 3) array in flattening order."""
-    return tuple(
-        np.array([_require_homogeneous(v, i) for i, v in enumerate(b.vectors())])
-        for b in all_bases()
-    )
-
-
 class FlatLayout:
     """Coordinate layout of flattened restricted operators.
 
@@ -230,12 +219,15 @@ class FlatLayout:
     Every labeled basis vector is multidegree-homogeneous, so coordinate
     (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
     imaginary parts and all blocks share one class per shift.  Class ids
-    number the distinct shifts in lexicographic order, ``class_indices[t]``
-    lists class t's coordinates in increasing global order (there are
-    ``class_width[t]`` of them, its local coordinates), and a class's
-    parity is the parity of a + b + c (odd exactly on the off-diagonal
-    even/odd sub-blocks).  An operator of definite shift is supported on a
-    single class.
+    number the distinct shifts in lexicographic order: ``coord_class`` maps
+    each coordinate to its class, ``class_shift_array[t]`` is class t's
+    shift, ``class_indices[t]`` lists its coordinates in increasing global
+    order (there are ``class_width[t]`` of them, and ``coord_local`` gives
+    each coordinate's place among them), and ``class_parity[t]`` is the
+    parity of a + b + c (odd exactly on the off-diagonal even/odd
+    sub-blocks).  An operator of definite shift is supported on a single
+    class.  The tables are built with the first layout of each shape and
+    shared, read-only, by every later one (``_class_tables``).
     """
 
     def __init__(self, blocks=(0, 1, 2, 3), complexified: bool = False):
@@ -248,33 +240,17 @@ class FlatLayout:
             self.offsets[k] = off
             off += (s * s) if complexified else (2 * s * s)
         self.length = off
-
-    # The shift-class tables serve only the modular engine, so they are
-    # read on the first access to any of them: an exact closure never pays.
-    _CLASS_TABLES = frozenset(
-        ("coord_class", "class_shifts", "class_shift_array", "class_of_shift", "class_parity",
-         "class_indices", "class_width", "coord_local")
-    )
-
-    def __getattr__(self, name):
-        if name not in FlatLayout._CLASS_TABLES:
-            raise AttributeError(f"'FlatLayout' object has no attribute {name!r}")
-        self.__dict__.update(_class_tables(self.blocks, self.complexified))
-        return self.__dict__[name]
+        (self.coord_class, self.class_shift_array, self.class_parity, self.class_indices,
+         self.class_width, self.coord_local) = _class_tables(self.blocks, complexified)
 
     def operator_class(self, rop: RestrictedOperator) -> int | None:
         """Class of an operator's support on this layout (None when it
         vanishes here); raises ValueError for an inhomogeneous operator."""
-        mds = _basis_multidegrees()
-        shifts = {
-            tuple(int(x) for x in mds[k][r] - mds[k][c])
-            for k in self.blocks
-            for (r, c), v in rop.block(k).items()
-            if v
-        }
-        if len(shifts) > 1:
+        coords = np.array([f for f, v, _ in self.parts(rop) if v], dtype=np.int64)
+        classes = np.unique(self.coord_class[coords])
+        if len(classes) > 1:
             raise ValueError("operator is not homogeneous in the multidegree-shift grading")
-        return self.class_of_shift[shifts.pop()] if shifts else None
+        return int(classes[0]) if classes.size else None
 
     def block_range(self, k: int) -> tuple[int, int]:
         s = BLOCK_SIZES[k]
@@ -325,39 +301,31 @@ class FlatLayout:
 
 
 @lru_cache(maxsize=8)
-def _class_tables(blocks: tuple[int, ...], complexified: bool) -> dict:
-    """The shift-class tables of ``FlatLayout(blocks, complexified)``, built
-    once per layout shape and shared by every layout of that shape, so the
-    arrays and the mapping are read-only."""
-    layout = FlatLayout(blocks, complexified)
-    mds = _basis_multidegrees()
-    shifts = np.zeros((layout.length, 3), dtype=np.int64)
+def _class_tables(blocks: tuple[int, ...], complexified: bool) -> tuple:
+    """The shift-class tables of ``FlatLayout(blocks, complexified)``, in
+    the order its constructor unpacks them; built once per layout shape
+    and shared by every layout of that shape, so the arrays are read-only.
+
+    Each component of a multidegree lies in 0..3, so each component of a
+    shift lies in -3..3, and the code sum_i (d_i + 3) 7^(2 - i) of a shift
+    d is one base-7 integer whose order is the lexicographic order of the
+    shifts: the class ids are the ranks of the distinct codes."""
+    codes = []
     for k in blocks:
-        s, o = BLOCK_SIZES[k], layout.offsets[k]
-        d = (mds[k][:, None, :] - mds[k][None, :, :]).reshape(s * s, 3)
-        shifts[o : o + s * s] = d
-        if not complexified:
-            shifts[o + s * s : o + 2 * s * s] = d
-    uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
-    coord_class = inverse.ravel()
+        md = np.array([_require_homogeneous(v, i) for i, v in enumerate(all_bases()[k].vectors())])
+        code = ((md[:, None, :] - md[None, :, :] + 3) @ np.array([49, 7, 1])).ravel()
+        codes += [code] if complexified else [code, code]  # real parts, then imaginary
+    uniq, coord_class = np.unique(np.concatenate(codes), return_inverse=True)
+    shifts = np.stack([uniq // 49, uniq // 7 % 7, uniq % 7], axis=1) - 3
     counts = np.bincount(coord_class, minlength=len(uniq))
     order = np.argsort(coord_class, kind="stable")
-    coord_local = np.empty(layout.length, dtype=np.int64)
-    coord_local[order] = np.arange(layout.length) - np.repeat(np.cumsum(counts) - counts, counts)
-    class_shifts = tuple(tuple(int(x) for x in u) for u in uniq)
-    class_parity = uniq.sum(axis=1) & 1
-    for a in (uniq, coord_class, order, coord_local, class_parity, counts):
+    coord_local = np.empty(len(order), dtype=np.int64)
+    coord_local[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    class_parity = shifts.sum(axis=1) & 1
+    for a in (coord_class, shifts, class_parity, order, counts, coord_local):
         a.setflags(write=False)  # before splitting: views inherit the flag
-    return {
-        "coord_class": coord_class,
-        "class_shifts": class_shifts,
-        "class_shift_array": uniq,
-        "class_of_shift": MappingProxyType({sh: t for t, sh in enumerate(class_shifts)}),
-        "class_parity": class_parity,
-        "class_indices": tuple(np.split(order, np.cumsum(counts)[:-1])),
-        "class_width": counts,
-        "coord_local": coord_local,
-    }
+    return (coord_class, shifts, class_parity, tuple(np.split(order, np.cumsum(counts)[:-1])),
+            counts, coord_local)
 
 
 # ---------------------------------------------------------------------------
@@ -940,9 +908,9 @@ class ClosureState:
         h.update(repr(sorted(self.pivots)).encode())
         return h.hexdigest()[:16]
 
-    def contains_exact(self, vec: dict[int, Fraction]) -> bool:
+    def contains_exact(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, SparseEchelon)
-        return self._engine.contains(vec)
+        return self._engine.contains(self.layout.flatten_exact(rop))
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
@@ -1252,21 +1220,15 @@ def verify_structure(
         if st:
             failures.append(f"{name}: restricted supertrace {st} != 0")
 
-    max_str_residue = None
+    max_str_residue, contains = None, state.contains_exact
     if isinstance(state._engine, _ModularEngine):
-        max_str_residue = state.supertrace_residues()
+        max_str_residue, contains = state.supertrace_residues(), state.contains_modular
         if max_str_residue:
             failures.append("a closure basis element has nonzero supertrace mod p")
 
-    dagger_ok = []
-    for name, rop in zip(GENERATOR_NAMES, ralg.daggers(state.blocks)):
-        if isinstance(state._engine, _ModularEngine):
-            ok = state.contains_modular(rop)
-        else:
-            ok = state.contains_exact(state.layout.flatten_exact(rop))
-        dagger_ok.append(ok)
-        if not ok:
-            failures.append(f"dagger({name}) not in the closure span")
+    dagger_ok = [contains(rop) for rop in ralg.daggers(state.blocks)]
+    failures += [f"dagger({name}) not in the closure span"
+                 for name, ok in zip(GENERATOR_NAMES, dagger_ok) if not ok]
 
     report = {
         "pass": not failures,

@@ -35,6 +35,7 @@ __all__ = [
     "gauss",
     "balanced_residue",
     "validate_prime",
+    "validate_primes",
     "root_of_minus_one",
     "is_prime",
 ]
@@ -95,6 +96,18 @@ def validate_prime(p: int) -> int:
             f"prime {p} is too large for exact float64 products (largest valid prime: 2065121)"
         )
     return p
+
+
+def validate_primes(primes) -> tuple[int, ...]:
+    """Return the primes as a tuple if there is at least one, each passes
+    ``validate_prime`` and none repeats, else raise ValueError."""
+    out = tuple(map(validate_prime, primes))
+    if not out:
+        raise ValueError("no prime given")
+    for i, p in enumerate(out):
+        if p in out[:i]:
+            raise ValueError(f"prime {p} is repeated")
+    return out
 
 
 def root_of_minus_one(p: int) -> int:

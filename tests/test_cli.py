@@ -102,6 +102,17 @@ def test_bad_primes_env_rejected(monkeypatch, capsys, value):
     _assert_usage_error(capsys, ["closure", "--block", "hw3"], "WSDALG_PRIMES")
 
 
+def test_repeated_prime_rejected(monkeypatch, capsys):
+    """A repeated prime would run one closure twice under one report key,
+    from --prime and from WSDALG_PRIMES alike."""
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    argv = ["closure", "--block", "hw3"]
+    _assert_usage_error(capsys, argv + ["--prime", "13", "--prime", "5", "--prime", "13"],
+                        "prime 13 is repeated")
+    monkeypatch.setenv("WSDALG_PRIMES", "13,13")
+    _assert_usage_error(capsys, argv, "WSDALG_PRIMES='13,13': prime 13 is repeated")
+
+
 # rejected before any suite runs: a path whose directory does not exist,
 # and a path that is itself a directory
 @pytest.mark.parametrize("out", ["missing/report.txt", ""], ids=["no-dir", "is-dir"])

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -201,12 +202,10 @@ def test_even_subalgebra_exact(ralg):
     st = lie_closure(generators=EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
     assert st.dim == 15
     assert st.parity_dims() == (15, 0)
-    # the echelon holds exact rationals only, integral ones as ints, and the
-    # shift-class tables, which only the modular engine reads, were never built
+    # the echelon holds exact rationals only, integral ones as ints
     stored = [v for row in st._engine.rows.values() for v in row.values()]
     assert all(type(v) in (int, Fraction) for v in stored)
     assert not any(type(v) is Fraction and v.denominator == 1 for v in stored)
-    assert not {"coord_class", "class_indices", "coord_local"} & vars(st.layout).keys()
 
 
 def test_even_subalgebra_modular_matches_exact(ralg):
@@ -224,13 +223,23 @@ def test_closure_deterministic(ralg):
 
 def test_exact_contains(ralg):
     st = lie_closure(blocks=(3,), field="exact", ralg=ralg)
-    layout = st.layout
     rop = ralg.generator("iL0")
     sub = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
-    assert st.contains_exact(layout.flatten_exact(sub))
+    assert st.contains_exact(sub)
     # the identity on the block is not in a special-linear algebra
     ident = {(r, r): GaussRational(1) for r in range(8)}
-    assert not st.contains_exact(layout.flatten_exact(cl.RestrictedOperator({3: ident}, 0)))
+    assert not st.contains_exact(cl.RestrictedOperator({3: ident}, 0))
+
+
+def test_verify_structure_exact(ralg):
+    """On an exact state, verify_structure reads no supertrace residues and
+    tests each restricted dagger by exact membership."""
+    st = lie_closure(blocks=(3,), field="exact", ralg=ralg)
+    rep = cl.verify_structure(st, ralg)
+    assert rep["pass"] and rep["failures"] == []
+    assert rep["supertrace_max_residue"] is None
+    assert rep["dagger_membership"] == dict.fromkeys(ops.GENERATOR_NAMES, True)
+    assert rep["dim"] == 15
 
 
 def test_modular_contains(ralg):
@@ -373,11 +382,9 @@ def test_layout_class_tables_shared():
     assert a.class_indices is b.class_indices and a.coord_class is b.coord_class
     with pytest.raises(ValueError, match="read-only"):
         a.class_indices[0][0] = 1
-    for name in ("coord_class", "class_parity", "coord_local"):
+    for name in ("coord_class", "class_shift_array", "class_parity", "coord_local"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(a, name)[0] = 1
-    with pytest.raises(TypeError):
-        a.class_of_shift[(0, 0, 0)] = 0
     assert FlatLayout((0,), complexified=True).class_indices is not a.class_indices
 
 
@@ -394,22 +401,97 @@ def test_generator_shifts(ralg):
         want[f"iLambda{j}"] = tuple(-x for x in others)
         want[f"iV{j}"] = own
         want[f"A{j}"] = tuple(-x for x in own)
-    got = {n: layout.class_shifts[layout.operator_class(ralg.generator(n))] for n in want}
+    def shift(t):
+        return tuple(layout.class_shift_array[t].tolist())
+
+    got = {n: shift(layout.operator_class(ralg.generator(n))) for n in want}
     assert got == want
     for a in ops.GENERATOR_NAMES:
         for b in ops.GENERATOR_NAMES:
             br = _rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
             t = layout.operator_class(br)
             if t is not None:
-                assert layout.class_shifts[t] == tuple(x + y for x, y in zip(want[a], want[b]))
+                assert shift(t) == tuple(x + y for x, y in zip(want[a], want[b]))
+
+
+TABLE_SHAPES = list(itertools.product([(0,), (3,), (0, 1, 2, 3)], (False, True)))
+TABLE_IDS = [f"hw{''.join(map(str, b))}-{'complex' if c else 'real'}" for b, c in TABLE_SHAPES]
 
 
 def test_inhomogeneous_generator_rejected(ralg):
-    layout = FlatLayout()
     a, b = ralg.generator("iL0"), ralg.generator("iL1")
     mixed = cl.RestrictedOperator({k: {**a.block(k), **b.block(k)} for k in range(4)}, 0)
-    with pytest.raises(ValueError, match="not homogeneous"):
-        layout.operator_class(mixed)
+    for blocks, complexified in TABLE_SHAPES:
+        with pytest.raises(ValueError, match="not homogeneous"):
+            FlatLayout(blocks, complexified).operator_class(mixed)
+
+
+@lru_cache(maxsize=1)
+def _basis_multidegrees():
+    """Per block, the (a, b, c) multidegree of each labeled basis vector,
+    read off the vector's masks."""
+    from wsdalg.forms import multidegree_of_mask
+    from wsdalg.hwbases import all_bases
+
+    out = []
+    for b in all_bases():
+        mds = []
+        for v in b.vectors():
+            (md,) = {multidegree_of_mask(m) for m in v.coeffs}
+            mds.append(md)
+        out.append(mds)
+    return out
+
+
+@pytest.mark.parametrize("blocks,complexified", TABLE_SHAPES, ids=TABLE_IDS)
+def test_class_tables_hold_entry_shifts(blocks, complexified):
+    """Each coordinate's class shift is md(basis_r) - md(basis_c), and class
+    ids rise in lexicographic shift order (saved states store these ids)."""
+    layout = FlatLayout(blocks, complexified)
+    mds = _basis_multidegrees()
+    shifts = layout.class_shift_array[layout.coord_class].tolist()
+    seen = 0
+    for k in blocks:
+        for m, rows in enumerate(layout.grid(k).tolist()):
+            for r, cols in enumerate(rows):
+                for c, f in enumerate(cols):
+                    assert shifts[f] == [x - y for x, y in zip(mds[k][r], mds[k][c])], (k, m, r, c)
+                    seen += 1
+    assert seen == layout.length
+    listed = [tuple(t) for t in layout.class_shift_array.tolist()]
+    assert listed == sorted(set(listed))
+
+
+def _operator_class_reference(layout, rop):
+    """Class of rop's support by a walk over its nonzero entries."""
+    mds = _basis_multidegrees()
+    shifts = {tuple(x - y for x, y in zip(mds[k][r], mds[k][c]))
+              for k in layout.blocks for (r, c), v in rop.block(k).items() if v}
+    if len(shifts) > 1:
+        raise ValueError("not homogeneous")
+    ids = {tuple(sh): t for t, sh in enumerate(layout.class_shift_array.tolist())}
+    return ids[shifts.pop()] if shifts else None
+
+
+@pytest.fixture(scope="module")
+def class_probes(ralg):
+    """The generators, i times each, their pairwise brackets, the zero
+    operator and a lone odd entry on hw3."""
+    gens = ralg.generators()
+    times_i = [cl.RestrictedOperator({k: {rc: I * v for rc, v in blk.items()}
+                                      for k, blk in g.blocks.items()}, g.parity) for g in gens]
+    brackets = [_rop_bracket(a, b, (0, 1, 2, 3)) for a in gens for b in gens]
+    zero = ralg.restrict(ops.zero_operator())
+    lone = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
+    return gens + times_i + brackets + [zero, lone]
+
+
+@pytest.mark.parametrize("blocks,complexified", TABLE_SHAPES, ids=TABLE_IDS)
+def test_operator_class_matches_entry_walk(class_probes, blocks, complexified):
+    layout = FlatLayout(blocks, complexified)
+    got = [layout.operator_class(x) for x in class_probes]
+    assert got == [_operator_class_reference(layout, x) for x in class_probes]
+    assert got[-2] is None and (got[-1] is None) == (3 not in blocks)
 
 
 HW0_HASHES = {"modular": "9db1b3b25abc0c18", "modular-complex": "b3440c22516b072b"}
