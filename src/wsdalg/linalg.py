@@ -45,11 +45,6 @@ class SparseEchelon:
     def __init__(self):
         self.rows: dict = {}
 
-    def copy(self) -> "SparseEchelon":
-        out = SparseEchelon()
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
-        return out
-
     def reduce(self, vec: dict) -> dict:
         """Clear every pivot column of vec in one pass (a row is 0 at the
         other pivots, so each subtraction clears one pivot for good);

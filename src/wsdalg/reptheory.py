@@ -7,6 +7,9 @@ dimension at most 27) and stays exact over Q(i).
 
 A highest-weight vector of type k is killed by e and has h-eigenvalue 2k;
 HW_k collects them across all degrees, split into even and odd form degree.
+Each class eliminates e's rows once and takes its kernel K; since
+[h, e] = 2e, h maps K into itself, so every type is solved on the small
+matrix of h in K's free-column coordinates and mapped back.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .scalars import GaussRational, ONE
+import numpy as np
+
+from .scalars import GaussRational, ONE, ZERO
 from .forms import DIM, Form, multidegree_of_mask
-from .linalg import SparseEchelon
-from .operators import Operator, _entries, _product_sum, identity, sl2_triple
+from .linalg import SparseEchelon, _sub_scaled
+from .operators import _MULTIDEGREE, Operator, _entries, _product_sum, sl2_triple
 
 __all__ = [
     "multidegree_classes",
@@ -48,12 +53,17 @@ _TYPES = range(5)
 _TABLE_TYPES = range(4)
 
 
+# each mask's index in _CLASSES, the multidegree classes in increasing order
+_CLASS_ARRAY, _MASK_CLASS = np.unique(_MULTIDEGREE, axis=0, return_inverse=True)
+_CLASSES = list(map(tuple, _CLASS_ARRAY.tolist()))
+
+
 @lru_cache(maxsize=1)
 def multidegree_classes() -> dict[tuple[int, int, int], list[int]]:
     """Masks grouped by (a, b, c), each list in increasing mask order."""
     classes: dict[tuple[int, int, int], list[int]] = {}
-    for m in range(512):
-        classes.setdefault(multidegree_of_mask(m), []).append(m)
+    for m, i in enumerate(_MASK_CLASS.tolist()):
+        classes.setdefault(_CLASSES[i], []).append(m)
     return classes
 
 
@@ -61,38 +71,83 @@ def _class_rows(op: Operator) -> dict[tuple[int, int, int], dict[int, dict[int, 
     """The rows {output mask: {input mask: coeff}} of an operator that
     preserves every multidegree class, grouped by class in one pass over
     its entries."""
+    v = op.coords()
+    cls = _MASK_CLASS[v.cols]
+    if (_MASK_CLASS[v.rows] != cls).any():
+        raise ValueError("operator leaves the multidegree class")
     out: dict = {}
-    for r, c, v in _entries(op.coords()):
-        md = multidegree_of_mask(c)
-        if multidegree_of_mask(r) != md:
-            raise ValueError("operator leaves the multidegree class")
-        out.setdefault(md, {}).setdefault(r, {})[c] = v
+    for i, (r, c, x) in zip(cls.tolist(), _entries(v)):
+        out.setdefault(_CLASSES[i], {}).setdefault(r, {})[c] = x
     return out
-
-
-def _insert_rows(ech: SparseEchelon, rows: dict[int, dict[int, GaussRational]]) -> SparseEchelon:
-    """Insert the rows of one class into ech; returns ech."""
-    for row in rows.values():
-        ech.insert(row)
-    return ech
 
 
 @lru_cache(maxsize=1)
 def _hw_class_vectors_by_type() -> tuple[list[tuple[tuple[int, int, int], list[Form]]], ...]:
-    """Per type k in ``_TYPES`` and multidegree class, a deterministic
-    basis of ker(e) with h-eigenvalue 2k: the free-column kernel of e's
-    rows stacked on the rows of h - 2k, with the masks of the class as
-    columns.  e's rows are eliminated once per class for all types."""
+    """Per type k in ``_TYPES`` and multidegree class, the basis of
+    ker(e) with h-eigenvalue 2k that is the free-column kernel of e's rows
+    stacked on the rows of h - 2k, with the masks of the class as columns.
+
+    Each class takes the free-column kernel K of e once: one vector v_f per
+    free column f, 1 at f, 0 at every other free column and otherwise
+    supported on pivots below f, so f is its largest key.  Since
+    [h, e] = 2e, h maps ker(e) into itself, so h v_f = sum_f' H[f', f] v_f'
+    with H[f', f] = (h v_f)[f'] read at K's free columns; one exact check,
+    h B_K = B_K H for the operator B_K whose column f is v_f, confirms it.
+    Per k, each vector c of the free-column kernel of H - 2k maps to
+    w = sum_f c_f v_f, keys in increasing mask order.  c is 1 at its own
+    free column g and 0 at the others, and its support is g plus pivots
+    below g, so w lies in ker(e) and ker(h - 2k), is 1 at g, 0 at every
+    other free column of H - 2k and has largest key g.  Every nonzero
+    vector of the intersection then has its largest key at one of those
+    free columns, so such a reverse-reduced basis is unique: it is the
+    stacked system's free-column kernel, value for value."""
     e, _, h = sl2_triple()
     e_rows = _class_rows(e)
-    shifted = [_class_rows(h - identity().scale(2 * k)) for k in _TYPES]
-    out = tuple([] for _ in shifted)
+    kernels = {}
     for md, masks in sorted(multidegree_classes().items()):
-        e_ech = _insert_rows(SparseEchelon(), e_rows.get(md, {}))
-        for by_class, hk in zip(out, shifted):
-            vecs = [Form(v) for v in _insert_rows(e_ech.copy(), hk.get(md, {})).kernel(masks)]
+        # any order gives the same echelon; decreasing output masks
+        # leave about half the elimination work of the view's order
+        rows = e_rows.get(md, {})
+        ech = SparseEchelon()
+        for r in sorted(rows, reverse=True):
+            ech.insert(rows[r])
+        kern = ech.kernel(masks)
+        if kern:
+            # v_f's largest key is its free column f
+            kernels[md] = {max(v): v for v in kern}
+    basis = Operator({f: v for kern in kernels.values() for f, v in kern.items()})
+    image = h.compose(basis)
+    free = np.zeros(DIM, dtype=bool)
+    free[basis.coords().cols] = True
+    iv = image.coords()
+    keep = free[iv.rows]
+    hmat = Operator._from_coords(iv._make(a[keep] for a in iv))
+    if basis.compose(hmat) != image:
+        raise ValueError("h does not map ker(e) into itself")
+    h_rows = _class_rows(hmat)
+    out = tuple([] for _ in _TYPES)
+    for md, kern in kernels.items():
+        rows = h_rows.get(md, {})
+        # eigenspaces of distinct eigenvalues are independent, so once
+        # they fill ker(e) no other type has a vector in this class
+        left = len(kern)
+        for k, by_class in zip(_TYPES, out):
+            if not left:
+                break
+            ech = SparseEchelon()
+            for f in kern:
+                row = dict(rows.get(f, {}))
+                row[f] = row.get(f, ZERO) - 2 * k
+                ech.insert({c: x for c, x in row.items() if x})
+            vecs = []
+            for coeffs in ech.kernel(kern):
+                vec: dict = {}
+                for f, c in coeffs.items():
+                    _sub_scaled(vec, kern[f], -c)
+                vecs.append(Form({m: vec[m] for m in sorted(vec)}))
             if vecs:
                 by_class.append((md, vecs))
+                left -= len(vecs)
     return out
 
 

@@ -35,6 +35,13 @@ def default_primes_from_env() -> tuple[int, ...]:
         raise ValueError(f"WSDALG_PRIMES={raw!r}: {exc}") from None
 
 
+def _config_primes(config) -> tuple[int, ...]:
+    """config["primes"] as accepted by ``validate_primes`` (ValueError
+    naming a bad prime), or ``default_primes_from_env()`` without them."""
+    primes = config.get("primes")
+    return validate_primes(primes) if primes else default_primes_from_env()
+
+
 def _suite_relations(config) -> dict:
     rep = ops.clifford_relations_report()
     serre = ops.serre_check()
@@ -106,7 +113,7 @@ def _suite_structure(config) -> dict:
 
 
 def _suite_closure(config) -> dict:
-    primes = config.get("primes") or default_primes_from_env()
+    primes = _config_primes(config)
     blocks = config.get("blocks", (0, 1, 2, 3))
     field = config.get("field", "modular")
     progress = config.get("progress")
@@ -180,7 +187,8 @@ _SUITES: dict[str, Callable[[dict], dict]] = {
 
 
 def run_suites(names, config: dict | None = None) -> dict:
-    """Run the named suites (or all of them, in dependency order)."""
+    """Run the named suites (or all of them, in dependency order); the
+    primes are validated by ``_config_primes`` before any suite runs."""
     config = config or {}
     if names in ("all", ["all"], ("all",)):
         names = SUITE_ORDER
@@ -189,6 +197,7 @@ def run_suites(names, config: dict | None = None) -> dict:
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+    config = {**config, "primes": _config_primes(config)}
     ordered = [n for n in SUITE_ORDER if n in names]
     results = {}
     timings = {}
@@ -207,7 +216,7 @@ def run_suites(names, config: dict | None = None) -> dict:
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "wall_s": timings,
             "suites": extra_meta,
-            "primes": list(config.get("primes") or default_primes_from_env()),
+            "primes": list(config["primes"]),
         },
     }
 

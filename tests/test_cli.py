@@ -165,6 +165,19 @@ def test_primes_env_override(monkeypatch):
         suites.default_primes_from_env()
 
 
+@pytest.mark.parametrize("primes, message", [((13, 13), "prime 13 is repeated"),
+                                             ((13, 15), "15 is not prime")])
+def test_run_suites_validates_primes(monkeypatch, primes, message):
+    """A repeated prime or a non-prime in the config is refused, naming
+    the prime, before any closure runs."""
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr(suites.cl, "lie_closure", no_closure)
+    with pytest.raises(ValueError, match=message):
+        suites.run_suites("closure", {"primes": primes, "blocks": (3,)})
+
+
 def test_suite_registry_complete():
     assert suites.SUITE_ORDER == (
         "relations", "table1", "bases", "appendix", "structure", "closure",

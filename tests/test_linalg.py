@@ -114,7 +114,7 @@ def test_sparse_echelon_is_fully_reduced():
         for p, row in ech.rows.items():
             assert min(row) == p and row[p] == ONE
             assert not any(q in row for q in ech.rows if q != p)
-        ech2 = ech.copy()
+        ech2 = _echelon(rows)
         for r in _sparse(rows):
             assert ech.contains(r)
             assert ech2.insert(r) is None

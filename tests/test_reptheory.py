@@ -13,6 +13,8 @@ from wsdalg.forms import Form, hodge_star, monomial, multidegree, poincare_pair
 from wsdalg import operators as ops
 from wsdalg.closure import default_algebra
 from wsdalg.hwbases import all_bases
+from wsdalg.linalg import SparseEchelon
+from wsdalg import reptheory
 from opcolumns import columns
 from wsdalg.reptheory import (
     HW_DIMS,
@@ -21,6 +23,7 @@ from wsdalg.reptheory import (
     SpanSolver,
     _class_rows,
     _hw_class_vectors,
+    basis_operator,
     highest_weight_space,
     isotypical_table,
     multidegree_classes,
@@ -308,3 +311,67 @@ def test_hw_class_vectors_pinned(k):
         for v in vecs:
             h.update(repr([(m, str(c.re), str(c.im)) for m, c in v.coeffs.items()]).encode())
     assert h.hexdigest()[:16] == HW_CLASS_DIGESTS[k]
+
+
+def _stacked_reference():
+    """Per type 0..4, the stacked route: per class, e's rows eliminated
+    once, that echelon copied, the rows of h - 2k inserted into the copy
+    and its free-column kernel taken over the class's masks.  Also
+    returns each class's dim ker(e)."""
+    e, _, h = ops.sl2_triple()
+    e_rows = _class_rows(e)
+    shifted = [_class_rows(h - ops.identity().scale(2 * k)) for k in range(5)]
+    out = tuple([] for _ in shifted)
+    ker_dims = {}
+    for md, masks in sorted(multidegree_classes().items()):
+        e_ech = SparseEchelon()
+        for row in e_rows.get(md, {}).values():
+            e_ech.insert(row)
+        ker_dims[md] = len(masks) - e_ech.rank
+        for by_class, hk in zip(out, shifted):
+            ech = SparseEchelon()
+            ech.rows = {p: dict(row) for p, row in e_ech.rows.items()}
+            for row in hk.get(md, {}).values():
+                ech.insert(row)
+            vecs = [Form(v) for v in ech.kernel(masks)]
+            if vecs:
+                by_class.append((md, vecs))
+    return out, ker_dims
+
+
+def _spelled(by_class):
+    """Classes, masks in dictionary order, and each component with its type."""
+    return [(md, [[(m, c.re, type(c.re), c.im, type(c.im)) for m, c in v.coeffs.items()]
+                  for v in vecs]) for md, vecs in by_class]
+
+
+def test_hw_class_vectors_match_stacked_reference():
+    """The kernel-of-e route gives the stacked route's vectors, classes,
+    key order and component types for every type; each vector is exactly
+    killed by e with h-eigenvalue 2k, and the types split each class's
+    ker(e)."""
+    want, ker_dims = _stacked_reference()
+    e, _, h = ops.sl2_triple()
+    counts = dict.fromkeys(ker_dims, 0)
+    for k in range(5):
+        got = _hw_class_vectors(k)
+        assert _spelled(got) == _spelled(want[k]), k
+        vecs = [v for _, vs in got for v in vs]
+        if vecs:
+            b = basis_operator(vecs)
+            assert e.compose(b).is_zero()
+            assert h.compose(b) == b.scale(2 * k)
+        for md, vs in got:
+            counts[md] += len(vs)
+    assert counts == ker_dims
+    assert sum(ker_dims.values()) == sum(HW_DIMS)
+
+
+def test_hw_class_vectors_check_h_on_ker_e(monkeypatch):
+    """An h that does not map ker(e) into itself is refused by the exact
+    check h B_K = B_K H."""
+    e, f, h = ops.sl2_triple()
+    skew = ops.Operator({m: {m: GaussRational(m)} for m in range(forms.DIM)})
+    monkeypatch.setattr(reptheory, "sl2_triple", lambda: (e, f, h + skew))
+    with pytest.raises(ValueError, match="h does not map ker"):
+        reptheory._hw_class_vectors_by_type.__wrapped__()
