@@ -126,28 +126,41 @@ class RestrictedOperator:
 
 
 class RestrictedAlgebra:
-    """Restriction context: the labeled bases, their solvers, and the
-    generators, built once and restricted lazily one name at a time.  The
-    structural checks that depend only on the algebra (the pairing
-    identity, the generators' daggers, and the restricted supertraces and
-    daggers) are computed once, the last two once per tuple of blocks."""
+    """Restriction context: the labeled bases, one span solver over all
+    their vectors (block after block), and the generators, built once and
+    restricted lazily one name at a time.  The structural checks that
+    depend only on the algebra (the pairing identity, the generators'
+    daggers, and the restricted supertraces and daggers) are computed once,
+    the last two once per tuple of blocks."""
 
     def __init__(self):
         self.bases: tuple[LabeledBasis, ...] = all_bases()
-        self.solvers = [SpanSolver(b.vectors()) for b in self.bases]
+        self.solver = SpanSolver([v for b in self.bases for v in b.vectors()])
+        self._labels = [lab for b in self.bases for lab in b.labels()]
+        starts = np.cumsum([0] + [len(b.vectors()) for b in self.bases]).tolist()
+        self._ranges = [range(a, z) for a, z in zip(starts, starts[1:])]
+        # per vector of the solver, its block and the block's first index
+        self._block_of = [(k, r.start) for k, r in enumerate(self._ranges) for _ in r]
         self._ops: dict[str, Operator] | None = None
         self._gens: dict[str, RestrictedOperator] = {}
         self._supertraces: dict[tuple[int, ...], dict[str, GaussRational]] = {}
         self._daggers: dict[tuple[int, ...], list[RestrictedOperator]] = {}
 
     def restrict(self, op: Operator, blocks=(0, 1, 2, 3)) -> RestrictedOperator:
+        """op's block matrices on ``blocks``, from one restriction over
+        their vectors together (its chain is built once per tuple of
+        blocks).  An image that leaves its own block's span raises
+        SpaceEscape naming the first such vector, block by block in the
+        order given, as restricting to each block in turn would."""
         par = op.parity()
         if par is None and op:
             raise ValueError("restriction needs definite parity")
-        out: dict[int, _BlockMat] = {}
-        for k in blocks:
-            basis = self.bases[k]
-            out[k] = restrict_operator(op, basis.vectors(), self.solvers[k], basis.labels())
+        ranges = tuple(self._ranges[k] for k in blocks)
+        mat = restrict_operator(op, self.solver.vectors, self.solver, self._labels, ranges)
+        out: dict[int, _BlockMat] = {k: {} for k in blocks}
+        for (r, c), v in mat.items():
+            k, a = self._block_of[c]
+            out[k][r - a, c - a] = v
         return RestrictedOperator(out, 0 if par is None else par)
 
     def operators(self) -> dict[str, Operator]:

@@ -8,15 +8,16 @@ kernels read off them do not depend on the insertion order.
 off its rows' marker columns.
 Entries may be of any exact type, so rational coordinates (the exact
 closure's ints and Fractions) work too: normalization divides
-``Fraction(1)``, never the int 1, so no float appears, and integral
-rational entries are stored as ints, so reductions stay on ints.
+``Fraction(1)`` (``ONE`` for a GaussRational lead), never the int 1, so no
+float appears, and integral rational entries are stored as ints, so
+reductions stay on ints.  A row whose lead is already 1 is stored as it is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE
+from .scalars import GaussRational, ONE
 
 __all__ = ["SparseEchelon"]
 
@@ -61,13 +62,15 @@ class SparseEchelon:
         if not vec:
             return None
         lead = min(vec)
-        inv = Fraction(1) / vec[lead]
-        new = {k: _canonical(inv * v) for k, v in vec.items()}
+        x = vec[lead]
+        if x != 1:
+            inv = ONE / x if type(x) is GaussRational else Fraction(1) / x
+            vec = {k: _canonical(inv * v) for k, v in vec.items()}
         for row in self.rows.values():
             c = row.get(lead)
             if c:
-                _sub_scaled(row, new, c)
-        self.rows[lead] = new
+                _sub_scaled(row, vec, c)
+        self.rows[lead] = vec
         return lead
 
     def contains(self, vec: dict) -> bool:

@@ -136,12 +136,12 @@ class Operator:
     The one stored form is the ``_Coords`` view, ``coords()``: nonzero
     canonical values only, sorted by (column, row), which ``_product_sum``
     joins on.  The constructor takes the column-sparse mapping
-    {input mask: {output mask: coeff}}; nothing keeps it.  ``parity()``
-    and ``_magnitude()`` are computed once, which is sound because no
-    operator is mutated after it is built.
+    {input mask: {output mask: coeff}}; nothing keeps it.  ``parity()``,
+    ``_magnitude()`` and ``_col_ptr()`` are computed once, which is sound
+    because no operator is mutated after it is built.
     """
 
-    __slots__ = ("_coords", "_parity", "_mag")
+    __slots__ = ("_coords", "_parity", "_mag", "_ptr")
 
     def __init__(self, cols: Mapping[int, Mapping[int, GaussRational]] | None = None):
         # (c, r) pairs are distinct, so the sort never compares values
@@ -149,7 +149,7 @@ class Operator:
         cs, rows, vals = zip(*cells) if cells else ((), (), ())
         self._coords = _Coords(np.array(rows, dtype=np.int64), np.array(cs, dtype=np.int64),
                                *_parts([v.re for v in vals], [v.im for v in vals]))
-        self._parity = self._mag = _UNSET
+        self._parity = self._mag = self._ptr = _UNSET
 
     @classmethod
     def _from_coords(cls, coords: _Coords) -> "Operator":
@@ -157,7 +157,7 @@ class Operator:
         row), canonical and with no zero value, since nothing is checked."""
         op = object.__new__(cls)
         op._coords = coords
-        op._parity = op._mag = _UNSET
+        op._parity = op._mag = op._ptr = _UNSET
         return op
 
     def coords(self) -> _Coords:
@@ -174,6 +174,13 @@ class Operator:
             else:
                 self._mag = sum(max(int(x.max()), -int(x.min())) for x in (v.re, v.im)) if len(v.re) else 0
         return self._mag
+
+    def _col_ptr(self) -> np.ndarray:
+        """Column pointers: column c's entries are the view's entries
+        ptr[c] to ptr[c + 1] - 1, for c in 0..DIM - 1; computed once."""
+        if self._ptr is _UNSET:
+            self._ptr = np.searchsorted(self._coords.cols, np.arange(DIM + 1))
+        return self._ptr
 
     # -- linear structure ---------------------------------------------------
 
@@ -268,8 +275,8 @@ def _product_sum(terms) -> Operator:
     b = None stands for the identity, so (sgn, a, None) adds sgn * a.
 
     One sparse join on the coordinate views: each entry (mid, c) of b meets
-    the entries of a in column mid, found by ``searchsorted`` in a's sorted
-    columns, and each meeting is one partial product (r, c).  The partial
+    the entries of a in column mid, found by a's column pointers
+    (``_col_ptr``), and each meeting is one partial product (r, c).  The partial
     products of all terms are sorted on col * DIM + row and summed per cell
     with ``np.add.reduceat``.  Each partial product part is at most
     P_a * P_b in magnitude (P = max|re| + max|im| of an operand, 1 for the
@@ -289,8 +296,9 @@ def _product_sum(terms) -> Operator:
             n = len(x.rows)
         else:
             y = b._coords
-            lo = np.searchsorted(x.cols, y.rows, "left")
-            hits = np.searchsorted(x.cols, y.rows, "right") - lo
+            ptr = a._col_ptr()
+            lo = ptr[y.rows]
+            hits = ptr[y.rows + 1] - lo
             j = np.repeat(np.arange(len(hits)), hits)
             i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
             n, pb = len(j), b._magnitude()

@@ -14,15 +14,16 @@ matrix of h in K's free-column coordinates and mapped back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .scalars import GaussRational, ONE, ZERO
+from .scalars import GaussRational, ONE, ZERO, _make, _quotient
 from .forms import DIM, Form, multidegree_of_mask
 from .linalg import SparseEchelon, _sub_scaled
-from .operators import _MULTIDEGREE, Operator, _entries, _product_sum, sl2_triple
+from .operators import _MULTIDEGREE, Operator, _Coords, _entries, _product_sum, sl2_triple
 
 __all__ = [
     "multidegree_classes",
@@ -245,13 +246,17 @@ class SpanSolver:
     """Coordinate solver for a family of multidegree-homogeneous forms.
 
     Vectors are grouped by multidegree, each class in one ``SparseEchelon``,
-    so solves stay tiny even for the 72-dimensional space.  Vector i goes
-    in with an extra -1 at the marker key ``DIM + i``, past every mask: a
-    pivot at a marker means vector i is dependent, and a member
-    f = sum_i x_i vectors[i] reduces to {DIM + i: x_i} over the nonzero x_i.
-    Hence x_i = -sum_p f[p] row_p[DIM + i] over the pivots p, which is the
-    coordinate functional ``functional`` (P, with P B = I for the basis
-    operator B, ``basis``); both are built on first use.
+    so solves stay tiny even for the 160 vectors of all four HW spaces.
+    Vector i goes in with an extra -1 at the marker key ``DIM + i``, past
+    every mask: a pivot at a marker means vector i is dependent, and a
+    member f = sum_i x_i vectors[i] reduces to {DIM + i: x_i} over the
+    nonzero x_i.  Hence x_i = -sum_p f[p] row_p[DIM + i] over the pivots p,
+    which is the coordinate functional P, with P B = I for the basis
+    operator B (``basis``).  P is kept scaled, as (D, D P) (``functional``):
+    D is the lcm of the denominators of P's parts, so D P has Gaussian
+    integer entries and, when they fit, an int64 view.  ``chain`` selects
+    B's columns and D P's rows for some of the vectors; all three are built
+    on first use, a chain once per selection.
     """
 
     def __init__(self, vectors: list[Form]):
@@ -261,6 +266,7 @@ class SpanSolver:
             ech = self.by_md.setdefault(_require_homogeneous(v, i), SparseEchelon())
             if ech.insert({**v.coeffs, DIM + i: -ONE}) >= DIM:
                 raise ValueError(f"vector {i} is linearly dependent on earlier ones")
+        self._chains: dict[tuple[range, ...], tuple] = {}
 
     @cached_property
     def basis(self) -> Operator:
@@ -268,10 +274,30 @@ class SpanSolver:
         return basis_operator(self.vectors)
 
     @cached_property
-    def functional(self) -> Operator:
-        """P, with P[i, p] = -row_p[DIM + i] at each pivot p."""
-        return Operator({p: {k - DIM: -v for k, v in row.items() if k >= DIM}
-                         for ech in self.by_md.values() for p, row in ech.rows.items()})
+    def functional(self) -> tuple[int, Operator]:
+        """(D, D P) for P[i, p] = -row_p[DIM + i] at each pivot p, with D
+        the lcm of the denominators of P's parts; D P is built from ints,
+        so its view is int64 when they fit."""
+        cols = {p: {k - DIM: v for k, v in row.items() if k >= DIM}
+                for ech in self.by_md.values() for p, row in ech.rows.items()}
+        d = math.lcm(*(x.denominator for col in cols.values() for v in col.values()
+                       for x in (v.re, v.im)))
+        return d, Operator({p: {i: v * -d for i, v in col.items()} for p, col in cols.items()})
+
+    def chain(self, parts: tuple[range, ...]) -> tuple[Operator, Operator, np.ndarray, np.ndarray]:
+        """For the vectors whose indices the ranges ``parts`` list,
+        renumbered 0, 1, ... in that order: B's columns and D P's rows for
+        them, and per vector its index among all vectors and the number of
+        its part; built once per ``parts``."""
+        if parts not in self._chains:
+            index = np.array([i for r in parts for i in r], dtype=np.int64)
+            local = np.full(len(self.vectors), -1, dtype=np.int64)
+            local[index] = np.arange(len(index))
+            b, f = self.basis.coords(), self.functional[1].coords()
+            self._chains[parts] = (
+                _renumber(b, b.rows, local[b.cols]), _renumber(f, local[f.rows], f.cols), index,
+                np.repeat(np.arange(len(parts)), [len(r) for r in parts]))
+        return self._chains[parts]
 
     def coordinates(self, f: Form) -> dict[int, GaussRational] | None:
         """f's coordinates {i: x_i}, nonzero ones only; None outside the span."""
@@ -288,6 +314,15 @@ class SpanSolver:
                     return None
                 out[k - DIM] = c
         return out
+
+
+def _renumber(v: _Coords, rows: np.ndarray, cols: np.ndarray) -> Operator:
+    """The entries of view v at new row and column indices ``rows`` and
+    ``cols`` (an index of -1 drops the entry), sorted by (column, row)."""
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    order = np.argsort(cols * DIM + rows, kind="stable")
+    return Operator._from_coords(_Coords(rows[order], cols[order], v.re[keep][order], v.im[keep][order]))
 
 
 def basis_operator(vectors: list[Form]) -> Operator:
@@ -307,19 +342,39 @@ def restrict_operator(
     vectors: list[Form],
     solver: SpanSolver | None = None,
     labels: list[str] | None = None,
+    parts: tuple[range, ...] | None = None,
 ) -> _BlockMat:
-    """Matrix of phi on the span of ``vectors`` as its nonzero entries
-    {(r, c): v}: M = P (phi B) for the solver's basis operator B and
-    coordinate functional P, so column c holds the coordinates of
-    phi(vectors[c]) when that image lies in the span.  It does exactly when
-    column c of B M equals that of phi B; otherwise SpaceEscape names the
-    first offending vector."""
+    """Matrix of phi on the span of the solver's vectors (by default a
+    solver of ``vectors``) as its nonzero entries {(r, c): v}, keyed by
+    vector index.  ``parts``, ranges of vector indices, narrows it to the
+    listed vectors, and phi must then keep each part's span.
+
+    On the solver's chain (``SpanSolver.chain``) of basis columns B and
+    scaled functional rows D P, N = (D P)(phi B) has Gaussian integer
+    entries, so every product runs in int64 under ``_product_sum``'s bound,
+    and v = N / D, canonical.  Column c holds D times the coordinates of
+    phi(vectors[c]) when that image lies in its part's span.  It does
+    exactly when column c of B N equals that of D (phi B) once N's entries
+    that link two parts are dropped; otherwise SpaceEscape names the first
+    offending vector, by its label when ``labels`` (indexed like the
+    solver's vectors) is given."""
     solver = solver or SpanSolver(vectors)
-    image = phi.compose(solver.basis)
-    mat = solver.functional.compose(image)
-    escape = _product_sum(((1, solver.basis, mat), (-1, image, None)))
+    d = solver.functional[0]
+    basis, functional, index, part = solver.chain(parts or (range(len(solver.vectors)),))
+    image = phi.compose(basis)
+    mat = functional.compose(image)
+    v = mat.coords()
+    keep = part[v.rows] == part[v.cols]
+    if not keep.all():
+        mat = Operator._from_coords(v._make(a[keep] for a in v))
+    escape = _product_sum(((1, basis, mat), (-1, image.scale(d), None)))
     if escape:
-        c = int(escape.coords().cols[0])
+        c = int(index[escape.coords().cols[0]])
         name = labels[c] if labels else f"vector {c}"
         raise SpaceEscape(f"image of {name} escapes the span")
-    return {(r, c): v for r, c, v in _entries(mat.coords())}
+    v = mat.coords()
+    re, im = v.re.tolist(), v.im.tolist()
+    # the parts take few distinct values, so each is divided once
+    quot = {x: _quotient(x, d) for x in {*re, *im}}
+    return {(r, c): _make(quot[x], quot[y])
+            for r, c, x, y in zip(index[v.rows].tolist(), index[v.cols].tolist(), re, im)}

@@ -1,6 +1,7 @@
 """Isotypical decomposition and highest-weight space extraction."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -206,8 +207,9 @@ def test_restriction_matches_per_vector_reference():
     """M = P (phi B) equals the per-vector restriction for the twelve
     generators and their daggers on all four labeled bases."""
     ralg = default_algebra()
-    for basis, solver in zip(ralg.bases, ralg.solvers):
+    for basis in ralg.bases:
         vecs, labels = basis.vectors(), basis.labels()
+        solver = SpanSolver(vecs)
         for name, g in ralg.operators().items():
             for op in (g, ralg.generator_daggers[name]):
                 got = restrict_operator(op, vecs, solver, labels)
@@ -239,8 +241,9 @@ def test_restricted_block_reads_the_view():
     g = ralg.operators()
     cases = [ops.Operator(), g["iL0"], g["iL1"].scale(GaussRational(Fraction(1, 3), 2)), g["A1"] + g["iV1"]]
     assert [op.coords().re.dtype for op in cases[1:3]] == [np.int64, object]
-    for basis, solver in zip(ralg.bases, ralg.solvers):
+    for basis in ralg.bases:
         vecs, labels = basis.vectors(), basis.labels()
+        solver = SpanSolver(vecs)
         for op in cases:
             got = restrict_operator(op, vecs, solver, labels)
             assert got == _restrict_reference(op, vecs, solver, labels), basis.k
@@ -256,7 +259,8 @@ def test_space_escape_names_the_reference_vector():
     in the per-vector loop, and SpaceEscape names the same first vector."""
     ralg = default_algebra()
     named = set()
-    for basis, solver in zip(ralg.bases, ralg.solvers):
+    for basis in ralg.bases:
+        solver = SpanSolver(basis.vectors())
         head = set(basis.vectors()[0].coeffs)
         want = _escape_message(_restrict_reference, ops.build_E(1, 0), basis, solver)
         assert want is not None
@@ -271,6 +275,87 @@ def test_space_escape_names_the_reference_vector():
                         named.add(want)
     # some escape is first at a vector past vector 0 of its basis
     assert len(named - {None}) > len(ralg.bases)
+
+
+def _spelled_block(mat):
+    """A block's entries in dictionary order, each component with its type."""
+    return [(key, v.re, type(v.re), v.im, type(v.im)) for key, v in mat.items()]
+
+
+def test_single_solver_restriction_matches_per_vector_reference():
+    """One restriction over the selected blocks' vectors together gives,
+    per block, the per-vector reference's entries, in (column, row) order,
+    with the same component types, for the twelve generators and their
+    daggers on several tuples of blocks."""
+    ralg = default_algebra()
+    solvers = [SpanSolver(b.vectors()) for b in ralg.bases]
+    for name, g in ralg.operators().items():
+        for op in (g, ralg.generator_daggers[name]):
+            want = {}
+            for basis, solver in zip(ralg.bases, solvers):
+                ref = _restrict_reference(op, basis.vectors(), solver, basis.labels())
+                want[basis.k] = dict(sorted(ref.items(), key=lambda rc: rc[0][::-1]))
+            for blocks in ((0,), (3,), (1, 2), (0, 1, 2, 3), (2, 0)):
+                rop = ralg.restrict(op, blocks)
+                assert list(rop.blocks) == list(blocks), (name, blocks)
+                for k in blocks:
+                    assert _spelled_block(rop.block(k)) == _spelled_block(want[k]), (name, blocks, k)
+
+
+def test_scaled_functional_is_integral():
+    """The solver keeps P as (D, D P): D P has an int64 view, D is the
+    least common denominator of P's parts, and D P / D is P entry by
+    entry, P read off the echelon rows' marker columns."""
+    solver = default_algebra().solver
+    want = {(k - forms.DIM, p): -v for ech in solver.by_md.values()
+            for p, row in ech.rows.items() for k, v in row.items() if k >= forms.DIM}
+    d, scaled = solver.functional
+    v = scaled.coords()
+    assert v.re.dtype == v.im.dtype == np.int64
+    assert d == 6
+    assert d == math.lcm(*(Fraction(x).denominator for z in want.values() for x in (z.re, z.im)))
+    assert {(r, c): z / d for c, col in columns(scaled).items() for r, z in col.items()} == want
+    # some entry needs the full denominator, so no smaller D would do
+    assert any(Fraction(x).denominator == d for z in want.values() for x in (z.re, z.im))
+
+
+def test_space_escape_across_blocks_names_the_vector():
+    """An operator that sends hw0 vector 0 to hw1 vector 0 (and every
+    other labeled vector to 0) escapes hw0 on (0,) and links two blocks on
+    (0, 1, 2, 3); both name hw0's first label.  For every E_ij and I_ij,
+    whole and with the columns of hw0 vector 0's monomials dropped, one
+    restriction over several blocks names the vector that restricting to
+    each block in turn names first."""
+    ralg = default_algebra()
+    d, scaled = ralg.solver.functional
+    target = ralg.bases[1].vectors()[0].coeffs
+    row0 = {p: col[0] / d for p, col in columns(scaled).items() if 0 in col}
+    op = ops.Operator({p: {m: x * y for m, y in target.items()} for p, x in row0.items()})
+    assert op.apply(ralg.bases[0].vectors()[0]) == ralg.bases[1].vectors()[0]
+    want = f"image of {ralg.bases[0].labels()[0]} escapes the span"
+    for blocks in ((0,), (0, 1, 2, 3)):
+        with pytest.raises(SpaceEscape) as exc:
+            ralg.restrict(op, blocks)
+        assert str(exc.value) == want
+    assert ralg.restrict(op, (1, 2, 3)).blocks == {1: {}, 2: {}, 3: {}}
+
+    solvers = [SpanSolver(b.vectors()) for b in ralg.bases]
+    head = set(ralg.bases[0].vectors()[0].coeffs)
+    for i in (1, 2, 3):
+        for j in (0, 1, 2):
+            for whole in (ops.build_E(i, j), ops.build_I(i, j)):
+                tail = ops.Operator({m: col for m, col in columns(whole).items() if m not in head})
+                for x in (whole, tail):
+                    for blocks in ((0, 1, 2, 3), (1, 2), (2, 0)):
+                        names = (_escape_message(restrict_operator, x, ralg.bases[k], solvers[k])
+                                 for k in blocks)
+                        want = next((n for n in names if n), None)
+                        try:
+                            ralg.restrict(x, blocks)
+                            got = None
+                        except SpaceEscape as exc:
+                            got = str(exc)
+                        assert got == want, (i, j, blocks)
 
 
 def test_restrict_V_zero_on_smallest_space():
