@@ -22,6 +22,11 @@ Two engines compute the same closure:
   integers in float64, so every matrix product runs on BLAS while staying
   exact (the default primes are sized so no dot product can reach 2^53).
 
+Either engine's echelon basis is the state's one record: dimension, block
+dimensions and row parities (the parity of a pivot's shift class) are
+read off its pivots, so ``lie_closure`` refuses a generator whose support
+is not all of its declared parity.
+
 The modular engine is graded.  Every labeled basis vector has a definite
 multidegree (a, b, c), so a flat coordinate (k, r, c) carries the shift
 md(basis_r) - md(basis_c), and every generator has a definite shift: iL_j
@@ -61,8 +66,6 @@ import hashlib
 import os
 import tempfile
 import time
-import zipfile
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -89,7 +92,8 @@ from .operators import (
     standard_generators,
     super_adjoint,
 )
-from .reptheory import SpanSolver, _BlockMat, _require_homogeneous, restrict_operator, HW_HALF_DIMS
+from .reptheory import HW_DIMS as BLOCK_SIZES, HW_HALF_DIMS  # BLOCK_SIZES: the HW block sizes
+from .reptheory import SpanSolver, _BlockMat, _require_homogeneous, restrict_operator
 from .hwbases import LabeledBasis, all_bases
 
 __all__ = [
@@ -106,7 +110,6 @@ __all__ = [
     "EXPECTED_BLOCK_DIMS",
 ]
 
-BLOCK_SIZES = (40, 72, 40, 8)
 DIMENSION_BOUND = 8444  # supertrace-zero pairing-preserving operators
 EXPECTED_DIMENSION = 8396
 EXPECTED_BLOCK_DIMS = (1599, 5183, 1599, 15)
@@ -392,34 +395,20 @@ def _indexed_bracket(x, y, blocks) -> RestrictedOperator:
 
 
 def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
-    """FIFO left-normed closure with sparse rational echelon reduction."""
+    """FIFO left-normed closure with sparse rational echelon reduction.  The
+    echelon, its rows keyed by pivot in insertion order, is the whole
+    record; returns (echelon, brackets)."""
     echelon = SparseEchelon()
-    pivots: list[int] = []
-    parities: list[int] = []
-    frontier: deque[RestrictedOperator] = deque()
-    brackets = 0
-
-    def reduce_insert(rop: RestrictedOperator) -> bool:
-        lead = echelon.insert(layout.flatten_exact(rop))
-        if lead is None:
-            return False
-        pivots.append(lead)
-        parities.append(rop.parity)
-        return True
-
-    for g in gens:
-        if reduce_insert(g):
-            frontier.append(g)
+    frontier = [g for g in gens if echelon.insert(layout.flatten_exact(g)) is not None]
     blocks = layout.blocks
     indexed = [_column_index(g, blocks) for g in gens]
-    while frontier:
-        x = _column_index(frontier.popleft(), blocks)
+    for x in frontier:  # grows as it is read
+        x = _column_index(x, blocks)
         for g in indexed:
-            brackets += 1
             cand = _indexed_bracket(g, x, blocks)
-            if reduce_insert(cand):
+            if echelon.insert(layout.flatten_exact(cand)) is not None:
                 frontier.append(cand)
-    return echelon, pivots, parities, brackets
+    return echelon, len(gens) * len(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +616,20 @@ class _ModularEngine:
         first = np.cumsum(self.class_width) - self.class_width
         return np.concatenate(self.layout.class_indices)[first[cls] + piv].tolist()
 
-    def parities(self) -> list[int]:
-        return self.layout.class_parity[self.listing()[0]].tolist()
-
     def stacks(self, counts: np.ndarray):
         """Zero candidate stacks for ``counts[t]`` rows of each class t, one
         per width group that has candidates, the classes in increasing
-        order.  Returns ({group: (slots, C)}, pos): class t's stack is
-        C[pos[t]] in the stacks of its group, and its slot slots[pos[t]]."""
+        order.  Returns ({group: (slots, C)}, {t: class t's stack}), each
+        class's stack a view into the C of its group."""
         live = np.flatnonzero(counts)
         grp = self.class_group[live]
-        pos = np.zeros(len(counts), dtype=np.int64)
-        stacks = {}
+        stacks, views = {}, {}
         for g in np.flatnonzero(np.bincount(grp, minlength=len(self.groups))).tolist():
             ts = live[grp == g]
-            pos[ts] = np.arange(len(ts))
             C = np.zeros((len(ts), int(counts[ts].max()), self.groups[g].width))
             stacks[g] = (self.class_slot[ts], C)
-        return stacks, pos
+            views.update(zip(ts.tolist(), C))
+        return stacks, views
 
     def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, range]:
         """Reduce and insert filled candidate stacks, as made by ``stacks``:
@@ -792,14 +777,12 @@ def _modular_closure(
 
     The ad_g channels of all generators are built once per run
     (``_adjoint_blocks``), and the generators are the first frontier.  Each
-    level brackets the whole frontier with every generator in two passes.
-    The first takes, from the channel arrays, the candidate count of each
-    target class (the frontier size of each channel's source, summed per
-    target) and the first row of each channel's block in its target's
-    stack, and allocates one zero-padded stack per target width group.
-    The second takes, per source class, one product of its frontier rows
-    with its ad_g matrix and writes each channel's columns into its
-    target's stack; then every width group is reduced and inserted once.
+    level sizes one zero-padded stack per target width group by the
+    candidate count of each target class (its channels' source frontier
+    sizes, summed).  Each source class, in frontier order, then makes one
+    product of its frontier rows with its ad_g matrix, and each of its
+    channels writes its columns into its target's stack after the rows
+    already there; then every width group is reduced and inserted once.
     The rows added (a range of rows per class) form the next frontier; the
     run ends when a level adds none.  Any row of the span may stand for a
     frontier element, so the current (further reduced) basis rows are
@@ -809,54 +792,40 @@ def _modular_closure(
     brackets, levels, phases), the last the seconds spent building ad_g
     and bracketing, reducing and inserting."""
     eng = _ModularEngine(layout, p)
-    gcls = [layout.operator_class(g) for g in gens]
-    for g, t in zip(gens, gcls):
-        if t is not None and layout.class_parity[t] != g.parity:
-            raise AssertionError("generator support disagrees with its parity")
     t0 = time.perf_counter()
     ads = _adjoint_blocks(layout, gens, p, eng.root_i)
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     phases["adjoint_s"] = time.perf_counter() - t0
     nclasses = len(layout.class_width)
 
-    seeds = [(t, g) for g, t in zip(gens, gcls) if t is not None]
+    seeds = [(t, g) for g in gens if (t := layout.operator_class(g)) is not None]
     counts = np.bincount(np.array([t for t, _ in seeds], dtype=np.int64), minlength=nclasses)
-    stacks, pos = eng.stacks(counts)
-    filled = np.zeros(nclasses, dtype=np.int64)
+    stacks, views = eng.stacks(counts)
+    filled = dict.fromkeys(views, 0)  # rows written so far per target class
     for t, g in seeds:
-        C = stacks[eng.class_group[t]][1]
-        C[pos[t], filled[t]] = layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]]
+        views[t][filled[t]] = layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]]
         filled[t] += 1
     frontier = eng.process_batch(stacks, phases)
 
-    # channel c's block starts, in its target's stack, after the blocks of
-    # the channels before it with the same target
-    by_target = np.argsort(ads.target, kind="stable")
-    group = eng.class_group[ads.target]
     brackets = levels = 0
     while frontier:
         t0 = time.perf_counter()
         size = np.zeros(nclasses, dtype=np.int64)
         size[list(frontier)] = [len(new) for new in frontier.values()]
-        n = size[ads.source]
-        counts = np.bincount(ads.target, weights=n, minlength=nclasses).astype(np.int64)
-        stacks, pos = eng.stacks(counts)
-        start = np.empty_like(n)
-        ns = n[by_target]
-        start[by_target] = np.cumsum(ns) - ns - (np.cumsum(counts) - counts)[ads.target[by_target]]
-        # per channel: the group and stack it writes, its first row there,
-        # and the columns of its source's product it reads
-        dest = (group, pos[ads.target], start, ads.lo, ads.hi)
-        Cs = {g: C for g, (_, C) in stacks.items()}
+        counts = np.bincount(ads.target, weights=size[ads.source], minlength=nclasses)
+        stacks, views = eng.stacks(counts.astype(np.int64))
+        filled = dict.fromkeys(views, 0)
         for d, new in frontier.items():
             a, b = ads.first[d : d + 2].tolist()
             if a < b:
                 R = _bracket_rows(eng.frontier_rows(d, new), ads.matrices[d], p)
                 k = len(new)
-                for g, i, r, lo, hi in zip(*(x[a:b].tolist() for x in dest)):
-                    Cs[g][i, r : r + k] = R[:, lo:hi]
+                for t, lo, hi in zip(*(x[a:b].tolist() for x in (ads.target, ads.lo, ads.hi))):
+                    r = filled[t]
+                    views[t][r : r + k] = R[:, lo:hi]
+                    filled[t] = r + k
                 R = None  # before the next product is made
-        Cs = dest = None  # only the stacks live on into the inserts
+        views = None  # only the stacks live on into the inserts
         phases["bracket_s"] += time.perf_counter() - t0
         brackets += int(size.sum()) * len(gens)
         levels += 1
@@ -885,15 +854,15 @@ def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
 @dataclass
 class ClosureState:
     """Result of one closure run: an echelonized basis of the flattened
-    algebra with deterministic pivots."""
+    algebra with deterministic pivots, one per basis row.  ``dim``,
+    ``blocks`` and ``parities`` (each row's, the parity of its pivot's shift
+    class) are read off the pivots and the layout, for computed and loaded
+    states alike."""
 
     field: str
     prime: int | None
-    blocks: tuple[int, ...]
     layout: FlatLayout
-    dim: int
     pivots: list[int]
-    parities: list[int]
     brackets: int
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
@@ -901,6 +870,13 @@ class ClosureState:
     # seconds spent building ad_g, bracketing, reducing and inserting in a
     # modular run (not in the report)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
+    blocks: tuple[int, ...] = dataclasses.field(init=False)
+    dim: int = dataclasses.field(init=False)
+    parities: list[int] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.blocks, self.dim = self.layout.blocks, len(self.pivots)
+        self.parities = self.layout.class_parity[self.layout.coord_class[self.pivots]].tolist()
 
     def block_dims(self) -> dict[int, int]:
         """Per-block dimensions read off the echelon pivots.  Pivot counts
@@ -1052,23 +1028,22 @@ def lie_closure(
     if not _valid_blocks(blocks):
         raise ValueError(f"blocks {blocks}: need a non-empty strictly increasing tuple "
                          "drawn from 0..3")
+    if field not in ("exact", "modular", "modular-complex"):
+        raise ValueError(f"unknown field {field!r}")
     t0 = time.perf_counter()
+    layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
+    for i, g in enumerate(gens):
+        support = layout.coord_class[[f for f, v, _ in layout.parts(g) if v]]
+        if np.any(layout.class_parity[support] != g.parity):
+            raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
-        layout = FlatLayout(blocks, complexified=False)
-        echelon, pivots, parities, brackets = _exact_closure(gens, layout)
-        return ClosureState(
-            "exact", None, blocks, layout, len(pivots), pivots, parities,
-            brackets, time.perf_counter() - t0, _engine=echelon,
-        )
-    if field in ("modular", "modular-complex"):
-        p = prime if prime is not None else DEFAULT_PRIMES[0]
-        layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
-        eng, brackets, levels, phases = _modular_closure(gens, layout, p, progress)
-        return ClosureState(
-            field, p, blocks, layout, eng.nrows, eng.global_pivots(),
-            eng.parities(), brackets, time.perf_counter() - t0, levels, eng, phases,
-        )
-    raise ValueError(f"unknown field {field!r}")
+        echelon, brackets = _exact_closure(gens, layout)
+        return ClosureState(field, None, layout, list(echelon.rows), brackets,
+                            time.perf_counter() - t0, _engine=echelon)
+    p = prime if prime is not None else DEFAULT_PRIMES[0]
+    eng, brackets, levels, phases = _modular_closure(gens, layout, p, progress)
+    return ClosureState(field, p, layout, eng.global_pivots(), brackets,
+                        time.perf_counter() - t0, levels, eng, phases)
 
 
 _STATE_KEYS = ("field", "prime", "blocks", "complexified", "row_class", "row_pivot",
@@ -1078,24 +1053,26 @@ _STATE_KEYS = ("field", "prime", "blocks", "complexified", "row_class", "row_piv
 def load_state(path: str) -> ClosureState:
     """Rebuild a membership-capable closure state from ``ClosureState.save``.
 
-    The file is checked against the layout it names before use; any
-    inconsistency raises ValueError naming the problem."""
+    The file is checked against the layout it names before use; an
+    unreadable file or any inconsistency raises ValueError naming the
+    problem (a missing path raises FileNotFoundError)."""
 
     def bad(why: str) -> ValueError:
         return ValueError(f"closure state {path}: {why}")
 
-    try:
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        try:
             data = np.load(fh)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise bad("not an archive of named arrays")
-            with data:
-                missing = [k for k in _STATE_KEYS if k not in data.files]
-                if missing:
-                    raise bad(f"missing entries {', '.join(missing)}")
-                d = {k: data[k] for k in _STATE_KEYS}
-    except zipfile.BadZipFile as e:
-        raise bad(f"not a readable archive ({e})") from None
+            if archive := isinstance(data, np.lib.npyio.NpzFile):
+                with data:
+                    d = {k: data[k] for k in _STATE_KEYS if k in data.files}
+        except Exception as e:  # zipfile, zlib, OS, EOF, tokenize, numpy: no narrower base
+            raise bad(f"not a readable archive ({type(e).__name__}: {e})") from None
+    if not archive:
+        raise bad("not an archive of named arrays")
+    missing = [k for k in _STATE_KEYS if k not in d]
+    if missing:
+        raise bad(f"missing entries {', '.join(missing)}")
 
     def integers(key: str, ndim: int | None = None) -> np.ndarray:
         a = d[key]
@@ -1158,10 +1135,7 @@ def load_state(path: str) -> ClosureState:
         failing = np.concatenate(failing)
         if failing.size:
             raise bad(f"class {failing.min()} rows {why} their pivots")
-    return ClosureState(
-        field, prime, blocks, layout, eng.nrows, eng.global_pivots(), eng.parities(),
-        brackets, 0.0, _engine=eng,
-    )
+    return ClosureState(field, prime, layout, eng.global_pivots(), brackets, 0.0, _engine=eng)
 
 
 # ---------------------------------------------------------------------------

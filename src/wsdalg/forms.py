@@ -323,27 +323,23 @@ def format_form(f: Form) -> str:
     return " + ".join(parts)
 
 
+_RAT = r"(-?[0-9]+(?:/[0-9]+)?)"
 _SCALAR_RE = _re.compile(
-    r"^\(\s*(-?\d+(?:/\d+)?)\s*([+-])\s*(\d+(?:/\d+)?)\s*\*\s*i\s*\)$"
+    rf"\(\s*{_RAT}\s*([+-])\s*{_RAT}\s*\*\s*i\s*\)|{_RAT}|\(\s*{_RAT}\s*\)"
 )
 
 
 def _parse_scalar(text: str) -> GaussRational:
-    text = text.strip()
-    m = _SCALAR_RE.match(text)
-    if m:
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(3))
-        if m.group(2) == "-":
-            im_part = -im_part
-        return GaussRational(re_part, im_part)
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1].strip()
-    if text in ("i", "+i"):
-        return I
-    if text == "-i":
-        return -I
-    return GaussRational(Fraction(text))
+    """A scalar of the grammar above; any other text, or a zero
+    denominator, raises ValueError naming the text."""
+    m = _SCALAR_RE.fullmatch(text.strip())
+    if m is None or _re.search(r"/0+(?![0-9])", text):
+        raise ValueError(f"bad scalar {text!r}")
+    re_part, sign, im_part, real, bracketed = m.groups()
+    if re_part is None:
+        return GaussRational(Fraction(real or bracketed))
+    im = Fraction(im_part)
+    return GaussRational(Fraction(re_part), -im if sign == "-" else im)
 
 
 def parse_form(text: str) -> Form:
@@ -392,7 +388,7 @@ def parse_form(text: str) -> Form:
         if mono is not None and mono.strip() != "1":
             for factor in mono.split("^"):
                 factor = factor.strip()
-                if not (len(factor) == 3 and factor[0] == "v"):
+                if not _re.fullmatch(r"v[0-9][0-9]", factor):
                     raise ValueError(f"bad factor {factor!r}")
                 p = pos(int(factor[1]), int(factor[2]))
                 part = wedge(part, monomial(1 << p))

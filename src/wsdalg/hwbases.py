@@ -27,7 +27,7 @@ from functools import lru_cache
 from .scalars import I
 from . import forms
 from .forms import Form, wedge, hodge_star, w_form
-from .reptheory import SpanSolver, basis_operator, restrict_operator
+from .reptheory import HW_DIMS, SpanSolver, basis_operator, restrict_operator
 from .operators import Operator, kw_decompose, build_L, build_K, sl2_triple
 from . import pattern_tables
 
@@ -218,7 +218,7 @@ def basis_report(basis: LabeledBasis) -> dict:
             failures.append(f"{lab}: not killed by the raising operator")
         if i in off_weight:
             failures.append(f"{lab}: wrong Cartan weight")
-    expected = {0: 40, 1: 72, 2: 40, 3: 8}[basis.k]
+    expected = HW_DIMS[basis.k]
     if len(vectors) != expected:
         failures.append(f"cardinality {len(vectors)} != {expected}")
     return {

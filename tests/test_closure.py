@@ -418,6 +418,43 @@ TABLE_SHAPES = list(itertools.product([(0,), (3,), (0, 1, 2, 3)], (False, True))
 TABLE_IDS = [f"hw{''.join(map(str, b))}-{'complex' if c else 'real'}" for b, c in TABLE_SHAPES]
 
 
+@pytest.mark.parametrize("generators,blocks", [
+    (ops.GENERATOR_NAMES, (3,)),
+    (EVEN_GENERATOR_NAMES, (0, 1, 2, 3)),
+])
+def test_exact_state_read_off_its_echelon(ralg, generators, blocks):
+    """An exact state's pivots are its echelon's keys in insertion order.
+    Each row's parity, read off its pivot, is that of every coordinate the
+    row touches (odd exactly on the off-diagonal sub-blocks), and a state
+    built from the layout and the pivots alone reports the same."""
+    st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
+    assert st.pivots == list(st._engine.rows)
+    par = _parity_split(st.layout)
+    assert st.parities == par[st.pivots].tolist()
+    for p, row in st._engine.rows.items():
+        assert set(par[list(row)].tolist()) == {par[p]}
+    again = cl.ClosureState("exact", None, st.layout, st.pivots, st.brackets, 0.0)
+    assert (again.dim, again.blocks, again.parities) == (st.dim, blocks, st.parities)
+    assert again.report() == st.report()
+
+
+@pytest.mark.parametrize("field", ["exact", "modular", "modular-complex"])
+def test_generator_parity_checked_against_support(ralg, field):
+    """Every field refuses a generator unless each nonzero part of it lies
+    in classes of its declared parity, naming the generator's place: a
+    diagonal entry is even, an entry of an off-diagonal sub-block odd."""
+    even, odd = {(0, 0): GaussRational(1)}, {(0, 4): GaussRational(1)}
+    for gens, where in (
+        ([ralg.generator("iL0"), cl.RestrictedOperator({3: even}, 1)], 1),
+        ([cl.RestrictedOperator({3: odd}, 0)], 0),
+        ([cl.RestrictedOperator({3: {**even, **odd}}, 0)], 0),
+    ):
+        with pytest.raises(ValueError, match=rf"^generators\[{where}\]: "):
+            lie_closure(gens, field=field, blocks=(3,), ralg=ralg)
+    st = lie_closure([cl.RestrictedOperator({3: odd}, 1)], field=field, blocks=(3,), ralg=ralg)
+    assert st.parity_dims() == (0, 1)
+
+
 def test_inhomogeneous_generator_rejected(ralg):
     a, b = ralg.generator("iL0"), ralg.generator("iL1")
     mixed = cl.RestrictedOperator({k: {**a.block(k), **b.block(k)} for k in range(4)}, 0)
@@ -724,6 +761,42 @@ def test_load_state_rejects_unreadable_files(tmp_path, ralg):
     np.save(single, np.zeros(3))
     with pytest.raises(ValueError, match="not an archive of named arrays"):
         cl.load_state(str(single))
+    empty, text, pickled = (tmp_path / name for name in ("empty.npz", "text.npz", "pickled.npz"))
+    empty.write_bytes(b"")
+    text.write_text("field=modular\n")
+    with np.load(good) as data:
+        entries = {k: data[k] for k in data.files}
+    np.savez_compressed(pickled, **{**entries, "rows": np.array([1, "a"], dtype=object)})
+    for path in (empty, text, pickled):
+        with pytest.raises(ValueError, match=f"^closure state {path}: not a readable archive"):
+            cl.load_state(str(path))
+
+
+def test_load_state_corrupted_bytes(tmp_path, ralg):
+    """Seeded corruptions of a saved state, 1, 3 or 20 bytes flipped
+    anywhere in the file: each either loads to the saved state or raises
+    ValueError naming the file, and both outcomes occur."""
+    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    st.save(str(good))
+    data = good.read_bytes()
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(200):
+        buf = bytearray(data)
+        for at in rng.integers(len(buf), size=int(rng.choice([1, 3, 20]))).tolist():
+            buf[at] ^= int(rng.integers(1, 256))
+        bad.write_bytes(bytes(buf))
+        try:
+            loaded = cl.load_state(str(bad))
+        except ValueError as e:
+            assert str(e).startswith(f"closure state {bad}: "), e
+            seen.add("rejected")
+            continue
+        assert loaded.pivots == st.pivots and loaded.parities == st.parities
+        assert loaded.report() == st.report()
+        seen.add("loaded")
+    assert seen == {"rejected", "loaded"}
 
 
 def test_load_state_closes_unreadable_archive(tmp_path, ralg):

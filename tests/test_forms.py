@@ -1,6 +1,7 @@
 """Exterior algebra: wedge, contraction, star, pairings, text syntax."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -247,3 +248,40 @@ def test_text_examples():
     assert parse_form("0").is_zero()
     # factor order is normalized through the wedge sign
     assert parse_form("v21^v10") == -parse_form("v10^v21")
+
+
+def test_text_accepts_every_scalar_form():
+    """The README example, and each scalar form of the grammar: a rat,
+    a bracketed rat, and (rat +/- rat*i) with a signed second rat."""
+    v10v21 = wedge(monomial(1 << pos(1, 0)), monomial(1 << pos(2, 1)))
+    want = v10v21.scale(GaussRational("1/2", "3/4")) + monomial(1 << pos(3, 0))
+    assert parse_form("(1/2+3/4*i)*v10^v21 + v30") == want
+    assert parse_form("(1/2)*v10") == monomial(1 << pos(1, 0)).scale(GaussRational("1/2"))
+    assert parse_form("(-3/6)") == monomial(0, GaussRational("-1/2"))
+    assert parse_form("(1+-2*i)") == monomial(0, GaussRational(1, -2))
+
+
+@pytest.mark.parametrize("text,scalar", [
+    ("1/0", "1/0"),
+    ("(1/0+1*i)", "(1/0+1*i)"),
+    ("(1+2/00*i)*v10", "(1+2/00*i)"),
+    ("1e5", "1e5"),
+    ("1.5", "1.5"),
+    ("1.5*v10", "1.5"),
+    ("(1+i)*v10", "(1+i)"),
+    ("1/-2", "1/-2"),
+    ("--1", "--1"),
+    ("1_000", "1_000"),
+])
+def test_text_rejects_scalars_outside_the_grammar(text, scalar):
+    """rat := ['-'] digits ['/' digits], with a nonzero denominator: any
+    other scalar raises ValueError naming it."""
+    with pytest.raises(ValueError, match=f"bad scalar '{re.escape(scalar)}'"):
+        parse_form(text)
+
+
+@pytest.mark.parametrize("text", ["v\uff110", "v1\u0660"])
+def test_text_rejects_factors_outside_the_grammar(text):
+    """vfactor := 'v' i j takes ASCII digits only, not other Unicode ones."""
+    with pytest.raises(ValueError, match="bad factor"):
+        parse_form(text)
