@@ -37,13 +37,18 @@ direct sum of its shift classes (the root-space grading of a Lie
 superalgebra).  The engine keeps one fully reduced echelon per class (319
 classes of at most 448 coordinates on the full real layout), and holds the
 echelons of all classes of one width as one stack (16 widths on the full
-layout, 9 on hw0).  The ad_g matrices of all generators are built once
-per closure, in one pass: each class's matrix, the generators' blocks
-side by side, is a view into one shared buffer.  The closure runs level by
-level: the frontier rows of one class are bracketed with all twelve
-generators in one product with the class's matrix, the candidates are
-written into one stack per target width, and each width group then makes
-one batched reduce and one batched elimination for all its classes.
+layout, 9 on hw0).  The ad_g maps of all generators are built once per
+closure, in one pass: each source class has one entry table, sorted by
+output column, that lists the (source row, coefficient) entries of the
+generators' channels side by side.  A column has few entries (at most
+five for the twelve generators), so the tables are of the size of the
+entries, and no dense matrix is formed.
+The closure runs level by level: the frontier rows of one class are
+bracketed with all twelve generators by one gather, one multiply and one
+segmented sum over the class's table, the candidates are written into one
+stack per target width, and each width group then makes one batched
+reduce (which first balances the exact bracket sums mod p) and one
+batched elimination for all its classes.
 Basis rows are listed class by class, in increasing pivot order within a
 class, and membership is tested class by class.  The pivot set of a
 reduced echelon basis is an invariant of the span, and class-local
@@ -262,7 +267,11 @@ class FlatLayout:
     def operator_class(self, rop: RestrictedOperator) -> int | None:
         """Class of an operator's support on this layout (None when it
         vanishes here); raises ValueError for an inhomogeneous operator."""
-        coords = np.array([f for f, v, _ in self.parts(rop) if v], dtype=np.int64)
+        return self.support_class(np.array([f for f, v, _ in self.parts(rop) if v], dtype=np.int64))
+
+    def support_class(self, coords: np.ndarray) -> int | None:
+        """Class of the flat coordinates ``coords`` (None when there are
+        none); raises ValueError when they span several classes."""
         classes = np.unique(self.coord_class[coords])
         if len(classes) > 1:
             raise ValueError("operator is not homogeneous in the multidegree-shift grading")
@@ -462,8 +471,11 @@ class _HalfEngine:
 
     def reduce_rows(self, C: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Reduce each C[i], a stack of rows of slot sel[i], in place against
-        that slot's basis: one batched product, the bases being fully
+        that slot's basis: the rows are first balanced mod p (bracket
+        outputs come in as exact unreduced sums, see ``_bracket_rows``),
+        then reduced by one batched product, the bases being fully
         reduced."""
+        self._balance(C)
         rank = int(self.nrows[sel].max(initial=0))
         if rank:
             C -= _columns(C, self.pivots[sel, :rank]) @ self.B[sel, :rank]
@@ -669,19 +681,36 @@ class _ModularEngine:
         return True
 
 
+def _flat_parts(parts: list[tuple], p: int, root_i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero ones of ``FlatLayout.parts`` as arrays: the flat
+    coordinates, the balanced residues of the values (i mapped to root_i)
+    and the (k, r, c, m) places, one row each."""
+    parts = [x for x in parts if x[1]]
+    coords = np.array([f for f, _, _ in parts], dtype=np.int64)
+    value = np.array([balanced_residue(v, p, root_i) for _, v, _ in parts], dtype=np.float64)
+    return coords, value, np.array([e for _, _, e in parts], dtype=np.int64).reshape(-1, 4)
+
+
 def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: int):
     """The nonzero entries of ad_g = [g, .] on the layout, as (source
-    coordinate, target coordinate, coefficient) arrays.  Raises
-    AssertionError if some bracket leaves the class its multidegree shift
-    predicts."""
-    parts = layout.parts(g)
-    value = np.array([balanced_residue(v, p, root_i) for _, v, _ in parts], dtype=np.float64)
-    block, row, col, part = np.array([e for _, _, e in parts], dtype=np.int64).reshape(-1, 4).T
-    src, tgt, coef, right = [], [], [], []
+    coordinate, target coordinate, coefficient) arrays."""
+    return _generator_entries(layout, [g], [_flat_parts(layout.parts(g), p, root_i)])[:3]
+
+
+def _generator_entries(layout: FlatLayout, gens, flat):
+    """The nonzero entries of ad_g = [g, .] on the layout for every g in
+    gens, from the generators' ``_flat_parts`` in ``flat``, as (source
+    coordinate, target coordinate, coefficient, generator index) arrays.
+    Raises AssertionError if some bracket leaves the class its multidegree
+    shift predicts."""
+    owner = np.repeat(np.arange(len(gens)), [len(f[0]) for f in flat])
+    value = np.concatenate([f[1] for f in flat])
+    block, row, col, part = np.concatenate([f[2] for f in flat]).T
+    src, tgt, coef, right, gen = [], [], [], [], []
     for k in layout.blocks:
         X = layout.grid(k)
         here = (block == k) & (value != 0)  # a part may vanish mod p
-        r, c, m, v = row[here], col[here], part[here], value[here]
+        r, c, m, v, o = row[here], col[here], part[here], value[here], owner[here]
         n, s = r.size, X.shape[2]
         # part m of an entry maps part a of x to part a ^ m, times i * i = -1
         # when both are imaginary; complex mode has the one part a = m = 0
@@ -692,15 +721,21 @@ def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: 
             tgt += [X[b, r].ravel(), X[b, :, c].ravel()]
             coef += [np.repeat(w, s)] * 2
             right += [np.zeros(n * s, bool), np.ones(n * s, bool)]
-    src, tgt, coef, right = (np.concatenate(x) for x in (src, tgt, coef, right))
+            gen += [np.repeat(o, s)] * 2
+    src, tgt, coef, right, gen = (np.concatenate(x) for x in (src, tgt, coef, right, gen))
     d, t = layout.coord_class[src], layout.coord_class[tgt]
     # [g, x] = g x - (-1)^{|g||x|} x g
-    coef = np.where(right & ~(g.parity & layout.class_parity[d]).astype(bool), -coef, coef)
+    odd = np.array([g.parity for g in gens], dtype=bool)[gen] & layout.class_parity[d].astype(bool)
+    coef = np.where(right & ~odd, -coef, coef)
+    # each generator moves every class by its one shift: the shift codes of
+    # a generator's entries all equal the one written last for it
     shifts = layout.class_shift_array  # np.take: a row gather faster than fancy indexing
-    moved = np.take(shifts, t, axis=0) - np.take(shifts, d, axis=0)
-    if np.any(moved != moved[:1]):
+    moved = (np.take(shifts, t, axis=0) - np.take(shifts, d, axis=0)) @ np.array([169, 13, 1])
+    last = np.zeros(len(gens), dtype=moved.dtype)
+    last[gen] = moved
+    if np.any(moved != last[gen]):
         raise AssertionError("a bracket leaves the class its multidegree shift predicts")
-    return src, tgt, coef
+    return src, tgt, coef, gen
 
 
 @dataclass(frozen=True)
@@ -711,99 +746,130 @@ class _Adjoint:
     not vanish; it maps class-local rows of its source class to class-local
     rows of its target class.  Channels are numbered by source class, then
     generator, and the channels of class d are ``first[d]:first[d + 1]``.
-    ``matrices[d]`` is class d's channels side by side, a view of rows
-    ``class_width[d]`` by the sum of its channels' target widths into the
-    one ``buffer``: for a stack X of rows of class d, columns
-    ``lo[c]:hi[c]`` of X @ matrices[d] are the brackets of channel c.
-    Classes without channels have no matrix."""
+    The output columns of class d are its channels' target coordinates side
+    by side, channel c's at ``lo[c]:hi[c]``; ``outputs[d]`` lists (target,
+    lo, hi) for each of them.
 
-    buffer: np.ndarray
+    ``tables[d]`` is class d's entry table (rows, coef, starts), sorted by
+    output column: the entries of column j run from ``starts[j]`` to the
+    next column's start, each a source row (class-local) and a nonzero
+    balanced residue, in increasing row order.  A row repeats in a column
+    only where a diagonal entry of g meets x from both sides; the bracket
+    sums the two.  An empty column holds one filler entry, row 0 with
+    coefficient 0, so every column is one non-empty segment
+    (``np.add.reduceat`` reads an empty one as the next entry).  Classes
+    without channels have no table."""
+
     source: np.ndarray
     generator: np.ndarray
     target: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     first: np.ndarray
-    matrices: dict[int, np.ndarray]
+    tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    outputs: dict[int, list[tuple[int, int, int]]]
 
 
-def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int) -> _Adjoint:
-    """Build the ad_g channels of every generator in one pass: the channels
-    come from the entries by array operations, every entry is added into
-    the buffer by one ``bincount``, and only the entries written are
-    balanced mod p.  The buffer holds the class matrices back to back,
-    with no padding."""
-    entries = [_adjoint_entries(layout, g, p, root_i) for g in gens]
-    gen = np.repeat(np.arange(len(gens)), [e[0].size for e in entries])
-    src, tgt, coef = (np.concatenate(x) for x in zip(*entries))
-    del entries
+def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int, flat=None) -> _Adjoint:
+    """Build the ad_g channels of every generator in one pass, ``flat``
+    holding the generators' ``_flat_parts`` when the caller has them.  The
+    channels come from the entries by array operations.  One sort of the
+    entries by (output column, source row) groups them into columns, and a
+    filler is inserted into each empty column.  Every array is of the size
+    of the entries or of the columns: no dense position is formed."""
+    flat = flat or [_flat_parts(layout.parts(g), p, root_i) for g in gens]
+    src, tgt, coef, gen = _generator_entries(layout, gens, flat)
     ngens, width = len(gens), layout.class_width
     d = layout.coord_class[src]
     # channel c is (source class, generator) = divmod(chans[c], ngens); a
     # table over all such pairs numbers them without sorting the entries
-    key = d * ngens + gen
+    pair = d * ngens + gen
     number = np.full(len(width) * ngens, -1)
-    number[key] = layout.coord_class[tgt]  # one target per channel, as checked
+    number[pair] = layout.coord_class[tgt]  # one target per channel, as checked
     chans = np.flatnonzero(number >= 0)
     target = number[chans]
     number[chans] = np.arange(len(chans))
-    chan = number[key]
+    chan = number[pair]
     source, generator = np.divmod(chans, ngens)
     first = np.searchsorted(source, np.arange(len(width) + 1))
     w = width[target]
-    lo = np.cumsum(w) - w
-    lo -= lo[first[source]]
-    cols = np.bincount(source, weights=w, minlength=len(width)).astype(np.int64)
-    size = width * cols
-    base = np.cumsum(size) - size
-    # the flat position of each entry: its class matrix, row, channel, column
-    pos = base[d] + layout.coord_local[src] * cols[d] + lo[chan] + layout.coord_local[tgt]
-    del src, tgt, gen, d, key, chan
-    buffer = np.bincount(pos, weights=coef, minlength=int(size.sum()))
-    v = buffer[pos]
-    buffer[pos] = v - np.rint(v / p) * p  # only the entries written can leave the range
-    live = np.flatnonzero(size).tolist()
-    matrices = {t: buffer[base[t] : base[t] + size[t]].reshape(width[t], cols[t]) for t in live}
-    return _Adjoint(buffer, source, generator, target, lo, lo + w, first, matrices)
+    start = np.cumsum(w) - w  # the columns of all classes, numbered in one run
+    lo = start - start[first[source]]
+    # one sort of the bit fields (column, source row, entry): sorting values
+    # is faster than an argsort, and the entry field gives the order
+    rbits, ebits = int(width.max() - 1).bit_length(), len(src).bit_length()
+    key = ((start[chan] + layout.coord_local[tgt]) << rbits | layout.coord_local[src]) << ebits
+    key |= np.arange(len(src))
+    del src, tgt, gen, d, pair, chan
+    key.sort()
+    coef = coef[key & ((1 << ebits) - 1)]
+    key >>= ebits
+    column, row = key >> rbits, key & ((1 << rbits) - 1)
+    # column j's segment is starts[j]:starts[j + 1], a filler where it is empty
+    ncols = int(w.sum())
+    count = np.bincount(column, minlength=ncols)
+    empty = count == 0
+    size = count + empty
+    starts = np.cumsum(size) - size
+    at = np.arange(len(column)) + np.cumsum(empty)[column]
+    index, value = np.zeros(int(size.sum()), dtype=np.intp), np.zeros(int(size.sum()))
+    index[at], value[at] = row, coef
+    edge = np.append(start, ncols)[first]  # class d's columns are edge[d]:edge[d + 1]
+    bound = np.append(starts, len(index))[edge]  # and its entries bound[d]:bound[d + 1]
+    starts -= np.repeat(bound[:-1], np.diff(edge))
+    hi = lo + w
+    channels = list(zip(target.tolist(), lo.tolist(), hi.tolist()))
+    edge, bound, cut = edge.tolist(), bound.tolist(), first.tolist()
+    tables, outputs = {}, {}
+    for t in np.flatnonzero(np.diff(first)).tolist():  # the classes with channels
+        a, b = bound[t], bound[t + 1]
+        tables[t] = (index[a:b], value[a:b], starts[edge[t] : edge[t + 1]])
+        outputs[t] = channels[cut[t] : cut[t + 1]]
+    return _Adjoint(source, generator, target, lo, hi, first, tables, outputs)
 
 
 def _modular_closure(
     gens: list[RestrictedOperator],
     layout: FlatLayout,
     p: int,
+    parts: list[list[tuple]],
     progress=None,
 ):
     """Level-synchronous left-normed closure over F_p.
 
-    The ad_g channels of all generators are built once per run
-    (``_adjoint_blocks``), and the generators are the first frontier.  Each
-    level sizes one zero-padded stack per target width group by the
-    candidate count of each target class (its channels' source frontier
-    sizes, summed).  Each source class, in frontier order, then makes one
-    product of its frontier rows with its ad_g matrix, and each of its
-    channels writes its columns into its target's stack after the rows
-    already there; then every width group is reduced and inserted once.
-    The rows added (a range of rows per class) form the next frontier; the
-    run ends when a level adds none.  Any row of the span may stand for a
-    frontier element, so the current (further reduced) basis rows are
-    bracketed.  The span, hence the pivot set, does not depend on the order
-    of insertion, and every basis row is bracketed with every generator
-    exactly once, so ``brackets`` is len(gens) * dim.  Returns (engine,
-    brackets, levels, phases), the last the seconds spent building ad_g
-    and bracketing, reducing and inserting."""
+    ``parts`` holds ``layout.parts(g)`` of each generator, read once per
+    closure; each generator's residues are computed from them once, for its
+    ad_g entries and its seed row.  The ad_g channels of all generators are
+    built once per run (``_adjoint_blocks``), and the generators are the
+    first frontier.  Each level sizes one zero-padded stack per target width
+    group by the candidate count of each target class (its channels' source
+    frontier sizes, summed).  Each source class, in frontier order, then
+    brackets its frontier rows with all its channels at once
+    (``_bracket_rows``), and each of its channels writes its columns into
+    its target's stack after the rows already there; then every width group
+    is reduced and inserted once.  The rows added (a range of rows per
+    class) form the next frontier; the run ends when a level adds none.  Any
+    row of the span may stand for a frontier element, so the current
+    (further reduced) basis rows are bracketed.  The span, hence the pivot
+    set, does not depend on the order of insertion, and every basis row is
+    bracketed with every generator exactly once, so ``brackets`` is
+    len(gens) * dim.  Returns (engine, brackets, levels, phases), the last
+    the seconds spent building ad_g and bracketing, reducing and
+    inserting."""
     eng = _ModularEngine(layout, p)
     t0 = time.perf_counter()
-    ads = _adjoint_blocks(layout, gens, p, eng.root_i)
+    flat = [_flat_parts(pg, p, eng.root_i) for pg in parts]
+    ads = _adjoint_blocks(layout, gens, p, eng.root_i, flat)
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     phases["adjoint_s"] = time.perf_counter() - t0
     nclasses = len(layout.class_width)
 
-    seeds = [(t, g) for g in gens if (t := layout.operator_class(g)) is not None]
-    counts = np.bincount(np.array([t for t, _ in seeds], dtype=np.int64), minlength=nclasses)
+    seeds = [(t, f, v) for f, v, _ in flat if (t := layout.support_class(f)) is not None]
+    counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
     stacks, views = eng.stacks(counts)
     filled = dict.fromkeys(views, 0)  # rows written so far per target class
-    for t, g in seeds:
-        views[t][filled[t]] = layout.flatten_modular(g, p, eng.root_i)[layout.class_indices[t]]
+    for t, f, v in seeds:
+        views[t][filled[t], layout.coord_local[f]] = v
         filled[t] += 1
     frontier = eng.process_batch(stacks, phases)
 
@@ -816,11 +882,10 @@ def _modular_closure(
         stacks, views = eng.stacks(counts.astype(np.int64))
         filled = dict.fromkeys(views, 0)
         for d, new in frontier.items():
-            a, b = ads.first[d : d + 2].tolist()
-            if a < b:
-                R = _bracket_rows(eng.frontier_rows(d, new), ads.matrices[d], p)
+            if d in ads.tables:
+                R = _bracket_rows(eng.frontier_rows(d, new), ads.tables[d])
                 k = len(new)
-                for t, lo, hi in zip(*(x[a:b].tolist() for x in (ads.target, ads.lo, ads.hi))):
+                for t, lo, hi in ads.outputs[d]:
                     r = filled[t]
                     views[t][r : r + k] = R[:, lo:hi]
                     filled[t] = r + k
@@ -837,13 +902,20 @@ def _modular_closure(
     return eng, brackets, levels, phases
 
 
-def _bracket_rows(X: np.ndarray, ad: np.ndarray, p: int) -> np.ndarray:
-    """[g, x] for a stack of class-local rows x of one class, as balanced
-    residues mod p; ``ad`` is the class's ad_g matrix from
-    ``_adjoint_blocks``."""
-    R = X @ ad
-    R -= np.rint(R * (1.0 / p)) * float(p)
-    return R
+def _bracket_rows(X: np.ndarray, ad: tuple) -> np.ndarray:
+    """[g, x] for a stack X of class-local rows x of one class, all the
+    class's channels side by side: ``ad`` is the class's entry table from
+    ``_adjoint_blocks``, and the brackets are one gather of its source rows,
+    one multiply by its coefficients and one segmented sum per column.  A
+    column holds at most as many entries as its source class has
+    coordinates (at most five for the twelve generators), far under the
+    8448 products of balanced residues the primes keep exact in float64,
+    so the sums are exact.  They are left unreduced:
+    ``_HalfEngine.reduce_rows`` balances the candidate stacks once."""
+    rows, coef, starts = ad
+    G = X.take(rows, axis=1)
+    G *= coef
+    return np.add.reduceat(G, starts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,8 +1104,9 @@ def lie_closure(
         raise ValueError(f"unknown field {field!r}")
     t0 = time.perf_counter()
     layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
-    for i, g in enumerate(gens):
-        support = layout.coord_class[[f for f, v, _ in layout.parts(g) if v]]
+    parts = [layout.parts(g) for g in gens]  # each generator flattened once per closure
+    for i, (g, pg) in enumerate(zip(gens, parts)):
+        support = layout.coord_class[[f for f, v, _ in pg if v]]
         if np.any(layout.class_parity[support] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
@@ -1041,7 +1114,7 @@ def lie_closure(
         return ClosureState(field, None, layout, list(echelon.rows), brackets,
                             time.perf_counter() - t0, _engine=echelon)
     p = prime if prime is not None else DEFAULT_PRIMES[0]
-    eng, brackets, levels, phases = _modular_closure(gens, layout, p, progress)
+    eng, brackets, levels, phases = _modular_closure(gens, layout, p, parts, progress)
     return ClosureState(field, p, layout, eng.global_pivots(), brackets,
                         time.perf_counter() - t0, levels, eng, phases)
 

@@ -177,9 +177,10 @@ class Operator:
 
     def _col_ptr(self) -> np.ndarray:
         """Column pointers: column c's entries are the view's entries
-        ptr[c] to ptr[c + 1] - 1, for c in 0..DIM - 1; computed once."""
+        ptr[c] to ptr[c + 1] - 1, for c in 0..DIM - 1; computed once, as
+        int32 (an operator has at most DIM * DIM = 262144 entries)."""
         if self._ptr is _UNSET:
-            self._ptr = np.searchsorted(self._coords.cols, np.arange(DIM + 1))
+            self._ptr = np.searchsorted(self._coords.cols, np.arange(DIM + 1)).astype(np.int32)
         return self._ptr
 
     # -- linear structure ---------------------------------------------------
@@ -297,7 +298,7 @@ def _product_sum(terms) -> Operator:
         else:
             y = b._coords
             ptr = a._col_ptr()
-            lo = ptr[y.rows]
+            lo = ptr[y.rows].astype(np.intp)  # int32 pointers, int64 arithmetic
             hits = ptr[y.rows + 1] - lo
             j = np.repeat(np.arange(len(hits)), hits)
             i = np.arange(len(j)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)

@@ -4,9 +4,12 @@ The full-size runs (criterion-level, tens of minutes) live in the
 acceptance module; everything here completes in seconds.
 """
 
+import dataclasses
 import gc
 import hashlib
 import itertools
+import os
+import re
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -294,8 +297,11 @@ def test_bracket_engines_agree(ralg):
     bracket after projection, coordinate for coordinate, in the real and in
     the complexified layout, on hw0 and on all four blocks: each of the
     twelve generators bracketed with every restricted generator and with i
-    times it, so that imaginary parts meet imaginary parts.  The class
-    matrices are views that tile the one buffer, with no padding."""
+    times it, so that imaginary parts meet imaginary parts.  Each class's
+    entry table gives every output column of every channel one contiguous
+    segment, and holds source rows of the class, no repeated (row, column)
+    pair, and balanced residues that are zero only in the fillers of empty
+    columns."""
     from wsdalg.scalars import root_of_minus_one
 
     gens = ralg.generators()
@@ -308,23 +314,31 @@ def test_bracket_engines_agree(ralg):
         layout = FlatLayout(blocks, complexified=complexified)
         ads = cl._adjoint_blocks(layout, gens, p, root)
         width = layout.class_width
-        cover = np.zeros(ads.buffer.size, dtype=np.int64)
-        for d, M in ads.matrices.items():
+        assert set(ads.tables) == set(np.flatnonzero(np.diff(ads.first)).tolist())
+        for d, (rows, coef, starts) in ads.tables.items():
             a, b = ads.first[d], ads.first[d + 1]
-            assert M.base is ads.buffer and b > a
-            at = (M.ctypes.data - ads.buffer.ctypes.data) // ads.buffer.itemsize
-            cover[at : at + M.size] += 1
-            assert M.shape == (width[d], width[ads.target[a:b]].sum())
             assert np.array_equal(ads.hi[a:b] - ads.lo[a:b], width[ads.target[a:b]])
             assert ads.lo[a] == 0 and np.array_equal(ads.lo[a + 1 : b], ads.hi[a : b - 1])
-        assert np.all(cover == 1)
+            # one non-empty segment per output column, tiling the table
+            assert len(starts) == ads.hi[b - 1] and starts[0] == 0
+            seg = np.diff(np.append(starts, len(rows)))
+            assert np.all(seg > 0)
+            column = np.repeat(np.arange(len(starts)), seg)
+            assert np.all((rows >= 0) & (rows < width[d]))
+            assert len(np.unique(column * width[d] + rows)) == len(rows)
+            assert np.abs(coef).max() <= (p - 1) // 2
+            filler = coef == 0
+            assert np.all(seg[column[filler]] == 1) and not rows[filler].any()
         checked = 0
         for x in xs:
             d = layout.operator_class(x)
             if d is None:
                 continue
             X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
-            R = cl._bracket_rows(X, ads.matrices[d], p)[0] if d in ads.matrices else None
+            R = None
+            if d in ads.tables:  # the exact sums, balanced as the candidate stacks are
+                R = cl._bracket_rows(X, ads.tables[d])[0]
+                R -= np.rint(R / p) * p
             channel = {int(ads.generator[c]): c for c in range(ads.first[d], ads.first[d + 1])}
             for i, g in enumerate(gens):
                 want = layout.flatten_modular(_rop_bracket(g, x, blocks), p, root)
@@ -335,6 +349,87 @@ def test_bracket_engines_agree(ralg):
                     checked += bool(want.any())
                 assert np.array_equal(got, want)
         assert checked > 12
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_bracket_rows_match_dense_reference(ralg, p):
+    """``_bracket_rows`` on each class's entry table equals, mod p, the
+    product with a dense ad_g matrix built here from ``_adjoint_entries``
+    with ``np.add.at`` and balanced mod p, on seeded stacks of balanced
+    residues: hw0 real and complexified, and blocks (2, 3).  Besides the
+    twelve generators, a diagonal one meets every x from both sides, so
+    that (row, column) pairs repeat, and their sums cancel in places."""
+    from wsdalg.scalars import root_of_minus_one
+
+    def balanced(a):
+        return a - np.rint(a / p) * p
+
+    diagonal = cl.RestrictedOperator({k: {(i, i): GaussRational(i % 5, int(i % 3 == 0))
+                                          for i in range(cl.BLOCK_SIZES[k])}
+                                      for k in range(4)}, 0)
+    gens = ralg.generators() + [diagonal]
+    root = root_of_minus_one(p)
+    rng = np.random.default_rng(p)
+    for blocks, complexified in (((0,), False), ((0,), True), ((2, 3), False)):
+        layout = FlatLayout(blocks, complexified=complexified)
+        ads = cl._adjoint_blocks(layout, gens, p, root)
+        width, local = layout.class_width, layout.coord_local
+        channel = {(int(d), int(i)): c for c, (d, i) in enumerate(zip(ads.source, ads.generator))}
+        dense = {d: np.zeros((width[d], ads.hi[ads.first[d + 1] - 1])) for d in ads.tables}
+        for i, g in enumerate(gens):
+            src, tgt, coef = cl._adjoint_entries(layout, g, p, root)
+            assert (g is diagonal) == (len(set(zip(src.tolist(), tgt.tolist()))) < len(src))
+            d = layout.coord_class[src]
+            for t in np.unique(d).tolist():
+                m = d == t
+                c = channel[t, i]
+                np.add.at(dense[t], (local[src[m]], ads.lo[c] + local[tgt[m]]), coef[m])
+        assert sum(np.count_nonzero(balanced(M)) for M in dense.values()) > 1000
+        for d, M in dense.items():
+            X = balanced(rng.integers(-p, p, size=(int(rng.integers(1, 9)), width[d])).astype(float))
+            want = balanced(X @ balanced(M))
+            assert np.array_equal(balanced(cl._bracket_rows(X, ads.tables[d])), want)
+
+
+def test_adjoint_tables_hold_entries_not_dense_positions(ralg):
+    """On the full real layout, every array the ad_g channels hold, and
+    every array their views belong to, together take a few words per entry
+    and column, where a dense ad_g buffer takes 125 MiB."""
+    from wsdalg.scalars import root_of_minus_one
+
+    p = DEFAULT_PRIMES[0]
+    root = root_of_minus_one(p)
+    layout = FlatLayout()
+    gens = ralg.generators()
+    ads = cl._adjoint_blocks(layout, gens, p, root)
+    entries = sum(cl._adjoint_entries(layout, g, p, root)[0].size for g in gens)
+    columns = sum(len(starts) for _, _, starts in ads.tables.values())
+    arrays = [getattr(ads, f.name) for f in dataclasses.fields(ads)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    arrays += [a for table in ads.tables.values() for a in table]
+    bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+    assert entries > 150_000 and columns > 150_000
+    assert sum(b.nbytes for b in bases.values()) <= 24 * (entries + columns)
+
+
+def test_modular_closure_imports_no_scipy(tmp_path):
+    """numpy is the one declared dependency, and a fresh process that
+    imports wsdalg and runs a hw0 modular closure loads no scipy module."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    listed = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(),
+                       re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"[\"']([\w.-]+)", listed) == ["numpy"]
+    code = ("import sys, wsdalg\n"
+            "st = wsdalg.lie_closure(blocks=(0,), field='modular')\n"
+            "assert st.dim == 1599, st.dim\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
