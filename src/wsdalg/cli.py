@@ -4,7 +4,8 @@
     wsdalg closure [--block hw0..hw3|all] [--field exact|modular] [options]
     wsdalg report [--out PATH] [options]
 
-``--progress`` writes one line per modular closure level to stderr.
+``--progress`` writes one line per modular closure level to stderr; it and
+``--prime`` are usage errors with ``closure --field exact``.
 ``--format csv`` is only defined for ``verify table1`` and ``verify all``.
 
 Exit codes: 0 when every selected check passes, 1 on a failed check,
@@ -18,9 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import suites
+from .closure import _write_atomic
 from .reptheory import isotypical_table
 from .scalars import validate_primes
 
@@ -79,15 +80,7 @@ def _progress_line(run: str, level: int, dim: int, brackets: int, frontier: int)
 
 def _emit(text: str, out: str | None):
     if out:
-        d = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".wsdalg-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _write_atomic(out, "w", lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
@@ -130,6 +123,10 @@ def _format_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "closure" and args.field == "exact":
+        for flag, given in (("--prime", args.prime), ("--progress", args.progress)):
+            if given:
+                parser.error(f"{flag} does not apply to --field exact")
     if args.format == "csv" and args.suite not in ("table1", "all"):
         parser.error("csv output is only defined for the table1 suite")
     try:

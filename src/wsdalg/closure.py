@@ -15,9 +15,9 @@ bracketed with the twelve generators only.
 
 Two engines compute the same closure:
 
-* exact: sparse Fraction coordinates in a ``linalg.SparseEchelon``, used
-  for the smallest block and for the even subalgebra, where the answer is
-  15-dimensional;
+* exact: flat rows of int and Fraction coordinates, from the generators
+  to every bracket candidate, in a ``linalg.SparseEchelon``, used for the
+  smallest block and for the even subalgebra (the answer is 15-dimensional);
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every matrix product runs on BLAS while staying
   exact (the default primes are sized so no dot product can reach 2^53).
@@ -83,12 +83,11 @@ from .scalars import (
     I,
     ONE,
     ZERO,
-    _gauss_cells,
     balanced_residue,
     root_of_minus_one,
     validate_prime,
 )
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, _canonical
 from .operators import (
     GENERATOR_NAMES,
     Operator,
@@ -164,7 +163,7 @@ class RestrictedAlgebra:
         if par is None and op:
             raise ValueError("restriction needs definite parity")
         ranges = tuple(self._ranges[k] for k in blocks)
-        mat = restrict_operator(op, self.solver.vectors, self.solver, self._labels, ranges)
+        mat = restrict_operator(op, self.solver, self._labels, ranges)
         out: dict[int, _BlockMat] = {k: {} for k in blocks}
         for (r, c), v in mat.items():
             k, a = self._block_of[c]
@@ -358,64 +357,58 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _column_index(x: RestrictedOperator, blocks) -> tuple[int, dict]:
-    """x's parity and, per block, (real, {c: [(r, re, im), ...]}): the
-    block's entries grouped by column, and whether every entry is real."""
-    index = {}
-    for k in blocks:
-        bycol: dict[int, list[tuple[int, int | Fraction, int | Fraction]]] = {}
-        real = True
-        for (r, c), v in x.block(k).items():
-            bycol.setdefault(c, []).append((r, v.re, v.im))
-            real = real and not v.im
-        index[k] = (real, bycol)
-    return x.parity, index
+def _column_index(row: dict, layout: FlatLayout) -> dict[int, dict]:
+    """A flat row's parts per block k, as {c: [(r, m, value), ...]}: part m
+    of entry (r, c), each coordinate decoded from the layout's offsets."""
+    index: dict[int, dict] = {k: {} for k in layout.blocks}
+    for f, v in row.items():
+        k = next(k for k in reversed(layout.blocks) if layout.offsets[k] <= f)
+        s = BLOCK_SIZES[k]
+        m, rc = divmod(f - layout.offsets[k], s * s)
+        r, c = divmod(rc, s)
+        index[k].setdefault(c, []).append((r, m, v))
+    return index
 
 
-def _indexed_bracket(x, y, blocks) -> RestrictedOperator:
-    """[x, y] = xy - (-1)^{|x||y|} yx, from the ``_column_index`` forms of
-    x and y, so that a closure indexes each generator once: both
-    products of a block are summed as (re, im) pairs of ints or Fractions
-    and wrapped once per nonzero cell; when both factors of a product are
-    real, its imaginary partial products are skipped."""
+def _indexed_bracket(x, y, layout: FlatLayout) -> tuple[int, dict]:
+    """[x, y] = xy - (-1)^{|x||y|} yx as (parity, flat row), from the
+    (parity, ``_column_index``) forms of x and y, so that a closure indexes
+    each generator once.  Each part product is added straight into its flat
+    coordinate by the modular engine's rule: part a times part b lands in
+    part a ^ b, negated when both are imaginary."""
     (px, xi), (py, yi) = x, y
     sign = 1 if (px and py) else -1
-    out: dict[int, _BlockMat] = {}
-    for k in blocks:
-        re: dict[tuple[int, int], int | Fraction] = {}
-        im: dict[tuple[int, int], int | Fraction] = {}
-        for sgn, (a_real, a), (b_real, b) in ((1, xi[k], yi[k]), (sign, yi[k], xi[k])):
-            real = a_real and b_real
+    acc: dict[int, int | Fraction] = {}
+    for k in layout.blocks:
+        s = BLOCK_SIZES[k]
+        o, im = layout.offsets[k], s * s
+        for sgn, a, b in ((1, xi[k], yi[k]), (sign, yi[k], xi[k])):
             for c, col in b.items():
-                for mid, p, q in col:
+                for mid, mb, q in col:
                     if sgn < 0:
-                        p, q = -p, -q
-                    if real:
-                        for r, w, _ in a.get(mid, ()):
-                            key = (r, c)
-                            re[key] = re.get(key, 0) + w * p
-                        continue
-                    for r, w, z in a.get(mid, ()):
-                        key = (r, c)
-                        re[key] = re.get(key, 0) + (w * p - z * q)
-                        im[key] = im.get(key, 0) + (w * q + z * p)
-        out[k] = _gauss_cells(re, im)
-    return RestrictedOperator(out, (px + py) & 1)
+                        q = -q
+                    for r, ma, w in a.get(mid, ()):
+                        f = o + (ma ^ mb) * im + r * s + c
+                        acc[f] = acc.get(f, 0) + (-w * q if ma & mb else w * q)
+    return (px + py) & 1, {f: _canonical(v) for f, v in acc.items() if v}
 
 
-def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout):
-    """FIFO left-normed closure with sparse rational echelon reduction.  The
-    echelon, its rows keyed by pivot in insertion order, is the whole
-    record; returns (echelon, brackets)."""
+def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, parts: list[list[tuple]]):
+    """FIFO left-normed closure with sparse rational echelon reduction on
+    flat rows, each generator's from its ``layout.parts`` in ``parts`` and
+    indexed once.  The frontier holds (parity, row) of the generators and of
+    each raw candidate that adds a pivot.  The echelon, its rows keyed by
+    pivot in insertion order, is the whole record; returns (echelon,
+    brackets)."""
     echelon = SparseEchelon()
-    frontier = [g for g in gens if echelon.insert(layout.flatten_exact(g)) is not None]
-    blocks = layout.blocks
-    indexed = [_column_index(g, blocks) for g in gens]
-    for x in frontier:  # grows as it is read
-        x = _column_index(x, blocks)
+    rows = [(g.parity, {f: v for f, v, _ in pg}) for g, pg in zip(gens, parts)]
+    frontier = [x for x in rows if echelon.insert(x[1]) is not None]
+    indexed = [(pg, _column_index(row, layout)) for pg, row in rows]
+    for px, row in frontier:  # grows as it is read
+        x = (px, _column_index(row, layout))
         for g in indexed:
-            cand = _indexed_bracket(g, x, blocks)
-            if echelon.insert(layout.flatten_exact(cand)) is not None:
+            cand = _indexed_bracket(g, x, layout)
+            if echelon.insert(cand[1]) is not None:
                 frontier.append(cand)
     return echelon, len(gens) * len(frontier)
 
@@ -969,14 +962,19 @@ class ClosureState:
         h.update(repr(sorted(self.pivots)).encode())
         return h.hexdigest()[:16]
 
+    def _on_layout(self, rop: RestrictedOperator) -> bool:
+        """Whether rop vanishes on every block the layout lacks (else it is
+        no member)."""
+        return not any(any(b.values()) for k, b in rop.blocks.items() if k not in self.blocks)
+
     def contains_exact(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, SparseEchelon)
-        return self._engine.contains(self.layout.flatten_exact(rop))
+        return self._on_layout(rop) and self._engine.contains(self.layout.flatten_exact(rop))
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
-        vec = self.layout.flatten_modular(rop, self.prime, self._engine.root_i)
-        return self._engine.contains(vec)
+        return self._on_layout(rop) and self._engine.contains(
+            self.layout.flatten_modular(rop, self.prime, self._engine.root_i))
 
     def supertrace_residues(self) -> float:
         """max |supertrace residue| over all basis rows (modular only)."""
@@ -1024,25 +1022,24 @@ class ClosureState:
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".wsdalg-", suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(
-                    fh,
-                    field=self.field,
-                    prime=self.prime,
-                    blocks=np.asarray(self.blocks),
-                    complexified=np.asarray(self.layout.complexified),
-                    row_class=row_class.astype(np.int32),
-                    row_pivot=row_pivot.astype(np.int32),
-                    rows=rows.astype(np.int32),
-                    brackets=self.brackets,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _write_atomic(path, "wb", lambda fh: np.savez_compressed(
+            fh, field=self.field, prime=self.prime, blocks=np.asarray(self.blocks),
+            complexified=np.asarray(self.layout.complexified),
+            row_class=row_class.astype(np.int32), row_pivot=row_pivot.astype(np.int32),
+            rows=rows.astype(np.int32), brackets=self.brackets))
+
+
+def _write_atomic(path: str, mode: str, write) -> None:
+    """Call write(fh) on a temporary file beside ``path``, opened with
+    ``mode``, and rename it into place; on failure the file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".wsdalg-")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _supertrace_sign(layout: FlatLayout, unit: GaussRational) -> RestrictedOperator:
@@ -1089,8 +1086,10 @@ def lie_closure(
     blocks: the highest-weight blocks to close on, a non-empty strictly
     increasing tuple drawn from 0..3; generators must name at least one
     generator.  Anything else raises ValueError.
-    progress: for a modular run, called after each bracketing level with
-    (level, dim, brackets, frontier size); the last call has frontier 0.
+    prime, progress: modular only (an exact run raises ValueError on
+    either).  The prime defaults to ``DEFAULT_PRIMES[0]``; progress is
+    called after each bracketing level with (level, dim, brackets,
+    frontier size), and the last call has frontier 0.
     """
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
@@ -1102,6 +1101,9 @@ def lie_closure(
                          "drawn from 0..3")
     if field not in ("exact", "modular", "modular-complex"):
         raise ValueError(f"unknown field {field!r}")
+    for name, value in (("prime", prime), ("progress", progress)):
+        if field == "exact" and value is not None:
+            raise ValueError(f"{name}: the exact field takes none")
     t0 = time.perf_counter()
     layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
     parts = [layout.parts(g) for g in gens]  # each generator flattened once per closure
@@ -1110,7 +1112,7 @@ def lie_closure(
         if np.any(layout.class_parity[support] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
-        echelon, brackets = _exact_closure(gens, layout)
+        echelon, brackets = _exact_closure(gens, layout, parts)
         return ClosureState(field, None, layout, list(echelon.rows), brackets,
                             time.perf_counter() - t0, _engine=echelon)
     p = prime if prime is not None else DEFAULT_PRIMES[0]

@@ -284,7 +284,7 @@ def verify_pattern_tables(tables=None) -> dict:
         matrices = {}
         for op_spec in ops_in_scope:
             op = _component_operator(op_spec, cache)
-            matrices[op_spec] = restrict_operator(op, vecs, solver, labels)
+            matrices[op_spec] = restrict_operator(op, solver, labels)
         mismatches = []
         marked = 0
         for rl in table.row_labels:

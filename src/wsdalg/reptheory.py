@@ -339,15 +339,14 @@ def _require_homogeneous(v: Form, i: int) -> tuple[int, int, int]:
 
 def restrict_operator(
     phi: Operator,
-    vectors: list[Form],
-    solver: SpanSolver | None = None,
+    solver: SpanSolver,
     labels: list[str] | None = None,
     parts: tuple[range, ...] | None = None,
 ) -> _BlockMat:
-    """Matrix of phi on the span of the solver's vectors (by default a
-    solver of ``vectors``) as its nonzero entries {(r, c): v}, keyed by
-    vector index.  ``parts``, ranges of vector indices, narrows it to the
-    listed vectors, and phi must then keep each part's span.
+    """Matrix of phi on the span of the solver's vectors as its nonzero
+    entries {(r, c): v}, keyed by vector index.  ``parts``, ranges of vector
+    indices, narrows it to the listed vectors, and phi must then keep each
+    part's span.
 
     On the solver's chain (``SpanSolver.chain``) of basis columns B and
     scaled functional rows D P, N = (D P)(phi B) has Gaussian integer
@@ -358,7 +357,6 @@ def restrict_operator(
     that link two parts are dropped; otherwise SpaceEscape names the first
     offending vector, by its label when ``labels`` (indexed like the
     solver's vectors) is given."""
-    solver = solver or SpanSolver(vectors)
     d = solver.functional[0]
     basis, functional, index, part = solver.chain(parts or (range(len(solver.vectors)),))
     image = phi.compose(basis)

@@ -265,12 +265,6 @@ def _canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _gauss_cells(re: dict, im: dict) -> dict:
-    """{key: GaussRational} for the nonzero cells of component sums re[key],
-    im.get(key, 0) (ints or Fractions; re has every key of im), canonical."""
-    return {k: _make(_canon(x), _canon(y)) for k, x in re.items() if (y := im.get(k, 0)) or x}
-
-
 def _quotient(x, n):
     """Exact canonical x / n for ints or Fractions, n nonzero: int / int
     would give a float, so that case goes through Fraction."""

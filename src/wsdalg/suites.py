@@ -123,10 +123,9 @@ def _suite_closure(config) -> dict:
     meta = {"wall_s": {}, "levels": {}, "phase_s": {}, "survival": {}}
 
     def run(key: str, **kwargs) -> cl.ClosureState:
-        st = cl.lie_closure(
-            blocks=blocks, ralg=ralg,
-            progress=(lambda *a: progress(key, *a)) if progress else None, **kwargs,
-        )
+        if progress and kwargs["field"] != "exact":  # an exact run has no levels
+            kwargs["progress"] = lambda *a: progress(key, *a)
+        st = cl.lie_closure(blocks=blocks, ralg=ralg, **kwargs)
         meta["wall_s"][key] = round(st.wall_s, 3)
         if st.field != "exact":
             meta["levels"][key] = st.levels

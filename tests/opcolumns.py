@@ -1,6 +1,8 @@
-"""Operator entries as columns, for tests that read or edit them."""
+"""Operator entries as columns, and a cell-by-cell reference for products
+and brackets of {(r, c): v} blocks, for tests that read or edit them."""
 
-from wsdalg.scalars import GaussRational, _make
+from wsdalg.closure import RestrictedOperator
+from wsdalg.scalars import GaussRational, ZERO, _make
 
 
 def columns(op) -> dict[int, dict[int, GaussRational]]:
@@ -12,3 +14,34 @@ def columns(op) -> dict[int, dict[int, GaussRational]]:
     for r, c, x, y in zip(v.rows.tolist(), v.cols.tolist(), v.re.tolist(), v.im.tolist()):
         out.setdefault(c, {})[r] = _make(x, y)
     return out
+
+
+def ref_product(a: dict, b: dict) -> dict:
+    """The matrix product ab of two {(r, c): v} blocks, cell by cell: each
+    entry of b meets the entries of a whose column is its row."""
+    by_col: dict = {}
+    for (r, mid), w in a.items():
+        by_col.setdefault(mid, []).append((r, w))
+    out: dict = {}
+    for (mid, c), v in b.items():
+        for r, w in by_col.get(mid, ()):
+            out[(r, c)] = out.get((r, c), ZERO) + w * v
+    return out
+
+
+def ref_sum(*terms) -> dict:
+    """Cell-by-cell sum of s * x over the (s, x) terms, zeros dropped."""
+    out: dict = {}
+    for s, x in terms:
+        for key, v in x.items():
+            out[key] = out.get(key, ZERO) + v * s
+    return {key: v for key, v in out.items() if v}
+
+
+def rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
+    """[x, y] = xy - (-1)^{|x||y|} yx of two restricted operators on the
+    given blocks, block by block from ``ref_product`` and ``ref_sum``."""
+    sign = 1 if (x.parity and y.parity) else -1
+    return RestrictedOperator({k: ref_sum((1, ref_product(x.block(k), y.block(k))),
+                                          (sign, ref_product(y.block(k), x.block(k))))
+                               for k in blocks}, (x.parity + y.parity) & 1)

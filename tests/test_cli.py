@@ -96,6 +96,14 @@ def test_bad_prime_rejected(capsys, prime):
     _assert_usage_error(capsys, ["closure", "--block", "hw3", "--prime", prime], prime)
 
 
+@pytest.mark.parametrize("flags", [["--prime", "13"], ["--progress"]], ids=["prime", "progress"])
+def test_exact_field_rejects_modular_flags(capsys, flags):
+    """The exact closure has no prime and no levels, so --prime and
+    --progress are usage errors with --field exact."""
+    _assert_usage_error(capsys, ["closure", "--block", "hw3", "--field", "exact"] + flags,
+                        flags[0])
+
+
 @pytest.mark.parametrize("value", ["21", "13,abc", ","])
 def test_bad_primes_env_rejected(monkeypatch, capsys, value):
     monkeypatch.setenv("WSDALG_PRIMES", value)

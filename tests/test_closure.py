@@ -22,6 +22,7 @@ from wsdalg.forms import Form
 from wsdalg import operators as ops
 from wsdalg import closure as cl
 from wsdalg import suites
+from opcolumns import rop_bracket
 from wsdalg.closure import (
     EVEN_GENERATOR_NAMES,
     FlatLayout,
@@ -35,11 +36,6 @@ from wsdalg.closure import (
 @pytest.fixture(scope="module")
 def ralg():
     return default_algebra()
-
-
-def _rop_bracket(x, y, blocks):
-    """[x, y] of two restricted operators on the given blocks."""
-    return cl._indexed_bracket(cl._column_index(x, blocks), cl._column_index(y, blocks), blocks)
 
 
 def test_su_pair_dimension_oracle():
@@ -216,6 +212,75 @@ def test_even_subalgebra_modular_matches_exact(ralg):
     assert st.dim == 15
 
 
+def _rows_digest(state) -> str:
+    """Digest of an exact state's echelon rows, pivot by pivot: a fully
+    reduced echelon basis is unique for its span, so it does not depend on
+    how the closure reached it."""
+    rows = state._engine.rows
+    text = repr([(p, sorted((f, str(v)) for f, v in rows[p].items())) for p in sorted(rows)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("generators,blocks,pivot_hash,rows_digest", [
+    (ops.GENERATOR_NAMES, (3,), "c8ed13bb169e713f", "1d167eafb0a91ae7"),
+    (EVEN_GENERATOR_NAMES, (0, 1, 2, 3), "fd2dcc1c795c5fbe", "fc957830ea875bef"),
+], ids=["hw3", "even"])
+def test_exact_echelon_rows_pinned(ralg, generators, blocks, pivot_hash, rows_digest):
+    """The exact hw3 and even closures keep their pivots and their echelon
+    rows entry for entry, so a sign slip in the bracket that still yields
+    dimension 15 shows."""
+    st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
+    assert (st.pivot_hash(), _rows_digest(st)) == (pivot_hash, rows_digest)
+
+
+def test_exact_hw0_closure_matches_modular(ralg):
+    """The exact hw0 closure has the pivots of the modular one (dimension
+    1599), which ties the two engines together beyond dimension 15."""
+    st = lie_closure(blocks=(0,), field="exact", ralg=ralg)
+    assert st.dim == 1599 and st.parity_dims() == (799, 800)
+    assert st.pivot_hash() == HW0_HASHES["modular"] == "9db1b3b25abc0c18"
+
+
+def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
+    """On restricted generators, the exact closure runs on flat int and
+    Fraction rows: it constructs no GaussRational, neither through the
+    constructor nor through the canonical-form fast path."""
+    from wsdalg import scalars
+
+    gens = ralg.generators()
+    FlatLayout((3,))  # the class tables read the bases once
+    made = []
+    new, init = scalars._new, GaussRational.__init__
+    monkeypatch.setattr(scalars, "_new", lambda cls: made.append(cls) or new(cls))
+    monkeypatch.setattr(GaussRational, "__init__",
+                        lambda self, *a: made.append(type(self)) or init(self, *a))
+    st = lie_closure(gens, field="exact", blocks=(3,), ralg=ralg)
+    assert st.dim == 15 and st.brackets == 180
+    assert made == []
+    assert GaussRational(1) * I == I and made  # the counters do see constructions
+
+
+@pytest.mark.parametrize("field", ["exact", "modular"])
+def test_member_has_no_entry_outside_the_blocks(ralg, field):
+    """A hw3 state answers for operators on all blocks: the identity on
+    block 0, which the layout lacks, is no member, and neither is a member
+    with that entry added, while block-3-only queries answer as before."""
+    st = lie_closure(blocks=(3,), field=field, ralg=ralg)
+    contains = st.contains_exact if field == "exact" else st.contains_modular
+    one = GaussRational(1)
+    rop = ralg.generator("iL1")
+    member = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
+    ident = {(r, r): one for r in range(8)}
+    assert contains(member) and not contains(cl.RestrictedOperator({3: ident}, 0))
+    assert not contains(cl.RestrictedOperator({0: {(0, 0): one}}, 0))
+    assert not contains(cl.RestrictedOperator({0: {(0, 0): one}, 3: rop.block(3)}, rop.parity))
+    # an empty block, or explicit zeros, outside the layout change nothing
+    assert contains(cl.RestrictedOperator({0: {}, 3: rop.block(3)}, rop.parity))
+    assert contains(cl.RestrictedOperator({1: {(0, 0): GaussRational(0)}, 3: rop.block(3)},
+                                          rop.parity))
+    assert contains(rop) is False  # iL1 itself acts on blocks 0-2 too
+
+
 def test_closure_deterministic(ralg):
     a = lie_closure(blocks=(3,), field="modular", ralg=ralg)
     b = lie_closure(blocks=(3,), field="modular", ralg=ralg)
@@ -341,7 +406,7 @@ def test_bracket_engines_agree(ralg):
                 R -= np.rint(R / p) * p
             channel = {int(ads.generator[c]): c for c in range(ads.first[d], ads.first[d + 1])}
             for i, g in enumerate(gens):
-                want = layout.flatten_modular(_rop_bracket(g, x, blocks), p, root)
+                want = layout.flatten_modular(rop_bracket(g, x, blocks), p, root)
                 got = np.zeros(layout.length)
                 if i in channel:
                     c = channel[i]
@@ -503,7 +568,7 @@ def test_generator_shifts(ralg):
     assert got == want
     for a in ops.GENERATOR_NAMES:
         for b in ops.GENERATOR_NAMES:
-            br = _rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
+            br = rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
             t = layout.operator_class(br)
             if t is not None:
                 assert shift(t) == tuple(x + y for x, y in zip(want[a], want[b]))
@@ -612,7 +677,7 @@ def class_probes(ralg):
     gens = ralg.generators()
     times_i = [cl.RestrictedOperator({k: {rc: I * v for rc, v in blk.items()}
                                       for k, blk in g.blocks.items()}, g.parity) for g in gens]
-    brackets = [_rop_bracket(a, b, (0, 1, 2, 3)) for a in gens for b in gens]
+    brackets = [rop_bracket(a, b, (0, 1, 2, 3)) for a in gens for b in gens]
     zero = ralg.restrict(ops.zero_operator())
     lone = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
     return gens + times_i + brackets + [zero, lone]
@@ -1138,9 +1203,15 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     (cl.GENERATOR_NAMES, (4,), "blocks"),
     (cl.GENERATOR_NAMES, (3, 3), "blocks"),
     (cl.GENERATOR_NAMES, (3, 0), "blocks"),
+    (cl.GENERATOR_NAMES, (3,), "prime"),
+    (cl.GENERATOR_NAMES, (3,), "progress"),
 ])
 def test_lie_closure_rejects_bad_arguments(ralg, generators, blocks, argument):
     """No generators, and blocks that are not a non-empty strictly
-    increasing tuple drawn from 0..3, are rejected before any work."""
+    increasing tuple drawn from 0..3, are rejected before any work; so are
+    a prime and a progress callback on the exact field, which has
+    neither."""
+    exact = {"prime": {"prime": 7}, "progress": {"progress": print}}.get(argument)
     with pytest.raises(ValueError, match=f"^{argument}"):
-        lie_closure(generators, field="modular", blocks=blocks, ralg=ralg)
+        lie_closure(generators, field="exact" if exact else "modular", blocks=blocks, ralg=ralg,
+                    **(exact or {}))

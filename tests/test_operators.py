@@ -13,7 +13,7 @@ from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
 from wsdalg import suites
-from wsdalg.closure import RestrictedOperator, _column_index, _indexed_bracket, default_algebra
+from wsdalg.closure import FlatLayout, RestrictedOperator, _column_index, _indexed_bracket, default_algebra
 from wsdalg.operators import (
     PERMUTATIONS,
     build_A,
@@ -39,7 +39,7 @@ from wsdalg.operators import (
     superbracket,
     supertrace,
 )
-from opcolumns import columns
+from opcolumns import columns, ref_product, ref_sum, rop_bracket
 
 
 def test_clifford_relations_exhaustive():
@@ -406,24 +406,6 @@ def _cells(op: ops.Operator) -> dict:
     return {(r, c): v for c, col in columns(op).items() for r, v in col.items()}
 
 
-def _ref_product(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (mid, c), v in b.items():
-        for (r, m2), w in a.items():
-            if m2 == mid:
-                out[(r, c)] = out.get((r, c), ZERO) + w * v
-    return out
-
-
-def _ref_sum(*terms) -> dict:
-    """Cell-by-cell sum of s * x over the (s, x) terms, zeros dropped."""
-    out: dict = {}
-    for s, x in terms:
-        for key, v in x.items():
-            out[key] = out.get(key, ZERO) + v * s
-    return {key: v for key, v in out.items() if v}
-
-
 def _assert_canonical(cells: dict) -> None:
     for v in cells.values():
         assert v, "stored zero"
@@ -480,17 +462,17 @@ def test_product_accumulator_matches_reference():
     ]
     pairs += list(_cancelling_pairs(rng))
     pairs += list(_edge_pairs(rng))
-    assert any(not _ref_sum((1, a), (1, b)) for a, b in pairs)
+    assert any(not ref_sum((1, a), (1, b)) for a, b in pairs)
     assert ops.Operator().parity() is None
     for a, b in pairs:
         A, B = _operator(a), _operator(b)
-        ab, ba = _ref_product(a, b), _ref_product(b, a)
+        ab, ba = ref_product(a, b), ref_product(b, a)
         expect = {
-            "compose": _ref_sum((1, ab)),
-            "add": _ref_sum((1, a), (1, b)),
-            "sub": _ref_sum((1, a), (-1, b)),
-            "mixed": _ref_sum((1, ab), (-1, b), (1, a), (-1, ba)),
-            "scale": _ref_sum((GaussRational(Fraction(-2, 3), 5), a)),
+            "compose": ref_sum((1, ab)),
+            "add": ref_sum((1, a), (1, b)),
+            "sub": ref_sum((1, a), (-1, b)),
+            "mixed": ref_sum((1, ab), (-1, b), (1, a), (-1, ba)),
+            "scale": ref_sum((GaussRational(Fraction(-2, 3), 5), a)),
         }
         got = {
             "compose": A.compose(B),
@@ -508,7 +490,7 @@ def test_product_accumulator_matches_reference():
             }
             got["super_adjoint"] = super_adjoint(A)
         if pa is not None and pb is not None:
-            expect["bracket"] = _ref_sum((1, ab), (1 if (pa and pb) else -1, ba))
+            expect["bracket"] = ref_sum((1, ab), (1 if (pa and pb) else -1, ba))
             got["bracket"] = superbracket(A, B)
         for name, op in got.items():
             cells = _cells(op)
@@ -518,7 +500,7 @@ def test_product_accumulator_matches_reference():
             _assert_coords(op)
         f = forms.Form({c: v for (r, c), v in b.items() if r == 3})
         image = A.apply(f)
-        ref = _ref_sum((1, _ref_product(a, {(m, 0): v for m, v in f.coeffs.items()})))
+        ref = ref_sum((1, ref_product(a, {(m, 0): v for m, v in f.coeffs.items()})))
         assert image.coeffs == {r: v for (r, _), v in ref.items()}
         _assert_canonical(image.coeffs)
 
@@ -533,19 +515,19 @@ def _bound_cases(over: int):
     b = {(2, 8): GaussRational(big - 8 + over, -7), (4, 8): GaussRational(big - 8 + over, -7)}
     A, B = _operator(a), _operator(b)
     bound = 2 * big * (big - 1 + over)
-    yield "compose", A.compose(B), _ref_sum((1, _ref_product(a, b))), bound
+    yield "compose", A.compose(B), ref_sum((1, ref_product(a, b))), bound
     # both even, and B A has no partial product
-    yield "bracket", superbracket(A, B), _ref_sum((1, _ref_product(a, b)), (-1, _ref_product(b, a))), bound
+    yield "bracket", superbracket(A, B), ref_sum((1, ref_product(a, b)), (-1, ref_product(b, a))), bound
     # one cell each: P = 2^62 and 2^62 - 1 + over
     u = {(1, 2): GaussRational((1 << 62) - 9, 9)}
     w = {(1, 2): GaussRational((1 << 62) - 10 + over, -9)}
     U, W = _operator(u), _operator(w)
-    yield "add", U + W, _ref_sum((1, u), (1, w)), (1 << 63) - 1 + over
-    yield "sub", U - W, _ref_sum((1, u), (-1, w)), (1 << 63) - 1 + over
+    yield "add", U + W, ref_sum((1, u), (1, w)), (1 << 63) - 1 + over
+    yield "sub", U - W, ref_sum((1, u), (-1, w)), (1 << 63) - 1 + over
     # P = 2^62 - 1 + over times |1| + |-1|
     x = {(1, 2): GaussRational((1 << 62) - 4 + over, 3), (3, 2): GaussRational(-7, 1)}
     s = GaussRational(1, -1)
-    yield "scale", _operator(x).scale(s), _ref_sum((s, x)), 2 * ((1 << 62) - 1 + over)
+    yield "scale", _operator(x).scale(s), ref_sum((s, x)), 2 * ((1 << 62) - 1 + over)
     for op in (A, B, U, W, _operator(x)):
         assert op.coords().re.dtype == np.int64
 
@@ -696,22 +678,30 @@ def _real_block(rng: random.Random) -> dict:
     }
 
 
-def _rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> RestrictedOperator:
-    """[x, y] of two restricted operators on the given blocks."""
-    return _indexed_bracket(_column_index(x, blocks), _column_index(y, blocks), blocks)
+def _flat_bracket(x: RestrictedOperator, y: RestrictedOperator, layout: FlatLayout) -> tuple:
+    """[x, y] by the exact closure engine: both flattened and indexed on
+    the layout, then bracketed as flat rows; returns (parity, row)."""
+    def index(z: RestrictedOperator):
+        return z.parity, _column_index(layout.flatten_exact(z), layout)
+
+    return _indexed_bracket(index(x), index(y), layout)
 
 
 def _assert_bracket_matches_reference(xb: dict, px: int, yb: dict, py: int) -> None:
     x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
-    got = _rop_bracket(x, y, tuple(xb))
-    assert got.parity == (px + py) & 1
+    layout = FlatLayout(tuple(xb))
+    parity, got = _flat_bracket(x, y, layout)
+    assert parity == (px + py) & 1
+    ref = rop_bracket(x, y, layout.blocks)
+    assert ref.parity == parity
     for k in xb:
-        ref = _ref_sum(
-            (1, _ref_product(xb[k], yb[k])),
-            (1 if (px and py) else -1, _ref_product(yb[k], xb[k])),
+        assert ref.block(k) == ref_sum(
+            (1, ref_product(xb[k], yb[k])),
+            (1 if (px and py) else -1, ref_product(yb[k], xb[k])),
         )
-        assert got.block(k) == ref
-        _assert_canonical(got.block(k))
+    assert got == layout.flatten_exact(ref)
+    for v in got.values():  # canonical: nonzero, integral values as ints
+        assert v and (type(v) is int or (type(v) is Fraction and v.denominator != 1)), v
 
 
 def test_rop_bracket_matches_reference():
@@ -722,11 +712,11 @@ def test_rop_bracket_matches_reference():
                 xb = {k: _complex_block(rng) for k in (0, 2)}
                 yb = {k: _complex_block(rng) for k in (0, 2)}
                 _assert_bracket_matches_reference(xb, px, yb, py)
-    # an even element brackets to zero with itself, leaving empty blocks
+    # an even element brackets to zero with itself, leaving an empty row
     xb = {0: _complex_block(rng)}
     x = RestrictedOperator(xb, 0)
-    assert _rop_bracket(x, x, (0,)).blocks == {0: {}}
-    # real with real takes the real-only products; real with complex does not
+    assert _flat_bracket(x, x, FlatLayout((0,))) == (0, {})
+    # real and complex blocks in every pairing, so that every part pair meets
     kinds = [(_real_block, _real_block), (_real_block, _complex_block), (_complex_block, _real_block)]
     for px in (0, 1):
         for py in (0, 1):

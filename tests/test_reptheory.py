@@ -162,28 +162,28 @@ def test_hw_invariant_under_generators(k):
     vecs = hw.vectors()
     solver = SpanSolver(vecs)
     for name, g in ops.standard_generators().items():
-        restrict_operator(g, vecs, solver)  # raises SpaceEscape on failure
+        restrict_operator(g, solver)  # raises SpaceEscape on failure
 
 
 def test_restrict_identity():
     hw = highest_weight_space(3)
-    mat = restrict_operator(ops.identity(), hw.vectors())
+    mat = restrict_operator(ops.identity(), SpanSolver(hw.vectors()))
     assert mat == {(r, r): ONE for r in range(len(hw.vectors()))}
 
 
 def test_restrict_escape_detection():
     hw = highest_weight_space(3)
     with pytest.raises(SpaceEscape):
-        restrict_operator(ops.build_E(1, 0), hw.vectors())
+        restrict_operator(ops.build_E(1, 0), SpanSolver(hw.vectors()))
 
 
-def _restrict_reference(phi, vectors, solver, labels):
-    """The per-vector restriction: apply phi to each vector in turn, by a
-    walk over phi's columns, and solve for the image's coordinates, naming
-    the first escaping vector."""
+def _restrict_reference(phi, solver, labels):
+    """The per-vector restriction: apply phi to each of the solver's
+    vectors in turn, by a walk over phi's columns, and solve for the
+    image's coordinates, naming the first escaping vector."""
     cols = columns(phi)
     mat = {}
-    for c, v in enumerate(vectors):
+    for c, v in enumerate(solver.vectors):
         image = {}
         for m, x in v.coeffs.items():
             for r, w in cols.get(m, {}).items():
@@ -197,7 +197,7 @@ def _restrict_reference(phi, vectors, solver, labels):
 
 def _escape_message(restrict, phi, basis, solver):
     try:
-        restrict(phi, basis.vectors(), solver, basis.labels())
+        restrict(phi, solver, basis.labels())
     except SpaceEscape as exc:
         return str(exc)
     return None
@@ -212,8 +212,8 @@ def test_restriction_matches_per_vector_reference():
         solver = SpanSolver(vecs)
         for name, g in ralg.operators().items():
             for op in (g, ralg.generator_daggers[name]):
-                got = restrict_operator(op, vecs, solver, labels)
-                assert got == _restrict_reference(op, vecs, solver, labels), (basis.k, name)
+                got = restrict_operator(op, solver, labels)
+                assert got == _restrict_reference(op, solver, labels), (basis.k, name)
 
 
 def test_class_rows_group_by_multidegree():
@@ -245,12 +245,12 @@ def test_restricted_block_reads_the_view():
         vecs, labels = basis.vectors(), basis.labels()
         solver = SpanSolver(vecs)
         for op in cases:
-            got = restrict_operator(op, vecs, solver, labels)
-            assert got == _restrict_reference(op, vecs, solver, labels), basis.k
+            got = restrict_operator(op, solver, labels)
+            assert got == _restrict_reference(op, solver, labels), basis.k
             for v in got.values():
                 for part in (v.re, v.im):
                     assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
-    assert restrict_operator(cases[2], vecs, solver, labels)
+    assert restrict_operator(cases[2], solver, labels)
 
 
 def test_space_escape_names_the_reference_vector():
@@ -293,7 +293,7 @@ def test_single_solver_restriction_matches_per_vector_reference():
         for op in (g, ralg.generator_daggers[name]):
             want = {}
             for basis, solver in zip(ralg.bases, solvers):
-                ref = _restrict_reference(op, basis.vectors(), solver, basis.labels())
+                ref = _restrict_reference(op, solver, basis.labels())
                 want[basis.k] = dict(sorted(ref.items(), key=lambda rc: rc[0][::-1]))
             for blocks in ((0,), (3,), (1, 2), (0, 1, 2, 3), (2, 0)):
                 rop = ralg.restrict(op, blocks)
@@ -361,8 +361,9 @@ def test_space_escape_across_blocks_names_the_vector():
 def test_restrict_V_zero_on_smallest_space():
     hw = highest_weight_space(3)
     for j in range(3):
-        assert restrict_operator(ops.build_V(j), hw.vectors()) == {}
-        assert restrict_operator(ops.build_A(j), hw.vectors()) == {}
+        solver = SpanSolver(hw.vectors())
+        assert restrict_operator(ops.build_V(j), solver) == {}
+        assert restrict_operator(ops.build_A(j), solver) == {}
 
 
 def test_total_dimension_bookkeeping():
