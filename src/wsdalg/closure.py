@@ -15,9 +15,10 @@ bracketed with the twelve generators only.
 
 Two engines compute the same closure:
 
-* exact: flat rows of int and Fraction coordinates, from the generators
-  to every bracket candidate, in a ``linalg.SparseEchelon``, used for the
-  smallest block and for the even subalgebra (the answer is 15-dimensional);
+* exact: flat int rows, each generator's scaled by the lcm of its
+  denominators, so every bracket candidate is an int row, in a fraction-free
+  ``linalg.IntegerEchelon`` over Q; used for the smallest block and for the
+  even subalgebra (the answer is 15-dimensional);
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every matrix product runs on BLAS while staying
   exact (the default primes are sized so no dot product can reach 2^53).
@@ -87,7 +88,7 @@ from .scalars import (
     root_of_minus_one,
     validate_prime,
 )
-from .linalg import SparseEchelon, _canonical
+from .linalg import IntegerEchelon, _canonical, integral
 from .operators import (
     GENERATOR_NAMES,
     Operator,
@@ -97,8 +98,8 @@ from .operators import (
     super_adjoint,
 )
 from .reptheory import HW_DIMS as BLOCK_SIZES, HW_HALF_DIMS  # BLOCK_SIZES: the HW block sizes
-from .reptheory import SpanSolver, _BlockMat, _require_homogeneous, restrict_operator
-from .hwbases import LabeledBasis, all_bases
+from .reptheory import _BlockMat, _require_homogeneous, restrict_operator
+from .hwbases import LabeledBasis, all_bases, all_vectors_solver
 
 __all__ = [
     "BLOCK_SIZES",
@@ -133,16 +134,16 @@ class RestrictedOperator:
 
 
 class RestrictedAlgebra:
-    """Restriction context: the labeled bases, one span solver over all
-    their vectors (block after block), and the generators, built once and
-    restricted lazily one name at a time.  The structural checks that
+    """Restriction context: the labeled bases, the one span solver over all
+    their vectors (``hwbases.all_vectors_solver``), and the generators,
+    built once and restricted lazily one name at a time.  The checks that
     depend only on the algebra (the pairing identity, the generators'
     daggers, and the restricted supertraces and daggers) are computed once,
     the last two once per tuple of blocks."""
 
     def __init__(self):
         self.bases: tuple[LabeledBasis, ...] = all_bases()
-        self.solver = SpanSolver([v for b in self.bases for v in b.vectors()])
+        self.solver = all_vectors_solver()
         self._labels = [lab for b in self.bases for lab in b.labels()]
         starts = np.cumsum([0] + [len(b.vectors()) for b in self.bases]).tolist()
         self._ranges = [range(a, z) for a, z in zip(starts, starts[1:])]
@@ -263,11 +264,6 @@ class FlatLayout:
         (self.coord_class, self.class_shift_array, self.class_parity, self.class_indices,
          self.class_width, self.coord_local) = _class_tables(self.blocks, complexified)
 
-    def operator_class(self, rop: RestrictedOperator) -> int | None:
-        """Class of an operator's support on this layout (None when it
-        vanishes here); raises ValueError for an inhomogeneous operator."""
-        return self.support_class(np.array([f for f, v, _ in self.parts(rop) if v], dtype=np.int64))
-
     def support_class(self, coords: np.ndarray) -> int | None:
         """Class of the flat coordinates ``coords`` (None when there are
         none); raises ValueError when they span several classes."""
@@ -375,7 +371,8 @@ def _indexed_bracket(x, y, layout: FlatLayout) -> tuple[int, dict]:
     (parity, ``_column_index``) forms of x and y, so that a closure indexes
     each generator once.  Each part product is added straight into its flat
     coordinate by the modular engine's rule: part a times part b lands in
-    part a ^ b, negated when both are imaginary."""
+    part a ^ b, negated when both are imaginary.  Int rows give an int row;
+    rational ones a canonical rational row."""
     (px, xi), (py, yi) = x, y
     sign = 1 if (px and py) else -1
     acc: dict[int, int | Fraction] = {}
@@ -394,14 +391,14 @@ def _indexed_bracket(x, y, layout: FlatLayout) -> tuple[int, dict]:
 
 
 def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, parts: list[list[tuple]]):
-    """FIFO left-normed closure with sparse rational echelon reduction on
-    flat rows, each generator's from its ``layout.parts`` in ``parts`` and
-    indexed once.  The frontier holds (parity, row) of the generators and of
-    each raw candidate that adds a pivot.  The echelon, its rows keyed by
-    pivot in insertion order, is the whole record; returns (echelon,
-    brackets)."""
-    echelon = SparseEchelon()
-    rows = [(g.parity, {f: v for f, v, _ in pg}) for g, pg in zip(gens, parts)]
+    """FIFO left-normed closure on flat int rows: each generator's row (its
+    ``layout.parts`` in ``parts``) is scaled by the lcm of its denominators
+    and indexed once, so every candidate is an int row with the span and
+    pivots it has over Q.  The frontier holds (parity, row) of the generators
+    and of each raw candidate that adds a pivot.  The ``IntegerEchelon`` is
+    the whole record; returns (echelon, brackets)."""
+    echelon = IntegerEchelon()
+    rows = [(g.parity, integral({f: v for f, v, _ in pg})) for g, pg in zip(gens, parts)]
     frontier = [x for x in rows if echelon.insert(x[1]) is not None]
     indexed = [(pg, _column_index(row, layout)) for pg, row in rows]
     for px, row in frontier:  # grows as it is read
@@ -684,12 +681,6 @@ def _flat_parts(parts: list[tuple], p: int, root_i: int) -> tuple[np.ndarray, np
     return coords, value, np.array([e for _, _, e in parts], dtype=np.int64).reshape(-1, 4)
 
 
-def _adjoint_entries(layout: FlatLayout, g: RestrictedOperator, p: int, root_i: int):
-    """The nonzero entries of ad_g = [g, .] on the layout, as (source
-    coordinate, target coordinate, coefficient) arrays."""
-    return _generator_entries(layout, [g], [_flat_parts(layout.parts(g), p, root_i)])[:3]
-
-
 def _generator_entries(layout: FlatLayout, gens, flat):
     """The nonzero entries of ad_g = [g, .] on the layout for every g in
     gens, from the generators' ``_flat_parts`` in ``flat``, as (source
@@ -931,7 +922,7 @@ class ClosureState:
     brackets: int
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
-    _engine: object = None  # SparseEchelon (exact) or _ModularEngine
+    _engine: object = None  # IntegerEchelon (exact) or _ModularEngine
     # seconds spent building ad_g, bracketing, reducing and inserting in a
     # modular run (not in the report)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
@@ -968,8 +959,8 @@ class ClosureState:
         return not any(any(b.values()) for k, b in rop.blocks.items() if k not in self.blocks)
 
     def contains_exact(self, rop: RestrictedOperator) -> bool:
-        assert isinstance(self._engine, SparseEchelon)
-        return self._on_layout(rop) and self._engine.contains(self.layout.flatten_exact(rop))
+        assert isinstance(self._engine, IntegerEchelon)
+        return self._on_layout(rop) and self._engine.contains(integral(self.layout.flatten_exact(rop)))
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
@@ -1113,7 +1104,7 @@ def lie_closure(
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
         echelon, brackets = _exact_closure(gens, layout, parts)
-        return ClosureState(field, None, layout, list(echelon.rows), brackets,
+        return ClosureState(field, None, layout, list(echelon.basis), brackets,
                             time.perf_counter() - t0, _engine=echelon)
     p = prime if prime is not None else DEFAULT_PRIMES[0]
     eng, brackets, levels, phases = _modular_closure(gens, layout, p, parts, progress)
@@ -1231,28 +1222,26 @@ def su_pair_dimension(n: int) -> int:
     X[b', c] + sigma conj(X[c', b]) = 0; both entries are of the parity
     |X| = 1 + p(b) + p(c), so the even and odd parts of X separate.  Its
     real and imaginary parts, and those of the supertrace, are one sparse
-    row each of a single echelon."""
+    row each of a single echelon.  Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"n = {n}: C^{{n|n}} needs n >= 1")
     size = 2 * n
-
-    def odd(i: int) -> int:
-        return int(i >= n)
 
     def var(r: int, c: int, part: int) -> int:
         return 2 * (r * size + c) + part
 
-    ech = SparseEchelon()
+    ech = IntegerEchelon()
     for c in range(size):
         for b in range(size):
-            sigma = -1 if odd(b) and odd(c) else 1  # (-1)^{|X| p(c)}
+            sigma = -1 if b >= n and c >= n else 1  # (-1)^{|X| p(c)}, i odd iff i >= n
             # conj flips the imaginary part of the second term
             for part, second in ((0, sigma), (1, -sigma)):
-                row: dict[int, int] = {}
-                for key, coeff in ((var((b + n) % size, c, part), 1),
-                                   (var((c + n) % size, b, part), second)):
-                    row[key] = row.get(key, 0) + coeff
-                ech.insert({key: v for key, v in row.items() if v})
+                row = {var((b + n) % size, c, part): 1}
+                key = var((c + n) % size, b, part)
+                row[key] = row.get(key, 0) + second
+                ech.insert({k: v for k, v in row.items() if v})
     for part in (0, 1):
-        ech.insert({var(i, i, part): 1 - 2 * odd(i) for i in range(size)})
+        ech.insert({var(i, i, part): 1 - 2 * (i >= n) for i in range(size)})
     return 2 * size * size - ech.rank
 
 

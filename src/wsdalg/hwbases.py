@@ -28,7 +28,7 @@ from .scalars import I
 from . import forms
 from .forms import Form, wedge, hodge_star, w_form
 from .reptheory import HW_DIMS, SpanSolver, basis_operator, restrict_operator
-from .operators import Operator, kw_decompose, build_L, build_K, sl2_triple
+from .operators import kw_pattern, build_L, build_K, sl2_triple
 from . import pattern_tables
 
 __all__ = [
@@ -180,6 +180,12 @@ def all_bases() -> tuple[LabeledBasis, LabeledBasis, LabeledBasis, LabeledBasis]
     return (build_hw0_basis(), build_hw1_basis(), build_hw2_basis(), build_hw3_basis())
 
 
+@lru_cache(maxsize=1)
+def all_vectors_solver() -> SpanSolver:
+    """One span solver over the vectors of all four bases, block after block."""
+    return SpanSolver([v for b in all_bases() for v in b.vectors()])
+
+
 def relation_vector() -> Form:
     """L0 L1 (w10^w11) + L1 L2 (w11^w12) + L2 L0 (w12^w10); exactly zero,
     which is why one degree-two monomial is absent from the type-2 basis."""
@@ -241,24 +247,6 @@ def basis_dump(basis: LabeledBasis) -> dict[str, str]:
 # -- pattern-table verification -------------------------------------------------
 
 
-def _component_operator(op_spec: tuple, cache: dict) -> Operator:
-    """Resolve a table entry spec to the concrete operator it names."""
-    if op_spec[0] == "K":
-        key = ("K", op_spec[1], op_spec[2])
-        if key not in cache:
-            cache[key] = build_K(op_spec[1], op_spec[2])
-        return cache[key]
-    _, j, pattern = op_spec
-    key = ("L", j)
-    if key not in cache:
-        iL = build_L(j).scale(I)
-        cache[key] = {
-            tuple(int(z.im) for z in w): comp for w, comp in kw_decompose(iL).items()
-        }
-    comp = cache[key].get(tuple(pattern))
-    return comp if comp is not None else Operator()
-
-
 def verify_pattern_tables(tables=None) -> dict:
     """Check the tabulated sparsity patterns of the weight components of
     iL0, iL1, iL2 (and the K_lm that appear) on the labeled half-bases.
@@ -267,11 +255,17 @@ def verify_pattern_tables(tables=None) -> dict:
     entry of that operator's restricted matrix, and every unmarked cell
     must vanish for all operators the table covers.  Starred marks assert
     presence just like plain marks; only the scalar value is unspecified.
+    Each operator is restricted once per table, whole, by the solver the
+    closure restricts with (``all_vectors_solver``) narrowed to the table's
+    half-basis.  The labeled vectors are multidegree-homogeneous, so the
+    component of iL_j of pattern weight w is the part whose row and column
+    vectors' patterns differ by w.
     """
     tables = tables if tables is not None else pattern_tables.ALL_TABLES
     bases = {0: build_hw0_basis(), 1: build_hw1_basis(), 2: build_hw2_basis()}
     cache: dict = {}
     report: dict = {"tables": {}, "pass": True}
+    solver, all_labels = all_vectors_solver(), [lab for b in all_bases() for lab in b.labels()]
     for table in tables:
         basis = bases[table.space_k]
         labels, vecs = basis.half(table.parity)
@@ -279,12 +273,22 @@ def verify_pattern_tables(tables=None) -> dict:
         missing = [lab for lab in table.row_labels + table.col_labels if lab not in index]
         if missing:
             raise ValueError(f"{table.name}: labels not in basis: {missing}")
-        solver = SpanSolver(vecs)
+        # the half-basis's vectors, in the solver over all four bases
+        first = sum(len(b.vectors()) for b in all_bases()[:table.space_k])
+        first += len(basis.even) if table.parity == "odd" else 0
+        part = (range(first, first + len(vecs)),)
+        pattern = [kw_pattern(forms.multidegree(v)) for v in vecs]
         ops_in_scope = sorted({entry.op for entry in table.entries.values()}, key=repr)
-        matrices = {}
-        for op_spec in ops_in_scope:
-            op = _component_operator(op_spec, cache)
-            matrices[op_spec] = restrict_operator(op, solver, labels)
+        matrices: dict = {op_spec: {} for op_spec in ops_in_scope}
+        for key in dict.fromkeys(o[:2] if o[0] == "L" else o for o in ops_in_scope):
+            if key not in cache:  # the whole of iL_j for ("L", j), K_lm for ("K", l, m)
+                cache[key] = build_L(key[1]).scale(I) if key[0] == "L" else build_K(*key[1:])
+            for (r, c), v in restrict_operator(cache[key], solver, all_labels, part).items():
+                r, c = r - first, c - first
+                weight = tuple(a - b for a, b in zip(pattern[r], pattern[c]))
+                spec = key + (weight,) if key[0] == "L" else key
+                if spec in matrices:  # components outside the table's scope are dropped
+                    matrices[spec][r, c] = v
         mismatches = []
         marked = 0
         for rl in table.row_labels:

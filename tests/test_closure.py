@@ -13,6 +13,7 @@ import re
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ def ralg():
     return default_algebra()
 
 
+def _operator_class(layout, rop):
+    """Class of rop's support on the layout by ``support_class`` (None when
+    it vanishes there); raises ValueError for an inhomogeneous operator."""
+    return layout.support_class(np.array([f for f, v, _ in layout.parts(rop) if v], dtype=np.int64))
+
+
+def _adjoint_entries(layout, g, p, root_i):
+    """The nonzero entries of ad_g = [g, .] on the layout, as (source
+    coordinate, target coordinate, coefficient) arrays, from
+    ``_generator_entries``."""
+    return cl._generator_entries(layout, [g], [cl._flat_parts(layout.parts(g), p, root_i)])[:3]
+
+
 def test_su_pair_dimension_oracle():
     # brute-force constraint enumeration, then the closed form it certifies
     assert su_pair_dimension(1) == 3
@@ -46,6 +60,14 @@ def test_su_pair_dimension_oracle():
     assert su_pair_dimension(4) == 63
     for n in (1, 2, 3, 4):
         assert su_pair_dimension(n) == 4 * n * n - 1
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_su_pair_dimension_rejects_n_below_one(n):
+    """C^{n|n} needs n >= 1; n = -1 used to leave every constraint loop
+    empty and return 2 (2n)^2 = 8."""
+    with pytest.raises(ValueError, match=rf"^n = {n}: "):
+        su_pair_dimension(n)
 
 
 def test_restricted_generator_shapes(ralg):
@@ -233,6 +255,44 @@ def test_exact_echelon_rows_pinned(ralg, generators, blocks, pivot_hash, rows_di
     assert (st.pivot_hash(), _rows_digest(st)) == (pivot_hash, rows_digest)
 
 
+@pytest.mark.parametrize("generators,blocks", [
+    (ops.GENERATOR_NAMES, (3,)),
+    (EVEN_GENERATOR_NAMES, (0, 1, 2, 3)),
+    (ops.GENERATOR_NAMES, (0,)),
+], ids=["hw3", "even", "hw0"])
+def test_exact_closure_stores_int_rows(ralg, generators, blocks):
+    """The exact engine keeps its echelon on primitive int rows, each
+    positive at its pivot, and its normalised view is 1 there."""
+    st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
+    basis = st._engine.basis
+    assert list(basis) == st.pivots == list(st._engine.rows)
+    for p, row in basis.items():
+        assert all(type(v) is int for v in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert st._engine.rows[p][p] == 1
+
+
+def test_exact_membership_scales_fraction_input(ralg):
+    """``contains_exact`` scales a query with Fraction parts to an int row
+    first: on the even closure, whose generators carry denominators on
+    blocks 1 and 2, a generator and its multiples by Fractions are members,
+    and the same generator with one part moved by 1/2 is not, nor is an
+    odd generator."""
+    st = lie_closure(EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
+    g = ralg.generator("iL0")
+    assert any(type(v.re) is Fraction or type(v.im) is Fraction for v in g.block(1).values())
+
+    def scaled(s):
+        return cl.RestrictedOperator({k: {rc: v * s for rc, v in b.items()}
+                                      for k, b in g.blocks.items()}, g.parity)
+
+    assert all(st.contains_exact(scaled(s)) for s in (1, Fraction(1, 3), Fraction(-7, 6)))
+    rc, v = next(iter(g.block(1).items()))
+    moved = cl.RestrictedOperator({**g.blocks, 1: {**g.block(1), rc: v + Fraction(1, 2)}}, g.parity)
+    assert not st.contains_exact(moved)
+    assert not st.contains_exact(ralg.generator("iV0"))
+
+
 def test_exact_hw0_closure_matches_modular(ralg):
     """The exact hw0 closure has the pivots of the modular one (dimension
     1599), which ties the two engines together beyond dimension 15."""
@@ -396,7 +456,7 @@ def test_bracket_engines_agree(ralg):
             assert np.all(seg[column[filler]] == 1) and not rows[filler].any()
         checked = 0
         for x in xs:
-            d = layout.operator_class(x)
+            d = _operator_class(layout, x)
             if d is None:
                 continue
             X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
@@ -419,7 +479,7 @@ def test_bracket_engines_agree(ralg):
 @pytest.mark.parametrize("p", DEFAULT_PRIMES)
 def test_bracket_rows_match_dense_reference(ralg, p):
     """``_bracket_rows`` on each class's entry table equals, mod p, the
-    product with a dense ad_g matrix built here from ``_adjoint_entries``
+    product with a dense ad_g matrix built here from ``_generator_entries``
     with ``np.add.at`` and balanced mod p, on seeded stacks of balanced
     residues: hw0 real and complexified, and blocks (2, 3).  Besides the
     twelve generators, a diagonal one meets every x from both sides, so
@@ -442,7 +502,7 @@ def test_bracket_rows_match_dense_reference(ralg, p):
         channel = {(int(d), int(i)): c for c, (d, i) in enumerate(zip(ads.source, ads.generator))}
         dense = {d: np.zeros((width[d], ads.hi[ads.first[d + 1] - 1])) for d in ads.tables}
         for i, g in enumerate(gens):
-            src, tgt, coef = cl._adjoint_entries(layout, g, p, root)
+            src, tgt, coef = _adjoint_entries(layout, g, p, root)
             assert (g is diagonal) == (len(set(zip(src.tolist(), tgt.tolist()))) < len(src))
             d = layout.coord_class[src]
             for t in np.unique(d).tolist():
@@ -467,7 +527,7 @@ def test_adjoint_tables_hold_entries_not_dense_positions(ralg):
     layout = FlatLayout()
     gens = ralg.generators()
     ads = cl._adjoint_blocks(layout, gens, p, root)
-    entries = sum(cl._adjoint_entries(layout, g, p, root)[0].size for g in gens)
+    entries = sum(_adjoint_entries(layout, g, p, root)[0].size for g in gens)
     columns = sum(len(starts) for _, _, starts in ads.tables.values())
     arrays = [getattr(ads, f.name) for f in dataclasses.fields(ads)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
@@ -564,12 +624,12 @@ def test_generator_shifts(ralg):
     def shift(t):
         return tuple(layout.class_shift_array[t].tolist())
 
-    got = {n: shift(layout.operator_class(ralg.generator(n))) for n in want}
+    got = {n: shift(_operator_class(layout, ralg.generator(n))) for n in want}
     assert got == want
     for a in ops.GENERATOR_NAMES:
         for b in ops.GENERATOR_NAMES:
             br = rop_bracket(ralg.generator(a), ralg.generator(b), layout.blocks)
-            t = layout.operator_class(br)
+            t = _operator_class(layout, br)
             if t is not None:
                 assert shift(t) == tuple(x + y for x, y in zip(want[a], want[b]))
 
@@ -620,7 +680,7 @@ def test_inhomogeneous_generator_rejected(ralg):
     mixed = cl.RestrictedOperator({k: {**a.block(k), **b.block(k)} for k in range(4)}, 0)
     for blocks, complexified in TABLE_SHAPES:
         with pytest.raises(ValueError, match="not homogeneous"):
-            FlatLayout(blocks, complexified).operator_class(mixed)
+            _operator_class(FlatLayout(blocks, complexified), mixed)
 
 
 @lru_cache(maxsize=1)
@@ -686,7 +746,7 @@ def class_probes(ralg):
 @pytest.mark.parametrize("blocks,complexified", TABLE_SHAPES, ids=TABLE_IDS)
 def test_operator_class_matches_entry_walk(class_probes, blocks, complexified):
     layout = FlatLayout(blocks, complexified)
-    got = [layout.operator_class(x) for x in class_probes]
+    got = [_operator_class(layout, x) for x in class_probes]
     assert got == [_operator_class_reference(layout, x) for x in class_probes]
     assert got[-2] is None and (got[-1] is None) == (3 not in blocks)
 
@@ -768,7 +828,7 @@ def test_empty_class_component_rejected(ralg):
     hold no rows: a component there is never a member."""
     st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
     odd = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
-    t = st.layout.operator_class(odd)
+    t = _operator_class(st.layout, odd)
     assert t is not None and t not in st._engine.listing()[0]
     assert not st.contains_modular(odd)
     rop = ralg.generator("iL1")
@@ -1184,10 +1244,10 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     nclasses = len(layout.class_width)
     links = np.zeros((nclasses, nclasses), dtype=np.int64)
     for g in gens:
-        src, tgt, _ = cl._adjoint_entries(layout, g, st.prime, st._engine.root_i)
+        src, tgt, _ = _adjoint_entries(layout, g, st.prime, st._engine.root_i)
         for d, t in set(zip(layout.coord_class[src].tolist(), layout.coord_class[tgt].tolist())):
             links[d, t] += 1
-    seeds = [layout.operator_class(g) for g in gens]
+    seeds = [_operator_class(layout, g) for g in gens]
     assert np.array_equal(calls[0], np.bincount([t for t in seeds if t is not None],
                                                 minlength=nclasses))
     for counts, frontier in zip(calls[1:], frontiers):

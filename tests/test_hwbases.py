@@ -192,6 +192,34 @@ def test_pattern_tables_all_pass():
     assert report["tables"]["hw1-second"]["marked_cells"] == 33
 
 
+def test_pattern_tables_restrict_each_operator_once(monkeypatch):
+    """Each table restricts each operator it covers once, whole (iL_j for
+    all of its weight components), on the one solver over all four bases
+    narrowed to the table's half-basis: 19 restrictions for the four
+    tables, where one per weight component took 55."""
+    from wsdalg import pattern_tables as pt
+    from wsdalg.closure import RestrictedAlgebra
+
+    solver = hwbases.all_vectors_solver()
+    assert RestrictedAlgebra().solver is solver
+    calls = []
+    restrict = hwbases.restrict_operator
+    monkeypatch.setattr(hwbases, "restrict_operator", lambda op, s, labels, parts:
+                        calls.append((s, parts)) or restrict(op, s, labels, parts))
+    assert verify_pattern_tables()["pass"]
+    want = 0
+    for table in pt.ALL_TABLES:
+        ops_in_scope = {e.op[:2] if e.op[0] == "L" else e.op for e in table.entries.values()}
+        want += len(ops_in_scope)
+    assert len(calls) == want == 19
+    halves, first = set(), 0
+    for b in all_bases():
+        n = len(b.vectors())
+        halves |= {(range(first, first + n // 2),), (range(first + n // 2, first + n),)}
+        first += n
+    assert all(s is solver and parts in halves for s, parts in calls)
+
+
 def test_pattern_table_specific_cells():
     from wsdalg import pattern_tables as pt
 

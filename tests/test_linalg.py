@@ -1,11 +1,13 @@
-"""Exact elimination: the fully reduced sparse echelon and its dense rank."""
+"""Exact elimination: the fully reduced sparse echelons over Q(i) and Q."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from wsdalg.linalg import SparseEchelon
+from math import gcd
+
+from wsdalg.linalg import IntegerEchelon, SparseEchelon, integral
 from wsdalg.scalars import GaussRational, ONE, ZERO
 
 
@@ -137,3 +139,84 @@ def test_sparse_echelon_back_reduction():
             assert type(v) is int or v.denominator != 1, repr(v)
     assert ech.rows[0] == {0: 1, 3: Fraction(-315, 13)}
     assert ech.rows[1] == {1: 1, 3: Fraction(210, 13)}
+
+
+def _canon(x):
+    """A rational as the exact closure writes it: integral values as ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _rational(rng):
+    """A nonzero int or Fraction, canonical."""
+    if rng.random() < 0.5:
+        return rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return _canon(Fraction(rng.choice([-9, -6, -3, -1, 1, 2, 5, 8]), rng.randint(1, 6)))
+
+
+def _rational_rows(rng):
+    """Sparse rational rows, often rank deficient: some rows repeat an
+    earlier one, and some are rational combinations of two earlier ones."""
+    nr, nc = rng.randint(1, 9), rng.randint(1, 10)
+    rows = []
+    for i in range(nr):
+        pick = rng.random()
+        if i and pick < 0.2:
+            rows.append(dict(rows[rng.randrange(i)]))
+        elif i > 1 and pick < 0.45:
+            a, b = _rational(rng), _rational(rng)
+            x, y = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            row = {k: a * x.get(k, 0) + b * y.get(k, 0) for k in {*x, *y}}
+            rows.append({k: _canon(v) for k, v in row.items() if v})
+        else:
+            rows.append({c: _rational(rng) for c in range(nc) if rng.random() < 0.4})
+    return rows, nc
+
+
+def _assert_primitive(ech):
+    for p, row in ech.basis.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert not any(q in row for q in ech.basis if q != p)
+
+
+def _typed(rows):
+    return [(p, [(k, type(v), v) for k, v in sorted(row.items())]) for p, row in rows.items()]
+
+
+def test_integer_echelon_agrees_with_sparse_echelon():
+    """On seeded rational rows, the fraction-free echelon over Q has the
+    pivots of ``SparseEchelon`` in the same insertion order, its ``rows``
+    view equals that echelon's rows value for value and type for type, and
+    rank and membership agree, on int and Fraction input alike (scaled
+    by ``integral``).  Every
+    stored row is a primitive int row with a positive lead, after each
+    insert and so after every back-reduction."""
+    rng = random.Random(23)
+    inserted, dependent = 0, 0
+    for _ in range(120):
+        rows, nc = _rational_rows(rng)
+        ie, se = IntegerEchelon(), SparseEchelon()
+        for row in rows:
+            got = ie.insert(integral(row))
+            assert got == se.insert(row)
+            inserted += got is not None
+            dependent += got is None
+            _assert_primitive(ie)
+            assert list(ie.basis) == list(se.rows) == list(ie.rows)
+            assert _typed(ie.rows) == _typed(se.rows) and ie.rank == se.rank
+        for _ in range(6):
+            probe = {c: _rational(rng) for c in range(nc + 1) if rng.random() < 0.3}
+            if rng.random() < 0.5 and rows:
+                x = rows[rng.randrange(len(rows))]
+                probe = {k: v * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for k, v in x.items()}
+            assert ie.contains(integral(probe)) == se.contains(probe)
+        assert all(ie.contains(integral(r)) for r in rows)
+    assert inserted > 200 and dependent > 50
+
+
+def test_integral_scales_by_the_lcm_of_denominators():
+    assert integral({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: 4}) == {0: 3, 3: -4, 5: 24}
+    row = {1: 2, 2: -3}
+    assert integral(row) == row and integral(row) is not row
+    assert integral({}) == {}
+    assert all(type(v) is int for v in integral({0: Fraction(4, 2), 1: Fraction(1, 4)}).values())
