@@ -5,7 +5,8 @@
     wsdalg report [--out PATH] [options]
 
 ``--progress`` writes one line per modular closure level to stderr; it and
-``--prime`` are usage errors with ``closure --field exact``.
+``--prime`` are usage errors with ``closure --field exact`` and with
+``verify`` of a suite that runs no closure.
 ``--format csv`` is only defined for ``verify table1`` and ``verify all``.
 
 Exit codes: 0 when every selected check passes, 1 on a failed check,
@@ -123,10 +124,12 @@ def _format_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "closure" and args.field == "exact":
-        for flag, given in (("--prime", args.prime), ("--progress", args.progress)):
-            if given:
-                parser.error(f"{flag} does not apply to --field exact")
+    # a run with no modular closure has no prime and no levels
+    where = ("--field exact" if args.command == "closure" and args.field == "exact"
+             else f"verify {args.suite}" if args.suite not in ("closure", "all") else None)
+    for flag, given in (("--prime", args.prime), ("--progress", args.progress)):
+        if where and given:
+            parser.error(f"{flag} does not apply to {where}")
     if args.format == "csv" and args.suite not in ("table1", "all"):
         parser.error("csv output is only defined for the table1 suite")
     try:

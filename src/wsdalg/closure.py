@@ -6,11 +6,12 @@ generator restricts to one block matrix per space (sizes 40, 72, 40, 8 over
 Q(i)), a restricted operator flattens to the real/imaginary parts of its
 block entries (16896 rational coordinates over all four blocks), and the
 closure is the smallest coordinate subspace containing the generators and
-stable under bracketing with each generator.  ``FlatLayout.parts`` is the
-one map from the nonzero entries of the sparse blocks to flat coordinates;
-the exact flattening, the modular flattening and the ad_g build all read
-it, and no dense block matrix is built.  Left-normed brackets span the
-whole algebra by the graded Jacobi identity, so each new basis element is
+stable under bracketing with each generator.  ``FlatLayout.entries`` is the
+one map from the nonzero entries of the sparse blocks to flat coordinates
+and exact values, and ``_project`` their one projection to F_p; the exact
+rows, the modular seeds, the ad_g build and membership all read them, and
+no dense block matrix is built.  Left-normed brackets span the whole
+algebra by the graded Jacobi identity, so each new basis element is
 bracketed with the twelve generators only.
 
 Two engines compute the same closure:
@@ -84,7 +85,7 @@ from .scalars import (
     I,
     ONE,
     ZERO,
-    balanced_residue,
+    balanced_residues,
     root_of_minus_one,
     validate_prime,
 )
@@ -201,16 +202,10 @@ class RestrictedAlgebra:
         """Exact supertrace of each restricted generator over ``blocks``."""
         blocks = tuple(blocks)
         if blocks not in self._supertraces:
-            out = {}
-            for name in GENERATOR_NAMES:
-                rop, st = self.generator(name), ZERO
-                for k in blocks:
-                    h = HW_HALF_DIMS[k]
-                    for (r, c), v in rop.block(k).items():
-                        if r == c:
-                            st = st + (v if r < h else -v)
-                out[name] = st
-            self._supertraces[blocks] = out
+            self._supertraces[blocks] = {name: sum(
+                (v if r < HW_HALF_DIMS[k] else -v for k in blocks
+                 for (r, c), v in self.generator(name).block(k).items() if r == c), ZERO)
+                for name in GENERATOR_NAMES}
         return self._supertraces[blocks]
 
     def daggers(self, blocks) -> list[RestrictedOperator]:
@@ -234,8 +229,9 @@ class FlatLayout:
     real mode: per included block, the real parts of the row-major entries
     followed by the imaginary parts (2 s^2 coordinates per block).
     complex mode: one coordinate per entry (s^2 per block).
-    ``grid(k)`` holds block k's coordinates, and ``parts`` places the
-    nonzero parts of an operator's entries on them.
+    ``grid(k)`` holds block k's coordinates, ``entries`` lists an operator's
+    nonzero parts on them with their exact values, and ``places`` decodes
+    coordinates back to (block, row, column, part).
 
     Every labeled basis vector is multidegree-homogeneous, so coordinate
     (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
@@ -254,13 +250,8 @@ class FlatLayout:
     def __init__(self, blocks=(0, 1, 2, 3), complexified: bool = False):
         self.blocks = tuple(blocks)
         self.complexified = complexified
-        self.offsets: dict[int, int] = {}
-        off = 0
-        for k in self.blocks:
-            s = BLOCK_SIZES[k]
-            self.offsets[k] = off
-            off += (s * s) if complexified else (2 * s * s)
-        self.length = off
+        starts = np.cumsum([0] + [BLOCK_SIZES[k] ** 2 * (2 - complexified) for k in self.blocks])
+        self.offsets, self.length = dict(zip(self.blocks, starts[:-1].tolist())), int(starts[-1])
         (self.coord_class, self.class_shift_array, self.class_parity, self.class_indices,
          self.class_width, self.coord_local) = _class_tables(self.blocks, complexified)
 
@@ -273,9 +264,7 @@ class FlatLayout:
         return int(classes[0]) if classes.size else None
 
     def block_range(self, k: int) -> tuple[int, int]:
-        s = BLOCK_SIZES[k]
-        width = (s * s) if self.complexified else (2 * s * s)
-        return self.offsets[k], self.offsets[k] + width
+        return self.offsets[k], self.offsets[k] + BLOCK_SIZES[k] ** 2 * (2 - self.complexified)
 
     def grid(self, k: int) -> np.ndarray:
         """Block k's flat coordinates as an array [m, r, c]: the coordinate
@@ -284,40 +273,58 @@ class FlatLayout:
         s = BLOCK_SIZES[k]
         return np.arange(*self.block_range(k)).reshape(-1, s, s)
 
-    def parts(self, rop: RestrictedOperator) -> list[tuple]:
-        """The nonzero parts of rop on this layout, each as (flat
-        coordinate, value, (k, r, c, m)): part m of entry (r, c) of block
-        k, at its place in ``grid(k)``.  Real mode gives the real (m = 0)
-        and imaginary (m = 1) part of each entry, an int or Fraction each;
-        complex mode gives each entry whole, a GaussRational with m = 0."""
-        out = []
+    def entries(self, rop: RestrictedOperator) -> tuple[np.ndarray, list]:
+        """The nonzero parts of rop on this layout, in one pass: their flat
+        coordinates (int64) and exact values, the real and imaginary part of
+        each entry (an int or Fraction each) in real mode, and each entry
+        whole (a GaussRational) in complex mode."""
+        coords, values = [], []
         for k in self.blocks:
             s = BLOCK_SIZES[k]
             o, im = self.offsets[k], s * s  # the grid's offsets, once per block
+            if self.complexified:
+                for (r, c), v in rop.block(k).items():
+                    if v:
+                        coords.append(o + r * s + c)
+                        values.append(v)
+                continue
             for (r, c), v in rop.block(k).items():
-                f = o + r * s + c
-                if self.complexified:
-                    out.append((f, v, (k, r, c, 0)))
-                    continue
                 if v.re:
-                    out.append((f, v.re, (k, r, c, 0)))
+                    coords.append(o + r * s + c)
+                    values.append(v.re)
                 if v.im:
-                    out.append((f + im, v.im, (k, r, c, 1)))
-        return out
+                    coords.append(o + im + r * s + c)
+                    values.append(v.im)
+        return np.array(coords, dtype=np.int64), values
+
+    def places(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(k, r, c, m) arrays of the flat coordinates ``coords``: part m of
+        entry (r, c) of block k, the coordinate's place in ``grid(k)``."""
+        starts = np.array(list(self.offsets.values()))
+        i = np.searchsorted(starts, coords, side="right") - 1
+        k = np.array(self.blocks)[i]
+        s = np.array(BLOCK_SIZES)[k]
+        m, rc = np.divmod(coords - starts[i], s * s)
+        return (k, *np.divmod(rc, s), m)
 
     def flatten_exact(self, rop: RestrictedOperator) -> dict[int, Fraction]:
         if self.complexified:
             raise ValueError("exact engine runs on real coordinates")
-        return {f: v for f, v, _ in self.parts(rop)}
+        coords, values = self.entries(rop)
+        return dict(zip(coords.tolist(), values))
 
     def flatten_modular(self, rop: RestrictedOperator, p: int, root_i: int) -> np.ndarray:
-        """Balanced residues of rop's parts: real and imaginary parts in
-        real mode, one residue per entry (i mapped to root_i) in complex
-        mode."""
+        """rop's ``_project``-ed entries as a dense vector of the layout."""
+        coords, residues = _project(*self.entries(rop), p, root_i)
         vec = np.zeros(self.length)
-        for f, v, _ in self.parts(rop):
-            vec[f] = balanced_residue(v, p, root_i)
+        vec[coords] = residues
         return vec
+
+
+def _project(coords: np.ndarray, values: list, p: int, root_i: int) -> tuple[np.ndarray, ...]:
+    """``FlatLayout.entries`` with the values' balanced residues mod p (i to root_i), each
+    reduced as a Python int and only then cast to float64, so any numerator stays exact."""
+    return coords, np.array(balanced_residues(values, p, root_i), dtype=np.float64)
 
 
 @lru_cache(maxsize=8)
@@ -355,13 +362,10 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> tuple:
 
 def _column_index(row: dict, layout: FlatLayout) -> dict[int, dict]:
     """A flat row's parts per block k, as {c: [(r, m, value), ...]}: part m
-    of entry (r, c), each coordinate decoded from the layout's offsets."""
+    of entry (r, c), the coordinates decoded by ``layout.places``."""
     index: dict[int, dict] = {k: {} for k in layout.blocks}
-    for f, v in row.items():
-        k = next(k for k in reversed(layout.blocks) if layout.offsets[k] <= f)
-        s = BLOCK_SIZES[k]
-        m, rc = divmod(f - layout.offsets[k], s * s)
-        r, c = divmod(rc, s)
+    places = layout.places(np.fromiter(row, dtype=np.int64, count=len(row)))
+    for k, r, c, m, v in zip(*(a.tolist() for a in places), row.values()):
         index[k].setdefault(c, []).append((r, m, v))
     return index
 
@@ -390,15 +394,15 @@ def _indexed_bracket(x, y, layout: FlatLayout) -> tuple[int, dict]:
     return (px + py) & 1, {f: _canonical(v) for f, v in acc.items() if v}
 
 
-def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, parts: list[list[tuple]]):
+def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, entries: list[tuple]):
     """FIFO left-normed closure on flat int rows: each generator's row (its
-    ``layout.parts`` in ``parts``) is scaled by the lcm of its denominators
-    and indexed once, so every candidate is an int row with the span and
-    pivots it has over Q.  The frontier holds (parity, row) of the generators
-    and of each raw candidate that adds a pivot.  The ``IntegerEchelon`` is
-    the whole record; returns (echelon, brackets)."""
+    ``layout.entries`` in ``entries``) is scaled by the lcm of its
+    denominators and indexed once, so every candidate is an int row with
+    the span and pivots it has over Q.  The frontier holds (parity, row) of
+    the generators and of each raw candidate that adds a pivot.  The
+    ``IntegerEchelon`` is the whole record; returns (echelon, brackets)."""
     echelon = IntegerEchelon()
-    rows = [(g.parity, integral({f: v for f, v, _ in pg})) for g, pg in zip(gens, parts)]
+    rows = [(g.parity, integral(dict(zip(f.tolist(), v)))) for g, (f, v) in zip(gens, entries)]
     frontier = [x for x in rows if echelon.insert(x[1]) is not None]
     indexed = [(pg, _column_index(row, layout)) for pg, row in rows]
     for px, row in frontier:  # grows as it is read
@@ -652,44 +656,34 @@ class _ModularEngine:
             phases["insert_s"] += time.perf_counter() - t1
         return dict(sorted(added.items()))
 
-    def contains(self, vec: np.ndarray) -> bool:
-        """Membership of a flattened vector: the span is graded, so vec is
-        a member iff each class component reduces to zero in its class.
-        One vector reduces on views of its class's rows, which is cheaper
-        than a batched ``reduce_rows`` of a stack of one."""
-        hit = np.bincount(self.layout.coord_class[np.flatnonzero(vec)],
-                          minlength=len(self.class_group))
-        for t in np.flatnonzero(hit).tolist():
+    def contains(self, coords: np.ndarray, residues: np.ndarray) -> bool:
+        """Membership of a vector given by its ``_project``-ed entries: the
+        span is graded, so only the classes they touch are built, each on
+        its class-local coordinates and reduced on views of its rows.  A
+        reduced entry sums at most 448 (the widest class) products of
+        balanced residues, far below 2^53, so fmod by p tests it exactly."""
+        cls, local = self.layout.coord_class[coords], self.layout.coord_local[coords]
+        for t in set(cls.tolist()):
+            at = cls == t
             ech, k = self._where(t)
-            n = ech.nrows[k]
-            v = vec[self.layout.class_indices[t]]
-            if n:
-                v -= v[ech.pivots[k, :n]] @ ech.B[k, :n]
-                ech._balance(v)
-            if v.any():
+            v = np.zeros(ech.width)
+            v[local[at]] = residues[at]
+            n = ech.nrows[k]  # a class without rows reduces by an empty product
+            v -= v[ech.pivots[k, :n]] @ ech.B[k, :n]
+            if np.fmod(v, ech.fp).any():
                 return False
         return True
 
 
-def _flat_parts(parts: list[tuple], p: int, root_i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero ones of ``FlatLayout.parts`` as arrays: the flat
-    coordinates, the balanced residues of the values (i mapped to root_i)
-    and the (k, r, c, m) places, one row each."""
-    parts = [x for x in parts if x[1]]
-    coords = np.array([f for f, _, _ in parts], dtype=np.int64)
-    value = np.array([balanced_residue(v, p, root_i) for _, v, _ in parts], dtype=np.float64)
-    return coords, value, np.array([e for _, _, e in parts], dtype=np.int64).reshape(-1, 4)
-
-
 def _generator_entries(layout: FlatLayout, gens, flat):
     """The nonzero entries of ad_g = [g, .] on the layout for every g in
-    gens, from the generators' ``_flat_parts`` in ``flat``, as (source
-    coordinate, target coordinate, coefficient, generator index) arrays.
-    Raises AssertionError if some bracket leaves the class its multidegree
-    shift predicts."""
+    gens, from the generators' ``_project``-ed entries in ``flat``, as
+    (source coordinate, target coordinate, coefficient, generator index)
+    arrays.  Raises AssertionError if some bracket leaves the class its
+    multidegree shift predicts."""
     owner = np.repeat(np.arange(len(gens)), [len(f[0]) for f in flat])
     value = np.concatenate([f[1] for f in flat])
-    block, row, col, part = np.concatenate([f[2] for f in flat]).T
+    block, row, col, part = layout.places(np.concatenate([f[0] for f in flat]))
     src, tgt, coef, right, gen = [], [], [], [], []
     for k in layout.blocks:
         X = layout.grid(k)
@@ -756,12 +750,13 @@ class _Adjoint:
 
 def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int, flat=None) -> _Adjoint:
     """Build the ad_g channels of every generator in one pass, ``flat``
-    holding the generators' ``_flat_parts`` when the caller has them.  The
-    channels come from the entries by array operations.  One sort of the
-    entries by (output column, source row) groups them into columns, and a
-    filler is inserted into each empty column.  Every array is of the size
-    of the entries or of the columns: no dense position is formed."""
-    flat = flat or [_flat_parts(layout.parts(g), p, root_i) for g in gens]
+    holding the generators' ``_project``-ed entries when the caller has
+    them.  The channels come from the entries by array operations.  One
+    sort of the entries by (output column, source row) groups them into
+    columns, and a filler is inserted into each empty column.  Every array
+    is of the size of the entries or of the columns: no dense position is
+    formed."""
+    flat = flat or [_project(*layout.entries(g), p, root_i) for g in gens]
     src, tgt, coef, gen = _generator_entries(layout, gens, flat)
     ngens, width = len(gens), layout.class_width
     d = layout.coord_class[src]
@@ -816,15 +811,15 @@ def _modular_closure(
     gens: list[RestrictedOperator],
     layout: FlatLayout,
     p: int,
-    parts: list[list[tuple]],
+    entries: list[tuple],
     progress=None,
 ):
     """Level-synchronous left-normed closure over F_p.
 
-    ``parts`` holds ``layout.parts(g)`` of each generator, read once per
-    closure; each generator's residues are computed from them once, for its
-    ad_g entries and its seed row.  The ad_g channels of all generators are
-    built once per run (``_adjoint_blocks``), and the generators are the
+    ``entries`` holds ``layout.entries(g)`` of each generator, read once
+    per closure; each generator's residues are projected from them once,
+    for its ad_g entries and its seed row.  The ad_g channels of all
+    generators are built once per run (``_adjoint_blocks``), and the generators are the
     first frontier.  Each level sizes one zero-padded stack per target width
     group by the candidate count of each target class (its channels' source
     frontier sizes, summed).  Each source class, in frontier order, then
@@ -842,13 +837,13 @@ def _modular_closure(
     inserting."""
     eng = _ModularEngine(layout, p)
     t0 = time.perf_counter()
-    flat = [_flat_parts(pg, p, eng.root_i) for pg in parts]
+    flat = [_project(*e, p, eng.root_i) for e in entries]
     ads = _adjoint_blocks(layout, gens, p, eng.root_i, flat)
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     phases["adjoint_s"] = time.perf_counter() - t0
     nclasses = len(layout.class_width)
 
-    seeds = [(t, f, v) for f, v, _ in flat if (t := layout.support_class(f)) is not None]
+    seeds = [(t, f, v) for f, v in flat if (t := layout.support_class(f)) is not None]
     counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
     stacks, views = eng.stacks(counts)
     filled = dict.fromkeys(views, 0)  # rows written so far per target class
@@ -938,11 +933,8 @@ class ClosureState:
         """Per-block dimensions read off the echelon pivots.  Pivot counts
         are exact projection ranks whenever the per-block ranks sum to the
         total dimension (each block's pivot rows project independently)."""
-        out = {}
-        for k in self.blocks:
-            lo, hi = self.layout.block_range(k)
-            out[k] = sum(1 for p in self.pivots if lo <= p < hi)
-        return out
+        block = self.layout.places(np.array(self.pivots, dtype=np.int64))[0]
+        return {k: int(np.count_nonzero(block == k)) for k in self.blocks}
 
     def parity_dims(self) -> tuple[int, int]:
         odd = sum(self.parities)
@@ -965,7 +957,7 @@ class ClosureState:
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
         return self._on_layout(rop) and self._engine.contains(
-            self.layout.flatten_modular(rop, self.prime, self._engine.root_i))
+            *_project(*self.layout.entries(rop), self.prime, self._engine.root_i))
 
     def supertrace_residues(self) -> float:
         """max |supertrace residue| over all basis rows (modular only)."""
@@ -1097,17 +1089,16 @@ def lie_closure(
             raise ValueError(f"{name}: the exact field takes none")
     t0 = time.perf_counter()
     layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
-    parts = [layout.parts(g) for g in gens]  # each generator flattened once per closure
-    for i, (g, pg) in enumerate(zip(gens, parts)):
-        support = layout.coord_class[[f for f, v, _ in pg if v]]
-        if np.any(layout.class_parity[support] != g.parity):
+    entries = [layout.entries(g) for g in gens]  # each generator flattened once per closure
+    for i, (g, (f, _)) in enumerate(zip(gens, entries)):
+        if np.any(layout.class_parity[layout.coord_class[f]] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
-        echelon, brackets = _exact_closure(gens, layout, parts)
+        echelon, brackets = _exact_closure(gens, layout, entries)
         return ClosureState(field, None, layout, list(echelon.basis), brackets,
                             time.perf_counter() - t0, _engine=echelon)
     p = prime if prime is not None else DEFAULT_PRIMES[0]
-    eng, brackets, levels, phases = _modular_closure(gens, layout, p, parts, progress)
+    eng, brackets, levels, phases = _modular_closure(gens, layout, p, entries, progress)
     return ClosureState(field, p, layout, eng.global_pivots(), brackets,
                         time.perf_counter() - t0, levels, eng, phases)
 

@@ -7,10 +7,11 @@ field F_p with p = 1 (mod 4), where -1 has a square root and
     Q(i) -> F_p,   i |-> root_i,
 
 is a ring homomorphism on every Gaussian rational whose denominators are
-prime to p.  ``balanced_residue`` is that projection and ``validate_prime``
-the single check a modular prime must pass.  Floating point never enters a
-certified value; the closure engine stores F_p residues in float64 words
-purely as exact small integers.
+prime to p.  ``balanced_residue`` is that projection, ``balanced_residues``
+maps it over a list, and ``validate_prime`` is the single check a modular
+prime must pass.  Floating point never enters a certified value; the
+closure engine stores F_p residues in float64 words purely as exact small
+integers.
 
 A ``GaussRational`` keeps each component as a Python ``int`` when it is
 integral and as a reduced ``Fraction`` only otherwise.  Almost every value
@@ -34,6 +35,7 @@ __all__ = [
     "I",
     "gauss",
     "balanced_residue",
+    "balanced_residues",
     "validate_prime",
     "validate_primes",
     "root_of_minus_one",
@@ -313,6 +315,22 @@ def balanced_residue(z: GaussRational | int | Fraction, p: int, root_i: int) -> 
         v = _residue(z, p)
     v %= p
     return v - p if v > p // 2 else v
+
+
+def balanced_residues(values, p: int, root_i: int) -> list[int]:
+    """``balanced_residue`` of each value, its branches inlined for speed:
+    exact Python ints, which a caller may cast to float64 (|x| < p < 2^53)."""
+    h = p // 2
+    out = []
+    for z in values:
+        if type(z) is int:
+            v = z % p
+        elif type(z) is GaussRational:
+            v = (_residue(z.re, p) + _residue(z.im, p) * root_i) % p
+        else:
+            v = z.numerator * _inverse(z.denominator, p) % p
+        out.append(v - p if v > h else v)
+    return out
 
 
 def _residue(x: int | Fraction, p: int) -> int:

@@ -104,6 +104,31 @@ def test_exact_field_rejects_modular_flags(capsys, flags):
                         flags[0])
 
 
+@pytest.mark.parametrize("flags", [["--prime", "13"], ["--progress"]], ids=["prime", "progress"])
+@pytest.mark.parametrize("suite", ["relations", "table1", "bases", "appendix", "structure"])
+def test_suites_without_closure_reject_modular_flags(monkeypatch, capsys, suite, flags):
+    """These suites run no closure, so --prime and --progress would do
+    nothing there: they are usage errors naming the flag and the suite,
+    raised before any suite runs."""
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    _assert_usage_error(capsys, ["verify", suite] + flags,
+                        f"{flags[0]} does not apply to verify {suite}")
+
+
+@pytest.mark.parametrize("argv", [["verify", "closure"], ["verify", "all"], ["closure"],
+                                  ["report"]], ids=["verify-closure", "verify-all", "closure",
+                                                    "report"])
+def test_closure_runs_keep_modular_flags(monkeypatch, argv):
+    """Every command that runs a modular closure passes --prime and
+    --progress on to the suites."""
+    seen = []
+    monkeypatch.setattr(suites, "run_suites", lambda names, config: seen.append(config)
+                        or {"pass": True, "results": {}, "meta": {}})
+    assert cli.main(argv + ["--prime", "13", "--progress"]) == 0
+    assert len(seen) == 1
+    assert tuple(seen[0]["primes"]) == (13,) and seen[0]["progress"] is cli._progress_line
+
+
 @pytest.mark.parametrize("value", ["21", "13,abc", ","])
 def test_bad_primes_env_rejected(monkeypatch, capsys, value):
     monkeypatch.setenv("WSDALG_PRIMES", value)

@@ -10,18 +10,23 @@ import hashlib
 import itertools
 import os
 import re
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wsdalg.scalars import DEFAULT_PRIMES, GaussRational, I
+from wsdalg.scalars import (DEFAULT_PRIMES, GaussRational, I, PrimeCollision, balanced_residue,
+                            root_of_minus_one)
 from wsdalg.forms import Form
 from wsdalg import operators as ops
 from wsdalg import closure as cl
+from wsdalg import scalars
 from wsdalg import suites
 from opcolumns import rop_bracket
 from wsdalg.closure import (
@@ -42,14 +47,14 @@ def ralg():
 def _operator_class(layout, rop):
     """Class of rop's support on the layout by ``support_class`` (None when
     it vanishes there); raises ValueError for an inhomogeneous operator."""
-    return layout.support_class(np.array([f for f, v, _ in layout.parts(rop) if v], dtype=np.int64))
+    return layout.support_class(layout.entries(rop)[0])
 
 
 def _adjoint_entries(layout, g, p, root_i):
     """The nonzero entries of ad_g = [g, .] on the layout, as (source
     coordinate, target coordinate, coefficient) arrays, from
     ``_generator_entries``."""
-    return cl._generator_entries(layout, [g], [cl._flat_parts(layout.parts(g), p, root_i)])[:3]
+    return cl._generator_entries(layout, [g], [cl._project(*layout.entries(g), p, root_i)])[:3]
 
 
 def test_su_pair_dimension_oracle():
@@ -183,7 +188,8 @@ def test_flatten_matches_cell_by_cell_reference(ralg):
             for f, v in want.items():
                 expected[f] = balanced_residue(v, p, root)
             assert np.array_equal(vec, expected)
-            for f, v, (k, r, c, m) in layout.parts(rop):
+            coords = layout.entries(rop)[0]
+            for f, k, r, c, m in zip(coords.tolist(), *(a.tolist() for a in layout.places(coords))):
                 assert layout.grid(k)[m, r, c] == f
                 seen_imaginary |= m == 1
             if complexified:
@@ -834,6 +840,178 @@ def test_empty_class_component_rejected(ralg):
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
     assert not st.contains_modular(member)
+
+
+def _dense_contains(state, rop) -> bool:
+    """Membership by a dense reference: rop's flat vector from the
+    cell-by-cell walk (``_reference_coordinates``), a ``balanced_residue``
+    per part, and each class the nonzero residues touch reduced on its
+    slice of the whole vector and balanced mod p."""
+    if not state._on_layout(rop):
+        return False
+    eng, layout, p = state._engine, state.layout, state.prime
+    vec = np.zeros(layout.length)
+    for f, v in _reference_coordinates(layout, rop).items():
+        vec[f] = balanced_residue(v, p, eng.root_i)
+    for t in np.unique(layout.coord_class[np.flatnonzero(vec)]).tolist():
+        ech, k = eng._where(t)
+        n = ech.nrows[k]
+        v = vec[layout.class_indices[t]]
+        v -= v[ech.pivots[k, :n]] @ ech.B[k, :n]
+        if np.any(v - np.rint(v / p) * p):
+            return False
+    return True
+
+
+def _benchmark_queries(ralg, seed):
+    """The benchmark's seeded inputs and its membership queries on hw0, as
+    (field, operator, expected answer) triples (perfbench/inputs.py)."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.inputs import GENERATOR_NAMES, pick_inputs
+    from perfbench.workloads import build_queries
+
+    inp = pick_inputs(seed)
+    prog = SimpleNamespace(operators=ops, scalars=scalars, closure=cl)
+    gens = dict(zip(GENERATOR_NAMES, ralg.generators(GENERATOR_NAMES)))
+    return inp, build_queries(prog, ralg, inp.queries, 0, gens)
+
+
+@pytest.mark.parametrize("seed", [7, 1301])
+def test_classwise_membership_matches_dense_reference(ralg, seed):
+    """All 96 seeded queries of the benchmark, on real and complexified
+    hw0 states under the seed's prime, answer as expected and as the dense
+    reference does."""
+    inp, queries = _benchmark_queries(ralg, seed)
+    states = {field: lie_closure(inp.orders[0], field=field, blocks=(0,), prime=inp.prime,
+                                 ralg=ralg) for field in ("modular", "modular-complex")}
+    assert len(queries) == 96 and {field for field, _, _ in queries} == set(states)
+    answers = [states[field].contains_modular(rop) for field, rop, _ in queries]
+    assert answers == [member for _, _, member in queries]
+    assert answers == [_dense_contains(states[field], rop) for field, rop, _ in queries]
+    assert True in answers and False in answers
+
+
+@pytest.fixture(scope="module")
+def full_states(ralg):
+    return {field: lie_closure(field=field, ralg=ralg) for field in ("modular", "modular-complex")}
+
+
+@pytest.mark.parametrize("blocks", [(0,), (0, 1, 2, 3)], ids=["hw0", "full"])
+def test_dagger_membership_matches_dense_reference(ralg, full_states, blocks):
+    """The 12 restricted daggers are members of the real and complexified
+    closures, on hw0 and on the full layout, and each with its (0, 0)
+    entry of hw0 bumped (supertrace 1) is not; the dense reference agrees
+    on every query."""
+    for field in ("modular", "modular-complex"):
+        st = full_states[field] if len(blocks) == 4 else lie_closure(blocks=blocks, field=field,
+                                                                     ralg=ralg)
+        for rop in ralg.daggers(blocks):
+            blk = dict(rop.block(0))
+            blk[(0, 0)] = blk.get((0, 0), GaussRational(0)) + 1
+            bumped = cl.RestrictedOperator({**rop.blocks, 0: blk}, rop.parity)
+            for query, want in ((rop, True), (bumped, False)):
+                assert st.contains_modular(query) is want
+                assert _dense_contains(st, query) is want
+
+
+@pytest.mark.parametrize("field", ["modular", "modular-complex"])
+def test_zero_member_and_rowless_class_not(ralg, field):
+    """The zero operator (no blocks, empty blocks, explicit zero entries)
+    is a member.  The even generators close to a state in which some
+    classes, the odd ones among them, hold no rows; a query with a part in
+    such a class is not a member, alone or added to a member."""
+    st = lie_closure(EVEN_GENERATOR_NAMES, field=field, blocks=(0,), ralg=ralg)
+    zeros = [cl.RestrictedOperator({}, 0), cl.RestrictedOperator({0: {}}, 1),
+             cl.RestrictedOperator({0: {(1, 2): GaussRational(0)}}, 0),
+             ralg.restrict(ops.zero_operator(), (0,))]
+    for zero in zeros:
+        assert st.contains_modular(zero) and _dense_contains(st, zero)
+    listed = set(st._engine.listing()[0].tolist())
+    layout = st.layout
+    rowless = [t for t in range(len(layout.class_width)) if t not in listed]
+    assert set(np.flatnonzero(layout.class_parity)) <= set(rowless)
+    for t in rowless[:1] + [t for t in rowless if not layout.class_parity[t]][:1]:
+        k, r, c, m = (int(a[0]) for a in layout.places(layout.class_indices[t][:1]))
+        lone = {(r, c): I if m else GaussRational(1)}
+        member = ralg.generator("iL0").block(0)
+        for blk in (lone, {**member, **lone}):
+            query = cl.RestrictedOperator({0: blk}, int(layout.class_parity[t]))
+            assert not st.contains_modular(query) and not _dense_contains(st, query)
+    assert st.contains_modular(cl.RestrictedOperator({0: member}, 0))
+
+
+@pytest.mark.parametrize("blocks,complexified", TABLE_SHAPES, ids=TABLE_IDS)
+def test_places_decode_every_coordinate(blocks, complexified):
+    """An operator nonzero in every part of every entry, each value naming
+    its entry (real part 1 + n, imaginary part -(1 + n) for the n-th cell),
+    has every coordinate of the layout among its entries once, and
+    ``places`` maps each coordinate back to the (k, r, c, m) its value came
+    from, which ``grid`` maps forward to the coordinate again."""
+    layout = FlatLayout(blocks, complexified)
+    cells = [(k, r, c) for k in blocks for r in range(cl.BLOCK_SIZES[k])
+             for c in range(cl.BLOCK_SIZES[k])]
+    rop = cl.RestrictedOperator({k: {} for k in blocks}, 0)
+    for n, (k, r, c) in enumerate(cells):
+        rop.blocks[k][r, c] = GaussRational(1 + n, -1 - n)
+    coords, values = layout.entries(rop)
+    assert sorted(coords.tolist()) == list(range(layout.length))
+    grids = {k: layout.grid(k) for k in blocks}
+    places = zip(*(a.tolist() for a in layout.places(coords)))
+    for f, v, place in zip(coords.tolist(), values, places):
+        n = v.re if complexified else abs(v)  # 1 + the cell's index
+        assert not complexified or v.im == -n
+        k, r, c = cells[n - 1]
+        m = 0 if complexified or v > 0 else 1
+        assert place == (k, r, c, m)
+        assert grids[k][m, r, c] == f
+    assert all(a.size == 0 for a in layout.places(np.array([], dtype=np.int64)))
+
+
+def test_project_is_exact_and_raises_on_collision(ralg):
+    """``_project`` gives each value's ``balanced_residue`` as an exact
+    float64, numerators beyond 2^63 included, and membership raises
+    PrimeCollision on a denominator divisible by the state's prime."""
+    p = DEFAULT_PRIMES[0]
+    root = root_of_minus_one(p)
+    big = 2**80 + 1
+    rop = cl.RestrictedOperator({3: {(0, 0): GaussRational(big, Fraction(-big, 7)),
+                                     (1, 1): GaussRational(Fraction(1, 6)), (2, 3): I}}, 0)
+    for complexified in (False, True):
+        coords, values = FlatLayout((3,), complexified).entries(rop)
+        got = cl._project(coords, values, p, root)
+        assert got[0] is coords and got[1].dtype == np.float64
+        assert got[1].tolist() == [float(balanced_residue(v, p, root)) for v in values]
+    st = lie_closure(blocks=(3,), prime=13, ralg=ralg)
+    with pytest.raises(PrimeCollision):
+        st.contains_modular(cl.RestrictedOperator({3: {(0, 0): GaussRational(Fraction(1, 13))}}, 0))
+
+
+# sha256 (first 16 hex digits) of the little-endian int32 arrays that
+# ClosureState.save writes for the hw0 closure under DEFAULT_PRIMES[0]
+SAVED_HW0_DIGESTS = {
+    "modular": {"row_class": "aff7d0115add55ca", "row_pivot": "82f904c6c5290e6b",
+                "rows": "342b1275d30a2b4a"},
+    "modular-complex": {"row_class": "aff7d0115add55ca", "row_pivot": "f1bd81ce84aa0321",
+                        "rows": "94f2824012faf69b"},
+}
+
+
+@pytest.mark.parametrize("field", list(SAVED_HW0_DIGESTS))
+def test_saved_hw0_arrays_pinned(ralg, tmp_path, field):
+    """The saved rows, not only their pivots: a change in the generators'
+    residues moves the ``rows`` digest even where ``pivot_hash`` stays."""
+    st = lie_closure(blocks=(0,), field=field, prime=DEFAULT_PRIMES[0], ralg=ralg)
+    assert st.pivot_hash() == HW0_HASHES[field]
+    st.save(str(tmp_path / "hw0.npz"))
+    got = {}
+    with np.load(tmp_path / "hw0.npz") as data:
+        for key in SAVED_HW0_DIGESTS[field]:
+            assert data[key].dtype == np.int32
+            raw = np.ascontiguousarray(data[key], dtype="<i4").tobytes()
+            got[key] = hashlib.sha256(raw).hexdigest()[:16]
+    assert got == SAVED_HW0_DIGESTS[field]
 
 
 @pytest.mark.parametrize("field", ["modular", "modular-complex"])

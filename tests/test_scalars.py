@@ -13,6 +13,7 @@ from wsdalg.scalars import (
     ONE,
     PrimeCollision,
     balanced_residue,
+    balanced_residues,
     gauss,
     is_prime,
     root_of_minus_one,
@@ -250,6 +251,43 @@ def test_mod_project_fractions_match_direct_inverse():
             want = num * pow(den, -1, p) % p
             want = want - p if want > p // 2 else want
             assert balanced_residue(Fraction(num, den), p, 5) == want, (num, den, p)
+
+
+@pytest.mark.parametrize("p", [5, 13, DEFAULT_PRIMES[0]])
+def test_balanced_residues_match_the_scalar_reference(p):
+    """The list projection equals ``balanced_residue`` value by value, an
+    int each, for ints, Fractions and GaussRationals (as complex-mode
+    entries come), numerators beyond 2^63 included."""
+    rng = random.Random(p + 1)
+    root = root_of_minus_one(p)
+    big = 2**63 + 12345
+
+    def den():
+        while True:
+            d = rng.randint(1, 40)
+            if d % p:
+                return d
+
+    values = [0, 1, -1, p, -p, p // 2, p // 2 + 1, big, -big, 3**90, -(7**40),
+              Fraction(big, 5 if p != 5 else 7), Fraction(-(3**50), 11 if p != 11 else 13),
+              GaussRational(big, -big), GaussRational(Fraction(1, 2), Fraction(-(2**70), 3)), I]
+    for _ in range(300):
+        values += [rng.randint(-10**6, 10**6), Fraction(rng.randint(-10**20, 10**20), den()),
+                   GaussRational(Fraction(rng.randint(-10**20, 10**20), den()),
+                                 rng.choice([0, rng.randint(-99, 99), Fraction(1, den())]))]
+    got = balanced_residues(values, p, root)
+    assert got == [balanced_residue(v, p, root) for v in values]
+    assert all(type(x) is int and abs(x) <= p // 2 for x in got)
+    assert balanced_residues([], p, root) == []
+
+
+def test_balanced_residues_prime_collision():
+    """A denominator divisible by p raises, in a real part, an imaginary
+    part and a bare Fraction, whatever comes before it in the list."""
+    for bad in (GaussRational(Fraction(1, 5)), GaussRational(1, Fraction(2, 5)), Fraction(3, 10)):
+        with pytest.raises(PrimeCollision):
+            balanced_residues([1, Fraction(1, 2), bad], 5, 2)
+    assert balanced_residues([Fraction(1, 10)], 13, 5) == [4]
 
 
 @pytest.mark.parametrize("p", [5, 13, DEFAULT_PRIMES[0]])
