@@ -30,6 +30,7 @@ _BLOCK_CHOICES = {"hw0": (0,), "hw1": (1,), "hw2": (2,), "hw3": (3,), "all": (0,
 
 
 def _add_common(p: argparse.ArgumentParser):
+    p.set_defaults(error=p.error)  # errors found after parsing print this usage line
     p.add_argument("--out", help="write the report to this path (atomic)")
     p.add_argument(
         "--prime",
@@ -129,19 +130,19 @@ def main(argv=None) -> int:
              else f"verify {args.suite}" if args.suite not in ("closure", "all") else None)
     for flag, given in (("--prime", args.prime), ("--progress", args.progress)):
         if where and given:
-            parser.error(f"{flag} does not apply to {where}")
+            args.error(f"{flag} does not apply to {where}")
     if args.format == "csv" and args.suite not in ("table1", "all"):
-        parser.error("csv output is only defined for the table1 suite")
+        args.error("csv output is only defined for the table1 suite")
     try:
         # default_primes_from_env validates WSDALG_PRIMES itself
         primes = validate_primes(args.prime) if args.prime else suites.default_primes_from_env()
     except ValueError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     if args.out:
         if os.path.isdir(args.out):
-            parser.error(f"--out {args.out} is a directory")
+            args.error(f"--out {args.out} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            parser.error(f"--out {args.out}: its directory does not exist")
+            args.error(f"--out {args.out}: its directory does not exist")
     config = {"primes": primes}
     if args.progress:
         config["progress"] = _progress_line

@@ -14,48 +14,41 @@ no dense block matrix is built.  Left-normed brackets span the whole
 algebra by the graded Jacobi identity, so each new basis element is
 bracketed with the twelve generators only.
 
-Two engines compute the same closure:
-
-* exact: flat int rows, each generator's scaled by the lcm of its
-  denominators, so every bracket candidate is an int row, in a fraction-free
-  ``linalg.IntegerEchelon`` over Q; used for the smallest block and for the
-  even subalgebra (the answer is 15-dimensional);
-* modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
-  integers in float64, so every matrix product runs on BLAS while staying
-  exact (the default primes are sized so no dot product can reach 2^53).
-
-Either engine's echelon basis is the state's one record: dimension, block
-dimensions and row parities (the parity of a pivot's shift class) are
-read off its pivots, so ``lie_closure`` refuses a generator whose support
-is not all of its declared parity.
-
-The modular engine is graded.  Every labeled basis vector has a definite
+Both engines are graded.  Every labeled basis vector has a definite
 multidegree (a, b, c), so a flat coordinate (k, r, c) carries the shift
 md(basis_r) - md(basis_c), and every generator has a definite shift: iL_j
 adds 1 on the two other blocks, iLambda_j subtracts 1 there, iV_j adds 3 on
 block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
 elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
-superalgebra).  The engine keeps one fully reduced echelon per class (319
-classes of at most 448 coordinates on the full real layout), and holds the
-echelons of all classes of one width as one stack (16 widths on the full
-layout, 9 on hw0).  The ad_g maps of all generators are built once per
-closure, in one pass: each source class has one entry table, sorted by
-output column, that lists the (source row, coefficient) entries of the
-generators' channels side by side.  A column has few entries (at most
-five for the twelve generators), so the tables are of the size of the
-entries, and no dense matrix is formed.
-The closure runs level by level: the frontier rows of one class are
-bracketed with all twelve generators by one gather, one multiply and one
-segmented sum over the class's table, the candidates are written into one
-stack per target width, and each width group then makes one batched
-reduce (which first balances the exact bracket sums mod p) and one
-batched elimination for all its classes.
-Basis rows are listed class by class, in increasing pivot order within a
-class, and membership is tested class by class.  The pivot set of a
-reduced echelon basis is an invariant of the span, and class-local
-coordinates keep the global order, so the pivots are those of an ungraded
-computation.
+superalgebra; 319 classes of at most 448 coordinates on the full real
+layout).  Both run level by level on one bracket kernel: a class's
+frontier rows are bracketed with all twelve generators by one gather, one
+multiply and one segmented sum over the class's ad_g entry table
+(``_bracket_rows``, ``_adjoint_blocks``), built from the one statement of
+the part rule in ``_generator_entries``.
+
+* modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
+  integers in float64, so every product runs on BLAS while staying exact
+  (the default primes are sized so no dot product can reach 2^53).  The
+  tables of all classes are built once; the candidates are written into
+  one stack per target width, and each width group makes one batched
+  reduce (which first balances the bracket sums mod p) and one batched
+  elimination, in one fully reduced echelon per class held as one stack
+  per width (16 widths on the full layout, 9 on hw0).
+* exact: the generators' int rows (each scaled by the lcm of its
+  denominators) are the coefficients, every sum is bounded below 2^53
+  before it is formed, and the candidates go into one fraction-free
+  ``linalg.IntegerEchelon`` over Q.  Only the classes the frontier reaches
+  get tables (13 for the even subalgebra).
+
+Either engine's echelon basis is the state's one record: dimension, block
+dimensions and row parities (the parity of a pivot's shift class) are
+read off its pivots, so ``lie_closure`` refuses a generator that is not
+homogeneous or whose support is not all of its declared parity.  The
+pivot set of a reduced echelon basis is an invariant of the span, and
+class-local coordinates keep the global order, so the pivots are those of
+an ungraded computation.
 
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
@@ -89,7 +82,7 @@ from .scalars import (
     root_of_minus_one,
     validate_prime,
 )
-from .linalg import IntegerEchelon, _canonical, integral
+from .linalg import IntegerEchelon, integral
 from .operators import (
     GENERATOR_NAMES,
     Operator,
@@ -112,6 +105,7 @@ __all__ = [
     "verify_structure",
     "su_pair_dimension",
     "DIMENSION_BOUND",
+    "InexactBracket",
     "EXPECTED_DIMENSION",
     "EXPECTED_BLOCK_DIMS",
 ]
@@ -227,11 +221,11 @@ class FlatLayout:
     """Coordinate layout of flattened restricted operators.
 
     real mode: per included block, the real parts of the row-major entries
-    followed by the imaginary parts (2 s^2 coordinates per block).
-    complex mode: one coordinate per entry (s^2 per block).
-    ``grid(k)`` holds block k's coordinates, ``entries`` lists an operator's
-    nonzero parts on them with their exact values, and ``places`` decodes
-    coordinates back to (block, row, column, part).
+    followed by the imaginary parts (2 s^2 coordinates per block), so part
+    m of entry (r, c) of block k is offsets[k] + (m s + r) s + c.
+    complex mode: one coordinate per entry (s^2 per block, m = 0).
+    ``entries`` lists an operator's nonzero parts with their exact values,
+    and ``places`` decodes coordinates back to (block, row, column, part).
 
     Every labeled basis vector is multidegree-homogeneous, so coordinate
     (k, r, c) carries the shift md(basis_r) - md(basis_c); real and
@@ -263,16 +257,6 @@ class FlatLayout:
             raise ValueError("operator is not homogeneous in the multidegree-shift grading")
         return int(classes[0]) if classes.size else None
 
-    def block_range(self, k: int) -> tuple[int, int]:
-        return self.offsets[k], self.offsets[k] + BLOCK_SIZES[k] ** 2 * (2 - self.complexified)
-
-    def grid(self, k: int) -> np.ndarray:
-        """Block k's flat coordinates as an array [m, r, c]: the coordinate
-        of part m (0 real, 1 imaginary; complex mode has part 0 only) of
-        entry (r, c)."""
-        s = BLOCK_SIZES[k]
-        return np.arange(*self.block_range(k)).reshape(-1, s, s)
-
     def entries(self, rop: RestrictedOperator) -> tuple[np.ndarray, list]:
         """The nonzero parts of rop on this layout, in one pass: their flat
         coordinates (int64) and exact values, the real and imaginary part of
@@ -281,7 +265,7 @@ class FlatLayout:
         coords, values = [], []
         for k in self.blocks:
             s = BLOCK_SIZES[k]
-            o, im = self.offsets[k], s * s  # the grid's offsets, once per block
+            o, im = self.offsets[k], s * s  # the block's offsets, once per block
             if self.complexified:
                 for (r, c), v in rop.block(k).items():
                     if v:
@@ -299,7 +283,7 @@ class FlatLayout:
 
     def places(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
         """(k, r, c, m) arrays of the flat coordinates ``coords``: part m of
-        entry (r, c) of block k, the coordinate's place in ``grid(k)``."""
+        entry (r, c) of block k."""
         starts = np.array(list(self.offsets.values()))
         i = np.searchsorted(starts, coords, side="right") - 1
         k = np.array(self.blocks)[i]
@@ -356,62 +340,68 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact engine (sparse rational coordinates)
+# exact engine (int rows over Q, bracketed on the ad_g tables)
 # ---------------------------------------------------------------------------
 
 
-def _column_index(row: dict, layout: FlatLayout) -> dict[int, dict]:
-    """A flat row's parts per block k, as {c: [(r, m, value), ...]}: part m
-    of entry (r, c), the coordinates decoded by ``layout.places``."""
-    index: dict[int, dict] = {k: {} for k in layout.blocks}
-    places = layout.places(np.fromiter(row, dtype=np.int64, count=len(row)))
-    for k, r, c, m, v in zip(*(a.tolist() for a in places), row.values()):
-        index[k].setdefault(c, []).append((r, m, v))
-    return index
-
-
-def _indexed_bracket(x, y, layout: FlatLayout) -> tuple[int, dict]:
-    """[x, y] = xy - (-1)^{|x||y|} yx as (parity, flat row), from the
-    (parity, ``_column_index``) forms of x and y, so that a closure indexes
-    each generator once.  Each part product is added straight into its flat
-    coordinate by the modular engine's rule: part a times part b lands in
-    part a ^ b, negated when both are imaginary.  Int rows give an int row;
-    rational ones a canonical rational row."""
-    (px, xi), (py, yi) = x, y
-    sign = 1 if (px and py) else -1
-    acc: dict[int, int | Fraction] = {}
-    for k in layout.blocks:
-        s = BLOCK_SIZES[k]
-        o, im = layout.offsets[k], s * s
-        for sgn, a, b in ((1, xi[k], yi[k]), (sign, yi[k], xi[k])):
-            for c, col in b.items():
-                for mid, mb, q in col:
-                    if sgn < 0:
-                        q = -q
-                    for r, ma, w in a.get(mid, ()):
-                        f = o + (ma ^ mb) * im + r * s + c
-                        acc[f] = acc.get(f, 0) + (-w * q if ma & mb else w * q)
-    return (px + py) & 1, {f: _canonical(v) for f, v in acc.items() if v}
+class InexactBracket(ArithmeticError):
+    """An exact bracket sum could reach 2^53, where float64 stops being exact."""
 
 
 def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, entries: list[tuple]):
-    """FIFO left-normed closure on flat int rows: each generator's row (its
-    ``layout.entries`` in ``entries``) is scaled by the lcm of its
-    denominators and indexed once, so every candidate is an int row with
-    the span and pivots it has over Q.  The frontier holds (parity, row) of
-    the generators and of each raw candidate that adds a pivot.  The
-    ``IntegerEchelon`` is the whole record; returns (echelon, brackets)."""
-    echelon = IntegerEchelon()
-    rows = [(g.parity, integral(dict(zip(f.tolist(), v)))) for g, (f, v) in zip(gens, entries)]
-    frontier = [x for x in rows if echelon.insert(x[1]) is not None]
-    indexed = [(pg, _column_index(row, layout)) for pg, row in rows]
-    for px, row in frontier:  # grows as it is read
-        x = (px, _column_index(row, layout))
-        for g in indexed:
-            cand = _indexed_bracket(g, x, layout)
-            if echelon.insert(cand[1]) is not None:
-                frontier.append(cand)
-    return echelon, len(gens) * len(frontier)
+    """Level-synchronous left-normed closure over Q on the modular engine's
+    kernel.  Each generator's row (its ``layout.entries`` in ``entries``)
+    times the lcm of its denominators (``integral``) is an int row with the
+    span it has over Q, and these rows are the tables' coefficients.  Each
+    level builds the tables of the frontier classes that have none yet and
+    brackets each class's frontier rows in float64 (``_bracket_rows``),
+    once max |frontier entry| * max |generator entry| * longest column, a
+    bound on every sum, is below 2^53 (else InexactBracket); both maxima
+    are read off the rows' Python ints.  The candidates are inserted row
+    by row, generator by generator, and the frontier holds the class-local
+    rows of the generators and raw candidates that add a pivot, so
+    ``brackets`` is len(gens) * dim.  Returns (echelon, brackets)."""
+    echelon, flat, frontier, gmax = IntegerEchelon(), [], {}, 0
+    for f, v in entries:
+        row = integral(dict(zip(f.tolist(), v)))
+        gmax = max(gmax, max(map(abs, row.values()), default=0))
+        flat.append((f, np.array(list(row.values()), dtype=np.float64)))
+        if echelon.insert(row) is not None:
+            x = np.zeros(layout.class_width[t := int(layout.coord_class[f[0]])])
+            x[layout.coord_local[f]] = flat[-1][1]
+            frontier.setdefault(t, []).append(x)
+    tables, top = {}, gmax  # top: max |entry| of the frontier rows
+    while frontier:
+        if new := [d for d in frontier if d not in tables]:
+            ads = _adjoint_blocks(layout, gens, flat, new)
+            tables.update(dict.fromkeys(new))  # None: every bracket of the class vanishes
+            for d, (rows, _, starts) in ads.tables.items():
+                out = ads.outputs[d]  # with each output column's coordinate and channel
+                tables[d] = (ads.tables[d], out,
+                             np.concatenate([layout.class_indices[t] for t, _, _ in out]),
+                             np.repeat(np.arange(len(out)), [hi - lo for _, lo, hi in out]),
+                             int(np.diff(starts, append=len(rows)).max()))
+        found, peak = {}, 0
+        for d, xs in frontier.items():
+            if tables[d] is None:
+                continue
+            table, out, cols, chan, longest = tables[d]
+            if top * gmax * longest >= 2**53:
+                raise InexactBracket(f"class {d}: a bracket sum could reach 2^53")
+            R = _bracket_rows(np.array(xs), table)
+            # a candidate per (row, channel): a run of R's nonzeros in row-major order
+            r, c = np.nonzero(R)
+            seg = r * len(out) + chan[c]
+            ends = (np.flatnonzero(np.diff(seg, append=-1)) + 1).tolist()
+            keys, values = cols[c].tolist(), R[r, c].astype(np.int64).tolist()
+            for a, b in zip([0] + ends, ends):
+                if echelon.insert(dict(zip(keys[a:b], values[a:b]))) is not None:
+                    i, k = divmod(int(seg[a]), len(out))
+                    t, lo, hi = out[k]
+                    found.setdefault(t, []).append(R[i, lo:hi].copy())
+                    peak = max(peak, max(map(abs, values[a:b])))
+        frontier, top = found, peak
+    return echelon, len(gens) * echelon.rank  # each row that adds a pivot met every generator
 
 
 # ---------------------------------------------------------------------------
@@ -675,45 +665,52 @@ class _ModularEngine:
         return True
 
 
-def _generator_entries(layout: FlatLayout, gens, flat):
-    """The nonzero entries of ad_g = [g, .] on the layout for every g in
-    gens, from the generators' ``_project``-ed entries in ``flat``, as
-    (source coordinate, target coordinate, coefficient, generator index)
-    arrays.  Raises AssertionError if some bracket leaves the class its
-    multidegree shift predicts."""
-    owner = np.repeat(np.arange(len(gens)), [len(f[0]) for f in flat])
-    value = np.concatenate([f[1] for f in flat])
-    block, row, col, part = layout.places(np.concatenate([f[0] for f in flat]))
-    src, tgt, coef, right, gen = [], [], [], [], []
-    for k in layout.blocks:
-        X = layout.grid(k)
-        here = (block == k) & (value != 0)  # a part may vanish mod p
-        r, c, m, v, o = row[here], col[here], part[here], value[here], owner[here]
-        n, s = r.size, X.shape[2]
-        # part m of an entry maps part a of x to part a ^ m, times i * i = -1
-        # when both are imaginary; complex mode has the one part a = m = 0
-        for a in range(len(X)):
-            b, w = a ^ m, np.where(m & a, -v, v)
-            # g x: x[c, j] -> (g x)[r, j] for g[r, c];  x g: x[j, r] -> (x g)[j, c]
-            src += [X[a, c].ravel(), X[a, :, r].ravel()]
-            tgt += [X[b, r].ravel(), X[b, :, c].ravel()]
-            coef += [np.repeat(w, s)] * 2
-            right += [np.zeros(n * s, bool), np.ones(n * s, bool)]
-            gen += [np.repeat(o, s)] * 2
-    src, tgt, coef, right, gen = (np.concatenate(x) for x in (src, tgt, coef, right, gen))
-    d, t = layout.coord_class[src], layout.coord_class[tgt]
-    # [g, x] = g x - (-1)^{|g||x|} x g
-    odd = np.array([g.parity for g in gens], dtype=bool)[gen] & layout.class_parity[d].astype(bool)
-    coef = np.where(right & ~odd, -coef, coef)
-    # each generator moves every class by its one shift: the shift codes of
-    # a generator's entries all equal the one written last for it
-    shifts = layout.class_shift_array  # np.take: a row gather faster than fancy indexing
-    moved = (np.take(shifts, t, axis=0) - np.take(shifts, d, axis=0)) @ np.array([169, 13, 1])
-    last = np.zeros(len(gens), dtype=moved.dtype)
-    last[gen] = moved
-    if np.any(moved != last[gen]):
-        raise AssertionError("a bracket leaves the class its multidegree shift predicts")
-    return src, tgt, coef, gen
+def _generator_entries(layout: FlatLayout, gens, flat, sources):
+    """The nonzero entries of ad_g = [g, .] from the classes ``sources`` for
+    every g in gens, each in one shift class (``lie_closure`` checks it),
+    as (source coordinate, target coordinate, coefficient, generator index)
+    arrays; ``flat`` holds the generators' flat coordinates and values,
+    balanced residues (``_project``) or exact integers.
+
+    Part a of x meets part m of g in part a ^ m, negated when both are
+    imaginary (i * i = -1); complex mode has the one part a = m = 0.  So
+    x[a, u, v] meets g[r, u] in (g x)[a ^ m, r, v], and g[v, c] in
+    (x g)[a ^ m, u, c], signed as in [g, x] = g x - (-1)^{|g||x|} x g.
+    Each entry of g is copied for each part a and (on the right) parity of
+    x, keyed by the row or column of x it meets, with its coefficient and
+    the target's offset from the source, (a ^ m - a) s^2 + (r - u) s or
+    (a ^ m - a) s^2 + c - v.  Only the sources' coordinates are expanded."""
+    owner = np.repeat(np.arange(len(gens), dtype=np.int16), [len(f[0]) for f in flat])
+    coords, value = np.concatenate([f[0] for f in flat]), np.concatenate([f[1] for f in flat])
+    here = value != 0  # a part may vanish mod p
+    owner, value, coords = owner[here], value[here], coords[here]
+    block, row, col, part = layout.places(coords)
+    sizes = np.array(BLOCK_SIZES)
+    s = sizes[block]
+    at = coords - (part * s + row) * s - col  # the entry's block offset
+    odd = np.array([g.parity for g in gens], dtype=bool)[owner]
+    # x's coordinates are keyed by the first coordinate of their row (a, u)
+    # in g x, and of their column (a, v), with x's parity, in x g
+    n, parts = layout.length, 1 if layout.complexified else 2
+    key, off, coef = [], [], []
+    for a in range(parts):
+        shift, w = ((a ^ part) - a) * s * s, np.where(a & part, -value, value)
+        right = n + 2 * (at + a * s * s + row)
+        key += [at + (a * s + col) * s, right, right + 1]
+        off += [shift + (row - col) * s] + [shift + col - row] * 2
+        coef += [w, -w, np.where(odd, w, -w)]  # g x; x g for x even, odd
+    key, off, coef = map(np.concatenate, (key, off, coef))
+    order = np.argsort(key, kind="stable")
+    key, off, coef, gen = key[order], off[order], coef[order], np.tile(owner, 3 * parts)[order]
+    x = np.concatenate([layout.class_indices[d] for d in sources])
+    k, u, v, _ = layout.places(x)
+    px = layout.class_parity[layout.coord_class[x]]
+    xk = np.concatenate([x - v, n + 2 * (x - u * sizes[k]) + px])
+    first = np.searchsorted(key, xk)  # each key's copies are key[first:first + m]
+    m = np.searchsorted(key, xk, side="right") - first
+    ei = np.arange(int(m.sum())) + np.repeat(first - (np.cumsum(m) - m), m)
+    src = np.repeat(np.concatenate([x, x]), m)
+    return src, src + off[ei], coef[ei], gen[ei]
 
 
 @dataclass(frozen=True)
@@ -731,12 +728,12 @@ class _Adjoint:
     ``tables[d]`` is class d's entry table (rows, coef, starts), sorted by
     output column: the entries of column j run from ``starts[j]`` to the
     next column's start, each a source row (class-local) and a nonzero
-    balanced residue, in increasing row order.  A row repeats in a column
-    only where a diagonal entry of g meets x from both sides; the bracket
-    sums the two.  An empty column holds one filler entry, row 0 with
-    coefficient 0, so every column is one non-empty segment
-    (``np.add.reduceat`` reads an empty one as the next entry).  Classes
-    without channels have no table."""
+    coefficient (a balanced residue, or an exact integer), in increasing
+    row order.  A row repeats in a column only where a diagonal entry of g
+    meets x from both sides; the bracket sums the two.  An empty column
+    holds one filler entry, row 0 with coefficient 0, so every column is
+    one non-empty segment (``np.add.reduceat`` reads an empty one as the
+    next entry).  Only source classes with a channel have a table."""
 
     source: np.ndarray
     generator: np.ndarray
@@ -748,51 +745,54 @@ class _Adjoint:
     outputs: dict[int, list[tuple[int, int, int]]]
 
 
-def _adjoint_blocks(layout: FlatLayout, gens, p: int, root_i: int, flat=None) -> _Adjoint:
-    """Build the ad_g channels of every generator in one pass, ``flat``
-    holding the generators' ``_project``-ed entries when the caller has
-    them.  The channels come from the entries by array operations.  One
-    sort of the entries by (output column, source row) groups them into
-    columns, and a filler is inserted into each empty column.  Every array
-    is of the size of the entries or of the columns: no dense position is
-    formed."""
-    flat = flat or [_project(*layout.entries(g), p, root_i) for g in gens]
-    src, tgt, coef, gen = _generator_entries(layout, gens, flat)
+def _adjoint_blocks(layout: FlatLayout, gens, flat, sources) -> _Adjoint:
+    """Build the ad_g channels of every generator from the classes
+    ``sources`` in one pass, from the generators' flat entries ``flat`` (see
+    ``_generator_entries``); a class's table does not depend on the other
+    sources.  One argsort of the entries by (output column, source row)
+    groups them into columns, and a filler is inserted into each empty
+    column.  Every array is of the size of the entries or of the columns:
+    no dense position is formed."""
+    src, tgt, coef, gen = _generator_entries(layout, gens, flat, sources)
     ngens, width = len(gens), layout.class_width
-    d = layout.coord_class[src]
     # channel c is (source class, generator) = divmod(chans[c], ngens); a
     # table over all such pairs numbers them without sorting the entries
-    pair = d * ngens + gen
+    pair = layout.coord_class[src] * ngens + gen
     number = np.full(len(width) * ngens, -1)
     number[pair] = layout.coord_class[tgt]  # one target per channel, as checked
     chans = np.flatnonzero(number >= 0)
     target = number[chans]
     number[chans] = np.arange(len(chans))
     chan = number[pair]
+    del gen, pair  # each array of the entries is dropped once read
     source, generator = np.divmod(chans, ngens)
     first = np.searchsorted(source, np.arange(len(width) + 1))
     w = width[target]
     start = np.cumsum(w) - w  # the columns of all classes, numbered in one run
     lo = start - start[first[source]]
-    # one sort of the bit fields (column, source row, entry): sorting values
-    # is faster than an argsort, and the entry field gives the order
+    # one argsort of the bit fields (column, source row, entry), unique by the
+    # entry field; an in-place sort is faster but maps an int64 sort kernel
+    # that no other step of an exact run uses (about 0.2 MiB of peak RSS)
     rbits, ebits = int(width.max() - 1).bit_length(), len(src).bit_length()
-    key = ((start[chan] + layout.coord_local[tgt]) << rbits | layout.coord_local[src]) << ebits
+    key = (start[chan] + layout.coord_local[tgt]) << rbits | layout.coord_local[src]
+    key <<= ebits
     key |= np.arange(len(src))
-    del src, tgt, gen, d, pair, chan
-    key.sort()
+    del src, tgt, chan
+    key = key[key.argsort()]
     coef = coef[key & ((1 << ebits) - 1)]
     key >>= ebits
-    column, row = key >> rbits, key & ((1 << rbits) - 1)
+    row = key & ((1 << rbits) - 1)
+    key >>= rbits  # each entry's output column
     # column j's segment is starts[j]:starts[j + 1], a filler where it is empty
     ncols = int(w.sum())
-    count = np.bincount(column, minlength=ncols)
+    count = np.bincount(key, minlength=ncols)
     empty = count == 0
     size = count + empty
     starts = np.cumsum(size) - size
-    at = np.arange(len(column)) + np.cumsum(empty)[column]
+    at = np.arange(len(key)) + np.cumsum(empty)[key]
     index, value = np.zeros(int(size.sum()), dtype=np.intp), np.zeros(int(size.sum()))
     index[at], value[at] = row, coef
+    del key, row, coef, at
     edge = np.append(start, ncols)[first]  # class d's columns are edge[d]:edge[d + 1]
     bound = np.append(starts, len(index))[edge]  # and its entries bound[d]:bound[d + 1]
     starts -= np.repeat(bound[:-1], np.diff(edge))
@@ -838,10 +838,10 @@ def _modular_closure(
     eng = _ModularEngine(layout, p)
     t0 = time.perf_counter()
     flat = [_project(*e, p, eng.root_i) for e in entries]
-    ads = _adjoint_blocks(layout, gens, p, eng.root_i, flat)
+    nclasses = len(layout.class_width)
+    ads = _adjoint_blocks(layout, gens, flat, range(nclasses))
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     phases["adjoint_s"] = time.perf_counter() - t0
-    nclasses = len(layout.class_width)
 
     seeds = [(t, f, v) for f, v in flat if (t := layout.support_class(f)) is not None]
     counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
@@ -886,11 +886,11 @@ def _bracket_rows(X: np.ndarray, ad: tuple) -> np.ndarray:
     class's channels side by side: ``ad`` is the class's entry table from
     ``_adjoint_blocks``, and the brackets are one gather of its source rows,
     one multiply by its coefficients and one segmented sum per column.  A
-    column holds at most as many entries as its source class has
-    coordinates (at most five for the twelve generators), far under the
-    8448 products of balanced residues the primes keep exact in float64,
-    so the sums are exact.  They are left unreduced:
-    ``_HalfEngine.reduce_rows`` balances the candidate stacks once."""
+    sum is exact in float64 while max |x| * max |coefficient| * its
+    column's length stays below 2^53.  For balanced residues a column holds
+    at most five entries, far under the 8448 products the primes keep
+    exact; ``_exact_closure`` checks the bound for its int rows.  Residue
+    sums are left unreduced: ``_HalfEngine.reduce_rows`` balances them."""
     rows, coef, starts = ad
     G = X.take(rows, axis=1)
     G *= coef
@@ -1063,12 +1063,14 @@ def lie_closure(
 ) -> ClosureState:
     """Close the span of the generators under bracketing with each of them.
 
-    field: "exact" (sparse rational), "modular" (real coordinates mod p) or
+    field: "exact" (int rows over Q; raises InexactBracket rather than
+    form a sum past 2^53), "modular" (real coordinates mod p) or
     "modular-complex" (one residue per matrix entry; the rank is then the
     complex dimension of the complexified algebra).
     blocks: the highest-weight blocks to close on, a non-empty strictly
     increasing tuple drawn from 0..3; generators must name at least one
-    generator.  Anything else raises ValueError.
+    generator, each in one multidegree-shift class of its declared parity.
+    Anything else raises ValueError.
     prime, progress: modular only (an exact run raises ValueError on
     either).  The prime defaults to ``DEFAULT_PRIMES[0]``; progress is
     called after each bracketing level with (level, dim, brackets,
@@ -1091,7 +1093,10 @@ def lie_closure(
     layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
     entries = [layout.entries(g) for g in gens]  # each generator flattened once per closure
     for i, (g, (f, _)) in enumerate(zip(gens, entries)):
-        if np.any(layout.class_parity[layout.coord_class[f]] != g.parity):
+        cls = layout.coord_class[f]
+        if np.any(cls != cls[:1]):
+            raise ValueError(f"generators[{i}]: not homogeneous in the multidegree-shift grading")
+        if np.any(layout.class_parity[cls] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
         echelon, brackets = _exact_closure(gens, layout, entries)

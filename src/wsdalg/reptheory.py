@@ -184,12 +184,6 @@ class IsotypicalTable:
                 return False
         return True
 
-    def as_json_rows(self) -> list[dict]:
-        return [
-            {"degree": d, **{f"rho{k}": self.row(d)[k] for k in _TABLE_TYPES}}
-            for d in range(10)
-        ]
-
     def as_csv(self) -> str:
         lines = ["degree," + ",".join(f"rho{k}" for k in _TABLE_TYPES)]
         for d in range(10):

@@ -89,6 +89,26 @@ def _assert_usage_error(capsys, argv, named):
     assert len(errors) == 1 and named in errors[0]
 
 
+@pytest.mark.parametrize("argv,command", [
+    (["verify", "relations", "--progress"], "verify"),
+    (["closure", "--block", "hw3", "--field", "exact", "--prime", "7"], "closure"),
+    (["closure", "--block", "hw3", "--prime", "7"], "closure"),
+    (["verify", "relations", "--format", "csv"], "verify"),
+    (["report", "--out", "{tmp}"], "report"),
+    (["report", "--out", "{tmp}/missing/report.json"], "report"),
+], ids=["progress", "exact-prime", "bad-prime", "csv", "out-is-dir", "out-no-dir"])
+def test_usage_error_names_subcommand(monkeypatch, capsys, tmp_path, argv, command):
+    """A usage error found after parsing prints the usage line of the
+    subcommand it belongs to, as argparse does for its own errors, and
+    exits 2 before any suite runs."""
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: wsdalg {command} ")
+
+
 # 7 and 3 are 3 (mod 4), 21 is not prime, and 1000000009 is a prime
 # 1 (mod 4) too large for exact float64 products
 @pytest.mark.parametrize("prime", ["7", "3", "21", "1000000009"])
@@ -98,8 +118,9 @@ def test_bad_prime_rejected(capsys, prime):
 
 @pytest.mark.parametrize("flags", [["--prime", "13"], ["--progress"]], ids=["prime", "progress"])
 def test_exact_field_rejects_modular_flags(capsys, flags):
-    """The exact closure has no prime and no levels, so --prime and
-    --progress are usage errors with --field exact."""
+    """The exact closure runs over Q, so it has no prime, and it reports
+    no progress lines for its levels: --prime and --progress are usage
+    errors with --field exact."""
     _assert_usage_error(capsys, ["closure", "--block", "hw3", "--field", "exact"] + flags,
                         flags[0])
 

@@ -50,11 +50,33 @@ def _operator_class(layout, rop):
     return layout.support_class(layout.entries(rop)[0])
 
 
+def _block_range(layout, k):
+    """Block k's flat coordinates, from its offset: 2 s^2 of them on a real
+    layout, s^2 on a complexified one."""
+    return layout.offsets[k], layout.offsets[k] + cl.BLOCK_SIZES[k] ** 2 * (2 - layout.complexified)
+
+
+def _grid(layout, k):
+    """Block k's flat coordinates as an array [m, r, c]: the coordinate of
+    part m (0 real, 1 imaginary; complex mode has part 0 only) of entry
+    (r, c)."""
+    s = cl.BLOCK_SIZES[k]
+    return np.arange(*_block_range(layout, k)).reshape(-1, s, s)
+
+
 def _adjoint_entries(layout, g, p, root_i):
     """The nonzero entries of ad_g = [g, .] on the layout, as (source
     coordinate, target coordinate, coefficient) arrays, from
     ``_generator_entries``."""
-    return cl._generator_entries(layout, [g], [cl._project(*layout.entries(g), p, root_i)])[:3]
+    return cl._generator_entries(layout, [g], [cl._project(*layout.entries(g), p, root_i)],
+                                 range(len(layout.class_width)))[:3]
+
+
+def _all_adjoint_blocks(layout, gens, p, root_i):
+    """``_adjoint_blocks`` of the generators' ``_project``-ed entries from
+    every class of the layout, as the modular engine builds them."""
+    flat = [cl._project(*layout.entries(g), p, root_i) for g in gens]
+    return cl._adjoint_blocks(layout, gens, flat, range(len(layout.class_width)))
 
 
 def test_su_pair_dimension_oracle():
@@ -190,7 +212,7 @@ def test_flatten_matches_cell_by_cell_reference(ralg):
             assert np.array_equal(vec, expected)
             coords = layout.entries(rop)[0]
             for f, k, r, c, m in zip(coords.tolist(), *(a.tolist() for a in layout.places(coords))):
-                assert layout.grid(k)[m, r, c] == f
+                assert _grid(layout, k)[m, r, c] == f
                 seen_imaginary |= m == 1
             if complexified:
                 with pytest.raises(ValueError):
@@ -203,10 +225,10 @@ def test_flatten_matches_cell_by_cell_reference(ralg):
 def test_layout_boundaries():
     layout = FlatLayout()
     assert layout.length == 16896
-    assert layout.block_range(0) == (0, 3200)
-    assert layout.block_range(1) == (3200, 13568)
-    assert layout.block_range(2) == (13568, 16768)
-    assert layout.block_range(3) == (16768, 16896)
+    assert _block_range(layout, 0) == (0, 3200)
+    assert _block_range(layout, 1) == (3200, 13568)
+    assert _block_range(layout, 2) == (13568, 16768)
+    assert _block_range(layout, 3) == (16768, 16896)
     cx = FlatLayout(complexified=True)
     assert cx.length == 8448
 
@@ -326,6 +348,68 @@ def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
     assert GaussRational(1) * I == I and made  # the counters do see constructions
 
 
+def test_exact_even_closure_builds_tables_for_its_frontier_classes(ralg, monkeypatch):
+    """The exact engine builds ad_g tables level by level, only for the
+    classes its frontier reaches, each once: the even closure reaches 13
+    of the full layout's 319 classes (those of its pivots), and builds no
+    other table."""
+    built = []
+    adjoint = cl._adjoint_blocks
+
+    def record(layout, gens, flat, sources):
+        built.extend(sources)
+        return adjoint(layout, gens, flat, sources)
+
+    monkeypatch.setattr(cl, "_adjoint_blocks", record)
+    st = lie_closure(EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
+    assert st.pivot_hash() == "fd2dcc1c795c5fbe"
+    assert len(built) == len(set(built)) == 13
+    assert set(built) == set(st.layout.coord_class[st.pivots].tolist())
+
+
+def _scaled(rop, s):
+    blocks = {k: {rc: v * s for rc, v in b.items()} for k, b in rop.blocks.items()}
+    return cl.RestrictedOperator(blocks, rop.parity)
+
+
+def test_exact_closure_refuses_an_inexact_bracket(ralg):
+    """Two hw3 generators scaled by 2^30 bracket to sums of 2^60, past the
+    integers float64 holds: the exact closure raises InexactBracket
+    rather than return a state.  Scaled by 2^10, every sum stays below
+    2^53 and the closure has the pivots of the unscaled generators."""
+    gens = [ralg.generator("iL0"), ralg.generator("iLambda0")]
+    with pytest.raises(cl.InexactBracket, match="2\\^53"):
+        lie_closure([_scaled(g, 2**30) for g in gens], field="exact", blocks=(3,), ralg=ralg)
+    st = lie_closure([_scaled(g, 2**10) for g in gens], field="exact", blocks=(3,), ralg=ralg)
+    assert st.pivots == lie_closure(gens, field="exact", blocks=(3,), ralg=ralg).pivots
+
+
+@pytest.mark.parametrize("blocks", [(0,), (0, 1, 2, 3)], ids=["hw0", "full"])
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+def test_adjoint_blocks_of_some_sources_match_the_full_build(ralg, blocks, complexified):
+    """``_adjoint_blocks`` from some source classes builds, for each of
+    them, the channels, table and outputs the build from every class
+    does, and nothing for any other class."""
+    p = DEFAULT_PRIMES[0]
+    root = root_of_minus_one(p)
+    layout = FlatLayout(blocks, complexified=complexified)
+    gens = ralg.generators()
+    flat = [cl._project(*layout.entries(g), p, root) for g in gens]
+    full = cl._adjoint_blocks(layout, gens, flat, range(len(layout.class_width)))
+    rng = np.random.default_rng(len(blocks) + complexified)
+    for sources in ([int(rng.integers(len(layout.class_width)))],
+                    rng.choice(len(layout.class_width), 40, replace=False).tolist()):
+        some = cl._adjoint_blocks(layout, gens, flat, sources)
+        assert set(some.tables) == set(sources) & set(full.tables)
+        for d in some.tables:
+            for got, want in zip(some.tables[d], full.tables[d]):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert some.outputs[d] == full.outputs[d]
+        mine = np.isin(full.source, sources)
+        for name in ("source", "generator", "target"):
+            assert np.array_equal(getattr(some, name), getattr(full, name)[mine])
+
+
 @pytest.mark.parametrize("field", ["exact", "modular"])
 def test_member_has_no_entry_outside_the_blocks(ralg, field):
     """A hw3 state answers for operators on all blocks: the identity on
@@ -443,7 +527,7 @@ def test_bracket_engines_agree(ralg):
     root = root_of_minus_one(p)
     for blocks, complexified in itertools.product([(0,), (0, 1, 2, 3)], (False, True)):
         layout = FlatLayout(blocks, complexified=complexified)
-        ads = cl._adjoint_blocks(layout, gens, p, root)
+        ads = _all_adjoint_blocks(layout, gens, p, root)
         width = layout.class_width
         assert set(ads.tables) == set(np.flatnonzero(np.diff(ads.first)).tolist())
         for d, (rows, coef, starts) in ads.tables.items():
@@ -503,7 +587,7 @@ def test_bracket_rows_match_dense_reference(ralg, p):
     rng = np.random.default_rng(p)
     for blocks, complexified in (((0,), False), ((0,), True), ((2, 3), False)):
         layout = FlatLayout(blocks, complexified=complexified)
-        ads = cl._adjoint_blocks(layout, gens, p, root)
+        ads = _all_adjoint_blocks(layout, gens, p, root)
         width, local = layout.class_width, layout.coord_local
         channel = {(int(d), int(i)): c for c, (d, i) in enumerate(zip(ads.source, ads.generator))}
         dense = {d: np.zeros((width[d], ads.hi[ads.first[d + 1] - 1])) for d in ads.tables}
@@ -532,7 +616,7 @@ def test_adjoint_tables_hold_entries_not_dense_positions(ralg):
     root = root_of_minus_one(p)
     layout = FlatLayout()
     gens = ralg.generators()
-    ads = cl._adjoint_blocks(layout, gens, p, root)
+    ads = _all_adjoint_blocks(layout, gens, p, root)
     entries = sum(_adjoint_entries(layout, g, p, root)[0].size for g in gens)
     columns = sum(len(starts) for _, _, starts in ads.tables.values())
     arrays = [getattr(ads, f.name) for f in dataclasses.fields(ads)]
@@ -578,7 +662,7 @@ def _parity_split(layout):
         s, h = cl.BLOCK_SIZES[k], HW_HALF_DIMS[k]
         rr, cc = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
         odd = ((rr < h) != (cc < h)).ravel()
-        lo, hi = layout.block_range(k)
+        lo, hi = _block_range(layout, k)
         par[lo:hi] = np.tile(odd, (hi - lo) // (s * s))
     return par
 
@@ -689,6 +773,16 @@ def test_inhomogeneous_generator_rejected(ralg):
             _operator_class(FlatLayout(blocks, complexified), mixed)
 
 
+@pytest.mark.parametrize("field", ["exact", "modular", "modular-complex"])
+def test_lie_closure_rejects_an_inhomogeneous_generator(ralg, field):
+    """Both engines bracket on the shift-class tables, so every field
+    refuses a generator that spans two shift classes, naming its place."""
+    a, b = ralg.generator("iL0"), ralg.generator("iL1")
+    mixed = cl.RestrictedOperator({k: {**a.block(k), **b.block(k)} for k in range(4)}, 0)
+    with pytest.raises(ValueError, match=r"^generators\[1\]: not homogeneous"):
+        lie_closure([a, mixed], field=field, blocks=(3,), ralg=ralg)
+
+
 @lru_cache(maxsize=1)
 def _basis_multidegrees():
     """Per block, the (a, b, c) multidegree of each labeled basis vector,
@@ -715,7 +809,7 @@ def test_class_tables_hold_entry_shifts(blocks, complexified):
     shifts = layout.class_shift_array[layout.coord_class].tolist()
     seen = 0
     for k in blocks:
-        for m, rows in enumerate(layout.grid(k).tolist()):
+        for m, rows in enumerate(_grid(layout, k).tolist()):
             for r, cols in enumerate(rows):
                 for c, f in enumerate(cols):
                     assert shifts[f] == [x - y for x, y in zip(mds[k][r], mds[k][c])], (k, m, r, c)
@@ -957,7 +1051,7 @@ def test_places_decode_every_coordinate(blocks, complexified):
         rop.blocks[k][r, c] = GaussRational(1 + n, -1 - n)
     coords, values = layout.entries(rop)
     assert sorted(coords.tolist()) == list(range(layout.length))
-    grids = {k: layout.grid(k) for k in blocks}
+    grids = {k: _grid(layout, k) for k in blocks}
     places = zip(*(a.tolist() for a in layout.places(coords)))
     for f, v, place in zip(coords.tolist(), values, places):
         n = v.re if complexified else abs(v)  # 1 + the cell's index

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from math import lcm
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,9 @@ from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
 from wsdalg import suites
-from wsdalg.closure import FlatLayout, RestrictedOperator, _column_index, _indexed_bracket, default_algebra
+from wsdalg.closure import (FlatLayout, RestrictedOperator, _adjoint_blocks, _bracket_rows,
+                            default_algebra)
+from wsdalg.linalg import integral
 from wsdalg.operators import (
     PERMUTATIONS,
     build_A,
@@ -664,67 +667,95 @@ def test_entries_are_python_ints_or_fractions():
         assert type(v.re) in (int, Fraction) and type(v.im) in (int, Fraction), (type(v.re), type(v.im))
 
 
-def _complex_block(rng: random.Random) -> dict:
-    return _random_entries(rng, 0, range(8), 0.3)
+def _real_value(rng: random.Random) -> GaussRational:
+    """A random real int or Fraction."""
+    return GaussRational(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3, 6])))
 
 
-def _real_block(rng: random.Random) -> dict:
-    """A random {(r, c): v} block of real ints and Fractions."""
-    return {
-        (r, c): GaussRational(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3, 6])))
-        for c in range(8)
-        for r in range(8)
-        if rng.random() < 0.3
-    }
+def _class_operator(rng: random.Random, layout: FlatLayout, parity: int, make,
+                    other: RestrictedOperator | None = None) -> RestrictedOperator:
+    """A random operator of the given parity on one shift class of the
+    layout, the only operators the ad_g tables bracket: up to 12 of the
+    class's entries, each value drawn by make.  Given ``other``, the class
+    is one whose shift added to other's is the shift of a class, so that
+    the two may bracket to nonzero."""
+    shifts = layout.class_shift_array
+    ok = layout.class_parity == parity
+    if other is not None:
+        moved = shifts + shifts[layout.support_class(layout.entries(other)[0])]
+        ok &= (moved[:, None, :] == shifts[None, :, :]).all(axis=2).any(axis=1)
+    k, r, c, _ = layout.places(layout.class_indices[int(rng.choice(np.flatnonzero(ok)))])
+    cells = sorted(set(zip(k.tolist(), r.tolist(), c.tolist())))
+    blocks = {b: {} for b in layout.blocks}
+    for b, row, col in rng.sample(cells, min(12, len(cells))):
+        blocks[b][row, col] = make(rng)
+    return RestrictedOperator(blocks, parity)
 
 
 def _flat_bracket(x: RestrictedOperator, y: RestrictedOperator, layout: FlatLayout) -> tuple:
-    """[x, y] by the exact closure engine: both flattened and indexed on
-    the layout, then bracketed as flat rows; returns (parity, row)."""
-    def index(z: RestrictedOperator):
-        return z.parity, _column_index(layout.flatten_exact(z), layout)
+    """[x, y] by the bracket kernel both closure engines run: x's
+    ``integral`` row is the one generator of ``_adjoint_blocks``, and
+    ``_bracket_rows`` brackets y's ``integral`` row, on its class, with it.
+    Returns (parity of the target class or None, flat row, scale), the row
+    nonzero parts as ints and the scale the product of the two integral
+    scales, so the row is scale times the rational bracket."""
+    scale, rows = 1, []
+    for z in (x, y):
+        f, v = layout.entries(z)
+        scale *= lcm(*(Fraction(w).denominator for w in v))
+        rows.append((f, np.array(list(integral(dict(zip(f.tolist(), v))).values()), dtype=float)))
+    (f, v), d = rows[1], layout.support_class(rows[1][0])
+    ads = _adjoint_blocks(layout, [x], rows[:1], [d])
+    if d not in ads.tables:
+        return None, {}, scale
+    Y = np.zeros((1, layout.class_width[d]))
+    Y[0, layout.coord_local[f]] = v
+    (t, lo, hi), = ads.outputs[d]
+    out = _bracket_rows(Y, ads.tables[d])[0, lo:hi]
+    nz = np.flatnonzero(out)
+    row = dict(zip(layout.class_indices[t][nz].tolist(), out[nz].astype(np.int64).tolist()))
+    return int(layout.class_parity[t]), row, scale
 
-    return _indexed_bracket(index(x), index(y), layout)
 
-
-def _assert_bracket_matches_reference(xb: dict, px: int, yb: dict, py: int) -> None:
-    x, y = RestrictedOperator(xb, px), RestrictedOperator(yb, py)
-    layout = FlatLayout(tuple(xb))
-    parity, got = _flat_bracket(x, y, layout)
-    assert parity == (px + py) & 1
+def _assert_bracket_matches_reference(x: RestrictedOperator, y: RestrictedOperator,
+                                      layout: FlatLayout) -> bool:
+    """Checks [x, y] against the reference; returns whether it is nonzero."""
+    parity, got, scale = _flat_bracket(x, y, layout)
     ref = rop_bracket(x, y, layout.blocks)
-    assert ref.parity == parity
-    for k in xb:
+    assert ref.parity == (x.parity + y.parity) & 1
+    assert parity in (None, ref.parity)
+    for k in layout.blocks:
         assert ref.block(k) == ref_sum(
-            (1, ref_product(xb[k], yb[k])),
-            (1 if (px and py) else -1, ref_product(yb[k], xb[k])),
+            (1, ref_product(x.block(k), y.block(k))),
+            (1 if (x.parity and y.parity) else -1, ref_product(y.block(k), x.block(k))),
         )
-    assert got == layout.flatten_exact(ref)
-    for v in got.values():  # canonical: nonzero, integral values as ints
-        assert v and (type(v) is int or (type(v) is Fraction and v.denominator != 1)), v
+    assert got == {f: v * scale for f, v in layout.flatten_exact(ref).items()}
+    for v in got.values():  # nonzero ints: the integral rows keep every sum an integer
+        assert v and type(v) is int, v
+    return bool(got)
 
 
 def test_rop_bracket_matches_reference():
+    """The table kernel brackets random shift-homogeneous operators on
+    blocks 0 and 2 as the cell-by-cell reference does, in all four parity
+    pairs, for complex operands and for real and complex ones in every
+    pairing, so that every pair of parts meets."""
     rng = random.Random(17)
-    for px in (0, 1):
-        for py in (0, 1):
-            for _ in range(3):
-                xb = {k: _complex_block(rng) for k in (0, 2)}
-                yb = {k: _complex_block(rng) for k in (0, 2)}
-                _assert_bracket_matches_reference(xb, px, yb, py)
-    # an even element brackets to zero with itself, leaving an empty row
-    xb = {0: _complex_block(rng)}
-    x = RestrictedOperator(xb, 0)
-    assert _flat_bracket(x, x, FlatLayout((0,))) == (0, {})
-    # real and complex blocks in every pairing, so that every part pair meets
-    kinds = [(_real_block, _real_block), (_real_block, _complex_block), (_complex_block, _real_block)]
+    layout = FlatLayout((0, 2))
+    kinds = [(_random_value, _random_value), (_real_value, _real_value),
+             (_real_value, _random_value), (_random_value, _real_value)]
+    nonzero = 0
     for px in (0, 1):
         for py in (0, 1):
             for make_x, make_y in kinds:
-                for _ in range(3):
-                    xb = {k: make_x(rng) for k in (0, 2)}
-                    yb = {k: make_y(rng) for k in (0, 2)}
-                    _assert_bracket_matches_reference(xb, px, yb, py)
+                for _ in range(6):
+                    x = _class_operator(rng, layout, px, make_x)
+                    y = _class_operator(rng, layout, py, make_y, x)
+                    nonzero += _assert_bracket_matches_reference(x, y, layout)
+    assert nonzero > 60
+    # an even element brackets to zero with itself, leaving an empty row
+    x = _class_operator(rng, layout, 0, _random_value)
+    assert _flat_bracket(x, x, layout)[1] == {}
 
 
 # -- the relation suites still catch a broken relation -----------------------
