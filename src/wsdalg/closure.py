@@ -38,17 +38,19 @@ the part rule in ``_generator_entries``.
   per width (16 widths on the full layout, 9 on hw0).
 * exact: the generators' int rows (each scaled by the lcm of its
   denominators) are the coefficients, every sum is bounded below 2^53
-  before it is formed, and the candidates go into one fraction-free
-  ``linalg.IntegerEchelon`` over Q.  Only the classes the frontier reaches
-  get tables (13 for the even subalgebra).
+  before it is formed, and the candidates go into a fraction-free
+  ``linalg.IntegerEchelon`` over Q, one per class.  Only the classes the
+  frontier reaches get tables (13 for the even subalgebra).
 
-Either engine's echelon basis is the state's one record: dimension, block
-dimensions and row parities (the parity of a pivot's shift class) are
-read off its pivots, so ``lie_closure`` refuses a generator that is not
-homogeneous or whose support is not all of its declared parity.  The
-pivot set of a reduced echelon basis is an invariant of the span, and
-class-local coordinates keep the global order, so the pivots are those of
-an ungraded computation.
+On both fields the per-class echelon bases are the state's one record:
+dimension, block dimensions and row parities (the parity of a pivot's
+shift class) are read off its pivots, listed class by class and in
+increasing order within a class, so ``lie_closure`` refuses a generator
+that is not homogeneous or whose support is not all of its declared
+parity.  The pivot set of a reduced echelon basis is an invariant of the
+span, and class-local coordinates keep the global order, so both fields
+list the pivots of an ungraded computation.  Membership and the
+supertrace check read only the classes they touch.
 
 The modular rank is run under two independent primes; it can only ever
 undercount the rational rank, so agreement at the expected value plus the
@@ -66,8 +68,8 @@ import hashlib
 import os
 import tempfile
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,8 +77,6 @@ import numpy as np
 from .scalars import (
     DEFAULT_PRIMES,
     GaussRational,
-    I,
-    ONE,
     ZERO,
     balanced_residues,
     root_of_minus_one,
@@ -291,19 +291,6 @@ class FlatLayout:
         m, rc = np.divmod(coords - starts[i], s * s)
         return (k, *np.divmod(rc, s), m)
 
-    def flatten_exact(self, rop: RestrictedOperator) -> dict[int, Fraction]:
-        if self.complexified:
-            raise ValueError("exact engine runs on real coordinates")
-        coords, values = self.entries(rop)
-        return dict(zip(coords.tolist(), values))
-
-    def flatten_modular(self, rop: RestrictedOperator, p: int, root_i: int) -> np.ndarray:
-        """rop's ``_project``-ed entries as a dense vector of the layout."""
-        coords, residues = _project(*self.entries(rop), p, root_i)
-        vec = np.zeros(self.length)
-        vec[coords] = residues
-        return vec
-
 
 def _project(coords: np.ndarray, values: list, p: int, root_i: int) -> tuple[np.ndarray, ...]:
     """``FlatLayout.entries`` with the values' balanced residues mod p (i to root_i), each
@@ -360,14 +347,17 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, entries: 
     are read off the rows' Python ints.  The candidates are inserted row
     by row, generator by generator, and the frontier holds the class-local
     rows of the generators and raw candidates that add a pivot, so
-    ``brackets`` is len(gens) * dim.  Returns (echelon, brackets)."""
-    echelon, flat, frontier, gmax = IntegerEchelon(), [], {}, 0
+    ``brackets`` is len(gens) * dim.  A seed goes into its class's echelon
+    and a candidate into its channel target's, each made with its first
+    row (a generator that vanishes on the layout has no class and adds no
+    row).  Returns ({class: echelon}, brackets)."""
+    echelons, flat, frontier, gmax = defaultdict(IntegerEchelon), [], {}, 0
     for f, v in entries:
         row = integral(dict(zip(f.tolist(), v)))
         gmax = max(gmax, max(map(abs, row.values()), default=0))
         flat.append((f, np.array(list(row.values()), dtype=np.float64)))
-        if echelon.insert(row) is not None:
-            x = np.zeros(layout.class_width[t := int(layout.coord_class[f[0]])])
+        if row and echelons[t := int(layout.coord_class[f[0]])].insert(row) is not None:
+            x = np.zeros(layout.class_width[t])
             x[layout.coord_local[f]] = flat[-1][1]
             frontier.setdefault(t, []).append(x)
     tables, top = {}, gmax  # top: max |entry| of the frontier rows
@@ -395,13 +385,14 @@ def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, entries: 
             ends = (np.flatnonzero(np.diff(seg, append=-1)) + 1).tolist()
             keys, values = cols[c].tolist(), R[r, c].astype(np.int64).tolist()
             for a, b in zip([0] + ends, ends):
-                if echelon.insert(dict(zip(keys[a:b], values[a:b]))) is not None:
-                    i, k = divmod(int(seg[a]), len(out))
-                    t, lo, hi = out[k]
+                i, k = divmod(int(seg[a]), len(out))
+                t, lo, hi = out[k]
+                if echelons[t].insert(dict(zip(keys[a:b], values[a:b]))) is not None:
                     found.setdefault(t, []).append(R[i, lo:hi].copy())
                     peak = max(peak, max(map(abs, values[a:b])))
         frontier, top = found, peak
-    return echelon, len(gens) * echelon.rank  # each row that adds a pivot met every generator
+    # each row that adds a pivot met every generator
+    return dict(echelons), len(gens) * sum(ech.rank for ech in echelons.values())
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +908,7 @@ class ClosureState:
     brackets: int
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
-    _engine: object = None  # IntegerEchelon (exact) or _ModularEngine
+    _engine: object = None  # {class: IntegerEchelon} (exact) or _ModularEngine
     # seconds spent building ad_g, bracketing, reducing and inserting in a
     # modular run (not in the report)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
@@ -951,8 +942,18 @@ class ClosureState:
         return not any(any(b.values()) for k, b in rop.blocks.items() if k not in self.blocks)
 
     def contains_exact(self, rop: RestrictedOperator) -> bool:
-        assert isinstance(self._engine, IntegerEchelon)
-        return self._on_layout(rop) and self._engine.contains(integral(self.layout.flatten_exact(rop)))
+        """Exact membership, class by class: rop's part on each class it
+        touches, scaled to an int row, must reduce to zero in that class's
+        echelon, and a part on a class without rows is no member."""
+        assert isinstance(self._engine, dict)
+        if not self._on_layout(rop):
+            return False
+        coords, values = self.layout.entries(rop)
+        parts: dict[int, dict] = {}
+        for t, f, v in zip(self.layout.coord_class[coords].tolist(), coords.tolist(), values):
+            parts.setdefault(t, {})[f] = v
+        return all(t in self._engine and self._engine[t].contains(integral(row))
+                   for t, row in parts.items())
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
@@ -960,22 +961,20 @@ class ClosureState:
             *_project(*self.layout.entries(rop), self.prime, self._engine.root_i))
 
     def supertrace_residues(self) -> float:
-        """max |supertrace residue| over all basis rows (modular only)."""
+        """max |supertrace residue| over all basis rows (modular only): every
+        diagonal entry lies in the zero-shift class, so that class's rows
+        meet one +-1 sign vector per part (real and imaginary in real mode,
+        one residue per entry carrying both in complex mode)."""
         assert isinstance(self._engine, _ModularEngine)
-        eng = self._engine
-        idx = self.layout.class_indices
-        vals = [0.0]
-        # the real part of the supertrace, and in real mode the imaginary
-        # part: a single residue per entry already carries both
-        for unit in ((ONE,) if self.layout.complexified else (ONE, I)):
-            full = self.layout.flatten_modular(_supertrace_sign(self.layout, unit), self.prime,
-                                               eng.root_i)
-            for ech in eng.groups:
-                w = full[np.stack([idx[t] for t in ech.classes])]
-                if ech.B.shape[1] and w.any():
-                    r = ech._balance(ech.B @ w[:, :, None])
-                    vals.append(float(np.abs(r).max()))
-        return max(vals)
+        layout, parts = self.layout, 1 if self.layout.complexified else 2
+        ech, k = self._engine._where(int(layout.coord_class[layout.offsets[layout.blocks[0]]]))
+        signs = np.zeros((ech.width, parts))
+        for b in layout.blocks:
+            s, i = BLOCK_SIZES[b], np.arange(BLOCK_SIZES[b])
+            sign = np.where(i < HW_HALF_DIMS[b], 1, -1)
+            for m in range(parts):  # part m of entry (i, i)
+                signs[layout.coord_local[layout.offsets[b] + m * s * s + i * (s + 1)], m] = sign
+        return float(np.abs(ech._balance(ech.B[k, :ech.nrows[k]] @ signs)).max(initial=0.0))
 
     def report(self) -> dict:
         return {
@@ -1025,17 +1024,14 @@ def _write_atomic(path: str, mode: str, write) -> None:
         raise
 
 
-def _supertrace_sign(layout: FlatLayout, unit: GaussRational) -> RestrictedOperator:
-    """unit times the grading sign: +unit on the even half of each block's
-    basis, -unit on the odd half."""
-    return RestrictedOperator({k: {(i, i): unit if i < HW_HALF_DIMS[k] else -unit
-                                   for i in range(BLOCK_SIZES[k])} for k in layout.blocks}, 0)
-
-
 def _resolve_generators(generators, ralg: RestrictedAlgebra) -> list[RestrictedOperator]:
+    if isinstance(generators, str):
+        raise ValueError(f"generators: {generators!r} is a name, not a sequence of generators")
     out = []
-    for g in generators:
+    for i, g in enumerate(generators):
         if isinstance(g, str):
+            if g not in GENERATOR_NAMES:
+                raise ValueError(f"generators[{i}]: unknown generator name {g!r}")
             out.append(ralg.generator(g))
         elif isinstance(g, RestrictedOperator):
             out.append(g)
@@ -1068,9 +1064,10 @@ def lie_closure(
     "modular-complex" (one residue per matrix entry; the rank is then the
     complex dimension of the complexified algebra).
     blocks: the highest-weight blocks to close on, a non-empty strictly
-    increasing tuple drawn from 0..3; generators must name at least one
-    generator, each in one multidegree-shift class of its declared parity.
-    Anything else raises ValueError.
+    increasing tuple drawn from 0..3; generators a sequence of at least
+    one generator (a name in GENERATOR_NAMES or an operator), each in one
+    multidegree-shift class of its declared parity.  Anything else raises
+    ValueError.
     prime, progress: modular only (an exact run raises ValueError on
     either).  The prime defaults to ``DEFAULT_PRIMES[0]``; progress is
     called after each bracketing level with (level, dim, brackets,
@@ -1099,9 +1096,10 @@ def lie_closure(
         if np.any(layout.class_parity[cls] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
     if field == "exact":
-        echelon, brackets = _exact_closure(gens, layout, entries)
-        return ClosureState(field, None, layout, list(echelon.basis), brackets,
-                            time.perf_counter() - t0, _engine=echelon)
+        echelons, brackets = _exact_closure(gens, layout, entries)
+        pivots = [p for t in sorted(echelons) for p in sorted(echelons[t].basis)]
+        return ClosureState(field, None, layout, pivots, brackets, time.perf_counter() - t0,
+                            _engine=echelons)
     p = prime if prime is not None else DEFAULT_PRIMES[0]
     eng, brackets, levels, phases = _modular_closure(gens, layout, p, entries, progress)
     return ClosureState(field, p, layout, eng.global_pivots(), brackets,

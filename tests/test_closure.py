@@ -157,11 +157,26 @@ def test_k01_block_support(ralg):
     assert not k01.block(3)
 
 
+def _exact_row(layout, rop):
+    """rop's ``FlatLayout.entries`` as a {coordinate: exact value} row."""
+    coords, values = layout.entries(rop)
+    return dict(zip(coords.tolist(), values))
+
+
+def _dense(layout, rop, p, root_i):
+    """rop's ``_project``-ed entries scattered into a dense vector of the
+    whole layout, the test-side reference the engines never build."""
+    coords, residues = cl._project(*layout.entries(rop), p, root_i)
+    vec = np.zeros(layout.length)
+    vec[coords] = residues
+    return vec
+
+
 def test_flatten_zero(ralg):
     layout = FlatLayout()
     zero = ralg.restrict(ops.zero_operator())
-    assert layout.flatten_exact(zero) == {}
-    vec = layout.flatten_modular(zero, DEFAULT_PRIMES[0], 1)
+    assert _exact_row(layout, zero) == {}
+    vec = _dense(layout, zero, DEFAULT_PRIMES[0], 1)
     assert not np.any(vec)
 
 
@@ -190,10 +205,11 @@ def _reference_coordinates(layout, rop):
 
 
 def test_flatten_matches_cell_by_cell_reference(ralg):
-    """flatten_exact and flatten_modular put every nonzero part of the
-    twelve restricted generators and their daggers where a cell-by-cell
+    """``FlatLayout.entries`` and ``_project`` put every nonzero part of
+    the twelve restricted generators and their daggers where a cell-by-cell
     walk of the blocks puts it, with its value or its balanced residue,
-    and write nothing else; on the full real and the full complex layout."""
+    and write nothing else; on the full real and the full complex layout,
+    where each value is a whole GaussRational entry."""
     from wsdalg.scalars import balanced_residue, root_of_minus_one
 
     p = DEFAULT_PRIMES[0]
@@ -205,7 +221,7 @@ def test_flatten_matches_cell_by_cell_reference(ralg):
         for rop in rops:
             want = _reference_coordinates(layout, rop)
             assert want
-            vec = layout.flatten_modular(rop, p, root)
+            vec = _dense(layout, rop, p, root)
             expected = np.zeros(layout.length)
             for f, v in want.items():
                 expected[f] = balanced_residue(v, p, root)
@@ -214,11 +230,9 @@ def test_flatten_matches_cell_by_cell_reference(ralg):
             for f, k, r, c, m in zip(coords.tolist(), *(a.tolist() for a in layout.places(coords))):
                 assert _grid(layout, k)[m, r, c] == f
                 seen_imaginary |= m == 1
-            if complexified:
-                with pytest.raises(ValueError):
-                    layout.flatten_exact(rop)
-            else:
-                assert layout.flatten_exact(rop) == want
+            row = _exact_row(layout, rop)
+            assert row == want
+            assert all(isinstance(v, GaussRational) is complexified for v in row.values())
         assert seen_imaginary is not complexified
 
 
@@ -252,7 +266,7 @@ def test_even_subalgebra_exact(ralg):
     assert st.dim == 15
     assert st.parity_dims() == (15, 0)
     # the echelon holds exact rationals only, integral ones as ints
-    stored = [v for row in st._engine.rows.values() for v in row.values()]
+    stored = [v for ech in st._engine.values() for row in ech.rows.values() for v in row.values()]
     assert all(type(v) in (int, Fraction) for v in stored)
     assert not any(type(v) is Fraction and v.denominator == 1 for v in stored)
 
@@ -263,10 +277,11 @@ def test_even_subalgebra_modular_matches_exact(ralg):
 
 
 def _rows_digest(state) -> str:
-    """Digest of an exact state's echelon rows, pivot by pivot: a fully
-    reduced echelon basis is unique for its span, so it does not depend on
-    how the closure reached it."""
-    rows = state._engine.rows
+    """Digest of an exact state's echelon rows, pivot by pivot over all its
+    classes: a fully reduced echelon basis is unique for its span, so it
+    does not depend on how the closure reached it, nor on whether it is
+    kept whole or class by class (the rows are homogeneous)."""
+    rows = {p: row for ech in state._engine.values() for p, row in ech.rows.items()}
     text = repr([(p, sorted((f, str(v)) for f, v in rows[p].items())) for p in sorted(rows)])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -289,15 +304,21 @@ def test_exact_echelon_rows_pinned(ralg, generators, blocks, pivot_hash, rows_di
     (ops.GENERATOR_NAMES, (0,)),
 ], ids=["hw3", "even", "hw0"])
 def test_exact_closure_stores_int_rows(ralg, generators, blocks):
-    """The exact engine keeps its echelon on primitive int rows, each
-    positive at its pivot, and its normalised view is 1 there."""
+    """The exact engine keeps one echelon per class that has rows, on
+    primitive int rows of that class, each positive at its pivot, and each
+    echelon's normalised view is 1 there; the state lists the pivots class
+    by class, in increasing order within a class."""
     st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
-    basis = st._engine.basis
-    assert list(basis) == st.pivots == list(st._engine.rows)
-    for p, row in basis.items():
-        assert all(type(v) is int for v in row.values())
-        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
-        assert st._engine.rows[p][p] == 1
+    pivots = []
+    for t, ech in sorted(st._engine.items()):
+        assert ech.rank and list(ech.basis) == list(ech.rows)
+        pivots += sorted(ech.basis)
+        for p, row in ech.basis.items():
+            assert all(type(v) is int for v in row.values())
+            assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+            assert ech.rows[p][p] == 1
+            assert set(st.layout.coord_class[list(row)].tolist()) == {t}
+    assert pivots == st.pivots
 
 
 def test_exact_membership_scales_fraction_input(ralg):
@@ -327,6 +348,8 @@ def test_exact_hw0_closure_matches_modular(ralg):
     st = lie_closure(blocks=(0,), field="exact", ralg=ralg)
     assert st.dim == 1599 and st.parity_dims() == (799, 800)
     assert st.pivot_hash() == HW0_HASHES["modular"] == "9db1b3b25abc0c18"
+    modular = lie_closure(blocks=(0,), field="modular", ralg=ralg)
+    assert (st.pivots, st.parities) == (modular.pivots, modular.parities)
 
 
 def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
@@ -549,14 +572,14 @@ def test_bracket_engines_agree(ralg):
             d = _operator_class(layout, x)
             if d is None:
                 continue
-            X = layout.flatten_modular(x, p, root)[layout.class_indices[d]].reshape(1, -1)
+            X = _dense(layout, x, p, root)[layout.class_indices[d]].reshape(1, -1)
             R = None
             if d in ads.tables:  # the exact sums, balanced as the candidate stacks are
                 R = cl._bracket_rows(X, ads.tables[d])[0]
                 R -= np.rint(R / p) * p
             channel = {int(ads.generator[c]): c for c in range(ads.first[d], ads.first[d + 1])}
             for i, g in enumerate(gens):
-                want = layout.flatten_modular(rop_bracket(g, x, blocks), p, root)
+                want = _dense(layout, rop_bracket(g, x, blocks), p, root)
                 got = np.zeros(layout.length)
                 if i in channel:
                     c = channel[i]
@@ -733,15 +756,24 @@ TABLE_IDS = [f"hw{''.join(map(str, b))}-{'complex' if c else 'real'}" for b, c i
     (EVEN_GENERATOR_NAMES, (0, 1, 2, 3)),
 ])
 def test_exact_state_read_off_its_echelon(ralg, generators, blocks):
-    """An exact state's pivots are its echelon's keys in insertion order.
-    Each row's parity, read off its pivot, is that of every coordinate the
-    row touches (odd exactly on the off-diagonal sub-blocks), and a state
-    built from the layout and the pivots alone reports the same."""
+    """An exact state's pivots are its echelons' keys, class by class and
+    in increasing order within a class, as a modular state of the same
+    generators and blocks lists them: the two have equal pivots and
+    parities.  Each row's parity, read off its pivot, is that of every
+    coordinate the row touches (odd exactly on the off-diagonal
+    sub-blocks), and a state built from the layout and the pivots alone
+    reports the same."""
     st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
-    assert st.pivots == list(st._engine.rows)
+    assert st.pivots == [p for t in sorted(st._engine) for p in sorted(st._engine[t].rows)]
+    classes = st.layout.coord_class[st.pivots]
+    assert np.all(np.diff(classes) >= 0)
+    assert all(a < b for a, b, x, y in zip(st.pivots, st.pivots[1:], classes, classes[1:])
+               if x == y)
+    modular = lie_closure(generators, field="modular", blocks=blocks, ralg=ralg)
+    assert (st.pivots, st.parities) == (modular.pivots, modular.parities)
     par = _parity_split(st.layout)
     assert st.parities == par[st.pivots].tolist()
-    for p, row in st._engine.rows.items():
+    for p, row in ((p, row) for ech in st._engine.values() for p, row in ech.rows.items()):
         assert set(par[list(row)].tolist()) == {par[p]}
     again = cl.ClosureState("exact", None, st.layout, st.pivots, st.brackets, 0.0)
     assert (again.dim, again.blocks, again.parities) == (st.dim, blocks, st.parities)
@@ -925,15 +957,20 @@ def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
 
 def test_empty_class_component_rejected(ralg):
     """The odd generators vanish on the smallest block, so its odd classes
-    hold no rows: a component there is never a member."""
-    st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
+    hold no rows: a component there is never a member, on the modular and
+    on the exact field (where such a class has no echelon at all)."""
     odd = cl.RestrictedOperator({3: {(0, 4): GaussRational(1)}}, 1)
-    t = _operator_class(st.layout, odd)
-    assert t is not None and t not in st._engine.listing()[0]
-    assert not st.contains_modular(odd)
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
-    assert not st.contains_modular(member)
+    for field in ("modular", "exact"):
+        st = lie_closure(blocks=(3,), field=field, ralg=ralg)
+        contains = st.contains_exact if field == "exact" else st.contains_modular
+        t = _operator_class(st.layout, odd)
+        listed = st._engine if field == "exact" else st._engine.listing()[0]
+        assert t is not None and t not in listed
+        assert not contains(odd)
+        assert contains(cl.RestrictedOperator({3: rop.block(3)}, 0))
+        assert not contains(member)
 
 
 def _dense_contains(state, rop) -> bool:
@@ -1113,11 +1150,24 @@ def test_saved_hw0_arrays_pinned(ralg, tmp_path, field):
 def test_supertrace_residues_see_both_parts(ralg, field, unit):
     """A basis element whose supertrace has a nonzero real or imaginary
     part reads as a nonzero residue, in the real and in the complexified
-    layout: its one row is 1 at the pivot, the (0, 0) entry of hw3."""
-    g = cl.RestrictedOperator({3: {(0, 0): unit}}, 0)
-    st = lie_closure([g], field=field, blocks=(3,), ralg=ralg)
-    assert st.dim == 1
-    assert st.supertrace_residues() == 1.0
+    layout: its one row is 1 at the pivot, the (0, 0) entry of hw3.  A
+    diagonal entry of the odd half counts with the opposite sign: E00 +
+    E44 reads 0 and E00 - E44 reads 2, on hw3 alone, and on hw3 after
+    block 0, whose offset moves every coordinate; and E00 +- E(20,20) on
+    hw0 reads 0 and 2 on its larger halves."""
+    for blocks, k, diag, want in [
+        ((3,), 3, {(0, 0): 1}, 1.0),
+        ((3,), 3, {(0, 0): 1, (4, 4): 1}, 0.0),
+        ((3,), 3, {(0, 0): 1, (4, 4): -1}, 2.0),
+        ((0, 3), 3, {(0, 0): 1, (4, 4): 1}, 0.0),
+        ((0, 3), 3, {(0, 0): 1, (4, 4): -1}, 2.0),
+        ((0,), 0, {(0, 0): 1, (20, 20): 1}, 0.0),
+        ((0,), 0, {(0, 0): 1, (20, 20): -1}, 2.0),
+    ]:
+        g = cl.RestrictedOperator({k: {rc: unit * v for rc, v in diag.items()}}, 0)
+        st = lie_closure([g], field=field, blocks=blocks, ralg=ralg)
+        assert st.dim == 1
+        assert st.supertrace_residues() == want, (blocks, diag)
 
 
 def test_load_state_accepts_rows_in_any_order(tmp_path, ralg):
@@ -1537,12 +1587,14 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     (cl.GENERATOR_NAMES, (3, 0), "blocks"),
     (cl.GENERATOR_NAMES, (3,), "prime"),
     (cl.GENERATOR_NAMES, (3,), "progress"),
+    (["iL9"], (3,), "generators"),
+    ("iL0", (3,), "generators"),
 ])
 def test_lie_closure_rejects_bad_arguments(ralg, generators, blocks, argument):
-    """No generators, and blocks that are not a non-empty strictly
-    increasing tuple drawn from 0..3, are rejected before any work; so are
-    a prime and a progress callback on the exact field, which has
-    neither."""
+    """No generators, an unknown generator name, a single name in place of
+    a sequence, and blocks that are not a non-empty strictly increasing
+    tuple drawn from 0..3, are rejected before any work; so are a prime
+    and a progress callback on the exact field, which has neither."""
     exact = {"prime": {"prime": 7}, "progress": {"progress": print}}.get(argument)
     with pytest.raises(ValueError, match=f"^{argument}"):
         lie_closure(generators, field="exact" if exact else "modular", blocks=blocks, ralg=ralg,
