@@ -22,25 +22,26 @@ block j and A_j subtracts 3 there.  A bracket [g, x] of homogeneous
 elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
 superalgebra; 319 classes of at most 448 coordinates on the full real
-layout).  Both run level by level on one bracket kernel: a class's
-frontier rows are bracketed with all twelve generators by one gather, one
-multiply and one segmented sum over the class's ad_g entry table
-(``_bracket_rows``, ``_adjoint_blocks``), built from the one statement of
-the part rule in ``_generator_entries``.
+layout).  One level loop (``_closure``) runs both fields on one bracket
+kernel: each level builds the ad_g entry tables of the frontier classes
+that have none yet (``_adjoint_blocks``, from the one statement of the
+part rule in ``_generator_entries``), brackets a class's frontier rows with
+all twelve generators by one gather, one multiply and one segmented sum
+(``_bracket_rows``), bounds every sum below 2^53 before it is formed, and
+hands one candidate stack per target class to the field's engine.  Only
+the classes the frontier reaches get tables (13 for the even subalgebra).
 
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every product runs on BLAS while staying exact
-  (the default primes are sized so no dot product can reach 2^53).  The
-  tables of all classes are built once; the candidates are written into
-  one stack per target width, and each width group makes one batched
-  reduce (which first balances the bracket sums mod p) and one batched
-  elimination, in one fully reduced echelon per class held as one stack
-  per width (16 widths on the full layout, 9 on hw0).
+  (the primes are sized so no dot product can reach 2^53).  Each width group
+  of stacks makes one batched reduce (which first balances the bracket
+  sums mod p) and one batched elimination, in one fully reduced echelon
+  per class held as one stack per width (16 widths on the full layout, 9
+  on hw0); the new basis rows are the next frontier.
 * exact: the generators' int rows (each scaled by the lcm of its
-  denominators) are the coefficients, every sum is bounded below 2^53
-  before it is formed, and the candidates go into a fraction-free
-  ``linalg.IntegerEchelon`` over Q, one per class.  Only the classes the
-  frontier reaches get tables (13 for the even subalgebra).
+  denominators) are the coefficients, and each class's candidates go in
+  order into its fraction-free ``linalg.IntegerEchelon`` over Q; the raw
+  candidates that add a pivot are the next frontier.
 
 On both fields the per-class echelon bases are the state's one record:
 dimension, block dimensions and row parities (the parity of a pivot's
@@ -68,7 +69,6 @@ import hashlib
 import os
 import tempfile
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -249,14 +249,6 @@ class FlatLayout:
         (self.coord_class, self.class_shift_array, self.class_parity, self.class_indices,
          self.class_width, self.coord_local) = _class_tables(self.blocks, complexified)
 
-    def support_class(self, coords: np.ndarray) -> int | None:
-        """Class of the flat coordinates ``coords`` (None when there are
-        none); raises ValueError when they span several classes."""
-        classes = np.unique(self.coord_class[coords])
-        if len(classes) > 1:
-            raise ValueError("operator is not homogeneous in the multidegree-shift grading")
-        return int(classes[0]) if classes.size else None
-
     def entries(self, rop: RestrictedOperator) -> tuple[np.ndarray, list]:
         """The nonzero parts of rop on this layout, in one pass: their flat
         coordinates (int64) and exact values, the real and imaginary part of
@@ -335,64 +327,54 @@ class InexactBracket(ArithmeticError):
     """An exact bracket sum could reach 2^53, where float64 stops being exact."""
 
 
-def _exact_closure(gens: list[RestrictedOperator], layout: FlatLayout, entries: list[tuple]):
-    """Level-synchronous left-normed closure over Q on the modular engine's
-    kernel.  Each generator's row (its ``layout.entries`` in ``entries``)
-    times the lcm of its denominators (``integral``) is an int row with the
-    span it has over Q, and these rows are the tables' coefficients.  Each
-    level builds the tables of the frontier classes that have none yet and
-    brackets each class's frontier rows in float64 (``_bracket_rows``),
-    once max |frontier entry| * max |generator entry| * longest column, a
-    bound on every sum, is below 2^53 (else InexactBracket); both maxima
-    are read off the rows' Python ints.  The candidates are inserted row
-    by row, generator by generator, and the frontier holds the class-local
-    rows of the generators and raw candidates that add a pivot, so
-    ``brackets`` is len(gens) * dim.  A seed goes into its class's echelon
-    and a candidate into its channel target's, each made with its first
-    row (a generator that vanishes on the layout has no class and adds no
-    row).  Returns ({class: echelon}, brackets)."""
-    echelons, flat, frontier, gmax = defaultdict(IntegerEchelon), [], {}, 0
-    for f, v in entries:
-        row = integral(dict(zip(f.tolist(), v)))
-        gmax = max(gmax, max(map(abs, row.values()), default=0))
-        flat.append((f, np.array(list(row.values()), dtype=np.float64)))
-        if row and echelons[t := int(layout.coord_class[f[0]])].insert(row) is not None:
-            x = np.zeros(layout.class_width[t])
-            x[layout.coord_local[f]] = flat[-1][1]
-            frontier.setdefault(t, []).append(x)
-    tables, top = {}, gmax  # top: max |entry| of the frontier rows
-    while frontier:
-        if new := [d for d in frontier if d not in tables]:
-            ads = _adjoint_blocks(layout, gens, flat, new)
-            tables.update(dict.fromkeys(new))  # None: every bracket of the class vanishes
-            for d, (rows, _, starts) in ads.tables.items():
-                out = ads.outputs[d]  # with each output column's coordinate and channel
-                tables[d] = (ads.tables[d], out,
-                             np.concatenate([layout.class_indices[t] for t, _, _ in out]),
-                             np.repeat(np.arange(len(out)), [hi - lo for _, lo, hi in out]),
-                             int(np.diff(starts, append=len(rows)).max()))
-        found, peak = {}, 0
-        for d, xs in frontier.items():
-            if tables[d] is None:
+class _ExactEngine:
+    """The closure over Q behind ``_ModularEngine``'s interface: one
+    fraction-free ``linalg.IntegerEchelon`` per shift class that has rows,
+    keyed by global coordinate.  ``top`` is the largest |entry| of the last
+    frontier, for the level loop's exactness guard."""
+
+    def __init__(self, layout: FlatLayout):
+        self.layout = layout
+        self.echelons: dict[int, IntegerEchelon] = {}
+        self.top = 0.0
+
+    @property
+    def nrows(self) -> int:
+        return sum(ech.rank for ech in self.echelons.values())
+
+    def global_pivots(self) -> list[int]:
+        """The pivots class by class, in increasing order within a class."""
+        return [p for t in sorted(self.echelons) for p in sorted(self.echelons[t].basis)]
+
+    def stacks(self, counts: np.ndarray):
+        """Zero stacks for ``counts[t]`` rows of each class t, each its own view."""
+        width = self.layout.class_width
+        views = {t: np.zeros((int(counts[t]), int(width[t])))
+                 for t in np.flatnonzero(counts).tolist()}
+        return views, views
+
+    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, np.ndarray]:
+        """Insert each class's stack (float64 int rows), row by row, into its
+        echelon (made with its first nonzero row), one ``np.nonzero`` per
+        stack, each stack dropped once inserted.  Returns {class: the raw
+        rows that added a pivot}, in class order."""
+        found, top = {}, 0.0
+        for t in sorted(stacks):
+            C = stacks.pop(t)
+            r, c = np.nonzero(C)  # a candidate per run of equal r, in row order
+            if not r.size:
                 continue
-            table, out, cols, chan, longest = tables[d]
-            if top * gmax * longest >= 2**53:
-                raise InexactBracket(f"class {d}: a bracket sum could reach 2^53")
-            R = _bracket_rows(np.array(xs), table)
-            # a candidate per (row, channel): a run of R's nonzeros in row-major order
-            r, c = np.nonzero(R)
-            seg = r * len(out) + chan[c]
-            ends = (np.flatnonzero(np.diff(seg, append=-1)) + 1).tolist()
-            keys, values = cols[c].tolist(), R[r, c].astype(np.int64).tolist()
-            for a, b in zip([0] + ends, ends):
-                i, k = divmod(int(seg[a]), len(out))
-                t, lo, hi = out[k]
-                if echelons[t].insert(dict(zip(keys[a:b], values[a:b]))) is not None:
-                    found.setdefault(t, []).append(R[i, lo:hi].copy())
-                    peak = max(peak, max(map(abs, values[a:b])))
-        frontier, top = found, peak
-    # each row that adds a pivot met every generator
-    return dict(echelons), len(gens) * sum(ech.rank for ech in echelons.values())
+            ech = self.echelons.setdefault(t, IntegerEchelon())
+            ends = (np.flatnonzero(np.diff(r, append=-1)) + 1).tolist()
+            keys = self.layout.class_indices[t][c].tolist()
+            values = C[r, c].astype(np.int64).tolist()
+            new = [int(r[a]) for a, b in zip([0] + ends, ends)
+                   if ech.insert(dict(zip(keys[a:b], values[a:b]))) is not None]
+            if new:
+                found[t] = C[new]
+                top = max(top, float(np.abs(found[t]).max()))
+        self.top = top
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +504,8 @@ class _HalfEngine:
         self.B[slots[k], start[k] + j] = V[k, j]
         self.pivots[slots[k], start[k] + j] = P[k, j]
         self.nrows[slots] += gained
-        return {int(self.classes[s]): range(int(a), int(a + n))
-                for s, a, n in zip(slots, start, gained)}
+        return {t: range(a, z) for t, a, z in
+                zip(self.classes[slots].tolist(), start.tolist(), (start + gained).tolist())}
 
 
 class _ModularEngine:
@@ -540,6 +522,7 @@ class _ModularEngine:
     def __init__(self, layout: FlatLayout, p: int):
         self.layout = layout
         self.root_i = root_of_minus_one(p)
+        self.top = (p - 1) // 2  # every residue is balanced
         self.class_width = layout.class_width
         widths, self.class_group = np.unique(self.class_width, return_inverse=True)
         self.groups = [_HalfEngine(p, int(w), np.flatnonzero(self.class_group == g))
@@ -594,10 +577,6 @@ class _ModularEngine:
             ech.pivots[slot, row[m]] = piv[m]
             ech.nrows = counts[ech.classes]
 
-    def frontier_rows(self, t: int, new: range) -> np.ndarray:
-        ech, k = self._where(t)
-        return ech.B[k, new.start : new.stop]
-
     def global_pivots(self) -> list[int]:
         cls, piv = self.listing()[:2]
         first = np.cumsum(self.class_width) - self.class_width
@@ -618,21 +597,24 @@ class _ModularEngine:
             views.update(zip(ts.tolist(), C))
         return stacks, views
 
-    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, range]:
+    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, np.ndarray]:
         """Reduce and insert filled candidate stacks, as made by ``stacks``:
         one reduce and one elimination per width group, groups in
         increasing width, each stack dropped once inserted.  Returns
-        {class: range of its new rows} for each class that gained rows, in
-        class order, and adds the seconds spent to ``phases["reduce_s"]``
-        and ``phases["insert_s"]``."""
-        added: dict[int, range] = {}
+        {class: its new basis rows, a view of its group's ``B``} for each
+        class that gained rows, in class order, and adds the seconds spent
+        to ``phases["reduce_s"]`` and ``phases["insert_s"]``.  A later
+        insert may reallocate ``B``, so the views are to be dropped before
+        the next call."""
+        added: dict[int, np.ndarray] = {}
         for g in sorted(stacks):
             sel, C = stacks.pop(g)
             ech = self.groups[g]
             t0 = time.perf_counter()
             ech.reduce_rows(C, sel)
             t1 = time.perf_counter()
-            added.update(ech.insert_batch(C, sel))
+            for t, new in ech.insert_batch(C, sel).items():
+                added[t] = ech.B[self.class_slot[t], new.start : new.stop]
             phases["reduce_s"] += t1 - t0
             phases["insert_s"] += time.perf_counter() - t1
         return dict(sorted(added.items()))
@@ -724,7 +706,8 @@ class _Adjoint:
     meets x from both sides; the bracket sums the two.  An empty column
     holds one filler entry, row 0 with coefficient 0, so every column is
     one non-empty segment (``np.add.reduceat`` reads an empty one as the
-    next entry).  Only source classes with a channel have a table."""
+    next entry).  Only source classes with a channel have a table, and
+    ``longest`` is the most entries any of their columns holds."""
 
     source: np.ndarray
     generator: np.ndarray
@@ -734,6 +717,7 @@ class _Adjoint:
     first: np.ndarray
     tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     outputs: dict[int, list[tuple[int, int, int]]]
+    longest: int
 
 
 def _adjoint_blocks(layout: FlatLayout, gens, flat, sources) -> _Adjoint:
@@ -795,81 +779,8 @@ def _adjoint_blocks(layout: FlatLayout, gens, flat, sources) -> _Adjoint:
         a, b = bound[t], bound[t + 1]
         tables[t] = (index[a:b], value[a:b], starts[edge[t] : edge[t + 1]])
         outputs[t] = channels[cut[t] : cut[t + 1]]
-    return _Adjoint(source, generator, target, lo, hi, first, tables, outputs)
-
-
-def _modular_closure(
-    gens: list[RestrictedOperator],
-    layout: FlatLayout,
-    p: int,
-    entries: list[tuple],
-    progress=None,
-):
-    """Level-synchronous left-normed closure over F_p.
-
-    ``entries`` holds ``layout.entries(g)`` of each generator, read once
-    per closure; each generator's residues are projected from them once,
-    for its ad_g entries and its seed row.  The ad_g channels of all
-    generators are built once per run (``_adjoint_blocks``), and the generators are the
-    first frontier.  Each level sizes one zero-padded stack per target width
-    group by the candidate count of each target class (its channels' source
-    frontier sizes, summed).  Each source class, in frontier order, then
-    brackets its frontier rows with all its channels at once
-    (``_bracket_rows``), and each of its channels writes its columns into
-    its target's stack after the rows already there; then every width group
-    is reduced and inserted once.  The rows added (a range of rows per
-    class) form the next frontier; the run ends when a level adds none.  Any
-    row of the span may stand for a frontier element, so the current
-    (further reduced) basis rows are bracketed.  The span, hence the pivot
-    set, does not depend on the order of insertion, and every basis row is
-    bracketed with every generator exactly once, so ``brackets`` is
-    len(gens) * dim.  Returns (engine, brackets, levels, phases), the last
-    the seconds spent building ad_g and bracketing, reducing and
-    inserting."""
-    eng = _ModularEngine(layout, p)
-    t0 = time.perf_counter()
-    flat = [_project(*e, p, eng.root_i) for e in entries]
-    nclasses = len(layout.class_width)
-    ads = _adjoint_blocks(layout, gens, flat, range(nclasses))
-    phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
-    phases["adjoint_s"] = time.perf_counter() - t0
-
-    seeds = [(t, f, v) for f, v in flat if (t := layout.support_class(f)) is not None]
-    counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
-    stacks, views = eng.stacks(counts)
-    filled = dict.fromkeys(views, 0)  # rows written so far per target class
-    for t, f, v in seeds:
-        views[t][filled[t], layout.coord_local[f]] = v
-        filled[t] += 1
-    frontier = eng.process_batch(stacks, phases)
-
-    brackets = levels = 0
-    while frontier:
-        t0 = time.perf_counter()
-        size = np.zeros(nclasses, dtype=np.int64)
-        size[list(frontier)] = [len(new) for new in frontier.values()]
-        counts = np.bincount(ads.target, weights=size[ads.source], minlength=nclasses)
-        stacks, views = eng.stacks(counts.astype(np.int64))
-        filled = dict.fromkeys(views, 0)
-        for d, new in frontier.items():
-            if d in ads.tables:
-                R = _bracket_rows(eng.frontier_rows(d, new), ads.tables[d])
-                k = len(new)
-                for t, lo, hi in ads.outputs[d]:
-                    r = filled[t]
-                    views[t][r : r + k] = R[:, lo:hi]
-                    filled[t] = r + k
-                R = None  # before the next product is made
-        views = None  # only the stacks live on into the inserts
-        phases["bracket_s"] += time.perf_counter() - t0
-        brackets += int(size.sum()) * len(gens)
-        levels += 1
-        frontier = eng.process_batch(stacks, phases)
-        if eng.nrows > DIMENSION_BOUND:
-            raise AssertionError("closure rank exceeded the proven upper bound")
-        if progress:
-            progress(levels, eng.nrows, brackets, sum(map(len, frontier.values())))
-    return eng, brackets, levels, phases
+    return _Adjoint(source, generator, target, lo, hi, first, tables, outputs,
+                    int(size.max(initial=0)))
 
 
 def _bracket_rows(X: np.ndarray, ad: tuple) -> np.ndarray:
@@ -880,12 +791,88 @@ def _bracket_rows(X: np.ndarray, ad: tuple) -> np.ndarray:
     sum is exact in float64 while max |x| * max |coefficient| * its
     column's length stays below 2^53.  For balanced residues a column holds
     at most five entries, far under the 8448 products the primes keep
-    exact; ``_exact_closure`` checks the bound for its int rows.  Residue
-    sums are left unreduced: ``_HalfEngine.reduce_rows`` balances them."""
+    exact; ``_closure`` checks the bound before each level.  Residue sums
+    are left unreduced: ``_HalfEngine.reduce_rows`` balances them."""
     rows, coef, starts = ad
     G = X.take(rows, axis=1)
     G *= coef
     return np.add.reduceat(G, starts, axis=1)
+
+
+def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tuple], eng,
+             progress=None):
+    """Level-synchronous left-normed closure on either engine, from the
+    generators' flat entries ``flat`` (coordinates and float64 values: int
+    rows over Q, or balanced residues mod p).  The generators are the first
+    frontier.  Each level builds the ad_g tables of the frontier classes
+    that have none yet, sizes one stack per target class by one bincount
+    over the channels built so far, brackets each class's frontier rows
+    with all its channels (``_bracket_rows``) into its targets' stacks, and
+    the engine returns the rows that add to the span as the next frontier.
+    Every sum is below eng.top (max |frontier entry|) * max |generator
+    entry| * the longest column, which must stay below 2^53 (else
+    InexactBracket), and the rank within ``DIMENSION_BOUND``.  The pivot
+    set does not depend on the order of insertion, and each row that adds
+    to the span meets every generator once, so ``brackets`` is len(gens) *
+    dim.  Returns (brackets, levels, phases), the last the seconds spent
+    building ad_g and bracketing, reducing and inserting."""
+    nclasses = len(layout.class_width)
+    phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
+    gmax = max((float(np.abs(v).max()) for _, v in flat if len(v)), default=0.0)
+    if gmax >= 2**53:
+        raise InexactBracket("a generator entry reaches 2^53")
+    seeds = [(int(layout.coord_class[f[0]]), f, v) for f, v in flat if len(f)]
+    counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
+    stacks, views = eng.stacks(counts)
+    filled = dict.fromkeys(views, 0)  # rows written so far per target class
+    for t, f, v in seeds:
+        views[t][filled[t], layout.coord_local[f]] = v
+        filled[t] += 1
+    views = None
+    frontier = eng.process_batch(stacks, phases)
+    tables, longest = {}, 0
+    source = target = np.zeros(0, dtype=np.int64)  # the channels built so far
+    brackets = levels = 0
+    while frontier:
+        t0 = time.perf_counter()
+        if new := [d for d in frontier if d not in tables]:
+            ads = _adjoint_blocks(layout, gens, flat, new)
+            # None: every bracket of the class vanishes
+            tables.update({d: (ads.tables[d], ads.outputs[d]) if d in ads.tables else None
+                           for d in new})
+            source = np.concatenate([source, ads.source])
+            target = np.concatenate([target, ads.target])
+            longest = max(longest, ads.longest)
+        t1 = time.perf_counter()
+        if eng.top * gmax * longest >= 2**53:
+            raise InexactBracket(f"level {levels + 1}: a bracket sum could reach 2^53")
+        size = np.zeros(nclasses, dtype=np.int64)
+        size[list(frontier)] = [len(x) for x in frontier.values()]
+        counts = np.bincount(target, weights=size[source], minlength=nclasses)
+        stacks, views = eng.stacks(counts.astype(np.int64))
+        filled = dict.fromkeys(views, 0)
+        for d, X in frontier.items():
+            if tables[d] is not None:
+                table, outputs = tables[d]
+                R, k = _bracket_rows(X, table), len(X)
+                for t, lo, hi in outputs:
+                    r = filled[t]
+                    views[t][r : r + k] = R[:, lo:hi]
+                    filled[t] = r + k
+                R = None  # before the next product is made
+        # only the stacks live on into the inserts: a held frontier row
+        # would pin a basis stack that the inserts may reallocate
+        frontier = X = views = None
+        phases["adjoint_s"] += t1 - t0
+        phases["bracket_s"] += time.perf_counter() - t1
+        brackets += int(size.sum()) * len(gens)
+        levels += 1
+        frontier = eng.process_batch(stacks, phases)
+        if eng.nrows > DIMENSION_BOUND:
+            raise AssertionError("closure rank exceeded the proven upper bound")
+        if progress:
+            progress(levels, eng.nrows, brackets, sum(map(len, frontier.values())))
+    return brackets, levels, phases
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1030,12 @@ def _resolve_generators(generators, ralg: RestrictedAlgebra) -> list[RestrictedO
 
 
 def _valid_blocks(blocks: tuple) -> bool:
-    """Whether blocks is a non-empty strictly increasing tuple drawn from
-    0..3, the only form whose layout, and so whose pivots, depend on the
-    set of blocks alone."""
-    return bool(blocks) and set(blocks) <= {0, 1, 2, 3} and list(blocks) == sorted(set(blocks))
+    """Whether blocks is a non-empty strictly increasing tuple of integers
+    (Python or numpy, not bool) drawn from 0..3, the only form whose layout,
+    and so whose pivots, depend on the set of blocks alone."""
+    return (bool(blocks) and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                                 for k in blocks)
+            and set(blocks) <= {0, 1, 2, 3} and list(blocks) == sorted(set(blocks)))
 
 
 def lie_closure(
@@ -1064,10 +1053,10 @@ def lie_closure(
     "modular-complex" (one residue per matrix entry; the rank is then the
     complex dimension of the complexified algebra).
     blocks: the highest-weight blocks to close on, a non-empty strictly
-    increasing tuple drawn from 0..3; generators a sequence of at least
-    one generator (a name in GENERATOR_NAMES or an operator), each in one
-    multidegree-shift class of its declared parity.  Anything else raises
-    ValueError.
+    increasing tuple of integers drawn from 0..3; generators a sequence of
+    at least one generator (a name in GENERATOR_NAMES or an operator), each
+    in one multidegree-shift class of its declared parity.  Anything else
+    raises ValueError.
     prime, progress: modular only (an exact run raises ValueError on
     either).  The prime defaults to ``DEFAULT_PRIMES[0]``; progress is
     called after each bracketing level with (level, dim, brackets,
@@ -1080,7 +1069,7 @@ def lie_closure(
     blocks = tuple(blocks)
     if not _valid_blocks(blocks):
         raise ValueError(f"blocks {blocks}: need a non-empty strictly increasing tuple "
-                         "drawn from 0..3")
+                         "of integers drawn from 0..3")
     if field not in ("exact", "modular", "modular-complex"):
         raise ValueError(f"unknown field {field!r}")
     for name, value in (("prime", prime), ("progress", progress)):
@@ -1095,15 +1084,20 @@ def lie_closure(
             raise ValueError(f"generators[{i}]: not homogeneous in the multidegree-shift grading")
         if np.any(layout.class_parity[cls] != g.parity):
             raise ValueError(f"generators[{i}]: support not all of its parity {g.parity}")
-    if field == "exact":
-        echelons, brackets = _exact_closure(gens, layout, entries)
-        pivots = [p for t in sorted(echelons) for p in sorted(echelons[t].basis)]
-        return ClosureState(field, None, layout, pivots, brackets, time.perf_counter() - t0,
-                            _engine=echelons)
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
-    eng, brackets, levels, phases = _modular_closure(gens, layout, p, entries, progress)
-    return ClosureState(field, p, layout, eng.global_pivots(), brackets,
-                        time.perf_counter() - t0, levels, eng, phases)
+    if field == "exact":  # each row times the lcm of its denominators: its span over Q
+        eng = _ExactEngine(layout)
+        flat = [(f, np.array(list(integral(dict(zip(f.tolist(), v))).values()), dtype=np.float64))
+                for f, v in entries]
+    else:
+        prime = validate_prime(prime if prime is not None else DEFAULT_PRIMES[0])
+        eng = _ModularEngine(layout, prime)
+        flat = [_project(*e, prime, eng.root_i) for e in entries]
+    brackets, levels, phases = _closure(gens, layout, flat, eng, progress)
+    pivots = eng.global_pivots()
+    if field == "exact":  # its state keeps the echelons alone
+        levels, phases, eng = 0, {}, eng.echelons
+    return ClosureState(field, prime, layout, pivots, brackets, time.perf_counter() - t0, levels,
+                        eng, phases)
 
 
 _STATE_KEYS = ("field", "prime", "blocks", "complexified", "row_class", "row_pivot",

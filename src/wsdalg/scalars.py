@@ -87,8 +87,12 @@ def validate_prime(p: int) -> int:
     small enough that a balanced-residue dot product of length 8448 stays
     below 2^53, so float64 matrix products are exact:
         8448 * ((p-1)/2)^2 + p < 2^53,
-    which holds up to p = 2065121.
+    which holds up to p = 2065121.  p may be a Python or numpy integer
+    (not a bool); it is returned as an int.
     """
+    if isinstance(p, bool) or not hasattr(p, "__index__"):
+        raise ValueError(f"prime {p!r} is not an integer")
+    p = p.__index__()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:

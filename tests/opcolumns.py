@@ -1,5 +1,6 @@
-"""Operator entries as columns, and a cell-by-cell reference for products
-and brackets of {(r, c): v} blocks, for tests that read or edit them."""
+"""Operator entries as columns, a cell-by-cell reference for products
+and brackets of {(r, c): v} blocks, and the shift class of a flat
+support, for tests that read or edit them."""
 
 from wsdalg.closure import RestrictedOperator
 from wsdalg.scalars import GaussRational, ZERO, _make
@@ -45,3 +46,12 @@ def rop_bracket(x: RestrictedOperator, y: RestrictedOperator, blocks) -> Restric
     return RestrictedOperator({k: ref_sum((1, ref_product(x.block(k), y.block(k))),
                                           (sign, ref_product(y.block(k), x.block(k))))
                                for k in blocks}, (x.parity + y.parity) & 1)
+
+
+def support_class(layout, coords):
+    """Class of the flat coordinates ``coords`` on the layout (None when
+    there are none); raises ValueError when they span several classes."""
+    classes = set(layout.coord_class[coords].tolist())
+    if len(classes) > 1:
+        raise ValueError("operator is not homogeneous in the multidegree-shift grading")
+    return classes.pop() if classes else None

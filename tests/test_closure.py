@@ -28,7 +28,7 @@ from wsdalg import operators as ops
 from wsdalg import closure as cl
 from wsdalg import scalars
 from wsdalg import suites
-from opcolumns import rop_bracket
+from opcolumns import rop_bracket, support_class
 from wsdalg.closure import (
     EVEN_GENERATOR_NAMES,
     FlatLayout,
@@ -47,7 +47,7 @@ def ralg():
 def _operator_class(layout, rop):
     """Class of rop's support on the layout by ``support_class`` (None when
     it vanishes there); raises ValueError for an inhomogeneous operator."""
-    return layout.support_class(layout.entries(rop)[0])
+    return support_class(layout, layout.entries(rop)[0])
 
 
 def _block_range(layout, k):
@@ -372,10 +372,10 @@ def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
 
 
 def test_exact_even_closure_builds_tables_for_its_frontier_classes(ralg, monkeypatch):
-    """The exact engine builds ad_g tables level by level, only for the
-    classes its frontier reaches, each once: the even closure reaches 13
-    of the full layout's 319 classes (those of its pivots), and builds no
-    other table."""
+    """Both engines build ad_g tables level by level, only for the classes
+    their frontier reaches, each once: the even closure reaches 13 of the
+    full layout's 319 classes (those of its pivots), and builds no other
+    table, on the exact and on the modular field."""
     built = []
     adjoint = cl._adjoint_blocks
 
@@ -384,10 +384,12 @@ def test_exact_even_closure_builds_tables_for_its_frontier_classes(ralg, monkeyp
         return adjoint(layout, gens, flat, sources)
 
     monkeypatch.setattr(cl, "_adjoint_blocks", record)
-    st = lie_closure(EVEN_GENERATOR_NAMES, field="exact", ralg=ralg)
-    assert st.pivot_hash() == "fd2dcc1c795c5fbe"
-    assert len(built) == len(set(built)) == 13
-    assert set(built) == set(st.layout.coord_class[st.pivots].tolist())
+    for field in ("exact", "modular"):
+        built.clear()
+        st = lie_closure(EVEN_GENERATOR_NAMES, field=field, ralg=ralg)
+        assert st.pivot_hash() == "fd2dcc1c795c5fbe"
+        assert len(built) == len(set(built)) == 13
+        assert set(built) == set(st.layout.coord_class[st.pivots].tolist())
 
 
 def _scaled(rop, s):
@@ -399,10 +401,16 @@ def test_exact_closure_refuses_an_inexact_bracket(ralg):
     """Two hw3 generators scaled by 2^30 bracket to sums of 2^60, past the
     integers float64 holds: the exact closure raises InexactBracket
     rather than return a state.  Scaled by 2^10, every sum stays below
-    2^53 and the closure has the pivots of the unscaled generators."""
+    2^53 and the closure has the pivots of the unscaled generators.  A
+    generator's own row goes through float64 too, so one entry of 2^53 is
+    refused even where no bracket is formed (iL0 alone brackets to
+    nothing on hw3)."""
     gens = [ralg.generator("iL0"), ralg.generator("iLambda0")]
     with pytest.raises(cl.InexactBracket, match="2\\^53"):
         lie_closure([_scaled(g, 2**30) for g in gens], field="exact", blocks=(3,), ralg=ralg)
+    with pytest.raises(cl.InexactBracket, match="2\\^53"):
+        lie_closure([_scaled(gens[0], 2**53)], field="exact", blocks=(3,), ralg=ralg)
+    assert lie_closure([_scaled(gens[0], 2**50)], field="exact", blocks=(3,), ralg=ralg).dim == 1
     st = lie_closure([_scaled(g, 2**10) for g in gens], field="exact", blocks=(3,), ralg=ralg)
     assert st.pivots == lie_closure(gens, field="exact", blocks=(3,), ralg=ralg).pivots
 
@@ -665,6 +673,26 @@ def test_modular_closure_imports_no_scipy(tmp_path):
             "st = wsdalg.lie_closure(blocks=(0,), field='modular')\n"
             "assert st.dim == 1599, st.dim\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_exact_path_imports_no_numpy_ma(tmp_path):
+    """The exact suites and the hw3 and even exact closures never import
+    ``numpy.ma``, whose first import costs about 1 MiB of heap (a plain
+    ``np.unique`` loads it): a fresh process that runs them has none of
+    its modules loaded."""
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys, wsdalg\n"
+            "from wsdalg import suites, closure as cl\n"
+            "out = suites.run_suites(['relations', 'table1', 'bases', 'appendix', 'structure'])\n"
+            "assert all(r['pass'] for r in out['results'].values())\n"
+            "assert cl.lie_closure(blocks=(3,), field='exact').dim == 15\n"
+            "assert cl.lie_closure(cl.EVEN_GENERATOR_NAMES, field='exact').dim == 15\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
     assert out.stdout.strip() == "[]"
@@ -1589,12 +1617,15 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     (cl.GENERATOR_NAMES, (3,), "progress"),
     (["iL9"], (3,), "generators"),
     ("iL0", (3,), "generators"),
+    (cl.GENERATOR_NAMES, (0.0,), "blocks"),
+    (cl.GENERATOR_NAMES, (True,), "blocks"),
 ])
 def test_lie_closure_rejects_bad_arguments(ralg, generators, blocks, argument):
     """No generators, an unknown generator name, a single name in place of
     a sequence, and blocks that are not a non-empty strictly increasing
-    tuple drawn from 0..3, are rejected before any work; so are a prime
-    and a progress callback on the exact field, which has neither."""
+    tuple of integers drawn from 0..3 (a float or a bool is none), are
+    rejected before any work; so are a prime and a progress callback on
+    the exact field, which has neither."""
     exact = {"prime": {"prime": 7}, "progress": {"progress": print}}.get(argument)
     with pytest.raises(ValueError, match=f"^{argument}"):
         lie_closure(generators, field="exact" if exact else "modular", blocks=blocks, ralg=ralg,

@@ -42,7 +42,7 @@ from wsdalg.operators import (
     superbracket,
     supertrace,
 )
-from opcolumns import columns, ref_product, ref_sum, rop_bracket
+from opcolumns import columns, ref_product, ref_sum, rop_bracket, support_class
 
 
 def test_clifford_relations_exhaustive():
@@ -682,7 +682,7 @@ def _class_operator(rng: random.Random, layout: FlatLayout, parity: int, make,
     shifts = layout.class_shift_array
     ok = layout.class_parity == parity
     if other is not None:
-        moved = shifts + shifts[layout.support_class(layout.entries(other)[0])]
+        moved = shifts + shifts[support_class(layout, layout.entries(other)[0])]
         ok &= (moved[:, None, :] == shifts[None, :, :]).all(axis=2).any(axis=1)
     k, r, c, _ = layout.places(layout.class_indices[int(rng.choice(np.flatnonzero(ok)))])
     cells = sorted(set(zip(k.tolist(), r.tolist(), c.tolist())))
@@ -704,7 +704,7 @@ def _flat_bracket(x: RestrictedOperator, y: RestrictedOperator, layout: FlatLayo
         f, v = layout.entries(z)
         scale *= lcm(*(Fraction(w).denominator for w in v))
         rows.append((f, np.array(list(integral(dict(zip(f.tolist(), v))).values()), dtype=float)))
-    (f, v), d = rows[1], layout.support_class(rows[1][0])
+    (f, v), d = rows[1], support_class(layout, rows[1][0])
     ads = _adjoint_blocks(layout, [x], rows[:1], [d])
     if d not in ads.tables:
         return None, {}, scale

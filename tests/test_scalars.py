@@ -1,10 +1,13 @@
 """Exact scalar arithmetic against an independent oracle."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from wsdalg.closure import lie_closure
 from wsdalg.linalg import SparseEchelon
 from wsdalg.scalars import (
     DEFAULT_PRIMES,
@@ -195,8 +198,15 @@ def test_validate_prime():
         validate_prime(7)
     with pytest.raises(ValueError, match="1000000009 is too large"):
         validate_prime(1000000009)
+    # a float, a string or a bool is no prime, whatever its value
+    for bad in (2065121.0, "2065121", True):
+        with pytest.raises(ValueError, match=f"prime {re.escape(repr(bad))} is not an integer"):
+            validate_prime(bad)
+    with pytest.raises(ValueError, match="prime 2065121.0 is not an integer"):
+        lie_closure(blocks=(3,), prime=2065121.0)
     for p in (5, 13) + DEFAULT_PRIMES:
         assert validate_prime(p) == p
+        assert type(validate_prime(np.int64(p))) is int and validate_prime(np.int64(p)) == p
     # 2065121 is the largest prime the float64 bound admits: the next
     # prime = 1 (mod 4) is prime and = 1 (mod 4) but fails the bound
     q = 2065121 + 4
