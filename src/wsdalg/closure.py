@@ -9,8 +9,8 @@ closure is the smallest coordinate subspace containing the generators and
 stable under bracketing with each generator.  ``FlatLayout.entries`` is the
 one map from the nonzero entries of the sparse blocks to flat coordinates
 and exact values, and ``_project`` their one projection to F_p; the exact
-rows, the modular seeds, the ad_g build and membership all read them, and
-no dense block matrix is built.  Left-normed brackets span the whole
+rows, the modular seeds, the generator table and membership all read them,
+and no dense block matrix is built.  Left-normed brackets span the whole
 algebra by the graded Jacobi identity, so each new basis element is
 bracketed with the twelve generators only.
 
@@ -23,21 +23,20 @@ elements is homogeneous with shift(x) + shift(g), so the closure is the
 direct sum of its shift classes (the root-space grading of a Lie
 superalgebra; 319 classes of at most 448 coordinates on the full real
 layout).  One level loop (``_closure``) runs both fields on one bracket
-kernel: each level builds the ad_g entry tables of the frontier classes
-that have none yet (``_adjoint_blocks``, from the one statement of the
-part rule in ``_generator_entries``), brackets a class's frontier rows with
-all twelve generators by one gather, one multiply and one segmented sum
-(``_bracket_rows``), bounds every sum below 2^53 before it is formed, and
-hands one candidate stack per target class to the field's engine.  Only
-the classes the frontier reaches get tables (13 for the even subalgebra).
+kernel, a row-by-row sparse product (Gustavson, ACM TOMS 4(3), 1978): the
+generators' entries are keyed once per closure by the row or column of x
+they meet (``_generator_table``, the one statement of the part rule), and
+each level expands its frontier rows' nonzero entries through them
+(``_bracket_rows``), bounds every sum below 2^53 first, and fills one
+candidate stack per width group (16 widths on the full layout, 9 on hw0)
+at a time for the field's engine to reduce and insert.
 
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every product runs on BLAS while staying exact
-  (the primes are sized so no dot product can reach 2^53).  Each width group
-  of stacks makes one batched reduce (which first balances the bracket
-  sums mod p) and one batched elimination, in one fully reduced echelon
-  per class held as one stack per width (16 widths on the full layout, 9
-  on hw0); the new basis rows are the next frontier.
+  (the primes are sized so no dot product can reach 2^53).  A stack makes
+  one batched reduce (which first balances the bracket sums mod p) and one
+  batched elimination, in one fully reduced echelon per class held as one
+  stack per width; the new basis rows are the next frontier.
 * exact: the generators' int rows (each scaled by the lcm of its
   denominators) are the coefficients, and each class's candidates go in
   order into its fraction-free ``linalg.IntegerEchelon`` over Q; the raw
@@ -69,6 +68,7 @@ import hashlib
 import os
 import tempfile
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -319,7 +319,7 @@ def _class_tables(blocks: tuple[int, ...], complexified: bool) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact engine (int rows over Q, bracketed on the ad_g tables)
+# exact engine (int rows over Q, bracketed on the generator table)
 # ---------------------------------------------------------------------------
 
 
@@ -330,13 +330,12 @@ class InexactBracket(ArithmeticError):
 class _ExactEngine:
     """The closure over Q behind ``_ModularEngine``'s interface: one
     fraction-free ``linalg.IntegerEchelon`` per shift class that has rows,
-    keyed by global coordinate.  ``top`` is the largest |entry| of the last
-    frontier, for the level loop's exactness guard."""
+    keyed by global coordinate."""
 
     def __init__(self, layout: FlatLayout):
         self.layout = layout
         self.echelons: dict[int, IntegerEchelon] = {}
-        self.top = 0.0
+        self.widths, self.class_group = np.unique(layout.class_width, return_inverse=True)
 
     @property
     def nrows(self) -> int:
@@ -347,34 +346,54 @@ class _ExactEngine:
         return [p for t in sorted(self.echelons) for p in sorted(self.echelons[t].basis)]
 
     def stacks(self, counts: np.ndarray):
-        """Zero stacks for ``counts[t]`` rows of each class t, each its own view."""
-        width = self.layout.class_width
-        views = {t: np.zeros((int(counts[t]), int(width[t])))
-                 for t in np.flatnonzero(counts).tolist()}
-        return views, views
+        """Both engines' plan of the stacks for ``counts[t]`` candidates of
+        each class t, one per width group, in increasing width, a group's
+        classes in increasing order: (plan, stack, start), plan[s] stack
+        s's (classes, shape), and class t's candidate r at flat place
+        start[t] + r * width of stack stack[t]."""
+        live = np.flatnonzero(counts)
+        grp = self.class_group[live]
+        plan, stack, start = [], np.full(len(counts), -1), np.zeros(len(counts), dtype=np.int64)
+        for g in np.flatnonzero(np.bincount(grp, minlength=len(self.widths))).tolist():
+            ts = live[grp == g]
+            shape = (len(ts), int(counts[ts].max()), int(self.widths[g]))
+            stack[ts], start[ts] = len(plan), np.arange(len(ts)) * shape[1] * shape[2]
+            plan.append((ts, shape))
+        return plan, stack, start
 
-    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, np.ndarray]:
-        """Insert each class's stack (float64 int rows), row by row, into its
-        echelon (made with its first nonzero row), one ``np.nonzero`` per
-        stack, each stack dropped once inserted.  Returns {class: the raw
-        rows that added a pivot}, in class order."""
-        found, top = {}, 0.0
-        for t in sorted(stacks):
-            C = stacks.pop(t)
-            r, c = np.nonzero(C)  # a candidate per run of equal r, in row order
-            if not r.size:
-                continue
-            ech = self.echelons.setdefault(t, IntegerEchelon())
-            ends = (np.flatnonzero(np.diff(r, append=-1)) + 1).tolist()
-            keys = self.layout.class_indices[t][c].tolist()
-            values = C[r, c].astype(np.int64).tolist()
-            new = [int(r[a]) for a, b in zip([0] + ends, ends)
-                   if ech.insert(dict(zip(keys[a:b], values[a:b]))) is not None]
-            if new:
-                found[t] = C[new]
-                top = max(top, float(np.abs(found[t]).max()))
-        self.top = top
-        return found
+    def process_batch(self, batch: tuple, phases: dict[str, float]) -> tuple:
+        """Insert each filled stack (float64 int rows) of ``batch``, class by
+        class and row by row, into each class's echelon (made with its first
+        nonzero row), one ``np.nonzero`` per class, each stack dropped once
+        inserted; the raw rows that add a pivot are the COO frontier."""
+        plan, stacks = batch
+        parts = []
+        for (ts, _), C in zip(plan, stacks):
+            for t, Ct in zip(ts.tolist(), C):
+                r, c = np.nonzero(Ct)  # a candidate per run of equal r, in row order
+                if not r.size:
+                    continue
+                ech = self.echelons.setdefault(t, IntegerEchelon())
+                coords, values = self.layout.class_indices[t][c], Ct[r, c]
+                size = np.bincount(r)
+                size = size[size > 0]
+                ends = np.cumsum(size).tolist()
+                keys, ints = coords.tolist(), values.astype(np.int64).tolist()
+                took = np.array([ech.insert(dict(zip(keys[i:j], ints[i:j]))) is not None
+                                 for i, j in zip([0] + ends, ends)])
+                if took.any():
+                    keep = np.repeat(took, size)
+                    row = np.repeat(np.cumsum(took) - 1, size)[keep]
+                    parts.append((np.full(len(row), t), row, coords[keep], values[keep]))
+            C = None
+        return _frontier(parts)
+
+
+def _frontier(parts: list) -> tuple:
+    """The COO frontier (class, row within its class, coordinate: int32;
+    value) of ``parts``, a class's nonzeros one run, its rows increasing."""
+    cols = [np.concatenate(a) for a in zip(*parts)] if parts else [[]] * 4
+    return (*(np.asarray(a, dtype=np.int32) for a in cols[:3]), np.asarray(cols[3], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +541,13 @@ class _ModularEngine:
     def __init__(self, layout: FlatLayout, p: int):
         self.layout = layout
         self.root_i = root_of_minus_one(p)
-        self.top = (p - 1) // 2  # every residue is balanced
         self.class_width = layout.class_width
-        widths, self.class_group = np.unique(self.class_width, return_inverse=True)
+        # class t's local coordinate c is the global coordinate coords[first[t] + c]
+        self.coords = np.concatenate(layout.class_indices)
+        self.first = np.cumsum(self.class_width) - self.class_width
+        self.widths, self.class_group = np.unique(self.class_width, return_inverse=True)
         self.groups = [_HalfEngine(p, int(w), np.flatnonzero(self.class_group == g))
-                       for g, w in enumerate(widths)]
+                       for g, w in enumerate(self.widths)]
         self.class_slot = np.empty(len(self.class_width), dtype=np.int64)
         for ech in self.groups:
             self.class_slot[ech.classes] = np.arange(len(ech.classes))
@@ -552,72 +573,58 @@ class _ModularEngine:
 
     def export_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(classes, local pivots, residues) of the basis rows in
-        ``listing`` order, the rows' class-local residues concatenated."""
+        ``listing`` order, the rows' class-local residues concatenated: one
+        gather and one scatter per width group."""
         cls, piv, grp, slot, row = self.listing()
-        counts = np.bincount(cls, minlength=len(self.class_group))
-        rows = [None] * len(counts)
+        at = np.cumsum(self.class_width[cls]) - self.class_width[cls]  # each row's first residue
+        residues = np.empty(int(self.class_width[cls].sum()))
         for g, ech in enumerate(self.groups):
             m = grp == g
-            block = ech.B[slot[m], row[m]]  # the group's rows, class by class
-            for t, part in zip(ech.classes, np.split(block, np.cumsum(counts[ech.classes])[:-1])):
-                rows[t] = part.ravel()
-        return cls, piv, np.concatenate(rows)
+            residues[at[m, None] + np.arange(ech.width)] = ech.B[slot[m], row[m]]
+        return cls, piv, residues
 
     def import_rows(self, cls: np.ndarray, piv: np.ndarray, residues: np.ndarray) -> None:
         """Fill an empty engine with rows given as ``export_rows`` gives
-        them."""
+        them: one gather and one scatter per width group."""
         counts = np.bincount(cls, minlength=len(self.class_group))
         row = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
-        rows = np.split(residues, np.cumsum(counts * self.class_width)[:-1])
+        at = np.cumsum(self.class_width[cls]) - self.class_width[cls]
         for g, ech in enumerate(self.groups):
             m = self.class_group[cls] == g
             slot = self.class_slot[cls[m]]
             ech.reserve(int(counts[ech.classes].max()))
-            ech.B[slot, row[m]] = np.concatenate([rows[t] for t in ech.classes]).reshape(-1, ech.width)
+            ech.B[slot, row[m]] = residues[at[m, None] + np.arange(ech.width)]
             ech.pivots[slot, row[m]] = piv[m]
             ech.nrows = counts[ech.classes]
 
     def global_pivots(self) -> list[int]:
         cls, piv = self.listing()[:2]
-        first = np.cumsum(self.class_width) - self.class_width
-        return np.concatenate(self.layout.class_indices)[first[cls] + piv].tolist()
+        return self.coords[self.first[cls] + piv].tolist()
 
-    def stacks(self, counts: np.ndarray):
-        """Zero candidate stacks for ``counts[t]`` rows of each class t, one
-        per width group that has candidates, the classes in increasing
-        order.  Returns ({group: (slots, C)}, {t: class t's stack}), each
-        class's stack a view into the C of its group."""
-        live = np.flatnonzero(counts)
-        grp = self.class_group[live]
-        stacks, views = {}, {}
-        for g in np.flatnonzero(np.bincount(grp, minlength=len(self.groups))).tolist():
-            ts = live[grp == g]
-            C = np.zeros((len(ts), int(counts[ts].max()), self.groups[g].width))
-            stacks[g] = (self.class_slot[ts], C)
-            views.update(zip(ts.tolist(), C))
-        return stacks, views
+    stacks = _ExactEngine.stacks
 
-    def process_batch(self, stacks: dict, phases: dict[str, float]) -> dict[int, np.ndarray]:
-        """Reduce and insert filled candidate stacks, as made by ``stacks``:
-        one reduce and one elimination per width group, groups in
-        increasing width, each stack dropped once inserted.  Returns
-        {class: its new basis rows, a view of its group's ``B``} for each
-        class that gained rows, in class order, and adds the seconds spent
-        to ``phases["reduce_s"]`` and ``phases["insert_s"]``.  A later
-        insert may reallocate ``B``, so the views are to be dropped before
-        the next call."""
-        added: dict[int, np.ndarray] = {}
-        for g in sorted(stacks):
-            sel, C = stacks.pop(g)
-            ech = self.groups[g]
-            t0 = time.perf_counter()
-            ech.reduce_rows(C, sel)
+    def process_batch(self, batch: tuple, phases: dict[str, float]) -> tuple:
+        """Reduce and insert the stacks of ``batch`` (the plan from ``stacks``
+        and the stacks, filled in turn), each dropped once inserted; the new
+        basis rows, one ``np.nonzero`` per group, are the COO frontier."""
+        plan, stacks = batch
+        parts = []
+        for (ts, _), C in zip(plan, stacks):
+            ech, sel = self.groups[self.class_group[ts[0]]], self.class_slot[ts]
             t1 = time.perf_counter()
-            for t, new in ech.insert_batch(C, sel).items():
-                added[t] = ech.B[self.class_slot[t], new.start : new.stop]
-            phases["reduce_s"] += t1 - t0
-            phases["insert_s"] += time.perf_counter() - t1
-        return dict(sorted(added.items()))
+            ech.reduce_rows(C, sel)
+            t2 = time.perf_counter()
+            before = ech.nrows[sel]
+            if ech.insert_batch(C, sel):
+                k, j = np.nonzero(np.arange(C.shape[1]) < (ech.nrows[sel] - before)[:, None])
+                V = ech.B[sel[k], before[k] + j]  # the new rows, j-th of their class
+                r, c = np.nonzero(V)
+                t = ech.classes[sel[k[r]]]
+                parts.append((t, j[r], self.coords[self.first[t] + c], V[r, c]))
+            C = None
+            phases["reduce_s"] += t2 - t1
+            phases["insert_s"] += time.perf_counter() - t2
+        return _frontier(parts)
 
     def contains(self, coords: np.ndarray, residues: np.ndarray) -> bool:
         """Membership of a vector given by its ``_project``-ed entries: the
@@ -638,241 +645,234 @@ class _ModularEngine:
         return True
 
 
-def _generator_entries(layout: FlatLayout, gens, flat, sources):
-    """The nonzero entries of ad_g = [g, .] from the classes ``sources`` for
-    every g in gens, each in one shift class (``lie_closure`` checks it),
-    as (source coordinate, target coordinate, coefficient, generator index)
-    arrays; ``flat`` holds the generators' flat coordinates and values,
-    balanced residues (``_project``) or exact integers.
+_GeneratorTable = namedtuple("_GeneratorTable", "nkeys keys start off coef local target most")
+
+
+@lru_cache(maxsize=8)
+def _coordinate_keys(blocks: tuple[int, ...], complexified: bool) -> tuple:
+    """The layout's side of its generator tables, once per layout shape, read
+    only: ``line[k] + i`` numbers block k's i-th row (or column) among all
+    ``nlines``; ``keys[x]`` are x's row key (line, part), which g x reads,
+    and column key (line, part, parity), which x g reads; ``lines`` each
+    coordinate's row and column line, class by class; ``code`` a shift's
+    class by its base-7 code."""
+    layout, parts = FlatLayout(blocks, complexified), 1 if complexified else 2
+    line = np.zeros(len(BLOCK_SIZES), dtype=np.int64)
+    line[list(blocks)] = np.cumsum([0] + [BLOCK_SIZES[k] for k in blocks])[:-1]
+    nlines = sum(BLOCK_SIZES[k] for k in blocks)
+    k, u, v, a = layout.places(np.arange(layout.length))
+    u, v = line[k] + u, line[k] + v
+    keys = np.empty((layout.length, 2), dtype=np.int32)
+    keys[:, 0] = u * parts + a
+    keys[:, 1] = parts * nlines + 2 * (v * parts + a) + layout.class_parity[layout.coord_class]
+    lines = np.stack([u, v])[:, np.concatenate(layout.class_indices)]
+    code = np.full(7**3, -1)
+    code[(layout.class_shift_array + 3) @ [49, 7, 1]] = np.arange(len(layout.class_width))
+    for arr in (line, keys, lines, code):
+        arr.setflags(write=False)
+    return line, nlines, keys, lines, code
+
+
+def _generator_table(layout: FlatLayout, gens, flat) -> _GeneratorTable:
+    """ad_g = [g, .] of the generators g on the layout, once per closure,
+    from their flat entries ``flat`` (balanced residues or exact integers),
+    each generator in one shift class (``lie_closure`` checks it).
+    Generator i's entries at key k (``_coordinate_keys``) are
+    ``start[i * nkeys + k]`` up to the next start, each a target's offset
+    from x (``off``) and a nonzero coefficient (``coef``).  A channel
+    (source class d, generator i) with entries lands in class
+    ``target[d, i]`` (else -1), at most ``most[d, i]`` entries on one
+    coordinate; ``local`` is ``coord_local`` as int32.
 
     Part a of x meets part m of g in part a ^ m, negated when both are
     imaginary (i * i = -1); complex mode has the one part a = m = 0.  So
     x[a, u, v] meets g[r, u] in (g x)[a ^ m, r, v], and g[v, c] in
     (x g)[a ^ m, u, c], signed as in [g, x] = g x - (-1)^{|g||x|} x g.
     Each entry of g is copied for each part a and (on the right) parity of
-    x, keyed by the row or column of x it meets, with its coefficient and
-    the target's offset from the source, (a ^ m - a) s^2 + (r - u) s or
-    (a ^ m - a) s^2 + c - v.  Only the sources' coordinates are expanded."""
-    owner = np.repeat(np.arange(len(gens), dtype=np.int16), [len(f[0]) for f in flat])
+    x, keyed by the row (a, u) or column (a, v) of x it meets, with its
+    coefficient and the target's offset from the source,
+    (a ^ m - a) s^2 + (r - u) s or (a ^ m - a) s^2 + c - v.  So target
+    (a, r, c) receives one entry per nonzero part of g's row r and one per
+    nonzero part of its column c, all from the class of shift(target) -
+    shift(g)."""
+    ngens, parts, width = len(gens), 1 if layout.complexified else 2, layout.class_width
+    owner = np.repeat(np.arange(ngens), [len(f[0]) for f in flat])
     coords, value = np.concatenate([f[0] for f in flat]), np.concatenate([f[1] for f in flat])
     here = value != 0  # a part may vanish mod p
     owner, value, coords = owner[here], value[here], coords[here]
     block, row, col, part = layout.places(coords)
-    sizes = np.array(BLOCK_SIZES)
-    s = sizes[block]
-    at = coords - (part * s + row) * s - col  # the entry's block offset
+    s = np.array(BLOCK_SIZES)[block]
+    line, lines, keys, rc, code = _coordinate_keys(layout.blocks, layout.complexified)
+    nkeys = 3 * parts * lines  # rows (line, part), then columns (line, part, parity)
     odd = np.array([g.parity for g in gens], dtype=bool)[owner]
-    # x's coordinates are keyed by the first coordinate of their row (a, u)
-    # in g x, and of their column (a, v), with x's parity, in x g
-    n, parts = layout.length, 1 if layout.complexified else 2
     key, off, coef = [], [], []
     for a in range(parts):
         shift, w = ((a ^ part) - a) * s * s, np.where(a & part, -value, value)
-        right = n + 2 * (at + a * s * s + row)
-        key += [at + (a * s + col) * s, right, right + 1]
+        right = parts * lines + 2 * ((line[block] + row) * parts + a)
+        key += [(line[block] + col) * parts + a, right, right + 1]
         off += [shift + (row - col) * s] + [shift + col - row] * 2
         coef += [w, -w, np.where(odd, w, -w)]  # g x; x g for x even, odd
-    key, off, coef = map(np.concatenate, (key, off, coef))
+    key = np.concatenate(key) + nkeys * np.tile(owner, 3 * parts)
     order = np.argsort(key, kind="stable")
-    key, off, coef, gen = key[order], off[order], coef[order], np.tile(owner, 3 * parts)[order]
-    x = np.concatenate([layout.class_indices[d] for d in sources])
-    k, u, v, _ = layout.places(x)
-    px = layout.class_parity[layout.coord_class[x]]
-    xk = np.concatenate([x - v, n + 2 * (x - u * sizes[k]) + px])
-    first = np.searchsorted(key, xk)  # each key's copies are key[first:first + m]
-    m = np.searchsorted(key, xk, side="right") - first
-    ei = np.arange(int(m.sum())) + np.repeat(first - (np.cumsum(m) - m), m)
-    src = np.repeat(np.concatenate([x, x]), m)
-    return src, src + off[ei], coef[ei], gen[ei]
+    start = np.searchsorted(key[order], np.arange(ngens * nkeys + 1)).astype(np.int32)
+    # the most entries of each generator landing on one coordinate of each class
+    lines_of = [np.bincount(owner * lines + line[block] + x, minlength=ngens * lines)
+                .reshape(ngens, lines) for x in (row, col)]
+    lands = np.array([np.maximum.reduceat(r.take(rc[0]) + c.take(rc[1]), np.cumsum(width) - width)
+                      for r, c in zip(*lines_of)])
+    # generator i takes class d to the class of shift(d) + shift(g_i), if there is one
+    shifts = layout.class_shift_array
+    moved = shifts[:, None] + shifts[[layout.coord_class[f[0]] if len(f) else 0 for f, _ in flat]]
+    target = np.where((abs(moved) <= 3).all(axis=2), code[(moved.clip(-3, 3) + 3) @ [49, 7, 1]], -1)
+    most = np.where(target >= 0, lands[np.arange(ngens), target], 0)
+    return _GeneratorTable(nkeys, keys, start, np.concatenate(off)[order].astype(np.int32),
+                           np.concatenate(coef)[order], layout.coord_local.astype(np.int32),
+                           np.where(most > 0, target, -1), most)
 
 
-@dataclass(frozen=True)
-class _Adjoint:
-    """ad_g = [g, .] on a layout for every generator g, as channels.
-
-    A channel is a (source class, generator) pair on which the bracket does
-    not vanish; it maps class-local rows of its source class to class-local
-    rows of its target class.  Channels are numbered by source class, then
-    generator, and the channels of class d are ``first[d]:first[d + 1]``.
-    The output columns of class d are its channels' target coordinates side
-    by side, channel c's at ``lo[c]:hi[c]``; ``outputs[d]`` lists (target,
-    lo, hi) for each of them.
-
-    ``tables[d]`` is class d's entry table (rows, coef, starts), sorted by
-    output column: the entries of column j run from ``starts[j]`` to the
-    next column's start, each a source row (class-local) and a nonzero
-    coefficient (a balanced residue, or an exact integer), in increasing
-    row order.  A row repeats in a column only where a diagonal entry of g
-    meets x from both sides; the bracket sums the two.  An empty column
-    holds one filler entry, row 0 with coefficient 0, so every column is
-    one non-empty segment (``np.add.reduceat`` reads an empty one as the
-    next entry).  Only source classes with a channel have a table, and
-    ``longest`` is the most entries any of their columns holds."""
-
-    source: np.ndarray
-    generator: np.ndarray
-    target: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    first: np.ndarray
-    tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    outputs: dict[int, list[tuple[int, int, int]]]
-    longest: int
+def _channels(table: _GeneratorTable, classes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The channels of the source classes ``classes``, per class and
+    generator the class it lands in (-1 for none), and the most entries
+    landing on one coordinate of any of them."""
+    return table.target[classes], int(table.most[classes].max(initial=0))
 
 
-def _adjoint_blocks(layout: FlatLayout, gens, flat, sources) -> _Adjoint:
-    """Build the ad_g channels of every generator from the classes
-    ``sources`` in one pass, from the generators' flat entries ``flat`` (see
-    ``_generator_entries``); a class's table does not depend on the other
-    sources.  One argsort of the entries by (output column, source row)
-    groups them into columns, and a filler is inserted into each empty
-    column.  Every array is of the size of the entries or of the columns:
-    no dense position is formed."""
-    src, tgt, coef, gen = _generator_entries(layout, gens, flat, sources)
-    ngens, width = len(gens), layout.class_width
-    # channel c is (source class, generator) = divmod(chans[c], ngens); a
-    # table over all such pairs numbers them without sorting the entries
-    pair = layout.coord_class[src] * ngens + gen
-    number = np.full(len(width) * ngens, -1)
-    number[pair] = layout.coord_class[tgt]  # one target per channel, as checked
-    chans = np.flatnonzero(number >= 0)
-    target = number[chans]
-    number[chans] = np.arange(len(chans))
-    chan = number[pair]
-    del gen, pair  # each array of the entries is dropped once read
-    source, generator = np.divmod(chans, ngens)
-    first = np.searchsorted(source, np.arange(len(width) + 1))
-    w = width[target]
-    start = np.cumsum(w) - w  # the columns of all classes, numbered in one run
-    lo = start - start[first[source]]
-    # one argsort of the bit fields (column, source row, entry), unique by the
-    # entry field; an in-place sort is faster but maps an int64 sort kernel
-    # that no other step of an exact run uses (about 0.2 MiB of peak RSS)
-    rbits, ebits = int(width.max() - 1).bit_length(), len(src).bit_length()
-    key = (start[chan] + layout.coord_local[tgt]) << rbits | layout.coord_local[src]
-    key <<= ebits
-    key |= np.arange(len(src))
-    del src, tgt, chan
-    key = key[key.argsort()]
-    coef = coef[key & ((1 << ebits) - 1)]
-    key >>= ebits
-    row = key & ((1 << rbits) - 1)
-    key >>= rbits  # each entry's output column
-    # column j's segment is starts[j]:starts[j + 1], a filler where it is empty
-    ncols = int(w.sum())
-    count = np.bincount(key, minlength=ncols)
-    empty = count == 0
-    size = count + empty
-    starts = np.cumsum(size) - size
-    at = np.arange(len(key)) + np.cumsum(empty)[key]
-    index, value = np.zeros(int(size.sum()), dtype=np.intp), np.zeros(int(size.sum()))
-    index[at], value[at] = row, coef
-    del key, row, coef, at
-    edge = np.append(start, ncols)[first]  # class d's columns are edge[d]:edge[d + 1]
-    bound = np.append(starts, len(index))[edge]  # and its entries bound[d]:bound[d + 1]
-    starts -= np.repeat(bound[:-1], np.diff(edge))
-    hi = lo + w
-    channels = list(zip(target.tolist(), lo.tolist(), hi.tolist()))
-    edge, bound, cut = edge.tolist(), bound.tolist(), first.tolist()
-    tables, outputs = {}, {}
-    for t in np.flatnonzero(np.diff(first)).tolist():  # the classes with channels
-        a, b = bound[t], bound[t + 1]
-        tables[t] = (index[a:b], value[a:b], starts[edge[t] : edge[t + 1]])
-        outputs[t] = channels[cut[t] : cut[t + 1]]
-    return _Adjoint(source, generator, target, lo, hi, first, tables, outputs,
-                    int(size.max(initial=0)))
+def _bracket_rows(table: _GeneratorTable, frontier: tuple, source: np.ndarray,
+                  generator: np.ndarray, base: np.ndarray, width: np.ndarray) -> tuple:
+    """[g, x] for every row x of the COO ``frontier`` (class, row, global
+    coordinate, value; a class's nonzeros one run) and every channel c =
+    (source[c], generator[c]) of its class, in one pass: each nonzero of x
+    meets g's entries at its two keys, and row r's products land at flat
+    places base[c] + r * width[c] + target's class-local coordinate.
+    Returns (places, values, ends), channel c's being ends[c]:ends[c + 1];
+    index arrays are int32 where every value fits, each dropped once read."""
+    cls, row, coord, value = frontier
+    head = np.flatnonzero(np.diff(cls, prepend=-1))
+    first, count = np.zeros((2, len(table.most)), dtype=np.int64)
+    first[cls[head]], count[cls[head]] = head, np.diff(head, append=len(cls))
+    m = count[source]  # a (channel, nonzero) pair per nonzero of the channel's source
+    pair = np.repeat(np.arange(len(source), dtype=np.int32), m)
+    nz = (first[source] - (np.cumsum(m) - m)).astype(np.int32).take(pair)
+    nz += np.arange(len(nz), dtype=np.int32)
+    places = int((base + width * (row.max(initial=0) + 1)).max(initial=0))
+    most = 2 * len(nz) * int(np.diff(table.start).max(initial=0)) + len(table.coef)  # products
+    index = np.int32 if max(places, most) < 2**31 else np.int64
+    at = base.astype(index).take(pair)  # each pair's row in its stack
+    at += row.take(nz) * width.astype(index).take(pair)
+    # the pair's two keys, one int64 per coordinate, generator i's offset added to both halves
+    n = table.keys.view(np.int64).take(coord.take(nz))
+    n += (generator * table.nkeys * (2**32 + 1)).take(pair)
+    n, pair = n.view(np.int32).astype(np.intp), None
+    lo = table.start.take(n)
+    n += 1
+    n = table.start.take(n)
+    n -= lo  # the entries at each key
+    u = np.flatnonzero(n)  # the keys with entries
+    n = n.take(u)
+    ends = np.cumsum(n, dtype=index)
+    lo = lo.take(u).astype(index, copy=False) - (ends - n)
+    k = np.repeat(np.arange(len(u), dtype=index), n)  # each product's key
+    e = lo.take(k)
+    e += np.arange(len(e), dtype=index)  # its table entry
+    k = (u >> 1).astype(index).take(k)  # its pair
+    lo = n = None
+    pos = at.take(k)
+    pos += table.local.take(coord.take(nz).take(k) + table.off.take(e))  # its target's place
+    at = None
+    val = value.take(nz).take(k)
+    val *= table.coef.take(e)
+    stop = np.searchsorted(u, 2 * np.concatenate([[0], np.cumsum(m)]))  # each channel's keys
+    return pos, val, np.concatenate([[0], ends])[stop]
 
 
-def _bracket_rows(X: np.ndarray, ad: tuple) -> np.ndarray:
-    """[g, x] for a stack X of class-local rows x of one class, all the
-    class's channels side by side: ``ad`` is the class's entry table from
-    ``_adjoint_blocks``, and the brackets are one gather of its source rows,
-    one multiply by its coefficients and one segmented sum per column.  A
-    sum is exact in float64 while max |x| * max |coefficient| * its
-    column's length stays below 2^53.  For balanced residues a column holds
-    at most five entries, far under the 8448 products the primes keep
-    exact; ``_closure`` checks the bound before each level.  Residue sums
-    are left unreduced: ``_HalfEngine.reduce_rows`` balances them."""
-    rows, coef, starts = ad
-    G = X.take(rows, axis=1)
-    G *= coef
-    return np.add.reduceat(G, starts, axis=1)
+def _filled_stacks(table: _GeneratorTable, frontier: tuple, channels: tuple, plan: list,
+                   edge: np.ndarray):
+    """The planned stacks, filled in turn with their ``channels`` (source,
+    generator, base, width; stack s's are edge[s]:edge[s + 1]) by
+    ``np.add.at``, a run of stacks from one ``_bracket_rows``: a run takes
+    (channel, nonzero) pairs up to the level's largest stack's entries."""
+    pairs = np.bincount(frontier[0], minlength=len(table.most))[channels[0]]
+    bound, cuts, held = max(np.prod(spec[-1]) for spec in plan), [0], 0
+    for s, n in enumerate(np.add.reduceat(pairs, edge[:-1]).tolist() if len(pairs) else []):
+        cuts, held = (cuts + [s], n) if held and held + n > bound else (cuts, held + n)
+    for a, b in zip(cuts, cuts[1:] + [len(plan)]):
+        pos = val = None
+        pos, val, ends = _bracket_rows(table, frontier, *(c[edge[a] : edge[b]] for c in channels))
+        cut = ends[edge[a : b + 1] - edge[a]].tolist()
+        for s, i, j in zip(range(a, b), cut, cut[1:]):
+            C = np.zeros(plan[s][-1])
+            np.add.at(C.reshape(-1), pos[i:j], val[i:j])
+            yield C
 
 
 def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tuple], eng,
              progress=None):
     """Level-synchronous left-normed closure on either engine, from the
     generators' flat entries ``flat`` (coordinates and float64 values: int
-    rows over Q, or balanced residues mod p).  The generators are the first
-    frontier.  Each level builds the ad_g tables of the frontier classes
-    that have none yet, sizes one stack per target class by one bincount
-    over the channels built so far, brackets each class's frontier rows
-    with all its channels (``_bracket_rows``) into its targets' stacks, and
-    the engine returns the rows that add to the span as the next frontier.
-    Every sum is below eng.top (max |frontier entry|) * max |generator
-    entry| * the longest column, which must stay below 2^53 (else
-    InexactBracket), and the rank within ``DIMENSION_BOUND``.  The pivot
-    set does not depend on the order of insertion, and each row that adds
-    to the span meets every generator once, so ``brackets`` is len(gens) *
-    dim.  Returns (brackets, levels, phases), the last the seconds spent
-    building ad_g and bracketing, reducing and inserting."""
-    nclasses = len(layout.class_width)
+    rows over Q, or balanced residues mod p), the first frontier.  Each
+    level looks up the channels of the classes it reaches first
+    (``_channels``), plans the stacks by one bincount over its channels,
+    and hands them to the engine as ``_filled_stacks`` fills them; the rows
+    that add to the span, in COO form, are the next frontier.  Every sum
+    is below max |frontier entry| * max |generator entry| * the most
+    entries landing on one coordinate, which must stay below 2^53 (else
+    InexactBracket), and the rank within ``DIMENSION_BOUND``.  Each row
+    that adds to the span meets every generator once, so ``brackets`` is
+    len(gens) * dim.  Returns (brackets, levels, phases), the last the
+    seconds spent building the table, bracketing, reducing and inserting."""
+    nclasses, ngens, width = len(layout.class_width), len(gens), layout.class_width
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     gmax = max((float(np.abs(v).max()) for _, v in flat if len(v)), default=0.0)
     if gmax >= 2**53:
         raise InexactBracket("a generator entry reaches 2^53")
+    t0 = time.perf_counter()
+    table = _generator_table(layout, gens, flat)
+    phases["adjoint_s"] = time.perf_counter() - t0
     seeds = [(int(layout.coord_class[f[0]]), f, v) for f, v in flat if len(f)]
-    counts = np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64), minlength=nclasses)
-    stacks, views = eng.stacks(counts)
-    filled = dict.fromkeys(views, 0)  # rows written so far per target class
+    plan, stack, start = eng.stacks(np.bincount(np.array([t for t, _, _ in seeds], dtype=np.int64),
+                                                minlength=nclasses))
+    stacks, filled = [np.zeros(spec[-1]) for spec in plan], np.zeros(nclasses, dtype=np.int64)
     for t, f, v in seeds:
-        views[t][filled[t], layout.coord_local[f]] = v
+        stacks[stack[t]].reshape(-1)[start[t] + filled[t] * width[t] + layout.coord_local[f]] = v
         filled[t] += 1
-    views = None
-    frontier = eng.process_batch(stacks, phases)
-    tables, longest = {}, 0
-    source = target = np.zeros(0, dtype=np.int64)  # the channels built so far
-    brackets = levels = 0
-    while frontier:
-        t0 = time.perf_counter()
-        if new := [d for d in frontier if d not in tables]:
-            ads = _adjoint_blocks(layout, gens, flat, new)
-            # None: every bracket of the class vanishes
-            tables.update({d: (ads.tables[d], ads.outputs[d]) if d in ads.tables else None
-                           for d in new})
-            source = np.concatenate([source, ads.source])
-            target = np.concatenate([target, ads.target])
-            longest = max(longest, ads.longest)
-        t1 = time.perf_counter()
-        if eng.top * gmax * longest >= 2**53:
-            raise InexactBracket(f"level {levels + 1}: a bracket sum could reach 2^53")
-        size = np.zeros(nclasses, dtype=np.int64)
-        size[list(frontier)] = [len(x) for x in frontier.values()]
-        counts = np.bincount(target, weights=size[source], minlength=nclasses)
-        stacks, views = eng.stacks(counts.astype(np.int64))
-        filled = dict.fromkeys(views, 0)
-        for d, X in frontier.items():
-            if tables[d] is not None:
-                table, outputs = tables[d]
-                R, k = _bracket_rows(X, table), len(X)
-                for t, lo, hi in outputs:
-                    r = filled[t]
-                    views[t][r : r + k] = R[:, lo:hi]
-                    filled[t] = r + k
-                R = None  # before the next product is made
-        # only the stacks live on into the inserts: a held frontier row
-        # would pin a basis stack that the inserts may reallocate
-        frontier = X = views = None
-        phases["adjoint_s"] += t1 - t0
-        phases["bracket_s"] += time.perf_counter() - t1
-        brackets += int(size.sum()) * len(gens)
-        levels += 1
-        frontier = eng.process_batch(stacks, phases)
+    frontier = eng.process_batch((plan, stacks), phases)
+    target = np.full((nclasses, ngens), -2)  # -2: the class's channels not looked up yet
+    longest = brackets = levels = 0
+    while True:
+        cls, row = frontier[:2]  # the frontier's rows per class
+        size, last = np.zeros(nclasses, dtype=np.int64), np.flatnonzero(np.diff(cls, append=-1))
+        size[cls[last]] = row[last] + 1
         if eng.nrows > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
-        if progress:
-            progress(levels, eng.nrows, brackets, sum(map(len, frontier.values())))
-    return brackets, levels, phases
+        if progress and levels:
+            progress(levels, eng.nrows, brackets, int(size.sum()))
+        if not size.any():
+            return brackets, levels, phases
+        t0 = time.perf_counter()
+        src = np.flatnonzero(size)
+        if (new := src[target[src, 0] == -2]).size:
+            target[new], most = _channels(table, new)
+            longest = max(longest, most)
+        if float(np.abs(frontier[3]).max()) * gmax * longest >= 2**53:
+            raise InexactBracket(f"level {levels + 1}: a bracket sum could reach 2^53")
+        d, g = np.nonzero(target[src] >= 0)  # the level's channels, by source class, generator
+        d, t = src[d], target[src[d], g]
+        plan, stack, start = eng.stacks(np.bincount(t, weights=size[d], minlength=nclasses)
+                                        .astype(np.int64))
+        o = np.lexsort((t, stack[t]))  # stack by stack, a target's channels in (d, g) order
+        d, g, t = d[o], g[o], t[o]
+        below = np.cumsum(size[d]) - size[d]
+        head = np.flatnonzero(np.diff(t, prepend=-1))
+        below -= np.repeat(below[head], np.diff(head, append=len(t)))  # a channel's first row
+        edge = np.searchsorted(stack[t], np.arange(len(plan) + 1))  # stack s's channels
+        stacks = _filled_stacks(table, frontier, (d, g, start[t] + below * width[t], width[t]),
+                                plan, edge)
+        frontier, engine_s = None, phases["reduce_s"] + phases["insert_s"]
+        brackets += int(size.sum()) * ngens
+        levels += 1
+        frontier = eng.process_batch((plan, stacks), phases)
+        phases["bracket_s"] += time.perf_counter() - t0 - (phases["reduce_s"] + phases["insert_s"]
+                                                           - engine_s)
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +896,8 @@ class ClosureState:
     wall_s: float
     levels: int = 0  # bracketing levels of a modular run (not in the report)
     _engine: object = None  # {class: IntegerEchelon} (exact) or _ModularEngine
-    # seconds spent building ad_g, bracketing, reducing and inserting in a
-    # modular run (not in the report)
+    # seconds spent building the generator table, bracketing, reducing and
+    # inserting in a modular run (not in the report)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
     blocks: tuple[int, ...] = dataclasses.field(init=False)
     dim: int = dataclasses.field(init=False)

@@ -1,8 +1,11 @@
 """Operator entries as columns, a cell-by-cell reference for products
-and brackets of {(r, c): v} blocks, and the shift class of a flat
-support, for tests that read or edit them."""
+and brackets of {(r, c): v} blocks, the shift class of a flat support,
+and the closure's bracket kernel on one class's rows, for tests that read
+or edit them."""
 
-from wsdalg.closure import RestrictedOperator
+import numpy as np
+
+from wsdalg.closure import RestrictedOperator, _bracket_rows, _channels
 from wsdalg.scalars import GaussRational, ZERO, _make
 
 
@@ -55,3 +58,23 @@ def support_class(layout, coords):
     if len(classes) > 1:
         raise ValueError("operator is not homogeneous in the multidegree-shift grading")
     return classes.pop() if classes else None
+
+
+def kernel_bracket(layout, table, d, X) -> dict:
+    """[g, x] for each row x of the stack X (class-local rows of class d)
+    and each generator g of the generator table ``table`` with a channel
+    from d, through the closure's kernel ``_bracket_rows``, each channel's
+    rows in a block of their own: {generator index: (target class, rows)},
+    the rows exact unreduced sums."""
+    target = _channels(table, np.array([d]))[0][0]
+    gens = np.flatnonzero(target >= 0)
+    width = layout.class_width[target[gens]]
+    base = np.cumsum(len(X) * width) - len(X) * width
+    r, c = np.nonzero(X)
+    frontier = (np.full(len(r), d, dtype=np.int32), r.astype(np.int32),
+                layout.class_indices[d][c].astype(np.int32), X[r, c])
+    pos, val, _ = _bracket_rows(table, frontier, np.full(len(gens), d), gens, base, width)
+    out = np.zeros(int((len(X) * width).sum()))
+    np.add.at(out, pos, val)
+    return {int(g): (int(target[g]), out[b : b + len(X) * w].reshape(len(X), w))
+            for g, b, w in zip(gens, base.tolist(), width.tolist())}

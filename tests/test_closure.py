@@ -28,7 +28,7 @@ from wsdalg import operators as ops
 from wsdalg import closure as cl
 from wsdalg import scalars
 from wsdalg import suites
-from opcolumns import rop_bracket, support_class
+from opcolumns import kernel_bracket, rop_bracket, support_class
 from wsdalg.closure import (
     EVEN_GENERATOR_NAMES,
     FlatLayout,
@@ -64,19 +64,32 @@ def _grid(layout, k):
     return np.arange(*_block_range(layout, k)).reshape(-1, s, s)
 
 
+def _table(layout, gens, p, root_i):
+    """The generator table of the generators' ``_project``-ed entries, as
+    the modular engine builds it."""
+    return cl._generator_table(layout, gens, [cl._project(*layout.entries(g), p, root_i)
+                                              for g in gens])
+
+
 def _adjoint_entries(layout, g, p, root_i):
-    """The nonzero entries of ad_g = [g, .] on the layout, as (source
-    coordinate, target coordinate, coefficient) arrays, from
-    ``_generator_entries``."""
-    return cl._generator_entries(layout, [g], [cl._project(*layout.entries(g), p, root_i)],
-                                 range(len(layout.class_width)))[:3]
-
-
-def _all_adjoint_blocks(layout, gens, p, root_i):
-    """``_adjoint_blocks`` of the generators' ``_project``-ed entries from
-    every class of the layout, as the modular engine builds them."""
-    flat = [cl._project(*layout.entries(g), p, root_i) for g in gens]
-    return cl._adjoint_blocks(layout, gens, flat, range(len(layout.class_width)))
+    """The entries of ad_g = [g, .] on the layout, as (source coordinate,
+    target coordinate, coefficient) arrays: ``_bracket_rows`` on a frontier
+    that holds every coordinate as a row of its own, with value 1, each
+    channel's products in a block of their own."""
+    table = _table(layout, [g], p, root_i)
+    order = np.concatenate(layout.class_indices)  # every class's coordinates, one run each
+    frontier = (layout.coord_class[order].astype(np.int32),
+                layout.coord_local[order].astype(np.int32), order.astype(np.int32),
+                np.ones(len(order)))
+    d = np.flatnonzero(table.target[:, 0] >= 0)
+    t = table.target[d, 0]
+    width = layout.class_width[t]
+    base = np.cumsum(layout.class_width[d] * width) - layout.class_width[d] * width
+    pos, coef, ends = cl._bracket_rows(table, frontier, d, np.zeros_like(d), base, width)
+    c = np.repeat(np.arange(len(d)), np.diff(ends))
+    r, local = np.divmod(pos - base[c], width[c])
+    first = np.cumsum(layout.class_width) - layout.class_width
+    return order[first[d[c]] + r], order[first[t[c]] + local], coef
 
 
 def test_su_pair_dimension_oracle():
@@ -372,18 +385,19 @@ def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
 
 
 def test_exact_even_closure_builds_tables_for_its_frontier_classes(ralg, monkeypatch):
-    """Both engines build ad_g tables level by level, only for the classes
-    their frontier reaches, each once: the even closure reaches 13 of the
-    full layout's 319 classes (those of its pivots), and builds no other
-    table, on the exact and on the modular field."""
+    """Both engines look up the channels of the generator table level by
+    level, only for the classes their frontier reaches, each once: the even
+    closure reaches 13 of the full layout's 319 classes (those of its
+    pivots), and builds the channels of no other class, on the exact and on
+    the modular field."""
     built = []
-    adjoint = cl._adjoint_blocks
+    channels = cl._channels
 
-    def record(layout, gens, flat, sources):
-        built.extend(sources)
-        return adjoint(layout, gens, flat, sources)
+    def record(table, classes):
+        built.extend(classes.tolist())
+        return channels(table, classes)
 
-    monkeypatch.setattr(cl, "_adjoint_blocks", record)
+    monkeypatch.setattr(cl, "_channels", record)
     for field in ("exact", "modular"):
         built.clear()
         st = lie_closure(EVEN_GENERATOR_NAMES, field=field, ralg=ralg)
@@ -413,32 +427,6 @@ def test_exact_closure_refuses_an_inexact_bracket(ralg):
     assert lie_closure([_scaled(gens[0], 2**50)], field="exact", blocks=(3,), ralg=ralg).dim == 1
     st = lie_closure([_scaled(g, 2**10) for g in gens], field="exact", blocks=(3,), ralg=ralg)
     assert st.pivots == lie_closure(gens, field="exact", blocks=(3,), ralg=ralg).pivots
-
-
-@pytest.mark.parametrize("blocks", [(0,), (0, 1, 2, 3)], ids=["hw0", "full"])
-@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
-def test_adjoint_blocks_of_some_sources_match_the_full_build(ralg, blocks, complexified):
-    """``_adjoint_blocks`` from some source classes builds, for each of
-    them, the channels, table and outputs the build from every class
-    does, and nothing for any other class."""
-    p = DEFAULT_PRIMES[0]
-    root = root_of_minus_one(p)
-    layout = FlatLayout(blocks, complexified=complexified)
-    gens = ralg.generators()
-    flat = [cl._project(*layout.entries(g), p, root) for g in gens]
-    full = cl._adjoint_blocks(layout, gens, flat, range(len(layout.class_width)))
-    rng = np.random.default_rng(len(blocks) + complexified)
-    for sources in ([int(rng.integers(len(layout.class_width)))],
-                    rng.choice(len(layout.class_width), 40, replace=False).tolist()):
-        some = cl._adjoint_blocks(layout, gens, flat, sources)
-        assert set(some.tables) == set(sources) & set(full.tables)
-        for d in some.tables:
-            for got, want in zip(some.tables[d], full.tables[d]):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert some.outputs[d] == full.outputs[d]
-        mine = np.isin(full.source, sources)
-        for name in ("source", "generator", "target"):
-            assert np.array_equal(getattr(some, name), getattr(full, name)[mine])
 
 
 @pytest.mark.parametrize("field", ["exact", "modular"])
@@ -538,18 +526,35 @@ def test_state_save_load_roundtrip(tmp_path, ralg):
     assert not loaded.contains_modular(cl.RestrictedOperator({3: ident}, 0))
 
 
+@pytest.mark.parametrize("field", ["modular", "modular-complex"])
+def test_state_roundtrip_restores_the_engine_arrays(tmp_path, ralg, field):
+    """Saving a hw0 state and loading it back restores every width group's
+    basis rows, pivots and row counts exactly, the rows of a class in
+    increasing pivot order (a computed state holds them in insertion
+    order): ``export_rows`` gathers and ``import_rows`` scatters the rows
+    one width group at a time."""
+    st = lie_closure(blocks=(0,), field=field, ralg=ralg)
+    st.save(str(tmp_path / "hw0.npz"))
+    loaded = cl.load_state(str(tmp_path / "hw0.npz"))
+    for got, want in zip(loaded._engine.groups, st._engine.groups):
+        assert np.array_equal(got.nrows, want.nrows)
+        for k, n in enumerate(want.nrows):
+            order = np.argsort(want.pivots[k, :n])
+            assert np.array_equal(got.B[k, :n], want.B[k, order])
+            assert np.array_equal(got.pivots[k, :n], want.pivots[k, order])
+
+
 def test_bracket_engines_agree(ralg):
-    """Every channel of the modular ad_g must agree with the exact block
+    """Every channel of the generator table must agree with the exact block
     bracket after projection, coordinate for coordinate, in the real and in
     the complexified layout, on hw0 and on all four blocks: each of the
     twelve generators bracketed with every restricted generator and with i
-    times it, so that imaginary parts meet imaginary parts.  Each class's
-    entry table gives every output column of every channel one contiguous
-    segment, and holds source rows of the class, no repeated (row, column)
-    pair, and balanced residues that are zero only in the fillers of empty
-    columns."""
-    from wsdalg.scalars import root_of_minus_one
-
+    times it, so that imaginary parts meet imaginary parts, through the
+    kernel ``_bracket_rows``.  The table holds int32 keys and offsets and
+    runs of entries per (generator, key) that tile its nonzero balanced
+    residues, and the channels looked up for some classes are those of the
+    same classes looked up among all (as the level loop looks them up a
+    frontier at a time)."""
     gens = ralg.generators()
     xs = gens + [cl.RestrictedOperator({k: {rc: I * v for rc, v in blk.items()}
                                         for k, blk in x.blocks.items()}, x.parity)
@@ -558,58 +563,83 @@ def test_bracket_engines_agree(ralg):
     root = root_of_minus_one(p)
     for blocks, complexified in itertools.product([(0,), (0, 1, 2, 3)], (False, True)):
         layout = FlatLayout(blocks, complexified=complexified)
-        ads = _all_adjoint_blocks(layout, gens, p, root)
-        width = layout.class_width
-        assert set(ads.tables) == set(np.flatnonzero(np.diff(ads.first)).tolist())
-        for d, (rows, coef, starts) in ads.tables.items():
-            a, b = ads.first[d], ads.first[d + 1]
-            assert np.array_equal(ads.hi[a:b] - ads.lo[a:b], width[ads.target[a:b]])
-            assert ads.lo[a] == 0 and np.array_equal(ads.lo[a + 1 : b], ads.hi[a : b - 1])
-            # one non-empty segment per output column, tiling the table
-            assert len(starts) == ads.hi[b - 1] and starts[0] == 0
-            seg = np.diff(np.append(starts, len(rows)))
-            assert np.all(seg > 0)
-            column = np.repeat(np.arange(len(starts)), seg)
-            assert np.all((rows >= 0) & (rows < width[d]))
-            assert len(np.unique(column * width[d] + rows)) == len(rows)
-            assert np.abs(coef).max() <= (p - 1) // 2
-            filler = coef == 0
-            assert np.all(seg[column[filler]] == 1) and not rows[filler].any()
+        table = _table(layout, gens, p, root)
+        nclasses = len(layout.class_width)
+        assert table.start[0] == 0 and table.start[-1] == len(table.coef)
+        assert np.all(np.diff(table.start) >= 0)
+        assert np.all(table.coef != 0) and np.abs(table.coef).max() <= (p - 1) // 2
+        assert 0 <= table.keys.min() and table.keys.max() < table.nkeys
+        assert all(a.dtype == np.int32 for a in (table.keys, table.start, table.off, table.local))
+        every, longest = cl._channels(table, np.arange(nclasses))
+        assert 0 < longest <= 5 and np.array_equal(every >= 0, table.most > 0)
+        rng = np.random.default_rng(len(blocks) + complexified)
+        for sources in ([int(rng.integers(nclasses))], rng.choice(nclasses, 40, replace=False)):
+            some, most = cl._channels(table, np.array(sources))
+            assert np.array_equal(some, every[sources]) and most <= longest
         checked = 0
         for x in xs:
             d = _operator_class(layout, x)
             if d is None:
                 continue
             X = _dense(layout, x, p, root)[layout.class_indices[d]].reshape(1, -1)
-            R = None
-            if d in ads.tables:  # the exact sums, balanced as the candidate stacks are
-                R = cl._bracket_rows(X, ads.tables[d])[0]
-                R -= np.rint(R / p) * p
-            channel = {int(ads.generator[c]): c for c in range(ads.first[d], ads.first[d + 1])}
+            out = kernel_bracket(layout, table, d, X)
+            assert sorted(out) == np.flatnonzero(every[d] >= 0).tolist()
             for i, g in enumerate(gens):
                 want = _dense(layout, rop_bracket(g, x, blocks), p, root)
                 got = np.zeros(layout.length)
-                if i in channel:
-                    c = channel[i]
-                    got[layout.class_indices[ads.target[c]]] = R[ads.lo[c] : ads.hi[c]]
+                if i in out:  # the exact sums, balanced as the candidate stacks are
+                    t, R = out[i]
+                    assert t == every[d, i]
+                    got[layout.class_indices[t]] = R[0] - np.rint(R[0] / p) * p
                     checked += bool(want.any())
                 assert np.array_equal(got, want)
         assert checked > 12
 
 
+def _dense_bracket(layout, gens, G, Y, odd, p):
+    """[g, y] for each generator g, given with its dense ``_project``-ed row
+    in G, and each dense row y of Y (odd[j]: the parity of row j's class),
+    by dense block products mod p, the test-side reference the kernel never
+    forms: each block of g and of y as a pair of integer matrices (real and
+    imaginary parts; a complexified layout holds one residue per entry, as
+    the real part), multiplied as complex matrices, [g, y] = g y -
+    (-1)^{|g||y|} y g, and balanced mod p.  Each product sums at most 72
+    products of balanced residues, so float64 holds it exactly.  Returns an
+    array (generator, row, layout coordinate)."""
+    parts = 1 if layout.complexified else 2
+    sign = np.where(np.outer([g.parity for g in gens], odd), -1, 1)[:, :, None, None]
+    out = np.zeros((len(gens), len(Y), layout.length))
+    for k in layout.blocks:
+        s, o = cl.BLOCK_SIZES[k], layout.offsets[k]
+
+        def block(v):  # the block's real and imaginary parts, (..., s, s) each
+            v = v[..., o : o + parts * s * s].reshape(v.shape[:-1] + (parts, s, s))
+            return v[..., 0, :, :].copy(), v[..., parts - 1, :, :] * (parts - 1)
+
+        def gx(a, b):  # a[i] @ b[j] for every i, j, as one matrix product
+            ab = a.reshape(-1, s) @ b.transpose(1, 0, 2).reshape(s, -1)
+            return ab.reshape(len(a), s, len(b), s).transpose(0, 2, 1, 3)
+
+        def xg(b, a):  # b[j] @ a[i] for every i, j
+            return (b.reshape(-1, s) @ a.transpose(1, 0, 2).reshape(s, -1)).reshape(
+                len(b), s, len(a), s).transpose(2, 0, 1, 3)
+
+        (gr, gi), (xr, xi) = block(G), block(Y)
+        re = (gx(gr, xr) - gx(gi, xi)) - sign * (xg(xr, gr) - xg(xi, gi))
+        im = (gx(gr, xi) + gx(gi, xr)) - sign * (xg(xr, gi) + xg(xi, gr))
+        out[:, :, o : o + parts * s * s] = np.stack([re, im][:parts], axis=2).reshape(
+            len(gens), len(Y), -1) % p
+    return out - np.where(out > p // 2, p, 0)
+
+
 @pytest.mark.parametrize("p", DEFAULT_PRIMES)
 def test_bracket_rows_match_dense_reference(ralg, p):
-    """``_bracket_rows`` on each class's entry table equals, mod p, the
-    product with a dense ad_g matrix built here from ``_generator_entries``
-    with ``np.add.at`` and balanced mod p, on seeded stacks of balanced
-    residues: hw0 real and complexified, and blocks (2, 3).  Besides the
-    twelve generators, a diagonal one meets every x from both sides, so
-    that (row, column) pairs repeat, and their sums cancel in places."""
-    from wsdalg.scalars import root_of_minus_one
-
-    def balanced(a):
-        return a - np.rint(a / p) * p
-
+    """``_bracket_rows`` on the generator table equals, mod p, the bracket
+    of dense block matrices (``_dense_bracket``) on seeded stacks of
+    balanced residues of 96 seeded classes (of 271, 271 and 171): hw0 real
+    and complexified, and blocks (2, 3).  Besides the twelve generators, a diagonal one meets every x
+    from both sides, so that (source, target) pairs of its ad_g entries
+    repeat, and their sums cancel in places."""
     diagonal = cl.RestrictedOperator({k: {(i, i): GaussRational(i % 5, int(i % 3 == 0))
                                           for i in range(cl.BLOCK_SIZES[k])}
                                       for k in range(4)}, 0)
@@ -618,44 +648,49 @@ def test_bracket_rows_match_dense_reference(ralg, p):
     rng = np.random.default_rng(p)
     for blocks, complexified in (((0,), False), ((0,), True), ((2, 3), False)):
         layout = FlatLayout(blocks, complexified=complexified)
-        ads = _all_adjoint_blocks(layout, gens, p, root)
-        width, local = layout.class_width, layout.coord_local
-        channel = {(int(d), int(i)): c for c, (d, i) in enumerate(zip(ads.source, ads.generator))}
-        dense = {d: np.zeros((width[d], ads.hi[ads.first[d + 1] - 1])) for d in ads.tables}
-        for i, g in enumerate(gens):
-            src, tgt, coef = _adjoint_entries(layout, g, p, root)
+        table = _table(layout, gens, p, root)
+        G = np.array([_dense(layout, g, p, root) for g in gens])
+        for g in gens:
+            src, tgt, _ = _adjoint_entries(layout, g, p, root)
             assert (g is diagonal) == (len(set(zip(src.tolist(), tgt.tolist()))) < len(src))
-            d = layout.coord_class[src]
-            for t in np.unique(d).tolist():
-                m = d == t
-                c = channel[t, i]
-                np.add.at(dense[t], (local[src[m]], ads.lo[c] + local[tgt[m]]), coef[m])
-        assert sum(np.count_nonzero(balanced(M)) for M in dense.values()) > 1000
-        for d, M in dense.items():
-            X = balanced(rng.integers(-p, p, size=(int(rng.integers(1, 9)), width[d])).astype(float))
-            want = balanced(X @ balanced(M))
-            assert np.array_equal(balanced(cl._bracket_rows(X, ads.tables[d])), want)
+        nonzero = 0
+        classes = rng.permutation(len(layout.class_width))[:96]
+        for chunk in np.array_split(np.sort(classes), 6):
+            stacks = {d: rng.integers(-(p // 2), p // 2 + 1, size=(int(rng.integers(1, 5)),
+                                                                   layout.class_width[d]))
+                      for d in chunk.tolist()}
+            Y = np.zeros((sum(map(len, stacks.values())), layout.length))
+            rows = np.cumsum([0] + [len(X) for X in stacks.values()])
+            for (d, X), a in zip(stacks.items(), rows):
+                Y[a : a + len(X), layout.class_indices[d]] = X
+            want = _dense_bracket(layout, gens, G, Y, np.repeat(
+                layout.class_parity[list(stacks)], np.diff(rows)), p)
+            got = np.zeros_like(want)  # each generator's channel from each class, or zero
+            for (d, X), a in zip(stacks.items(), rows):
+                for i, (t, R) in kernel_bracket(layout, table, d, X.astype(float)).items():
+                    got[i][a : a + len(X), layout.class_indices[t]] = R - np.rint(R / p) * p
+            assert np.array_equal(got, want), (blocks, complexified, chunk)
+            nonzero += np.count_nonzero(want)
+        assert nonzero > 1000
 
 
 def test_adjoint_tables_hold_entries_not_dense_positions(ralg):
-    """On the full real layout, every array the ad_g channels hold, and
-    every array their views belong to, together take a few words per entry
-    and column, where a dense ad_g buffer takes 125 MiB."""
-    from wsdalg.scalars import root_of_minus_one
-
+    """On the full real layout, the generator table holds the generators'
+    entries, keyed by what of x each meets, and no ad_g entry: every array
+    it holds takes a few words per generator-table entry, coordinate and
+    (class, generator) pair, while ad_g has over 150000 entries (a dense
+    ad_g buffer takes 125 MiB)."""
     p = DEFAULT_PRIMES[0]
     root = root_of_minus_one(p)
     layout = FlatLayout()
     gens = ralg.generators()
-    ads = _all_adjoint_blocks(layout, gens, p, root)
+    table = _table(layout, gens, p, root)
     entries = sum(_adjoint_entries(layout, g, p, root)[0].size for g in gens)
-    columns = sum(len(starts) for _, _, starts in ads.tables.values())
-    arrays = [getattr(ads, f.name) for f in dataclasses.fields(ads)]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    arrays += [a for table in ads.tables.values() for a in table]
+    arrays = [a for a in table if isinstance(a, np.ndarray)]
     bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-    assert entries > 150_000 and columns > 150_000
-    assert sum(b.nbytes for b in bases.values()) <= 24 * (entries + columns)
+    assert entries > 150_000 and 30 * len(table.coef) < entries
+    assert sum(b.nbytes for b in bases.values()) <= 24 * (len(table.coef) + layout.length
+                                                           + table.target.size)
 
 
 def test_modular_closure_imports_no_scipy(tmp_path):
@@ -696,6 +731,50 @@ def test_exact_path_imports_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_modular_path_imports_no_numpy_ma(tmp_path):
+    """The modular path never imports ``numpy.ma`` either: a fresh process
+    that runs a hw0 modular closure on both fields, saves and reloads each
+    state, and reads its supertrace residues and a membership has none of
+    its modules loaded."""
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys, wsdalg\n"
+            "from wsdalg import closure as cl\n"
+            "for field in ('modular', 'modular-complex'):\n"
+            "    st = cl.lie_closure(blocks=(0,), field=field)\n"
+            "    assert st.dim == 1599, st.dim\n"
+            "    st.save(field + '.npz')\n"
+            "    loaded = cl.load_state(field + '.npz')\n"
+            "    assert loaded.supertrace_residues() == 0.0\n"
+            "    g = cl.default_algebra().generator('iL1')\n"
+            "    assert loaded.contains_modular(cl.RestrictedOperator({0: g.block(0)}, g.parity))\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_hw0_closure_heap_peak(tmp_path):
+    """A real hw0 modular closure, in a fresh process with the generators
+    restricted and the layout's class tables built beforehand, peaks at no
+    more than 2.8 MiB of traced heap (its peak before the generator table
+    and the COO frontier)."""
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import tracemalloc\n"
+            "from wsdalg import closure as cl\n"
+            "cl.default_algebra().generators()\n"
+            "cl.FlatLayout((0,))\n"
+            "tracemalloc.start()\n"
+            "assert cl.lie_closure(blocks=(0,)).dim == 1599\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert int(out.stdout) <= 2.8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -1577,10 +1656,11 @@ def test_closure_phase_timers(ralg):
 
 
 def test_hw0_level_bookkeeping(monkeypatch, ralg):
-    """The candidate stacks are allocated once for the generators and once
+    """The candidate stacks are planned once for the generators and once
     per level.  A level asks, per target class, for the frontier size of
-    each source class times the channels from that source to the target,
-    the channels read off the generators' ad_g entries."""
+    each source class (the rows of its COO frontier) times the channels
+    from that source to the target, the channels read off the generators'
+    ad_g entries."""
     calls, frontiers = [], []
     stacks, process = cl._ModularEngine.stacks, cl._ModularEngine.process_batch
     monkeypatch.setattr(cl._ModularEngine, "stacks", lambda self, counts:
@@ -1589,7 +1669,7 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
                         frontiers.append(process(self, s, phases)) or frontiers[-1])
     st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
     assert st.pivot_hash() == HW0_HASHES["modular"]
-    assert len(calls) == st.levels + 1 == len(frontiers) and not frontiers[-1]
+    assert len(calls) == st.levels + 1 == len(frontiers) and not frontiers[-1][0].size
     layout, gens = st.layout, ralg.generators()
     nclasses = len(layout.class_width)
     links = np.zeros((nclasses, nclasses), dtype=np.int64)
@@ -1601,9 +1681,9 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     assert np.array_equal(calls[0], np.bincount([t for t in seeds if t is not None],
                                                 minlength=nclasses))
     for counts, frontier in zip(calls[1:], frontiers):
+        cls, row = frontier[:2]
         size = np.zeros(nclasses, dtype=np.int64)
-        for d, new in frontier.items():
-            size[d] = len(new)
+        np.maximum.at(size, cls, row + 1)
         assert np.array_equal(counts, size @ links)
 
 

@@ -14,7 +14,7 @@ from wsdalg import forms
 from wsdalg.forms import monomial, pos, wedge
 from wsdalg import operators as ops
 from wsdalg import suites
-from wsdalg.closure import (FlatLayout, RestrictedOperator, _adjoint_blocks, _bracket_rows,
+from wsdalg.closure import (FlatLayout, RestrictedOperator, _generator_table,
                             default_algebra)
 from wsdalg.linalg import integral
 from wsdalg.operators import (
@@ -42,7 +42,7 @@ from wsdalg.operators import (
     superbracket,
     supertrace,
 )
-from opcolumns import columns, ref_product, ref_sum, rop_bracket, support_class
+from opcolumns import columns, kernel_bracket, ref_product, ref_sum, rop_bracket, support_class
 
 
 def test_clifford_relations_exhaustive():
@@ -694,7 +694,7 @@ def _class_operator(rng: random.Random, layout: FlatLayout, parity: int, make,
 
 def _flat_bracket(x: RestrictedOperator, y: RestrictedOperator, layout: FlatLayout) -> tuple:
     """[x, y] by the bracket kernel both closure engines run: x's
-    ``integral`` row is the one generator of ``_adjoint_blocks``, and
+    ``integral`` row is the one generator of ``_generator_table``, and
     ``_bracket_rows`` brackets y's ``integral`` row, on its class, with it.
     Returns (parity of the target class or None, flat row, scale), the row
     nonzero parts as ints and the scale the product of the two integral
@@ -705,15 +705,14 @@ def _flat_bracket(x: RestrictedOperator, y: RestrictedOperator, layout: FlatLayo
         scale *= lcm(*(Fraction(w).denominator for w in v))
         rows.append((f, np.array(list(integral(dict(zip(f.tolist(), v))).values()), dtype=float)))
     (f, v), d = rows[1], support_class(layout, rows[1][0])
-    ads = _adjoint_blocks(layout, [x], rows[:1], [d])
-    if d not in ads.tables:
-        return None, {}, scale
     Y = np.zeros((1, layout.class_width[d]))
     Y[0, layout.coord_local[f]] = v
-    (t, lo, hi), = ads.outputs[d]
-    out = _bracket_rows(Y, ads.tables[d])[0, lo:hi]
-    nz = np.flatnonzero(out)
-    row = dict(zip(layout.class_indices[t][nz].tolist(), out[nz].astype(np.int64).tolist()))
+    out = kernel_bracket(layout, _generator_table(layout, [x], rows[:1]), d, Y)
+    if not out:
+        return None, {}, scale
+    (t, R), = out.values()
+    nz = np.flatnonzero(R[0])
+    row = dict(zip(layout.class_indices[t][nz].tolist(), R[0, nz].astype(np.int64).tolist()))
     return int(layout.class_parity[t]), row, scale
 
 
