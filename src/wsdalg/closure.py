@@ -28,19 +28,19 @@ generators' entries are keyed once per closure by the row or column of x
 they meet (``_generator_table``, the one statement of the part rule), and
 each level expands its frontier rows' nonzero entries through them
 (``_bracket_rows``), bounds every sum below 2^53 first, and fills one
-candidate stack per width group (16 widths on the full layout, 9 on hw0)
-at a time for the field's engine to reduce and insert.
+candidate stack at a time for the field's engine to reduce and insert.
 
 * modular: F_p coordinates for primes p = 1 (mod 4) stored as exact small
   integers in float64, so every product runs on BLAS while staying exact
-  (the primes are sized so no dot product can reach 2^53).  A stack makes
-  one batched reduce (which first balances the bracket sums mod p) and one
-  batched elimination, in one fully reduced echelon per class held as one
-  stack per width; the new basis rows are the next frontier.
+  (the primes are sized so no dot product can reach 2^53).  A stack holds
+  a width group (16 widths on the full layout, 9 on hw0), for one batched
+  reduce (which first balances the bracket sums mod p) and one batched
+  elimination, in one fully reduced echelon per class held as one stack
+  per width; the new basis rows are the next frontier.
 * exact: the generators' int rows (each scaled by the lcm of its
-  denominators) are the coefficients, and each class's candidates go in
-  order into its fraction-free ``linalg.IntegerEchelon`` over Q; the raw
-  candidates that add a pivot are the next frontier.
+  denominators) are the coefficients, and a stack holds one class, whose
+  candidates go in order into its fraction-free ``linalg.IntegerEchelon``
+  over Q; the raw candidates that add a pivot are the next frontier.
 
 On both fields the per-class echelon bases are the state's one record:
 dimension, block dimensions and row parities (the parity of a pivot's
@@ -335,7 +335,7 @@ class _ExactEngine:
     def __init__(self, layout: FlatLayout):
         self.layout = layout
         self.echelons: dict[int, IntegerEchelon] = {}
-        self.widths, self.class_group = np.unique(layout.class_width, return_inverse=True)
+        self.widths, self.class_group = layout.class_width, np.arange(len(layout.class_width))
 
     @property
     def nrows(self) -> int:
@@ -347,8 +347,8 @@ class _ExactEngine:
 
     def stacks(self, counts: np.ndarray):
         """Both engines' plan of the stacks for ``counts[t]`` candidates of
-        each class t, one per width group, in increasing width, a group's
-        classes in increasing order: (plan, stack, start), plan[s] stack
+        each class t, one per group (a class here, a width group on the
+        modular field), groups in order: (plan, stack, start), plan[s] stack
         s's (classes, shape), and class t's candidate r at flat place
         start[t] + r * width of stack stack[t]."""
         live = np.flatnonzero(counts)
@@ -370,7 +370,7 @@ class _ExactEngine:
         parts = []
         for (ts, _), C in zip(plan, stacks):
             for t, Ct in zip(ts.tolist(), C):
-                r, c = np.nonzero(Ct)  # a candidate per run of equal r, in row order
+                r, c = np.nonzero(Ct != 0)  # a candidate per run of equal r, in row order
                 if not r.size:
                     continue
                 ech = self.echelons.setdefault(t, IntegerEchelon())
@@ -618,7 +618,7 @@ class _ModularEngine:
             if ech.insert_batch(C, sel):
                 k, j = np.nonzero(np.arange(C.shape[1]) < (ech.nrows[sel] - before)[:, None])
                 V = ech.B[sel[k], before[k] + j]  # the new rows, j-th of their class
-                r, c = np.nonzero(V)
+                r, c = np.nonzero(V != 0)
                 t = ech.classes[sel[k[r]]]
                 parts.append((t, j[r], self.coords[self.first[t] + c], V[r, c]))
             C = None
@@ -731,9 +731,8 @@ def _generator_table(layout: FlatLayout, gens, flat) -> _GeneratorTable:
 
 
 def _channels(table: _GeneratorTable, classes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The channels of the source classes ``classes``, per class and
-    generator the class it lands in (-1 for none), and the most entries
-    landing on one coordinate of any of them."""
+    """The channels of ``classes``: per class and generator the class it
+    lands in (-1 for none); and the most entries landing on one coordinate."""
     return table.target[classes], int(table.most[classes].max(initial=0))
 
 
@@ -759,26 +758,26 @@ def _bracket_rows(table: _GeneratorTable, frontier: tuple, source: np.ndarray,
     index = np.int32 if max(places, most) < 2**31 else np.int64
     at = base.astype(index).take(pair)  # each pair's row in its stack
     at += row.take(nz) * width.astype(index).take(pair)
+    x = coord.take(nz)
     # the pair's two keys, one int64 per coordinate, generator i's offset added to both halves
-    n = table.keys.view(np.int64).take(coord.take(nz))
+    n = table.keys.view(np.int64).take(x)
     n += (generator * table.nkeys * (2**32 + 1)).take(pair)
     n, pair = n.view(np.int32).astype(np.intp), None
     lo = table.start.take(n)
     n += 1
     n = table.start.take(n)
     n -= lo  # the entries at each key
-    u = np.flatnonzero(n)  # the keys with entries
+    u = np.flatnonzero(n > 0)  # the keys with entries
     n = n.take(u)
     ends = np.cumsum(n, dtype=index)
     lo = lo.take(u).astype(index, copy=False) - (ends - n)
     k = np.repeat(np.arange(len(u), dtype=index), n)  # each product's key
-    e = lo.take(k)
+    e, lo, n = lo.take(k), None, None
     e += np.arange(len(e), dtype=index)  # its table entry
     k = (u >> 1).astype(index).take(k)  # its pair
-    lo = n = None
     pos = at.take(k)
-    pos += table.local.take(coord.take(nz).take(k) + table.off.take(e))  # its target's place
-    at = None
+    pos += table.local.take(x.take(k) + table.off.take(e))  # its target's place
+    x = at = None
     val = value.take(nz).take(k)
     val *= table.coef.take(e)
     stop = np.searchsorted(u, 2 * np.concatenate([[0], np.cumsum(m)]))  # each channel's keys
@@ -789,10 +788,11 @@ def _filled_stacks(table: _GeneratorTable, frontier: tuple, channels: tuple, pla
                    edge: np.ndarray):
     """The planned stacks, filled in turn with their ``channels`` (source,
     generator, base, width; stack s's are edge[s]:edge[s + 1]) by
-    ``np.add.at``, a run of stacks from one ``_bracket_rows``: a run takes
-    (channel, nonzero) pairs up to the level's largest stack's entries."""
+    ``np.add.at``; one ``_bracket_rows`` serves a run of stacks whose pairs
+    fit in the most entries the level's stacks of one width hold."""
     pairs = np.bincount(frontier[0], minlength=len(table.most))[channels[0]]
-    bound, cuts, held = max(np.prod(spec[-1]) for spec in plan), [0], 0
+    bound = np.bincount([s[-1] for _, s in plan], weights=[np.prod(s) for _, s in plan]).max()
+    cuts, held = [0], 0
     for s, n in enumerate(np.add.reduceat(pairs, edge[:-1]).tolist() if len(pairs) else []):
         cuts, held = (cuts + [s], n) if held and held + n > bound else (cuts, held + n)
     for a, b in zip(cuts, cuts[1:] + [len(plan)]):
