@@ -92,6 +92,27 @@ def _adjoint_entries(layout, g, p, root_i):
     return order[first[d[c]] + r], order[first[t[c]] + local], coef
 
 
+def _class_brackets(layout, table, classes):
+    """[g, x] for every coordinate x of the classes ``classes`` (each a row
+    of its own, with value 1, the classes' coordinates a run each, in the
+    given order) and every generator g that has a channel from x's class:
+    ``_bracket_rows`` on that frontier, as {(class, generator): (places
+    within the channel's stack, values)}."""
+    classes = np.asarray(classes)
+    order = np.concatenate([layout.class_indices[d] for d in classes])
+    frontier = (layout.coord_class[order].astype(np.int32),
+                layout.coord_local[order].astype(np.int32), order.astype(np.int32),
+                np.ones(len(order)))
+    k, generator = np.nonzero(table.target[classes] >= 0)
+    source = classes[k]
+    width = layout.class_width[table.target[source, generator]]
+    size = layout.class_width[source] * width
+    base = np.cumsum(size) - size
+    pos, coef, ends = cl._bracket_rows(table, frontier, source, generator, base, width)
+    return {(int(d), int(i)): (pos[a:b] - base[c], coef[a:b])
+            for c, (d, i, a, b) in enumerate(zip(source, generator, ends[:-1], ends[1:]))}
+
+
 def test_su_pair_dimension_oracle():
     # brute-force constraint enumeration, then the closed form it certifies
     assert su_pair_dimension(1) == 3
@@ -429,6 +450,36 @@ def test_exact_closure_refuses_an_inexact_bracket(ralg):
     assert st.pivots == lie_closure(gens, field="exact", blocks=(3,), ralg=ralg).pivots
 
 
+@pytest.mark.parametrize("blocks", [(0,), (0, 1, 2, 3)], ids=["hw0", "full"])
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+def test_adjoint_blocks_of_some_sources_match_the_full_build(ralg, blocks, complexified):
+    """The ad_g channels of some source classes, and their brackets, are
+    those of the same classes in the build from every class, and nothing
+    for any other class: ``_channels`` looks them up in the one generator
+    table, and ``_bracket_rows`` on a frontier of those classes alone
+    yields, channel for channel, the products it yields for them on a
+    frontier of every class (the level loop brackets a frontier at a
+    time)."""
+    p = DEFAULT_PRIMES[0]
+    root = root_of_minus_one(p)
+    layout = FlatLayout(blocks, complexified=complexified)
+    gens = ralg.generators()
+    table = _table(layout, gens, p, root)
+    nclasses = len(layout.class_width)
+    every, longest = cl._channels(table, np.arange(nclasses))
+    assert 0 < longest <= 5 and np.array_equal(every >= 0, table.most > 0)
+    full = _class_brackets(layout, table, np.arange(nclasses))
+    assert set(full) == set(zip(*map(np.ndarray.tolist, np.nonzero(every >= 0))))
+    rng = np.random.default_rng(len(blocks) + complexified)
+    for sources in ([int(rng.integers(nclasses))], rng.choice(nclasses, 40, replace=False)):
+        some, most = cl._channels(table, np.array(sources))
+        assert np.array_equal(some, every[sources]) and most <= longest
+        got = _class_brackets(layout, table, sources)
+        assert set(got) == {key for key in full if key[0] in set(np.ravel(sources).tolist())}
+        for key, (pos, coef) in got.items():
+            assert np.array_equal(pos, full[key][0]) and np.array_equal(coef, full[key][1])
+
+
 @pytest.mark.parametrize("field", ["exact", "modular"])
 def test_member_has_no_entry_outside_the_blocks(ralg, field):
     """A hw3 state answers for operators on all blocks: the identity on
@@ -552,9 +603,7 @@ def test_bracket_engines_agree(ralg):
     times it, so that imaginary parts meet imaginary parts, through the
     kernel ``_bracket_rows``.  The table holds int32 keys and offsets and
     runs of entries per (generator, key) that tile its nonzero balanced
-    residues, and the channels looked up for some classes are those of the
-    same classes looked up among all (as the level loop looks them up a
-    frontier at a time)."""
+    residues."""
     gens = ralg.generators()
     xs = gens + [cl.RestrictedOperator({k: {rc: I * v for rc, v in blk.items()}
                                         for k, blk in x.blocks.items()}, x.parity)
@@ -572,10 +621,6 @@ def test_bracket_engines_agree(ralg):
         assert all(a.dtype == np.int32 for a in (table.keys, table.start, table.off, table.local))
         every, longest = cl._channels(table, np.arange(nclasses))
         assert 0 < longest <= 5 and np.array_equal(every >= 0, table.most > 0)
-        rng = np.random.default_rng(len(blocks) + complexified)
-        for sources in ([int(rng.integers(nclasses))], rng.choice(nclasses, 40, replace=False)):
-            some, most = cl._channels(table, np.array(sources))
-            assert np.array_equal(some, every[sources]) and most <= longest
         checked = 0
         for x in xs:
             d = _operator_class(layout, x)
