@@ -73,6 +73,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from .scalars import (
     DEFAULT_PRIMES,
@@ -573,29 +574,31 @@ class _ModularEngine:
 
     def export_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(classes, local pivots, residues) of the basis rows in
-        ``listing`` order, the rows' class-local residues concatenated: one
-        gather and one scatter per width group."""
+        ``listing`` order, the rows' class-local residues concatenated: per
+        width group, one gather of its rows and one copy of them, row by
+        row, into their windows of the residues."""
         cls, piv, grp, slot, row = self.listing()
         at = np.cumsum(self.class_width[cls]) - self.class_width[cls]  # each row's first residue
         residues = np.empty(int(self.class_width[cls].sum()))
         for g, ech in enumerate(self.groups):
-            m = grp == g
-            residues[at[m, None] + np.arange(ech.width)] = ech.B[slot[m], row[m]]
+            if (m := grp == g).any():  # the group's rows, each copied whole
+                _windows(residues, ech.width, writeable=True)[at[m]] = ech.B[slot[m], row[m]]
         return cls, piv, residues
 
     def import_rows(self, cls: np.ndarray, piv: np.ndarray, residues: np.ndarray) -> None:
         """Fill an empty engine with rows given as ``export_rows`` gives
-        them: one gather and one scatter per width group."""
+        them: a class's rows are one segment of the residues, copied whole
+        into the class's stack."""
         counts = np.bincount(cls, minlength=len(self.class_group))
         row = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
-        at = np.cumsum(self.class_width[cls]) - self.class_width[cls]
+        end = np.cumsum(counts * self.class_width).tolist()
         for g, ech in enumerate(self.groups):
             m = self.class_group[cls] == g
-            slot = self.class_slot[cls[m]]
             ech.reserve(int(counts[ech.classes].max()))
-            ech.B[slot, row[m]] = residues[at[m, None] + np.arange(ech.width)]
-            ech.pivots[slot, row[m]] = piv[m]
-            ech.nrows = counts[ech.classes]
+            ech.pivots[self.class_slot[cls[m]], row[m]] = piv[m]
+            ech.nrows, w = counts[ech.classes], ech.width
+            for k, (t, n) in enumerate(zip(ech.classes.tolist(), ech.nrows.tolist())):
+                ech.B[k, :n] = residues[end[t] - n * w : end[t]].reshape(n, w)
 
     def global_pivots(self) -> list[int]:
         cls, piv = self.listing()[:2]
@@ -730,12 +733,6 @@ def _generator_table(layout: FlatLayout, gens, flat) -> _GeneratorTable:
                            np.where(most > 0, target, -1), most)
 
 
-def _channels(table: _GeneratorTable, classes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The channels of ``classes``: per class and generator the class it
-    lands in (-1 for none); and the most entries landing on one coordinate."""
-    return table.target[classes], int(table.most[classes].max(initial=0))
-
-
 def _bracket_rows(table: _GeneratorTable, frontier: tuple, source: np.ndarray,
                   generator: np.ndarray, base: np.ndarray, width: np.ndarray) -> tuple:
     """[g, x] for every row x of the COO ``frontier`` (class, row, global
@@ -803,6 +800,7 @@ def _filled_stacks(table: _GeneratorTable, frontier: tuple, channels: tuple, pla
             C = np.zeros(plan[s][-1])
             np.add.at(C.reshape(-1), pos[i:j], val[i:j])
             yield C
+            C = None  # the engine's stack is dropped before the next is made
 
 
 def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tuple], eng,
@@ -810,13 +808,14 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
     """Level-synchronous left-normed closure on either engine, from the
     generators' flat entries ``flat`` (coordinates and float64 values: int
     rows over Q, or balanced residues mod p), the first frontier.  Each
-    level looks up the channels of the classes it reaches first
-    (``_channels``), plans the stacks by one bincount over its channels,
-    and hands them to the engine as ``_filled_stacks`` fills them; the rows
-    that add to the span, in COO form, are the next frontier.  Every sum
-    is below max |frontier entry| * max |generator entry| * the most
-    entries landing on one coordinate, which must stay below 2^53 (else
-    InexactBracket), and the rank within ``DIMENSION_BOUND``.  Each row
+    level reads the channels of its frontier's classes off the generator
+    table, plans the stacks by one bincount over them, and hands them to
+    the engine as ``_filled_stacks`` fills them; the rows that add to the
+    span, in COO form, are the next frontier.  Every sum of a level is
+    below max |frontier entry| * max |generator entry| * the most entries
+    landing on one coordinate from the level's classes, which must stay
+    below 2^53 (else InexactBracket), and the rank within
+    ``DIMENSION_BOUND``.  Each row
     that adds to the span meets every generator once, so ``brackets`` is
     len(gens) * dim.  Returns (brackets, levels, phases), the last the
     seconds spent building the table, bracketing, reducing and inserting."""
@@ -836,8 +835,7 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
         stacks[stack[t]].reshape(-1)[start[t] + filled[t] * width[t] + layout.coord_local[f]] = v
         filled[t] += 1
     frontier = eng.process_batch((plan, stacks), phases)
-    target = np.full((nclasses, ngens), -2)  # -2: the class's channels not looked up yet
-    longest = brackets = levels = 0
+    brackets = levels = 0
     while True:
         cls, row = frontier[:2]  # the frontier's rows per class
         size, last = np.zeros(nclasses, dtype=np.int64), np.flatnonzero(np.diff(cls, append=-1))
@@ -850,13 +848,10 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
             return brackets, levels, phases
         t0 = time.perf_counter()
         src = np.flatnonzero(size)
-        if (new := src[target[src, 0] == -2]).size:
-            target[new], most = _channels(table, new)
-            longest = max(longest, most)
-        if float(np.abs(frontier[3]).max()) * gmax * longest >= 2**53:
+        if float(np.abs(frontier[3]).max()) * gmax * int(table.most[src].max()) >= 2**53:
             raise InexactBracket(f"level {levels + 1}: a bracket sum could reach 2^53")
-        d, g = np.nonzero(target[src] >= 0)  # the level's channels, by source class, generator
-        d, t = src[d], target[src[d], g]
+        d, g = np.nonzero(table.target[src] >= 0)  # the level's channels: source class, generator
+        d, t = src[d], table.target[src[d], g]
         plan, stack, start = eng.stacks(np.bincount(t, weights=size[d], minlength=nclasses)
                                         .astype(np.int64))
         o = np.lexsort((t, stack[t]))  # stack by stack, a target's channels in (d, g) order

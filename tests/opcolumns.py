@@ -5,7 +5,7 @@ or edit them."""
 
 import numpy as np
 
-from wsdalg.closure import RestrictedOperator, _bracket_rows, _channels
+from wsdalg.closure import RestrictedOperator, _bracket_rows
 from wsdalg.scalars import GaussRational, ZERO, _make
 
 
@@ -66,7 +66,7 @@ def kernel_bracket(layout, table, d, X) -> dict:
     from d, through the closure's kernel ``_bracket_rows``, each channel's
     rows in a block of their own: {generator index: (target class, rows)},
     the rows exact unreduced sums."""
-    target = _channels(table, np.array([d]))[0][0]
+    target = table.target[d]
     gens = np.flatnonzero(target >= 0)
     width = layout.class_width[target[gens]]
     base = np.cumsum(len(X) * width) - len(X) * width

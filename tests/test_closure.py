@@ -406,25 +406,24 @@ def test_exact_closure_builds_no_gauss_rational(ralg, monkeypatch):
 
 
 def test_exact_even_closure_builds_tables_for_its_frontier_classes(ralg, monkeypatch):
-    """Both engines look up the channels of the generator table level by
-    level, only for the classes their frontier reaches, each once: the even
-    closure reaches 13 of the full layout's 319 classes (those of its
-    pivots), and builds the channels of no other class, on the exact and on
-    the modular field."""
-    built = []
-    channels = cl._channels
+    """Both engines bracket level by level only the classes their frontier
+    reaches, read off the one generator table: the even closure reaches 13
+    of the full layout's 319 classes (those of its pivots), and brackets
+    from no other class, on the exact and on the modular field."""
+    reached = []
+    bracket_rows = cl._bracket_rows
 
-    def record(table, classes):
-        built.extend(classes.tolist())
-        return channels(table, classes)
+    def record(table, frontier, source, *rest):
+        reached.extend(source.tolist())
+        return bracket_rows(table, frontier, source, *rest)
 
-    monkeypatch.setattr(cl, "_channels", record)
+    monkeypatch.setattr(cl, "_bracket_rows", record)
     for field in ("exact", "modular"):
-        built.clear()
+        reached.clear()
         st = lie_closure(EVEN_GENERATOR_NAMES, field=field, ralg=ralg)
         assert st.pivot_hash() == "fd2dcc1c795c5fbe"
-        assert len(built) == len(set(built)) == 13
-        assert set(built) == set(st.layout.coord_class[st.pivots].tolist())
+        assert len(set(reached)) == 13
+        assert set(reached) == set(st.layout.coord_class[st.pivots].tolist())
 
 
 def _scaled(rop, s):
@@ -455,25 +454,22 @@ def test_exact_closure_refuses_an_inexact_bracket(ralg):
 def test_adjoint_blocks_of_some_sources_match_the_full_build(ralg, blocks, complexified):
     """The ad_g channels of some source classes, and their brackets, are
     those of the same classes in the build from every class, and nothing
-    for any other class: ``_channels`` looks them up in the one generator
-    table, and ``_bracket_rows`` on a frontier of those classes alone
-    yields, channel for channel, the products it yields for them on a
-    frontier of every class (the level loop brackets a frontier at a
-    time)."""
+    for any other class: ``_bracket_rows`` on a frontier of those classes
+    alone yields, channel for channel, the products it yields for them on
+    a frontier of every class (the level loop brackets a frontier at a
+    time), one channel per (class, generator) the generator table lists."""
     p = DEFAULT_PRIMES[0]
     root = root_of_minus_one(p)
     layout = FlatLayout(blocks, complexified=complexified)
     gens = ralg.generators()
     table = _table(layout, gens, p, root)
     nclasses = len(layout.class_width)
-    every, longest = cl._channels(table, np.arange(nclasses))
-    assert 0 < longest <= 5 and np.array_equal(every >= 0, table.most > 0)
+    every = table.target
+    assert 0 < table.most.max() <= 5 and np.array_equal(every >= 0, table.most > 0)
     full = _class_brackets(layout, table, np.arange(nclasses))
     assert set(full) == set(zip(*map(np.ndarray.tolist, np.nonzero(every >= 0))))
     rng = np.random.default_rng(len(blocks) + complexified)
     for sources in ([int(rng.integers(nclasses))], rng.choice(nclasses, 40, replace=False)):
-        some, most = cl._channels(table, np.array(sources))
-        assert np.array_equal(some, every[sources]) and most <= longest
         got = _class_brackets(layout, table, sources)
         assert set(got) == {key for key in full if key[0] in set(np.ravel(sources).tolist())}
         for key, (pos, coef) in got.items():
@@ -613,14 +609,13 @@ def test_bracket_engines_agree(ralg):
     for blocks, complexified in itertools.product([(0,), (0, 1, 2, 3)], (False, True)):
         layout = FlatLayout(blocks, complexified=complexified)
         table = _table(layout, gens, p, root)
-        nclasses = len(layout.class_width)
         assert table.start[0] == 0 and table.start[-1] == len(table.coef)
         assert np.all(np.diff(table.start) >= 0)
         assert np.all(table.coef != 0) and np.abs(table.coef).max() <= (p - 1) // 2
         assert 0 <= table.keys.min() and table.keys.max() < table.nkeys
         assert all(a.dtype == np.int32 for a in (table.keys, table.start, table.off, table.local))
-        every, longest = cl._channels(table, np.arange(nclasses))
-        assert 0 < longest <= 5 and np.array_equal(every >= 0, table.most > 0)
+        every = table.target
+        assert 0 < table.most.max() <= 5 and np.array_equal(every >= 0, table.most > 0)
         checked = 0
         for x in xs:
             d = _operator_class(layout, x)
@@ -647,10 +642,10 @@ def _dense_bracket(layout, gens, G, Y, odd, p):
     by dense block products mod p, the test-side reference the kernel never
     forms: each block of g and of y as a pair of integer matrices (real and
     imaginary parts; a complexified layout holds one residue per entry, as
-    the real part), multiplied as complex matrices, [g, y] = g y -
-    (-1)^{|g||y|} y g, and balanced mod p.  Each product sums at most 72
-    products of balanced residues, so float64 holds it exactly.  Returns an
-    array (generator, row, layout coordinate)."""
+    the real part), multiplied as complex matrices for every (g, y) pair at
+    once, [g, y] = g y - (-1)^{|g||y|} y g, and balanced mod p.  Each
+    product sums at most 72 products of balanced residues, so float64 holds
+    it exactly.  Returns an array (generator, row, layout coordinate)."""
     parts = 1 if layout.complexified else 2
     sign = np.where(np.outer([g.parity for g in gens], odd), -1, 1)[:, :, None, None]
     out = np.zeros((len(gens), len(Y), layout.length))
@@ -659,32 +654,25 @@ def _dense_bracket(layout, gens, G, Y, odd, p):
 
         def block(v):  # the block's real and imaginary parts, (..., s, s) each
             v = v[..., o : o + parts * s * s].reshape(v.shape[:-1] + (parts, s, s))
-            return v[..., 0, :, :].copy(), v[..., parts - 1, :, :] * (parts - 1)
+            return v[..., 0, :, :], v[..., parts - 1, :, :] * (parts - 1)
 
-        def gx(a, b):  # a[i] @ b[j] for every i, j, as one matrix product
-            ab = a.reshape(-1, s) @ b.transpose(1, 0, 2).reshape(s, -1)
-            return ab.reshape(len(a), s, len(b), s).transpose(0, 2, 1, 3)
-
-        def xg(b, a):  # b[j] @ a[i] for every i, j
-            return (b.reshape(-1, s) @ a.transpose(1, 0, 2).reshape(s, -1)).reshape(
-                len(b), s, len(a), s).transpose(2, 0, 1, 3)
-
-        (gr, gi), (xr, xi) = block(G), block(Y)
-        re = (gx(gr, xr) - gx(gi, xi)) - sign * (xg(xr, gr) - xg(xi, gi))
-        im = (gx(gr, xi) + gx(gi, xr)) - sign * (xg(xr, gi) + xg(xi, gr))
+        (gr, gi), (xr, xi) = block(G[:, None]), block(Y[None])  # (generator, row, s, s)
+        re = (gr @ xr - gi @ xi) - sign * (xr @ gr - xi @ gi)
+        im = (gr @ xi + gi @ xr) - sign * (xr @ gi + xi @ gr)
         out[:, :, o : o + parts * s * s] = np.stack([re, im][:parts], axis=2).reshape(
-            len(gens), len(Y), -1) % p
+            len(gens), len(Y), -1)
+    out %= p
     return out - np.where(out > p // 2, p, 0)
 
 
 @pytest.mark.parametrize("p", DEFAULT_PRIMES)
 def test_bracket_rows_match_dense_reference(ralg, p):
     """``_bracket_rows`` on the generator table equals, mod p, the bracket
-    of dense block matrices (``_dense_bracket``) on seeded stacks of
-    balanced residues of 96 seeded classes (of 271, 271 and 171): hw0 real
-    and complexified, and blocks (2, 3).  Besides the twelve generators, a diagonal one meets every x
-    from both sides, so that (source, target) pairs of its ad_g entries
-    repeat, and their sums cancel in places."""
+    of dense block matrices (``_dense_bracket``) on a seeded stack of 1 to 8
+    rows of balanced residues in every class: hw0 real and complexified,
+    and blocks (2, 3).  Besides the twelve generators, a diagonal one meets
+    every x from both sides, so that (source, target) pairs of its ad_g
+    entries repeat, and their sums cancel in places."""
     diagonal = cl.RestrictedOperator({k: {(i, i): GaussRational(i % 5, int(i % 3 == 0))
                                           for i in range(cl.BLOCK_SIZES[k])}
                                       for k in range(4)}, 0)
@@ -699,9 +687,9 @@ def test_bracket_rows_match_dense_reference(ralg, p):
             src, tgt, _ = _adjoint_entries(layout, g, p, root)
             assert (g is diagonal) == (len(set(zip(src.tolist(), tgt.tolist()))) < len(src))
         nonzero = 0
-        classes = rng.permutation(len(layout.class_width))[:96]
-        for chunk in np.array_split(np.sort(classes), 6):
-            stacks = {d: rng.integers(-(p // 2), p // 2 + 1, size=(int(rng.integers(1, 5)),
+        classes = np.arange(len(layout.class_width))
+        for chunk in np.array_split(classes, -(-len(classes) // 8)):
+            stacks = {d: rng.integers(-(p // 2), p // 2 + 1, size=(int(rng.integers(1, 9)),
                                                                    layout.class_width[d]))
                       for d in chunk.tolist()}
             Y = np.zeros((sum(map(len, stacks.values())), layout.length))
