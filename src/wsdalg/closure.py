@@ -651,28 +651,32 @@ class _ModularEngine:
 _GeneratorTable = namedtuple("_GeneratorTable", "nkeys keys start off coef local target most")
 
 
-@lru_cache(maxsize=8)
-def _coordinate_keys(blocks: tuple[int, ...], complexified: bool) -> tuple:
-    """The layout's side of its generator tables, once per layout shape, read
-    only: ``line[k] + i`` numbers block k's i-th row (or column) among all
-    ``nlines``; ``keys[x]`` are x's row key (line, part), which g x reads,
-    and column key (line, part, parity), which x g reads; ``lines`` each
-    coordinate's row and column line, class by class; ``code`` a shift's
-    class by its base-7 code."""
-    layout, parts = FlatLayout(blocks, complexified), 1 if complexified else 2
+def _coordinate_keys(layout: FlatLayout) -> tuple:
+    """The layout's side of a generator table, built with it once per
+    closure and dropped with it: ``line[k] + i`` numbers block k's i-th row
+    (or column) among all ``nlines``; ``keys[x]`` are x's row key (line,
+    part), which g x reads, and column key (line, part, parity), which x g
+    reads; ``lines`` each coordinate's row and column line, class by class;
+    ``code`` a shift's class by its base-7 code.  Written block by block
+    in int32, so its temporaries are a block's rows, not the layout's."""
+    parts = 1 if layout.complexified else 2
     line = np.zeros(len(BLOCK_SIZES), dtype=np.int64)
-    line[list(blocks)] = np.cumsum([0] + [BLOCK_SIZES[k] for k in blocks])[:-1]
-    nlines = sum(BLOCK_SIZES[k] for k in blocks)
-    k, u, v, a = layout.places(np.arange(layout.length))
-    u, v = line[k] + u, line[k] + v
-    keys = np.empty((layout.length, 2), dtype=np.int32)
-    keys[:, 0] = u * parts + a
-    keys[:, 1] = parts * nlines + 2 * (v * parts + a) + layout.class_parity[layout.coord_class]
-    lines = np.stack([u, v])[:, np.concatenate(layout.class_indices)]
+    line[list(layout.blocks)] = np.cumsum([0] + [BLOCK_SIZES[k] for k in layout.blocks])[:-1]
+    nlines = sum(BLOCK_SIZES[k] for k in layout.blocks)
+    keys, lines = np.empty((layout.length, 2), dtype=np.int32), np.empty((2, layout.length), np.int32)
+    for k in layout.blocks:
+        s, o = BLOCK_SIZES[k], layout.offsets[k]
+        at, shape = slice(o, o + parts * s * s), (parts, s, s)  # block k's [part, row, column]
+        i, a = np.arange(line[k], line[k] + s, dtype=np.int32), np.arange(parts, dtype=np.int32)
+        u, v = lines[:, at].reshape(2, *shape)  # views: writing them writes lines
+        u[:], v[:] = i[:, None], i
+        key = keys[at].reshape(*shape, 2)
+        key[..., 0] = u * parts + a[:, None, None]
+        key[..., 1] = (parts * nlines + 2 * (v * parts + a[:, None, None])
+                       + layout.class_parity[layout.coord_class[at]].reshape(shape))
+    lines = lines.take(np.concatenate(layout.class_indices), axis=1)
     code = np.full(7**3, -1)
     code[(layout.class_shift_array + 3) @ [49, 7, 1]] = np.arange(len(layout.class_width))
-    for arr in (line, keys, lines, code):
-        arr.setflags(write=False)
     return line, nlines, keys, lines, code
 
 
@@ -705,7 +709,7 @@ def _generator_table(layout: FlatLayout, gens, flat) -> _GeneratorTable:
     owner, value, coords = owner[here], value[here], coords[here]
     block, row, col, part = layout.places(coords)
     s = np.array(BLOCK_SIZES)[block]
-    line, lines, keys, rc, code = _coordinate_keys(layout.blocks, layout.complexified)
+    line, lines, keys, rc, code = _coordinate_keys(layout)
     nkeys = 3 * parts * lines  # rows (line, part), then columns (line, part, parity)
     odd = np.array([g.parity for g in gens], dtype=bool)[owner]
     key, off, coef = [], [], []
@@ -781,14 +785,21 @@ def _bracket_rows(table: _GeneratorTable, frontier: tuple, source: np.ndarray,
     return pos, val, np.concatenate([[0], ends])[stop]
 
 
+# the (channel, nonzero) pairs a run of stacks may always take, so that a
+# level of small stacks brackets in a few kernel calls, not one per stack
+RUN_FLOOR = 2**13
+
+
 def _filled_stacks(table: _GeneratorTable, frontier: tuple, channels: tuple, plan: list,
                    edge: np.ndarray):
     """The planned stacks, filled in turn with their ``channels`` (source,
     generator, base, width; stack s's are edge[s]:edge[s + 1]) by
-    ``np.add.at``; one ``_bracket_rows`` serves a run of stacks whose pairs
-    fit in the most entries the level's stacks of one width hold."""
+    ``np.add.at``; one ``_bracket_rows`` serves a run of whole stacks whose
+    (channel, nonzero) pairs fit in the entries of the level's largest
+    stack, or in ``RUN_FLOOR`` if that is more (a stack with more pairs
+    runs alone), so the kernel's products stay within about one stack."""
     pairs = np.bincount(frontier[0], minlength=len(table.most))[channels[0]]
-    bound = np.bincount([s[-1] for _, s in plan], weights=[np.prod(s) for _, s in plan]).max()
+    bound = max(max(np.prod(s) for _, s in plan), RUN_FLOOR)
     cuts, held = [0], 0
     for s, n in enumerate(np.add.reduceat(pairs, edge[:-1]).tolist() if len(pairs) else []):
         cuts, held = (cuts + [s], n) if held and held + n > bound else (cuts, held + n)
@@ -810,12 +821,12 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
     rows over Q, or balanced residues mod p), the first frontier.  Each
     level reads the channels of its frontier's classes off the generator
     table, plans the stacks by one bincount over them, and hands them to
-    the engine as ``_filled_stacks`` fills them; the rows that add to the
-    span, in COO form, are the next frontier.  Every sum of a level is
-    below max |frontier entry| * max |generator entry| * the most entries
-    landing on one coordinate from the level's classes, which must stay
-    below 2^53 (else InexactBracket), and the rank within
-    ``DIMENSION_BOUND``.  Each row
+    the engine as ``_filled_stacks`` fills them, bracketing a run of about
+    one stack at a time; the rows that add to the span, in COO form, are
+    the next frontier.  Every sum of a level is below max |frontier entry|
+    * max |generator entry| * the most entries landing on one coordinate
+    from the level's classes, which must stay below 2^53 (else
+    InexactBracket), and the rank within ``DIMENSION_BOUND``.  Each row
     that adds to the span meets every generator once, so ``brackets`` is
     len(gens) * dim.  Returns (brackets, levels, phases), the last the
     seconds spent building the table, bracketing, reducing and inserting."""
