@@ -4,9 +4,9 @@
     wsdalg closure [--block hw0..hw3|all] [--field exact|modular] [options]
     wsdalg report [--out PATH] [options]
 
-``--progress`` writes one line per modular closure level to stderr; it and
-``--prime`` are usage errors with ``closure --field exact`` and with
-``verify`` of a suite that runs no closure.
+``--progress`` writes one line per closure level to stderr, on either
+field.  It and ``--prime`` are usage errors with ``verify`` of a suite that
+runs no closure, and ``--prime`` is one with ``closure --field exact`` too.
 ``--format csv`` is only defined for ``verify table1`` and ``verify all``.
 
 Exit codes: 0 when every selected check passes, 1 on a failed check,
@@ -41,7 +41,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
         "--progress",
         action="store_true",
-        help="write one line per modular closure level to stderr",
+        help="write one line per closure level to stderr",
     )
 
 
@@ -125,12 +125,12 @@ def _format_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a run with no modular closure has no prime and no levels
-    where = ("--field exact" if args.command == "closure" and args.field == "exact"
-             else f"verify {args.suite}" if args.suite not in ("closure", "all") else None)
+    # a run with no closure has no prime and no levels, and the exact field has no prime
+    if args.prime and args.command == "closure" and args.field == "exact":
+        args.error("--prime does not apply to --field exact")
     for flag, given in (("--prime", args.prime), ("--progress", args.progress)):
-        if where and given:
-            args.error(f"{flag} does not apply to {where}")
+        if given and args.suite not in ("closure", "all"):
+            args.error(f"{flag} does not apply to verify {args.suite}")
     if args.format == "csv" and args.suite not in ("table1", "all"):
         args.error("csv output is only defined for the table1 suite")
     try:

@@ -329,9 +329,9 @@ class InexactBracket(ArithmeticError):
 
 
 class _ExactEngine:
-    """The closure over Q behind ``_ModularEngine``'s interface: one
-    fraction-free ``linalg.IntegerEchelon`` per shift class that has rows,
-    keyed by global coordinate."""
+    """The closure over Q behind ``_ModularEngine``'s interface, kept as
+    the exact state's engine: one fraction-free ``linalg.IntegerEchelon``
+    per shift class that has rows, keyed by global coordinate."""
 
     def __init__(self, layout: FlatLayout):
         self.layout = layout
@@ -366,10 +366,12 @@ class _ExactEngine:
         """Insert each filled stack (float64 int rows) of ``batch``, class by
         class and row by row, into each class's echelon (made with its first
         nonzero row), one ``np.nonzero`` per class, each stack dropped once
-        inserted; the raw rows that add a pivot are the COO frontier."""
+        inserted and its time booked as ``insert_s``; the raw rows that add a
+        pivot are the COO frontier."""
         plan, stacks = batch
         parts = []
         for (ts, _), C in zip(plan, stacks):
+            t0 = time.perf_counter()
             for t, Ct in zip(ts.tolist(), C):
                 r, c = np.nonzero(Ct != 0)  # a candidate per run of equal r, in row order
                 if not r.size:
@@ -387,7 +389,19 @@ class _ExactEngine:
                     row = np.repeat(np.cumsum(took) - 1, size)[keep]
                     parts.append((np.full(len(row), t), row, coords[keep], values[keep]))
             C = None
+            phases["insert_s"] += time.perf_counter() - t0
         return _frontier(parts)
+
+    def contains(self, coords: np.ndarray, values: list) -> bool:
+        """Membership of a vector given by its ``FlatLayout.entries``, class
+        by class: its part on each class it touches, scaled to an int row,
+        must reduce to zero in that class's echelon, and a part on a class
+        without rows is no member."""
+        parts: dict[int, dict] = {}
+        for t, f, v in zip(self.layout.coord_class[coords].tolist(), coords.tolist(), values):
+            parts.setdefault(t, {})[f] = v
+        return all(t in self.echelons and self.echelons[t].contains(integral(row))
+                   for t, row in parts.items())
 
 
 def _frontier(parts: list) -> tuple:
@@ -459,11 +473,12 @@ class _HalfEngine:
             self._balance(C)
         return C
 
-    def insert_batch(self, C: np.ndarray, sel: np.ndarray) -> dict[int, range]:
+    def insert_batch(self, C: np.ndarray, sel: np.ndarray) -> tuple:
         """Insert candidate rows already reduced against the bases: C[i]
         holds the candidates of slot sel[i], padded with zero rows.  Returns
-        {class: range of its new rows} for every class that gained rows;
-        a class's new rows come in increasing pivot order.
+        (slots, V, gained) for the slots that gained rows: slot slots[i]
+        gained the gained[i] rows V[i, :gained[i]], stored in this order
+        after its old rows, in increasing pivot order.
 
         One modular RREF of all the stacks at once, by the rule for a single
         class: at each step, every class that still has a live row takes
@@ -499,8 +514,6 @@ class _HalfEngine:
                 nz = hit[free] != 0
                 lead[k[free], b[free]] = np.where(nz.any(axis=1), nz.argmax(axis=1), w)
             steps.append((live, r, c))
-        if not steps:
-            return {}
         # a class live at s steps gains s rows, its j-th new row taken at step j
         gained = np.zeros(len(sel), dtype=np.int64)
         V = np.zeros((len(sel), len(steps), w))
@@ -512,20 +525,19 @@ class _HalfEngine:
         got = np.flatnonzero(gained)
         slots, V, P, gained = sel[got], V[got], P[got], gained[got]
         start = self.nrows[slots]
-        rank = int(start.max())
+        rank = int(start.max(initial=0))
         if rank:
             B = self.B[slots, :rank]
             coef = _columns(B, P)
             if np.any(coef):
                 B -= coef @ V
                 self.B[slots, :rank] = self._balance(B)
-        self.reserve(int((start + gained).max()))
+        self.reserve(int((start + gained).max(initial=0)))
         k, j = np.nonzero(np.arange(len(steps)) < gained[:, None])
         self.B[slots[k], start[k] + j] = V[k, j]
         self.pivots[slots[k], start[k] + j] = P[k, j]
         self.nrows[slots] += gained
-        return {t: range(a, z) for t, a, z in
-                zip(self.classes[slots].tolist(), start.tolist(), (start + gained).tolist())}
+        return slots, V, gained
 
 
 class _ModularEngine:
@@ -609,7 +621,8 @@ class _ModularEngine:
     def process_batch(self, batch: tuple, phases: dict[str, float]) -> tuple:
         """Reduce and insert the stacks of ``batch`` (the plan from ``stacks``
         and the stacks, filled in turn), each dropped once inserted; the new
-        basis rows, one ``np.nonzero`` per group, are the COO frontier."""
+        basis rows ``insert_batch`` returns, one ``np.nonzero`` per group,
+        are the COO frontier."""
         plan, stacks = batch
         parts = []
         for (ts, _), C in zip(plan, stacks):
@@ -617,14 +630,13 @@ class _ModularEngine:
             t1 = time.perf_counter()
             ech.reduce_rows(C, sel)
             t2 = time.perf_counter()
-            before = ech.nrows[sel]
-            if ech.insert_batch(C, sel):
-                k, j = np.nonzero(np.arange(C.shape[1]) < (ech.nrows[sel] - before)[:, None])
-                V = ech.B[sel[k], before[k] + j]  # the new rows, j-th of their class
-                r, c = np.nonzero(V != 0)
-                t = ech.classes[sel[k[r]]]
-                parts.append((t, j[r], self.coords[self.first[t] + c], V[r, c]))
-            C = None
+            slots, V, gained = ech.insert_batch(C, sel)
+            k, j = np.nonzero(np.arange(V.shape[1]) < gained[:, None])
+            V = V[k, j]  # the new rows, j-th of their class
+            r, c = np.nonzero(V != 0)
+            t = ech.classes[slots[k[r]]]
+            parts.append((t, j[r], self.coords[self.first[t] + c], V[r, c]))
+            C = V = None
             phases["reduce_s"] += t2 - t1
             phases["insert_s"] += time.perf_counter() - t2
         return _frontier(parts)
@@ -900,10 +912,10 @@ class ClosureState:
     pivots: list[int]
     brackets: int
     wall_s: float
-    levels: int = 0  # bracketing levels of a modular run (not in the report)
-    _engine: object = None  # {class: IntegerEchelon} (exact) or _ModularEngine
+    levels: int = 0  # bracketing levels, on either field (not in the report)
+    _engine: object = None  # _ExactEngine or _ModularEngine
     # seconds spent building the generator table, bracketing, reducing and
-    # inserting in a modular run (not in the report)
+    # inserting, on either field (not in the report; a loaded state has none)
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
     blocks: tuple[int, ...] = dataclasses.field(init=False)
     dim: int = dataclasses.field(init=False)
@@ -935,18 +947,8 @@ class ClosureState:
         return not any(any(b.values()) for k, b in rop.blocks.items() if k not in self.blocks)
 
     def contains_exact(self, rop: RestrictedOperator) -> bool:
-        """Exact membership, class by class: rop's part on each class it
-        touches, scaled to an int row, must reduce to zero in that class's
-        echelon, and a part on a class without rows is no member."""
-        assert isinstance(self._engine, dict)
-        if not self._on_layout(rop):
-            return False
-        coords, values = self.layout.entries(rop)
-        parts: dict[int, dict] = {}
-        for t, f, v in zip(self.layout.coord_class[coords].tolist(), coords.tolist(), values):
-            parts.setdefault(t, {})[f] = v
-        return all(t in self._engine and self._engine[t].contains(integral(row))
-                   for t, row in parts.items())
+        assert isinstance(self._engine, _ExactEngine)
+        return self._on_layout(rop) and self._engine.contains(*self.layout.entries(rop))
 
     def contains_modular(self, rop: RestrictedOperator) -> bool:
         assert isinstance(self._engine, _ModularEngine)
@@ -1063,10 +1065,10 @@ def lie_closure(
     at least one generator (a name in GENERATOR_NAMES or an operator), each
     in one multidegree-shift class of its declared parity.  Anything else
     raises ValueError.
-    prime, progress: modular only (an exact run raises ValueError on
-    either).  The prime defaults to ``DEFAULT_PRIMES[0]``; progress is
-    called after each bracketing level with (level, dim, brackets,
-    frontier size), and the last call has frontier 0.
+    prime: modular only (the exact field has none, and raises ValueError
+    on one); it defaults to ``DEFAULT_PRIMES[0]``.  progress, on either
+    field, is called after each bracketing level with (level, dim,
+    brackets, frontier size), and the last call has frontier 0.
     """
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
@@ -1078,9 +1080,8 @@ def lie_closure(
                          "of integers drawn from 0..3")
     if field not in ("exact", "modular", "modular-complex"):
         raise ValueError(f"unknown field {field!r}")
-    for name, value in (("prime", prime), ("progress", progress)):
-        if field == "exact" and value is not None:
-            raise ValueError(f"{name}: the exact field takes none")
+    if field == "exact" and prime is not None:
+        raise ValueError("prime: the exact field takes none")
     t0 = time.perf_counter()
     layout = FlatLayout(blocks, complexified=(field == "modular-complex"))
     entries = [layout.entries(g) for g in gens]  # each generator flattened once per closure
@@ -1099,11 +1100,8 @@ def lie_closure(
         eng = _ModularEngine(layout, prime)
         flat = [_project(*e, prime, eng.root_i) for e in entries]
     brackets, levels, phases = _closure(gens, layout, flat, eng, progress)
-    pivots = eng.global_pivots()
-    if field == "exact":  # its state keeps the echelons alone
-        levels, phases, eng = 0, {}, eng.echelons
-    return ClosureState(field, prime, layout, pivots, brackets, time.perf_counter() - t0, levels,
-                        eng, phases)
+    return ClosureState(field, prime, layout, eng.global_pivots(), brackets,
+                        time.perf_counter() - t0, levels, eng, phases)
 
 
 _STATE_KEYS = ("field", "prime", "blocks", "complexified", "row_class", "row_pivot",

@@ -123,13 +123,12 @@ def _suite_closure(config) -> dict:
     meta = {"wall_s": {}, "levels": {}, "phase_s": {}, "survival": {}}
 
     def run(key: str, **kwargs) -> cl.ClosureState:
-        if progress and kwargs["field"] != "exact":  # an exact run has no levels
+        if progress:
             kwargs["progress"] = lambda *a: progress(key, *a)
         st = cl.lie_closure(blocks=blocks, ralg=ralg, **kwargs)
         meta["wall_s"][key] = round(st.wall_s, 3)
-        if st.field != "exact":
-            meta["levels"][key] = st.levels
-            meta["phase_s"][key] = {k: round(v, 3) for k, v in st.phases.items()}
+        meta["levels"][key] = st.levels
+        meta["phase_s"][key] = {k: round(v, 3) for k, v in st.phases.items()}
         meta["survival"][key] = round(st.dim / st.brackets, 4) if st.brackets else None
         return st
 
@@ -151,7 +150,7 @@ def _suite_closure(config) -> dict:
     expected_full = tuple(blocks) == (0, 1, 2, 3)
     result = {
         "runs": runs,
-        "complexified": complex_report if field != "exact" else None,
+        "complexified": complex_report,
     }
     if expected_full and field != "exact":
         if last.dim != cl.EXPECTED_DIMENSION:

@@ -116,11 +116,10 @@ def test_bad_prime_rejected(capsys, prime):
     _assert_usage_error(capsys, ["closure", "--block", "hw3", "--prime", prime], prime)
 
 
-@pytest.mark.parametrize("flags", [["--prime", "13"], ["--progress"]], ids=["prime", "progress"])
+@pytest.mark.parametrize("flags", [["--prime", "13"]], ids=["prime"])
 def test_exact_field_rejects_modular_flags(capsys, flags):
-    """The exact closure runs over Q, so it has no prime, and it reports
-    no progress lines for its levels: --prime and --progress are usage
-    errors with --field exact."""
+    """The exact closure runs over Q, so it has no prime: --prime is a
+    usage error with --field exact."""
     _assert_usage_error(capsys, ["closure", "--block", "hw3", "--field", "exact"] + flags,
                         flags[0])
 
@@ -238,6 +237,25 @@ def test_suite_registry_complete():
     )
     with pytest.raises(KeyError):
         suites.run_suites(["unknown-suite"])
+
+
+def test_exact_field_progress_lines(capsys):
+    """The exact closure runs the level loop of the modular one, so
+    --progress with --field exact writes one line per exact level and
+    changes neither stdout nor the results; meta records the levels."""
+    argv = ["closure", "--block", "hw3", "--field", "exact"]
+    runs = []
+    for extra in ([], ["--progress"], ["--format", "json"], ["--format", "json", "--progress"]):
+        assert cli.main(argv + extra) == 0
+        runs.append(capsys.readouterr())
+    plain, traced, a, b = runs
+    assert traced.out == plain.out and plain.err == a.err == "" and b.err == traced.err
+    a, b = (json.loads(r.out) for r in (a, b))
+    assert json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True)
+    assert b["meta"]["suites"]["closure"]["levels"] == {"exact": 2}
+    lines = [re.fullmatch(r"closure exact: level (\d+) dim (\d+) brackets (\d+) frontier (\d+)",
+                          line) for line in traced.err.splitlines()]
+    assert all(lines) and [int(m[1]) for m in lines] == [1, 2] and lines[-1][4] == "0"
 
 
 def test_progress_lines(capsys):

@@ -300,7 +300,8 @@ def test_even_subalgebra_exact(ralg):
     assert st.dim == 15
     assert st.parity_dims() == (15, 0)
     # the echelon holds exact rationals only, integral ones as ints
-    stored = [v for ech in st._engine.values() for row in ech.rows.values() for v in row.values()]
+    stored = [v for ech in st._engine.echelons.values() for row in ech.rows.values()
+              for v in row.values()]
     assert all(type(v) in (int, Fraction) for v in stored)
     assert not any(type(v) is Fraction and v.denominator == 1 for v in stored)
 
@@ -315,7 +316,7 @@ def _rows_digest(state) -> str:
     classes: a fully reduced echelon basis is unique for its span, so it
     does not depend on how the closure reached it, nor on whether it is
     kept whole or class by class (the rows are homogeneous)."""
-    rows = {p: row for ech in state._engine.values() for p, row in ech.rows.items()}
+    rows = {p: row for ech in state._engine.echelons.values() for p, row in ech.rows.items()}
     text = repr([(p, sorted((f, str(v)) for f, v in rows[p].items())) for p in sorted(rows)])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -344,7 +345,7 @@ def test_exact_closure_stores_int_rows(ralg, generators, blocks):
     by class, in increasing order within a class."""
     st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
     pivots = []
-    for t, ech in sorted(st._engine.items()):
+    for t, ech in sorted(st._engine.echelons.items()):
         assert ech.rank and list(ech.basis) == list(ech.rows)
         pivots += sorted(ech.basis)
         for p, row in ech.basis.items():
@@ -983,7 +984,8 @@ def test_exact_state_read_off_its_echelon(ralg, generators, blocks):
     sub-blocks), and a state built from the layout and the pivots alone
     reports the same."""
     st = lie_closure(generators, field="exact", blocks=blocks, ralg=ralg)
-    assert st.pivots == [p for t in sorted(st._engine) for p in sorted(st._engine[t].rows)]
+    echelons = st._engine.echelons
+    assert st.pivots == [p for t in sorted(echelons) for p in sorted(echelons[t].rows)]
     classes = st.layout.coord_class[st.pivots]
     assert np.all(np.diff(classes) >= 0)
     assert all(a < b for a, b, x, y in zip(st.pivots, st.pivots[1:], classes, classes[1:])
@@ -992,7 +994,7 @@ def test_exact_state_read_off_its_echelon(ralg, generators, blocks):
     assert (st.pivots, st.parities) == (modular.pivots, modular.parities)
     par = _parity_split(st.layout)
     assert st.parities == par[st.pivots].tolist()
-    for p, row in ((p, row) for ech in st._engine.values() for p, row in ech.rows.items()):
+    for p, row in ((p, row) for ech in echelons.values() for p, row in ech.rows.items()):
         assert set(par[list(row)].tolist()) == {par[p]}
     again = cl.ClosureState("exact", None, st.layout, st.pivots, st.brackets, 0.0)
     assert (again.dim, again.blocks, again.parities) == (st.dim, blocks, st.parities)
@@ -1185,7 +1187,7 @@ def test_empty_class_component_rejected(ralg):
         st = lie_closure(blocks=(3,), field=field, ralg=ralg)
         contains = st.contains_exact if field == "exact" else st.contains_modular
         t = _operator_class(st.layout, odd)
-        listed = st._engine if field == "exact" else st._engine.listing()[0]
+        listed = st._engine.echelons if field == "exact" else st._engine.listing()[0]
         assert t is not None and t not in listed
         assert not contains(odd)
         assert contains(cl.RestrictedOperator({3: rop.block(3)}, 0))
@@ -1681,7 +1683,8 @@ def _random_batch(rng, p, width, stored) -> np.ndarray:
 def test_insert_batch_matches_plain_elimination(p):
     """One width group of three classes.  Each round feeds a seeded batch of
     its own size, empty and all-zero batches included, to a random subset
-    of the classes, and every class must match a plain elimination."""
+    of the classes, and every class must match a plain elimination.  The
+    rows returned for each slot are the rows it gained, as stored."""
     rng = np.random.default_rng(p)
     width, classes = 40, np.array([3, 8, 21])
     ech = cl._HalfEngine(p, width, classes)
@@ -1703,14 +1706,17 @@ def test_insert_batch_matches_plain_elimination(p):
         for i, batch in enumerate(batches):
             C[i, : len(batch)] = batch
         before = ech.nrows.copy()
-        added = ech.insert_batch(ech.reduce_rows(C, sel), sel)
-        assert set(added) <= set(classes[sel].tolist())
+        slots, V, gained = ech.insert_batch(ech.reduce_rows(C, sel), sel)
+        assert set(slots.tolist()) <= set(sel.tolist()) and np.all(gained > 0)
+        added = dict(zip(slots.tolist(), gained.tolist()))
         for k, batch in zip(sel, batches):
             want = _rank_mod_p(inputs[k] + list(batch), p) - _rank_mod_p(inputs[k], p)
-            new = added.get(int(classes[k]), range(before[k], before[k]))
-            assert new == range(before[k], ech.nrows[k]) and len(new) == want
+            new = range(before[k], ech.nrows[k])
+            assert added.get(int(k), 0) == len(new) == want
             assert np.all(np.diff(ech.pivots[k, new.start : new.stop]) > 0)
             inputs[k].extend(batch)
+        for i, (k, n) in enumerate(zip(slots, gained)):
+            assert np.array_equal(V[i, :n], ech.B[k, before[k] : ech.nrows[k]])
         assert all(ech.nrows[k] == before[k] for k in range(len(classes)) if k not in sel)
         assert ech.B.shape == (len(classes), ech.pivots.shape[1], width)
         assert ech.pivots.dtype == np.int64
@@ -1749,22 +1755,43 @@ def test_hw0_closure_batches_width_groups(monkeypatch, ralg):
 
 
 def test_closure_phase_timers(ralg):
-    """A modular run times its ad_g set-up and its bracket, reduce and
-    insert phases; the closure suite records them in meta, never in
-    results."""
+    """A run on either field times its ad_g set-up and its bracket, reduce
+    and insert phases (the exact engine books its echelon work as insert);
+    the closure suite records them in meta, never in results."""
     st = lie_closure(blocks=(0,), field="modular", ralg=ralg)
     assert set(st.phases) == {"adjoint_s", "bracket_s", "reduce_s", "insert_s"}
     assert all(v > 0 for v in st.phases.values())
     assert sum(st.phases.values()) <= st.wall_s
     assert "phases" not in st.report()
-    assert lie_closure(blocks=(3,), field="exact", ralg=ralg).phases == {}
-    out = suites._SUITES["closure"]({"blocks": (3,)})
-    meta = out.pop("_meta")
-    assert set(meta["phase_s"]) == set(meta["wall_s"])
-    for key, phases in meta["phase_s"].items():
-        assert set(phases) == {"adjoint_s", "bracket_s", "reduce_s", "insert_s"}
-        assert sum(phases.values()) <= meta["wall_s"][key] + 0.002  # both rounded to ms
-    assert "phase_s" not in repr(out)
+    exact = lie_closure(blocks=(3,), field="exact", ralg=ralg)
+    assert set(exact.phases) == set(st.phases) and exact.phases["insert_s"] > 0
+    assert sum(exact.phases.values()) <= exact.wall_s
+    for field in ("modular", "exact"):
+        out = suites._SUITES["closure"]({"blocks": (3,), "field": field})
+        meta = out.pop("_meta")
+        assert set(meta["phase_s"]) == set(meta["wall_s"]) == set(meta["levels"])
+        for key, phases in meta["phase_s"].items():
+            assert set(phases) == {"adjoint_s", "bracket_s", "reduce_s", "insert_s"}
+            assert sum(phases.values()) <= meta["wall_s"][key] + 0.002  # both rounded to ms
+        assert "phase_s" not in repr(out)
+
+
+@pytest.mark.parametrize("generators,blocks", [
+    (ops.GENERATOR_NAMES, (3,)),
+    (EVEN_GENERATOR_NAMES, (0, 1, 2, 3)),
+    (ops.GENERATOR_NAMES, (0,)),
+], ids=["hw3", "even", "hw0"])
+def test_exact_levels_and_progress_match_modular(ralg, generators, blocks):
+    """Both fields run one level loop, so an exact closure takes as many
+    levels as a modular one and reports the same progress, call for call:
+    (level, dim, brackets, frontier), the last with frontier 0."""
+    seen = {}
+    for field in ("exact", "modular"):
+        calls = seen[field] = []
+        st = lie_closure(generators, field=field, blocks=blocks, ralg=ralg,
+                         progress=lambda *a, calls=calls: calls.append(a))
+        assert st.levels == len(calls) > 0 and calls[-1] == (st.levels, st.dim, st.brackets, 0)
+    assert seen["exact"] == seen["modular"]
 
 
 def test_hw0_level_bookkeeping(monkeypatch, ralg):
@@ -1806,7 +1833,7 @@ def test_hw0_level_bookkeeping(monkeypatch, ralg):
     (cl.GENERATOR_NAMES, (3, 3), "blocks"),
     (cl.GENERATOR_NAMES, (3, 0), "blocks"),
     (cl.GENERATOR_NAMES, (3,), "prime"),
-    (cl.GENERATOR_NAMES, (3,), "progress"),
+    (cl.GENERATOR_NAMES, (-1,), "blocks"),
     (["iL9"], (3,), "generators"),
     ("iL0", (3,), "generators"),
     (cl.GENERATOR_NAMES, (0.0,), "blocks"),
@@ -1816,9 +1843,9 @@ def test_lie_closure_rejects_bad_arguments(ralg, generators, blocks, argument):
     """No generators, an unknown generator name, a single name in place of
     a sequence, and blocks that are not a non-empty strictly increasing
     tuple of integers drawn from 0..3 (a float or a bool is none), are
-    rejected before any work; so are a prime and a progress callback on
-    the exact field, which has neither."""
-    exact = {"prime": {"prime": 7}, "progress": {"progress": print}}.get(argument)
+    rejected before any work; so is a prime on the exact field, which has
+    none."""
+    exact = {"prime": {"prime": 7}}.get(argument)
     with pytest.raises(ValueError, match=f"^{argument}"):
         lie_closure(generators, field="exact" if exact else "modular", blocks=blocks, ralg=ralg,
                     **(exact or {}))

@@ -4,6 +4,7 @@ import random
 import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from wsdalg.scalars import GaussRational, I, ONE, ZERO
@@ -127,18 +128,31 @@ def test_contraction_antiderivation():
         assert lhs == a
 
 
+def _times(rows, dense: np.ndarray) -> np.ndarray:
+    """M @ dense for the matrix M whose row i is rows[i], a dict {column:
+    GaussRational with int parts}, one row of dense per entry: exact, as
+    every sum it forms stays far below 2^53."""
+    out = np.zeros((len(rows), dense.shape[1]), dtype=complex)
+    for i, row in enumerate(rows):
+        for m, x in row.items():
+            assert type(x.re) is int and type(x.im) is int
+            out[i] += complex(x.re, x.im) * dense[m]
+    return out
+
+
 def test_contraction_adjoint_to_wedge_exhaustive():
-    # (v_p ^ a, b) = (a, contract(p, b)) over all monomial pairs, per position
+    # (v_p ^ a, b) = (a, contract(p, b)) over all monomial pairs, per position,
+    # as matrices: with G the Gram matrix of the monomials under
+    # hermitean_inner, W and K the coefficient matrices of wedge(v_p, .) and
+    # contract(p, .) on them, the sides are (W G)[a, b] and (G K^H)[a, b]
+    basis = [monomial(m) for m in range(DIM)]
+    gram = _times([{n: x for n, b in enumerate(basis) if (x := hermitean_inner(a, b))}
+                   for a in basis], np.eye(DIM))
     for p in range(9):
         vp = monomial(1 << p)
-        for ma in range(DIM):
-            a = monomial(ma)
-            lhs_form = wedge(vp, a)
-            for mb in range(DIM):
-                b = monomial(mb)
-                lhs = hermitean_inner(lhs_form, b)
-                rhs = hermitean_inner(a, contract(p, b))
-                assert lhs == rhs
+        lhs = _times([wedge(vp, a).coeffs for a in basis], gram)
+        rhs = _times([contract(p, b).coeffs for b in basis], gram.conj().T).conj().T
+        assert np.array_equal(lhs, rhs)
 
 
 def test_hodge_star():

@@ -237,7 +237,7 @@ def test_pattern_tables_catch_corruption():
 
     bad_entries = dict(pt.TABLE_HW0.entries)
     # claim a mark in a cell that is actually empty
-    bad_entries[("(0,0,3)", "(0,0,0)")] = pt.TableEntry(("L", 0, (0, -1, -1)), False)
+    bad_entries[("(0,0,3)", "(0,0,0)")] = pt.TableEntry(("L", 0, (0, -1, -1)))
     bad = pt.PatternTable(
         "hw0-corrupted", 0, "even", pt.TABLE_HW0.row_labels,
         pt.TABLE_HW0.col_labels, bad_entries,
