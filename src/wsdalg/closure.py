@@ -552,7 +552,7 @@ class _ModularEngine:
     coordinate and the pivot set is that of the unsplit computation."""
 
     def __init__(self, layout: FlatLayout, p: int):
-        self.layout = layout
+        self.layout, self.p = layout, p
         self.root_i = root_of_minus_one(p)
         self.class_width = layout.class_width
         # class t's local coordinate c is the global coordinate coords[first[t] + c]
@@ -641,12 +641,15 @@ class _ModularEngine:
             phases["insert_s"] += time.perf_counter() - t2
         return _frontier(parts)
 
-    def contains(self, coords: np.ndarray, residues: np.ndarray) -> bool:
-        """Membership of a vector given by its ``_project``-ed entries: the
-        span is graded, so only the classes they touch are built, each on
-        its class-local coordinates and reduced on views of its rows.  A
-        reduced entry sums at most 448 (the widest class) products of
-        balanced residues, far below 2^53, so fmod by p tests it exactly."""
+    def contains(self, coords: np.ndarray, values: list) -> bool:
+        """Membership of a vector given by its ``FlatLayout.entries`` (exact
+        values, as ``_ExactEngine.contains`` takes them), projected here by
+        ``_project``: the span is graded, so only the classes they touch are
+        built, each on its class-local coordinates and reduced on views of
+        its rows.  A reduced entry sums at most 448 (the widest class)
+        products of balanced residues, far below 2^53, so fmod by p tests
+        it exactly."""
+        residues = _project(coords, values, self.p, self.root_i)[1]
         cls, local = self.layout.coord_class[coords], self.layout.coord_local[coords]
         for t in set(cls.tolist()):
             at = cls == t
@@ -839,9 +842,10 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
     * max |generator entry| * the most entries landing on one coordinate
     from the level's classes, which must stay below 2^53 (else
     InexactBracket), and the rank within ``DIMENSION_BOUND``.  Each row
-    that adds to the span meets every generator once, so ``brackets`` is
-    len(gens) * dim.  Returns (brackets, levels, phases), the last the
-    seconds spent building the table, bracketing, reducing and inserting."""
+    that adds to the span meets every generator once, so the brackets so
+    far (reported to ``progress``) are len(gens) * (rank - frontier rows).
+    Returns (levels, phases), the last the seconds spent building the
+    table, bracketing, reducing and inserting."""
     nclasses, ngens, width = len(layout.class_width), len(gens), layout.class_width
     phases = dict.fromkeys(("adjoint_s", "bracket_s", "reduce_s", "insert_s"), 0.0)
     gmax = max((float(np.abs(v).max()) for _, v in flat if len(v)), default=0.0)
@@ -858,17 +862,18 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
         stacks[stack[t]].reshape(-1)[start[t] + filled[t] * width[t] + layout.coord_local[f]] = v
         filled[t] += 1
     frontier = eng.process_batch((plan, stacks), phases)
-    brackets = levels = 0
+    levels = 0
     while True:
         cls, row = frontier[:2]  # the frontier's rows per class
         size, last = np.zeros(nclasses, dtype=np.int64), np.flatnonzero(np.diff(cls, append=-1))
         size[cls[last]] = row[last] + 1
-        if eng.nrows > DIMENSION_BOUND:
+        rank, rows = eng.nrows, int(size.sum())
+        if rank > DIMENSION_BOUND:
             raise AssertionError("closure rank exceeded the proven upper bound")
         if progress and levels:
-            progress(levels, eng.nrows, brackets, int(size.sum()))
+            progress(levels, rank, ngens * (rank - rows), rows)
         if not size.any():
-            return brackets, levels, phases
+            return levels, phases
         t0 = time.perf_counter()
         src = np.flatnonzero(size)
         if float(np.abs(frontier[3]).max()) * gmax * int(table.most[src].max()) >= 2**53:
@@ -886,7 +891,6 @@ def _closure(gens: list[RestrictedOperator], layout: FlatLayout, flat: list[tupl
         stacks = _filled_stacks(table, frontier, (d, g, start[t] + below * width[t], width[t]),
                                 plan, edge)
         frontier, engine_s = None, phases["reduce_s"] + phases["insert_s"]
-        brackets += int(size.sum()) * ngens
         levels += 1
         frontier = eng.process_batch((plan, stacks), phases)
         phases["bracket_s"] += time.perf_counter() - t0 - (phases["reduce_s"] + phases["insert_s"]
@@ -946,14 +950,12 @@ class ClosureState:
         no member)."""
         return not any(any(b.values()) for k, b in rop.blocks.items() if k not in self.blocks)
 
-    def contains_exact(self, rop: RestrictedOperator) -> bool:
-        assert isinstance(self._engine, _ExactEngine)
+    def contains(self, rop: RestrictedOperator) -> bool:
+        """Whether rop lies in the closure span, on either field: the
+        engine tests the exact entries rop has on the layout."""
         return self._on_layout(rop) and self._engine.contains(*self.layout.entries(rop))
 
-    def contains_modular(self, rop: RestrictedOperator) -> bool:
-        assert isinstance(self._engine, _ModularEngine)
-        return self._on_layout(rop) and self._engine.contains(
-            *_project(*self.layout.entries(rop), self.prime, self._engine.root_i))
+    contains_modular = contains  # the name the benchmark's traced span wraps
 
     def supertrace_residues(self) -> float:
         """max |supertrace residue| over all basis rows (modular only): every
@@ -1069,6 +1071,9 @@ def lie_closure(
     on one); it defaults to ``DEFAULT_PRIMES[0]``.  progress, on either
     field, is called after each bracketing level with (level, dim,
     brackets, frontier size), and the last call has frontier 0.
+    The state's ``contains`` answers membership on either field, and its
+    ``brackets`` is len(generators) * dim: each basis row was bracketed
+    once with each generator.
     """
     ralg = ralg or default_algebra()
     gens = _resolve_generators(generators, ralg)
@@ -1099,8 +1104,9 @@ def lie_closure(
         prime = validate_prime(prime if prime is not None else DEFAULT_PRIMES[0])
         eng = _ModularEngine(layout, prime)
         flat = [_project(*e, prime, eng.root_i) for e in entries]
-    brackets, levels, phases = _closure(gens, layout, flat, eng, progress)
-    return ClosureState(field, prime, layout, eng.global_pivots(), brackets,
+    levels, phases = _closure(gens, layout, flat, eng, progress)
+    pivots = eng.global_pivots()
+    return ClosureState(field, prime, layout, pivots, len(gens) * len(pivots),
                         time.perf_counter() - t0, levels, eng, phases)
 
 
@@ -1250,7 +1256,7 @@ def verify_structure(
     * supertrace: exactly zero for the restricted generators, and zero mod
       p for every closure basis element;
     * the dagger of each restricted generator lies in the closure span
-      (modular membership);
+      (``ClosureState.contains``, on either field);
     * the complexified closure has the complex dimension matching the real
       one, i.e. real dimension 2 * dim;
     * the gap to the invariant-superalgebra dimension bound.
@@ -1263,13 +1269,13 @@ def verify_structure(
         if st:
             failures.append(f"{name}: restricted supertrace {st} != 0")
 
-    max_str_residue, contains = None, state.contains_exact
-    if isinstance(state._engine, _ModularEngine):
-        max_str_residue, contains = state.supertrace_residues(), state.contains_modular
+    max_str_residue = None
+    if state.field != "exact":  # the residues exist only mod p
+        max_str_residue = state.supertrace_residues()
         if max_str_residue:
             failures.append("a closure basis element has nonzero supertrace mod p")
 
-    dagger_ok = [contains(rop) for rop in ralg.daggers(state.blocks)]
+    dagger_ok = [state.contains(rop) for rop in ralg.daggers(state.blocks)]
     failures += [f"dagger({name}) not in the closure span"
                  for name, ok in zip(GENERATOR_NAMES, dagger_ok) if not ok]
 

@@ -278,7 +278,7 @@ def verify_pattern_tables(tables=None) -> dict:
         first += len(basis.even) if table.parity == "odd" else 0
         part = (range(first, first + len(vecs)),)
         pattern = [kw_pattern(forms.multidegree(v)) for v in vecs]
-        ops_in_scope = sorted({entry.op for entry in table.entries.values()}, key=repr)
+        ops_in_scope = sorted(set(table.entries.values()), key=repr)
         matrices: dict = {op_spec: {} for op_spec in ops_in_scope}
         for key in dict.fromkeys(o[:2] if o[0] == "L" else o for o in ops_in_scope):
             if key not in cache:  # the whole of iL_j for ("L", j), K_lm for ("K", l, m)
@@ -295,14 +295,14 @@ def verify_pattern_tables(tables=None) -> dict:
             for cl in table.col_labels:
                 key = (index[rl], index[cl])
                 found = {o: mat[key] for o, mat in matrices.items() if key in mat}
-                entry = table.entries.get((rl, cl))
+                op = table.entries.get((rl, cl))
                 expected = "0"
-                if entry is not None:
+                if op is not None:
                     marked += 1
                     expected = "0 (cell marked for another operator)"
-                    if found.pop(entry.op, None) is None:
+                    if found.pop(op, None) is None:
                         mismatches.append(
-                            {"row": rl, "col": cl, "op": pattern_tables.op_name(entry.op),
+                            {"row": rl, "col": cl, "op": pattern_tables.op_name(op),
                              "expected": "nonzero", "found": "0"}
                         )
                 for op_spec, v in found.items():

@@ -118,8 +118,6 @@ def _suite_closure(config) -> dict:
     field = config.get("field", "modular")
     progress = config.get("progress")
     ralg = cl.default_algebra()
-    runs = []
-    failures = []
     meta = {"wall_s": {}, "levels": {}, "phase_s": {}, "survival": {}}
 
     def run(key: str, **kwargs) -> cl.ClosureState:
@@ -132,38 +130,29 @@ def _suite_closure(config) -> dict:
         meta["survival"][key] = round(st.dim / st.brackets, 4) if st.brackets else None
         return st
 
+    # the primes and the complexified run exist only mod p
     if field == "exact":
-        st = run("exact", field="exact")
-        runs.append(st.report())
-        last = st
-        complex_report = None
+        states, complex_state = [run("exact", field="exact")], None
     else:
-        last = None
-        for p in primes:
-            st = run(f"modular-{p}", field="modular", prime=p)
-            runs.append(st.report())
-            if last is not None and st.dim != last.dim:
-                failures.append(f"dimension disagrees between primes: {st.dim} vs {last.dim}")
-            last = st
+        states = [run(f"modular-{p}", field="modular", prime=p) for p in primes]
         complex_state = run(f"complex-{primes[0]}", field="modular-complex", prime=primes[0])
-        complex_report = complex_state.report()
-    expected_full = tuple(blocks) == (0, 1, 2, 3)
+    failures = [f"dimension disagrees between primes: {b.dim} vs {a.dim}"
+                for a, b in zip(states, states[1:]) if a.dim != b.dim]
+    last = states[-1]
     result = {
-        "runs": runs,
-        "complexified": complex_report,
+        "runs": [st.report() for st in states],
+        "complexified": complex_state and complex_state.report(),
     }
-    if expected_full and field != "exact":
+    if tuple(blocks) == (0, 1, 2, 3):
         if last.dim != cl.EXPECTED_DIMENSION:
             failures.append(f"dimension {last.dim} != {cl.EXPECTED_DIMENSION}")
         bd = tuple(last.block_dims()[k] for k in range(4))
         if bd != cl.EXPECTED_BLOCK_DIMS:
             failures.append(f"block dims {bd} != {cl.EXPECTED_BLOCK_DIMS}")
-        if complex_report is not None and complex_report["dim"] != cl.EXPECTED_DIMENSION:
+        if complex_state is not None and complex_state.dim != cl.EXPECTED_DIMENSION:
             failures.append("complexified dimension mismatch")
-        structure = cl.verify_structure(last, ralg, complex_state)
-        result["structure"] = structure
-        if not structure["pass"]:
-            failures.extend(structure["failures"])
+        result["structure"] = cl.verify_structure(last, ralg, complex_state)
+        failures += result["structure"]["failures"]
         result["bound_gap"] = cl.DIMENSION_BOUND - last.dim
     result["pass"] = not failures
     result["failures"] = failures

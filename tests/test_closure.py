@@ -24,6 +24,7 @@ import pytest
 from wsdalg.scalars import (DEFAULT_PRIMES, GaussRational, I, PrimeCollision, balanced_residue,
                             root_of_minus_one)
 from wsdalg.forms import Form
+from wsdalg.linalg import SparseEchelon
 from wsdalg import operators as ops
 from wsdalg import closure as cl
 from wsdalg import scalars
@@ -333,6 +334,25 @@ def test_exact_echelon_rows_pinned(ralg, generators, blocks, pivot_hash, rows_di
     assert (st.pivot_hash(), _rows_digest(st)) == (pivot_hash, rows_digest)
 
 
+def test_exact_full_suite_checks_the_closure(monkeypatch, ralg):
+    """An exact closure-suite run on all four blocks is checked as a
+    modular one is: a closure of the even generators alone (dim 15) fails
+    on its dimension and its block dimensions, and verify_structure and
+    the bound gap are reported for it."""
+    close = cl.lie_closure
+    monkeypatch.setattr(cl, "lie_closure", lambda **kw: close(EVEN_GENERATOR_NAMES, **kw))
+    out = suites._SUITES["closure"]({"field": "exact"})
+    run = out["runs"][0]
+    assert run["field"] == "exact" and run["dim"] == 15 and out["complexified"] is None
+    bd = tuple(run["block_dims"][f"hw{k}"] for k in range(4))
+    assert out["pass"] is False
+    assert f"dimension 15 != {cl.EXPECTED_DIMENSION}" in out["failures"]
+    assert f"block dims {bd} != {cl.EXPECTED_BLOCK_DIMS}" in out["failures"]
+    assert out["structure"]["dim"] == 15 and out["structure"]["supertrace_max_residue"] is None
+    assert set(out["structure"]["failures"]) <= set(out["failures"])
+    assert out["bound_gap"] == cl.DIMENSION_BOUND - 15
+
+
 @pytest.mark.parametrize("generators,blocks", [
     (ops.GENERATOR_NAMES, (3,)),
     (EVEN_GENERATOR_NAMES, (0, 1, 2, 3)),
@@ -357,7 +377,7 @@ def test_exact_closure_stores_int_rows(ralg, generators, blocks):
 
 
 def test_exact_membership_scales_fraction_input(ralg):
-    """``contains_exact`` scales a query with Fraction parts to an int row
+    """Exact ``contains`` scales a query with Fraction parts to an int row
     first: on the even closure, whose generators carry denominators on
     blocks 1 and 2, a generator and its multiples by Fractions are members,
     and the same generator with one part moved by 1/2 is not, nor is an
@@ -370,11 +390,11 @@ def test_exact_membership_scales_fraction_input(ralg):
         return cl.RestrictedOperator({k: {rc: v * s for rc, v in b.items()}
                                       for k, b in g.blocks.items()}, g.parity)
 
-    assert all(st.contains_exact(scaled(s)) for s in (1, Fraction(1, 3), Fraction(-7, 6)))
+    assert all(st.contains(scaled(s)) for s in (1, Fraction(1, 3), Fraction(-7, 6)))
     rc, v = next(iter(g.block(1).items()))
     moved = cl.RestrictedOperator({**g.blocks, 1: {**g.block(1), rc: v + Fraction(1, 2)}}, g.parity)
-    assert not st.contains_exact(moved)
-    assert not st.contains_exact(ralg.generator("iV0"))
+    assert not st.contains(moved)
+    assert not st.contains(ralg.generator("iV0"))
 
 
 def test_exact_hw0_closure_matches_modular(ralg):
@@ -520,7 +540,7 @@ def test_member_has_no_entry_outside_the_blocks(ralg, field):
     block 0, which the layout lacks, is no member, and neither is a member
     with that entry added, while block-3-only queries answer as before."""
     st = lie_closure(blocks=(3,), field=field, ralg=ralg)
-    contains = st.contains_exact if field == "exact" else st.contains_modular
+    contains = st.contains
     one = GaussRational(1)
     rop = ralg.generator("iL1")
     member = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
@@ -547,10 +567,10 @@ def test_exact_contains(ralg):
     st = lie_closure(blocks=(3,), field="exact", ralg=ralg)
     rop = ralg.generator("iL0")
     sub = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
-    assert st.contains_exact(sub)
+    assert st.contains(sub)
     # the identity on the block is not in a special-linear algebra
     ident = {(r, r): GaussRational(1) for r in range(8)}
-    assert not st.contains_exact(cl.RestrictedOperator({3: ident}, 0))
+    assert not st.contains(cl.RestrictedOperator({3: ident}, 0))
 
 
 def test_verify_structure_exact(ralg):
@@ -568,9 +588,9 @@ def test_modular_contains(ralg):
     st = lie_closure(blocks=(3,), field="modular", ralg=ralg)
     rop = ralg.generator("iL1")
     sub = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
-    assert st.contains_modular(sub)
+    assert st.contains(sub)
     ident = {(r, r): GaussRational(1) for r in range(8)}
-    assert not st.contains_modular(cl.RestrictedOperator({3: ident}, 0))
+    assert not st.contains(cl.RestrictedOperator({3: ident}, 0))
 
 
 def test_generator_supertraces_vanish(ralg):
@@ -606,9 +626,9 @@ def test_state_save_load_roundtrip(tmp_path, ralg):
     assert loaded.parities == st.parities
     rop = ralg.generator("iL2")
     sub = cl.RestrictedOperator({3: rop.block(3)}, rop.parity)
-    assert loaded.contains_modular(sub)
+    assert loaded.contains(sub)
     ident = {(r, r): GaussRational(1) for r in range(8)}
-    assert not loaded.contains_modular(cl.RestrictedOperator({3: ident}, 0))
+    assert not loaded.contains(cl.RestrictedOperator({3: ident}, 0))
 
 
 @pytest.mark.parametrize("field", ["modular", "modular-complex"])
@@ -843,7 +863,7 @@ def test_modular_path_imports_no_numpy_ma(tmp_path):
             "    loaded = cl.load_state(field + '.npz')\n"
             "    assert loaded.supertrace_residues() == 0.0\n"
             "    g = cl.default_algebra().generator('iL1')\n"
-            "    assert loaded.contains_modular(cl.RestrictedOperator({0: g.block(0)}, g.parity))\n"
+            "    assert loaded.contains(cl.RestrictedOperator({0: g.block(0)}, g.parity))\n"
             "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
@@ -1172,8 +1192,8 @@ def test_hw0_graded_closure(hw0_state, ralg, tmp_path):
     assert loaded.pivots == st.pivots and loaded.parities == st.parities
     assert loaded.supertrace_residues() == 0.0
     for rop, want in _hw0_queries(ralg, st.field):
-        assert st.contains_modular(rop) is want
-        assert loaded.contains_modular(rop) is want
+        assert st.contains(rop) is want
+        assert loaded.contains(rop) is want
 
 
 def test_empty_class_component_rejected(ralg):
@@ -1185,7 +1205,7 @@ def test_empty_class_component_rejected(ralg):
     member = cl.RestrictedOperator({3: {**rop.block(3), (0, 4): GaussRational(1)}}, 0)
     for field in ("modular", "exact"):
         st = lie_closure(blocks=(3,), field=field, ralg=ralg)
-        contains = st.contains_exact if field == "exact" else st.contains_modular
+        contains = st.contains
         t = _operator_class(st.layout, odd)
         listed = st._engine.echelons if field == "exact" else st._engine.listing()[0]
         assert t is not None and t not in listed
@@ -1198,10 +1218,23 @@ def _dense_contains(state, rop) -> bool:
     """Membership by a dense reference: rop's flat vector from the
     cell-by-cell walk (``_reference_coordinates``), a ``balanced_residue``
     per part, and each class the nonzero residues touch reduced on its
-    slice of the whole vector and balanced mod p."""
+    slice of the whole vector and balanced mod p.  On the exact field,
+    each class's part must lie in the Fraction ``SparseEchelon`` of that
+    class's echelon rows."""
     if not state._on_layout(rop):
         return False
     eng, layout, p = state._engine, state.layout, state.prime
+    if state.field == "exact":
+        parts = {}
+        for f, v in _reference_coordinates(layout, rop).items():
+            parts.setdefault(int(layout.coord_class[f]), {})[f] = v
+        for t, part in parts.items():
+            ref, ech = SparseEchelon(), eng.echelons.get(t)
+            for row in ech.basis.values() if ech else ():
+                ref.insert(row)
+            if not ref.contains(part):
+                return False
+        return True
     vec = np.zeros(layout.length)
     for f, v in _reference_coordinates(layout, rop).items():
         vec[f] = balanced_residue(v, p, eng.root_i)
@@ -1239,7 +1272,7 @@ def test_classwise_membership_matches_dense_reference(ralg, seed):
     states = {field: lie_closure(inp.orders[0], field=field, blocks=(0,), prime=inp.prime,
                                  ralg=ralg) for field in ("modular", "modular-complex")}
     assert len(queries) == 96 and {field for field, _, _ in queries} == set(states)
-    answers = [states[field].contains_modular(rop) for field, rop, _ in queries]
+    answers = [states[field].contains(rop) for field, rop, _ in queries]
     assert answers == [member for _, _, member in queries]
     assert answers == [_dense_contains(states[field], rop) for field, rop, _ in queries]
     assert True in answers and False in answers
@@ -1264,11 +1297,11 @@ def test_dagger_membership_matches_dense_reference(ralg, full_states, blocks):
             blk[(0, 0)] = blk.get((0, 0), GaussRational(0)) + 1
             bumped = cl.RestrictedOperator({**rop.blocks, 0: blk}, rop.parity)
             for query, want in ((rop, True), (bumped, False)):
-                assert st.contains_modular(query) is want
+                assert st.contains(query) is want
                 assert _dense_contains(st, query) is want
 
 
-@pytest.mark.parametrize("field", ["modular", "modular-complex"])
+@pytest.mark.parametrize("field", ["modular", "modular-complex", "exact"])
 def test_zero_member_and_rowless_class_not(ralg, field):
     """The zero operator (no blocks, empty blocks, explicit zero entries)
     is a member.  The even generators close to a state in which some
@@ -1279,9 +1312,9 @@ def test_zero_member_and_rowless_class_not(ralg, field):
              cl.RestrictedOperator({0: {(1, 2): GaussRational(0)}}, 0),
              ralg.restrict(ops.zero_operator(), (0,))]
     for zero in zeros:
-        assert st.contains_modular(zero) and _dense_contains(st, zero)
-    listed = set(st._engine.listing()[0].tolist())
+        assert st.contains(zero) and _dense_contains(st, zero)
     layout = st.layout
+    listed = set(layout.coord_class[st.pivots].tolist())
     rowless = [t for t in range(len(layout.class_width)) if t not in listed]
     assert set(np.flatnonzero(layout.class_parity)) <= set(rowless)
     for t in rowless[:1] + [t for t in rowless if not layout.class_parity[t]][:1]:
@@ -1290,8 +1323,8 @@ def test_zero_member_and_rowless_class_not(ralg, field):
         member = ralg.generator("iL0").block(0)
         for blk in (lone, {**member, **lone}):
             query = cl.RestrictedOperator({0: blk}, int(layout.class_parity[t]))
-            assert not st.contains_modular(query) and not _dense_contains(st, query)
-    assert st.contains_modular(cl.RestrictedOperator({0: member}, 0))
+            assert not st.contains(query) and not _dense_contains(st, query)
+    assert st.contains(cl.RestrictedOperator({0: member}, 0))
 
 
 @pytest.mark.parametrize("blocks,complexified", TABLE_SHAPES, ids=TABLE_IDS)
@@ -1337,7 +1370,7 @@ def test_project_is_exact_and_raises_on_collision(ralg):
         assert got[1].tolist() == [float(balanced_residue(v, p, root)) for v in values]
     st = lie_closure(blocks=(3,), prime=13, ralg=ralg)
     with pytest.raises(PrimeCollision):
-        st.contains_modular(cl.RestrictedOperator({3: {(0, 0): GaussRational(Fraction(1, 13))}}, 0))
+        st.contains(cl.RestrictedOperator({3: {(0, 0): GaussRational(Fraction(1, 13))}}, 0))
 
 
 # sha256 (first 16 hex digits) of the little-endian int32 arrays that
@@ -1604,7 +1637,7 @@ def test_root_of_minus_one_once_per_state(monkeypatch, ralg):
     monkeypatch.setattr(cl, "root_of_minus_one", lambda p: calls.append(p) or 1)
     rop = ralg.generator("iL1")
     for _ in range(3):
-        assert st.contains_modular(cl.RestrictedOperator({3: rop.block(3)}, rop.parity))
+        assert st.contains(cl.RestrictedOperator({3: rop.block(3)}, rop.parity))
     assert calls == []
 
 

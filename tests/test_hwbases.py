@@ -209,7 +209,7 @@ def test_pattern_tables_restrict_each_operator_once(monkeypatch):
     assert verify_pattern_tables()["pass"]
     want = 0
     for table in pt.ALL_TABLES:
-        ops_in_scope = {e.op[:2] if e.op[0] == "L" else e.op for e in table.entries.values()}
+        ops_in_scope = {op[:2] if op[0] == "L" else op for op in table.entries.values()}
         want += len(ops_in_scope)
     assert len(calls) == want == 19
     halves, first = set(), 0
@@ -224,11 +224,10 @@ def test_pattern_table_specific_cells():
     from wsdalg import pattern_tables as pt
 
     t0 = pt.TABLE_HW0
-    assert t0.entries[("(1,0,0)", "(0,0,0)")].op == ("L", 0, (0, -1, -1))
-    assert t0.entries[("(0,3,0)", "(3,0,0)")].op == ("K", 0, 1)
+    assert t0.entries[("(1,0,0)", "(0,0,0)")] == ("L", 0, (0, -1, -1))
+    assert t0.entries[("(0,3,0)", "(3,0,0)")] == ("K", 0, 1)
     t5 = pt.TABLE_HW1_B
-    entry = t5.entries[("(0,2,0)2", "(0,0,2)1")]
-    assert entry.op == ("K", 2, 1)
+    assert t5.entries[("(0,2,0)2", "(0,0,2)1")] == ("K", 2, 1)
 
 
 def test_pattern_tables_catch_corruption():
@@ -237,7 +236,7 @@ def test_pattern_tables_catch_corruption():
 
     bad_entries = dict(pt.TABLE_HW0.entries)
     # claim a mark in a cell that is actually empty
-    bad_entries[("(0,0,3)", "(0,0,0)")] = pt.TableEntry(("L", 0, (0, -1, -1)))
+    bad_entries[("(0,0,3)", "(0,0,0)")] = ("L", 0, (0, -1, -1))
     bad = pt.PatternTable(
         "hw0-corrupted", 0, "even", pt.TABLE_HW0.row_labels,
         pt.TABLE_HW0.col_labels, bad_entries,

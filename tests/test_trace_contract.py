@@ -35,6 +35,14 @@ def test_span_method_resolves(cls, method):
     assert callable(vars(getattr(closure, cls))[method])
 
 
+def test_traced_membership_is_the_one_membership_path():
+    """The method the traced ``closure.contains`` span wraps is
+    ``ClosureState.contains``, the one membership call on either field."""
+    from wsdalg.closure import ClosureState
+
+    assert vars(ClosureState)["contains_modular"] is vars(ClosureState)["contains"]
+
+
 # The profiler reads a phase whose path does not resolve as 0 seconds,
 # without an error.  The merge phase has had no code since the echelons
 # became single fully reduced tiers.
